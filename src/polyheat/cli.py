@@ -50,10 +50,10 @@ def _parse_point(text):
     return np.array([float(v) for v in text.replace(",", " ").split()])
 
 
-def _evaluator(cfg, epsilon=None):
+def _evaluator(cfg):
     basis = build_basis(cfg.spec, cfg.max_degree, precision_mode=cfg.precision)
     policy = TruncationPolicy(
-        epsilon if epsilon is not None else cfg.epsilon,
+        cfg.epsilon,
         cfg.t_min if cfg.t_min is not None else default_t_min(cfg.spec, basis.max_degree),
         basis.max_degree,
     )

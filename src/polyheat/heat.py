@@ -1,11 +1,15 @@
-"""Spectral heat kernels and multiplier kernels with certified truncation.
+"""Spectral heat kernels and multiplier kernels with certified tails.
 
 The kernel at time t is the level sum  sum_k exp(-lambda_k t) * K_k(x, y)
-where K_k is the reproducing kernel of level k.  Truncation is controlled
-through the Cauchy-Schwarz bound |K_k(x, y)| <= sqrt(C_k(x) C_k(y)) with
-C_k the level diagonal, plus an extrapolated bound for the part beyond the
-built basis.  Evaluations either return an honest (value, tail_bound) pair
-or refuse when the requested time is under-resolved for the basis cap.
+where K_k is the reproducing kernel of level k; a multiplier kernel weights
+level k by Phi(delta sqrt(lambda_k)) instead.  Every value sums all built
+levels in one matrix product.  Its tail is the certified bound on the
+levels past the cap: geometric for the heat kernel and heat_exp, the
+Fourier envelope for sinc_power, zero for the compactly supported
+smooth_bump.  Both bounds use |K_k(x, y)| <= sqrt(C_k(x) C_k(y)) with C_k
+the level diagonal.  Evaluations either return an honest (value,
+tail_bound) pair or refuse when the requested time is under-resolved for
+the basis cap.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from math import log, sqrt
 
 import numpy as np
 
-from .basis import OrthonormalBasis, eigen_table
+from .basis import OrthonormalBasis, eigen_table, eigenvalue
 from .domains import INTERVAL
 from .errors import CapacityError, ParameterError, PrecisionError
 
@@ -31,14 +35,16 @@ def default_t_min(spec, cap=None):
     floor = 1e-3 if spec.kind == INTERVAL else 1e-2
     if cap is None:
         return floor
-    from .basis import eigenvalue
-
     return max(floor, 30.0 / eigenvalue(spec, cap))
 
 
 @dataclass(frozen=True)
 class TruncationPolicy:
-    """Absolute tail target, smallest admissible time, and the level cap."""
+    """Tail target, smallest admissible time, and the level cap.
+
+    Values always sum every level up to the cap; epsilon only sets the
+    smallest time that the under-resolved refusal names as achievable.
+    """
 
     epsilon: float
     t_min: float
@@ -112,7 +118,7 @@ class HeatKernelEvaluator:
             raise CapacityError("policy cap exceeds the built basis degree")
         self.policy = policy
         self.eigen = eigen_table(basis.spec, policy.hard_cap)
-        self._node_christoffel = None
+        self._members = int(basis.offsets[policy.hard_cap + 1])  # up to the cap
 
     @property
     def spec(self):
@@ -122,60 +128,55 @@ class HeatKernelEvaluator:
     def lambdas(self):
         return self.eigen.lambdas
 
-    def node_christoffel(self):
-        if self._node_christoffel is None:
-            self._node_christoffel = self.basis.christoffel_from_values(
-                self.basis.node_values
-            )[:, : self.policy.hard_cap + 1]
-        return self._node_christoffel
-
     # -- core spectral summation -----------------------------------------
 
-    def _prepare(self, X, Y):
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        Y = np.atleast_2d(np.asarray(Y, dtype=float))
-        Vx = self.basis.evaluate(X)
-        Vy = self.basis.evaluate(Y) if Y is not X else Vx
-        return Vx, Vy
+    def _values(self, points):
+        """Values of the basis members up to the cap: (npoints, members)."""
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        return self.basis.evaluate(pts)[:, : self._members]
 
-    def _level_kernels(self, Vx, Vy):
-        K = self.policy.hard_cap
-        L = np.empty((K + 1, Vx.shape[0], Vy.shape[0]))
-        for k in range(K + 1):
-            sl = self.basis.level_slice(k)
-            L[k] = Vx[:, sl] @ Vy[:, sl].T
-        return L
+    def _node_values(self, quad):
+        if quad is None:
+            return self.basis.quad, self.basis.node_values[:, : self._members]
+        return quad, self._values(quad.nodes)
 
-    def _sum_with_tail(self, g, L, Cx, Cy, beyond):
-        """Partial sums with per-pair truncation at the tail target.
+    def _sum(self, g, tail_factor, Vx, Vy):
+        """sum_k g_k K_k(x, y) over every built level, with the post-cap tail.
 
-        g: (K+1,) level weights; L: (K+1, p, q) level kernels;
-        Cx/Cy: level diagonals; beyond: (p, q) bound for levels past the cap.
-        Returns (value, tail_bound) arrays of shape (p, q).
+        g: (K+1,) level weights; Vx/Vy: basis values up to the cap (the same
+        array for a square grid).  The tail is tail_factor times the window
+        maximum of sqrt(C_k(x) C_k(y)).  Returns (value, tail) of shape (p, q).
         """
-        eps = self.policy.epsilon
-        U = np.abs(g)[:, None, None] * np.sqrt(Cx[:, :, None] * Cy.T[None, :, :]).transpose(1, 0, 2)
-        # suffix[k] = sum of U_(k+1..cap) + beyond
-        suffix = np.concatenate([np.cumsum(U[::-1], axis=0)[::-1][1:],
-                                 np.zeros((1,) + U.shape[1:])], axis=0) + beyond
-        terms = g[:, None, None] * L
-        partial = np.cumsum(terms, axis=0)
-        ok = suffix <= eps
-        kstar = np.where(ok.any(axis=0), ok.argmax(axis=0), U.shape[0] - 1)
-        ii, jj = np.meshgrid(np.arange(U.shape[1]), np.arange(U.shape[2]), indexing="ij")
-        value = partial[kstar, ii, jj]
-        tail = suffix[kstar, ii, jj]
+        K = self.policy.hard_cap
+        # g >= 0 for the heat kernel and for all three multiplier profiles,
+        # so sqrt(g) splits over both factors; with one factor array numpy
+        # sends W @ W.T to syrk, exactly symmetric at half the flops.
+        sg = np.repeat(np.sqrt(g), np.diff(self.basis.offsets[: K + 2]))
+        Wx = Vx * sg
+        value = Wx @ (Wx if Vy is Vx else Vy * sg).T
+        del Wx  # freed before the two tail buffers are allocated
+        if tail_factor == 0.0:
+            return value, np.zeros_like(value)
+        tail = self._window_max(Vx, Vy)
+        tail *= tail_factor
         return value, tail
 
-    def _window_sqrt_cc(self, Cx, Cy):
-        """sqrt(C_k(x) C_k(y)) over the last levels: (w, p, q)."""
+    def _window_max(self, Vx, Vy):
+        """max of sqrt(C_k(x) C_k(y)) over the last levels, in one (p, q) buffer."""
         K = self.policy.hard_cap
-        w = min(_RATIO_WINDOW, K)
-        sl = slice(K - w, K + 1)
-        sq = np.sqrt(Cx[:, sl, None] * Cy[:, sl].T[None, :, :])  # (p, w+1, q)
-        return sq.transpose(1, 0, 2), sl
+        out = tmp = None
+        for k in range(max(K - _RATIO_WINDOW, 0), K + 1):
+            sl = self.basis.level_slice(k)
+            sx = np.sqrt(np.sum(Vx[:, sl] ** 2, axis=1))
+            sy = sx if Vy is Vx else np.sqrt(np.sum(Vy[:, sl] ** 2, axis=1))
+            if out is None:
+                out = np.multiply.outer(sx, sy)
+                tmp = np.empty_like(out)
+            else:
+                np.maximum(out, np.multiply.outer(sx, sy, out=tmp), out=out)
+        return out
 
-    def _beyond_cap_heat(self, t, Cx, Cy):
+    def _heat_tail_factor(self, t, Vx, Vy):
         """Geometric bound on the post-cap tail; refuses if decay is too flat.
 
         Eigenvalue increments lambda_(k+1) - lambda_k increase with k, so the
@@ -185,97 +186,60 @@ class HeatKernelEvaluator:
         super-exponential damping).
         """
         K = self.policy.hard_cap
-        from .basis import eigenvalue
-
         gap = eigenvalue(self.spec, K + 1) - self.lambdas[K]
         q = np.exp(-gap * t)
         if q > MAX_DECAY_RATIO:
-            t_ok = self._achievable_t(Cx, Cy)
             raise PrecisionError(
                 f"t={t:g} is under-resolved for the basis cap {K}: post-cap decay "
                 f"ratio {q:.3f} > {MAX_DECAY_RATIO}; epsilon={self.policy.epsilon:g} "
-                f"is achievable for t >= {t_ok:.4g}"
+                f"is achievable for t >= {self._achievable_t(Vx, Vy):.4g}"
             )
-        sq, _ = self._window_sqrt_cc(Cx, Cy)
-        lam_next = self.lambdas[K] + gap
-        return 2.0 * sq.max(axis=0) * np.exp(-lam_next * t) / (1.0 - q)
+        return 2.0 * np.exp(-(self.lambdas[K] + gap) * t) / (1.0 - q)
 
-    def _achievable_t(self, Cx, Cy):
+    def _achievable_t(self, Vx, Vy):
         K = self.policy.hard_cap
-        cmax = float(np.sqrt(Cx[:, K].max() * Cy[:, K].max()))
+        sl = self.basis.level_slice(K)
+        cmax = float(np.sqrt(np.sum(Vx[:, sl] ** 2, axis=1).max()
+                             * np.sum(Vy[:, sl] ** 2, axis=1).max()))
         lam = self.lambdas[K]
         return (log(max(cmax, 1.0) * (K + 1)) - log(self.policy.epsilon)) / lam
 
     # -- heat kernel --------------------------------------------------------
 
-    def heat_kernel_grid(self, t, X, Y):
-        """Kernel values and tail bounds on a grid: (p, q) arrays."""
+    def _heat(self, t, Vx, Vy):
         if t < self.policy.t_min:
             raise PrecisionError(
                 f"t={t:g} below t_min={self.policy.t_min:g}; the basis cap "
                 f"{self.policy.hard_cap} cannot certify this regime"
             )
-        Vx, Vy = self._prepare(X, Y)
-        Cx = self.basis.christoffel_from_values(Vx)
-        Cy = self.basis.christoffel_from_values(Vy)
-        K = self.policy.hard_cap
-        g = np.exp(-self.lambdas * t)
-        L = self._level_kernels(Vx, Vy)
-        beyond = self._beyond_cap_heat(t, Cx, Cy)
-        return self._sum_with_tail(g, L, Cx[:, : K + 1], Cy[:, : K + 1], beyond)
+        return self._sum(np.exp(-self.lambdas * t), self._heat_tail_factor(t, Vx, Vy), Vx, Vy)
+
+    def heat_kernel_grid(self, t, X, Y):
+        """Kernel values and tail bounds on a grid: (p, q) arrays."""
+        Vx = self._values(X)
+        return self._heat(t, Vx, Vx if Y is X else self._values(Y))
 
     def heat_kernel(self, t, x, y):
         """Heat kernel value at one pair; returns (value, tail_bound)."""
-        v, b = self.heat_kernel_grid(t, np.atleast_2d(np.asarray(x, float)),
-                                     np.atleast_2d(np.asarray(y, float)))
+        v, b = self.heat_kernel_grid(t, x, y)
         return float(v[0, 0]), float(b[0, 0])
 
     # -- semigroup-level checks ----------------------------------------------
 
     def mass_check(self, t, x, quad=None):
         """integral of e^(tL)(x, .) d(mu); contract: equals 1."""
-        if quad is None:
-            quad = self.basis.quad
-            node_vals = self.basis.node_values
-        else:
-            node_vals = self.basis.evaluate(quad.nodes)
-        Vx = self.basis.evaluate(np.atleast_2d(np.asarray(x, float)))
-        row, _ = self._row_values(t, Vx, node_vals)
-        return float(row @ quad.weights)
-
-    def _row_values(self, t, Vx, Vy):
-        if t < self.policy.t_min:
-            raise PrecisionError(f"t={t:g} below t_min={self.policy.t_min:g}")
-        Cx = self.basis.christoffel_from_values(Vx)
-        Cy = self.basis.christoffel_from_values(Vy)
-        g = np.exp(-self.lambdas * t)
-        L = self._level_kernels(Vx, Vy)
-        beyond = self._beyond_cap_heat(t, Cx, Cy)
-        v, b = self._sum_with_tail(g, L, Cx, Cy, beyond)
-        return v[0], b[0]
+        quad, nodes = self._node_values(quad)
+        row, _ = self._heat(t, self._values(x), nodes)
+        return float(row[0] @ quad.weights)
 
     def semigroup_check(self, s, t, x, z, quad=None):
         """|e^((s+t)L)(x,z) - integral e^(sL)(x,y) e^(tL)(y,z) dmu(y)|."""
-        if quad is None:
-            quad = self.basis.quad
-            node_vals = self.basis.node_values
-        else:
-            node_vals = self.basis.evaluate(quad.nodes)
-        Vx = self.basis.evaluate(np.atleast_2d(np.asarray(x, float)))
-        Vz = self.basis.evaluate(np.atleast_2d(np.asarray(z, float)))
-        row_s, _ = self._row_values(s, Vx, node_vals)
-        row_t, _ = self._row_values(t, Vz, node_vals)
-        lhs, _ = self._sum_with_tail(
-            np.exp(-self.lambdas * (s + t)),
-            self._level_kernels(Vx, Vz),
-            self.basis.christoffel_from_values(Vx),
-            self.basis.christoffel_from_values(Vz),
-            self._beyond_cap_heat(s + t,
-                                  self.basis.christoffel_from_values(Vx),
-                                  self.basis.christoffel_from_values(Vz)),
-        )
-        composed = float((row_s * row_t) @ quad.weights)
-        return abs(float(lhs[0, 0]) - composed)
+        quad, nodes = self._node_values(quad)
+        Vx, Vz = self._values(x), self._values(z)
+        row_s, _ = self._heat(s, Vx, nodes)
+        row_t, _ = self._heat(t, Vz, nodes)
+        lhs, _ = self._heat(s + t, Vx, Vz)
+        return abs(float(lhs[0, 0]) - float((row_s[0] * row_t[0]) @ quad.weights))
 
     # -- spectral multipliers -------------------------------------------------
 
@@ -285,11 +249,8 @@ class HeatKernelEvaluator:
             raise ParameterError("delta must be positive")
         K = self.policy.hard_cap
         u = delta * np.sqrt(self.lambdas)
-        g = phi.phi(u)
-        Vx, Vy = self._prepare(X, Y)
-        Cx = self.basis.christoffel_from_values(Vx)
-        Cy = self.basis.christoffel_from_values(Vy)
-        L = self._level_kernels(Vx, Vy)
+        Vx = self._values(X)
+        Vy = Vx if Y is X else self._values(Y)
 
         if phi.spectral_cutoff is not None:
             if u[K] < phi.spectral_cutoff:
@@ -297,25 +258,16 @@ class HeatKernelEvaluator:
                     f"band of smooth_bump (support {phi.spectral_cutoff:g}) exceeds the "
                     f"built basis: delta*sqrt(lambda_cap)={u[K]:.3g}; raise delta or the cap"
                 )
-            value = np.tensordot(g, L, axes=(0, 0))
-            tail = np.zeros_like(value)
-            return value, tail
-
-        if phi.family == "sinc_power":
+            tail_factor = 0.0
+        elif phi.family == "sinc_power":
             m = phi.order
-            sq, _ = self._window_sqrt_cc(Cx, Cy)
-            cbar = 2.0 * sq.max(axis=0)
             env = (2.0 / (phi.band * delta)) ** (2 * m)
-            beyond = cbar * env * (K - 1.0) ** (1 - 2 * m) / (2 * m - 1)
-            return self._sum_with_tail(g, L, Cx, Cy, beyond)
-
-        # heat_exp: same machinery as the heat kernel at t = delta^2
-        t = delta * delta
-        beyond = self._beyond_cap_heat(t, Cx, Cy)
-        return self._sum_with_tail(g, L, Cx, Cy, beyond)
+            tail_factor = 2.0 * env * (K - 1.0) ** (1 - 2 * m) / (2 * m - 1)
+        else:
+            # heat_exp: the heat kernel's post-cap bound at t = delta^2
+            tail_factor = self._heat_tail_factor(delta * delta, Vx, Vy)
+        return self._sum(phi.phi(u), tail_factor, Vx, Vy)
 
     def multiplier_kernel(self, phi, delta, x, y):
-        v, b = self.multiplier_grid(phi, delta,
-                                    np.atleast_2d(np.asarray(x, float)),
-                                    np.atleast_2d(np.asarray(y, float)))
+        v, b = self.multiplier_grid(phi, delta, x, y)
         return float(v[0, 0]), float(b[0, 0])

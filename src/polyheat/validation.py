@@ -757,18 +757,13 @@ def finite_speed_scan(ev, delta, m, A, anchors=None, threshold=1e-8,
     if anchors is None:
         anchors = interior_points(spec, 4, margin=0.1)
     anchors = np.atleast_2d(np.asarray(anchors, float))
-    # the support scan needs tails well below the detection threshold
-    from .heat import TruncationPolicy
-
-    sharp = HeatKernelEvaluator(ev.basis, TruncationPolicy(
-        min(ev.policy.epsilon, tail_cap / 10), ev.policy.t_min, ev.policy.hard_cap))
     smax = min(pi, 3.0 * delta * m * A)
     targets_s = np.linspace(0.02 * delta * m * A, smax, n_radii)
     rhos, mags = [], []
     worst_tail = 0.0
     for a in anchors:
         dists, targets = geodesic_ray(spec, a, targets_s)
-        vals, tails = sharp.multiplier_grid(phi, delta, a[None, :], targets)
+        vals, tails = ev.multiplier_grid(phi, delta, a[None, :], targets)
         worst_tail = max(worst_tail, float(tails.max()))
         rhos.extend(dists)
         mags.extend(np.abs(vals[0]))

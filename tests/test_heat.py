@@ -1,9 +1,10 @@
+import tracemalloc
 from math import pi, sqrt
 
 import numpy as np
 import pytest
 
-from polyheat.basis import build_basis
+from polyheat.basis import build_basis, eigenvalue
 from polyheat.domains import DomainSpec, total_mass
 from polyheat.errors import CapacityError, ParameterError, PrecisionError
 from polyheat.heat import (
@@ -52,7 +53,8 @@ class TestHeatKernel:
         assert abs(a - b) <= 1e-13
 
     def test_tail_is_honest(self, cheb_ev):
-        # truncated value differs from a much tighter evaluation by <= tail
+        # every built level is summed whatever the tail target, so a much
+        # tighter target gives the same value, within the post-cap tail
         sharp = HeatKernelEvaluator(cheb_ev.basis,
                                     TruncationPolicy(1e-14, 1e-3, 200))
         for t in (0.05, 0.3):
@@ -171,3 +173,94 @@ class TestSelfAdjointness:
             f = random_poly(2, 10, rng)
             h = random_poly(2, 10, rng)
             assert kernel_selfadjointness_residual(ball_ev, 0.5, f, h) <= 1e-8
+
+
+def _points(spec, count, rng):
+    """Interior points of a 2-D ball or simplex."""
+    if spec.kind == "ball":
+        d = rng.standard_normal((count, 2))
+        d /= np.linalg.norm(d, axis=1, keepdims=True)
+        return np.sqrt(rng.uniform(0.0, 0.8, count))[:, None] * d
+    return rng.dirichlet(np.ones(3), size=count)[:, :2]
+
+
+def _reference(ev, g, post_cap, X, Y):
+    """Level-by-level sum_k g_k K_k(x, y) and the per-pair tail of truncating it.
+
+    post_cap(window) is the certified bound past the cap, given the maximum
+    of sqrt(C_k(x) C_k(y)) over the last six levels; the per-pair tail adds
+    the Cauchy-Schwarz bounds of the levels after the first one whose
+    remainder is below the tail target, as the level-tensor summation did.
+    """
+    basis, K = ev.basis, ev.policy.hard_cap
+    Vx, Vy = basis.evaluate(X), basis.evaluate(Y)
+    value = np.zeros((len(X), len(Y)))
+    cs = np.empty((K + 1, len(X), len(Y)))
+    for k in range(K + 1):
+        sl = basis.level_slice(k)
+        value += g[k] * (Vx[:, sl] @ Vy[:, sl].T)
+        cs[k] = np.sqrt(np.outer(np.sum(Vx[:, sl] ** 2, axis=1),
+                                 np.sum(Vy[:, sl] ** 2, axis=1)))
+    beyond = post_cap(cs[max(K - 5, 0):].max(axis=0))
+    terms = np.abs(g)[:, None, None] * cs
+    suffix = np.cumsum(terms[::-1], axis=0)[::-1] - terms + beyond
+    ok = suffix <= ev.policy.epsilon
+    kstar = np.where(ok.any(axis=0), ok.argmax(axis=0), K)
+    tail = np.take_along_axis(suffix, kstar[None], axis=0)[0]
+    return value, tail
+
+
+def _heat_post_cap(ev, t):
+    K = ev.policy.hard_cap
+    lam, lam_next = eigenvalue(ev.spec, K), eigenvalue(ev.spec, K + 1)
+    return lambda w: 2.0 * w * np.exp(-lam_next * t) / (1.0 - np.exp(-(lam_next - lam) * t))
+
+
+class TestLevelSum:
+    """The one-product summation against a level-by-level reference."""
+
+    @pytest.mark.parametrize("fixture", ["cheb_ev", "ball_ev", "simplex_ev"])
+    def test_matches_per_level_sum(self, fixture, request):
+        ev = request.getfixturevalue(fixture)
+        K = ev.policy.hard_cap
+        rng = np.random.default_rng(7)
+        if ev.spec.n == 1:
+            X, Y = np.cos(rng.uniform(0.1, 3.0, (9, 1))), np.cos(rng.uniform(0.1, 3.0, (6, 1)))
+        else:
+            X, Y = _points(ev.spec, 9, rng), _points(ev.spec, 6, rng)
+        cases = [(t, ev.heat_kernel_grid(t, X, Y), np.exp(-ev.lambdas * t),
+                  _heat_post_cap(ev, t)) for t in (ev.policy.t_min, 1.0)]
+        sinc = MultiplierSpec("sinc_power")
+        m, A = sinc.order, sinc.band
+        for phi, delta, post_cap in [
+                (MultiplierSpec("heat_exp"), 0.2, _heat_post_cap(ev, 0.04)),
+                (MultiplierSpec("smooth_bump"), 0.3, lambda w: 0.0 * w),
+                (sinc, 0.1, lambda w: 2.0 * w * (2.0 / (A * 0.1)) ** (2 * m)
+                 * (K - 1.0) ** (1 - 2 * m) / (2 * m - 1))]:
+            cases.append((phi.family, ev.multiplier_grid(phi, delta, X, Y),
+                          phi.phi(delta * np.sqrt(ev.lambdas)), post_cap))
+        for label, (value, tail), g, post_cap in cases:
+            ref, old_tail = _reference(ev, g, post_cap, X, Y)
+            assert np.abs(value - ref).max() <= 1e-12 * np.abs(ref).max(), label
+            assert tail.min() >= 0.0, label
+            assert np.all(tail <= old_tail * (1 + 1e-12)), label
+
+    @pytest.mark.parametrize("fixture", ["ball_ev", "simplex_ev"])
+    def test_square_grids_exactly_symmetric(self, fixture, request):
+        ev = request.getfixturevalue(fixture)
+        X = _points(ev.spec, 100, np.random.default_rng(3))
+        for v, _ in (ev.heat_kernel_grid(0.3, X, X),
+                     ev.multiplier_grid(MultiplierSpec("sinc_power"), 0.1, X, X)):
+            assert np.array_equal(v, v.T)
+
+    def test_grid_memory_is_a_few_grids(self):
+        # no array with a level axis over the (p, q) grid
+        ev = HeatKernelEvaluator(build_basis(DomainSpec.ball(2, 0.5), 30))
+        X = _points(ev.spec, 512, np.random.default_rng(5))
+        tracemalloc.start()
+        try:
+            ev.heat_kernel_grid(0.2, X, X)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * X.shape[0] ** 2 * 8
