@@ -26,7 +26,7 @@ import numpy as np
 
 from .domains import BALL, INTERVAL, SIMPLEX, DomainSpec
 from .errors import CapacityError, DomainError, ParameterError, PrecisionError
-from .polynomials import MultiPoly
+from .polynomials import MultiPoly, monomial_operator
 from .quadrature import build_quadrature, jacobi_recurrence
 
 # Degree caps per (kind, dimension); extended precision doubles the GS caps.
@@ -35,7 +35,9 @@ _CAPS_DOUBLE = {(INTERVAL, 1): 200, (BALL, 1): 200, (SIMPLEX, 1): 200,
 _CAPS_EXTENDED = {(INTERVAL, 1): 1000, (BALL, 1): 400, (SIMPLEX, 1): 400,
                   (BALL, 2): 80, (SIMPLEX, 2): 80, (BALL, 3): 50, (SIMPLEX, 3): 50}
 
-GRAM_TOL = 1e-8
+# The extended caps need a longdouble with more mantissa than float64; on
+# aarch64 macOS and on Windows it is float64.
+LONGDOUBLE_EXTENDED = bool(np.finfo(np.longdouble).eps < 1e-18)
 
 
 def eigenvalue(spec: DomainSpec, k: int) -> float:
@@ -150,18 +152,6 @@ class OrthonormalBasis:
     def node_values(self):
         return self._node_values
 
-    def christoffel(self, points):
-        """Level diagonal sums C_k(x) = sum_j P_kj(x)^2: (npoints, K+1)."""
-        vals = self.evaluate(points)
-        return self.christoffel_from_values(vals)
-
-    def christoffel_from_values(self, vals):
-        out = np.empty((vals.shape[0], self.max_degree + 1))
-        for k in range(self.max_degree + 1):
-            sl = self.level_slice(k)
-            out[:, k] = np.sum(vals[:, sl] ** 2, axis=1)
-        return out
-
     def gram_residual(self):
         """max |G - I| over all members through max_degree."""
         if self._gram is None:
@@ -224,22 +214,23 @@ def verify_eigenrelation(basis, max_level=None):
 
     Level 0 is reported as an absolute residual (lambda_0 = 0).  The norm is
     max |coeff| of the residual over max |coeff| of lambda_k P, which stays
-    scale-free at high degree.
+    scale-free at high degree.  All members are checked at once on the
+    coefficient matrix C (rows = members, columns = graded monomials):
+    R = C * (lambda_k + diag) plus one column update per lowering term of
+    ``monomial_operator``, whose diagonal comes from the operator, so a
+    wrong eigenvalue shows.  Members through level K touch only the first
+    D graded monomials.
     """
     K = basis.max_degree if max_level is None else min(max_level, basis.max_degree)
-    out = np.zeros(K + 1)
-    for k in range(K + 1):
-        lam = basis.lambdas[k]
-        worst = 0.0
-        for p in basis.levels[k]:
-            r = basis.spec.apply_operator(p) + lam * p
-            if k == 0:
-                worst = max(worst, r.max_abs_coeff())
-            else:
-                scale = lam * p.max_abs_coeff()
-                worst = max(worst, r.max_abs_coeff() / scale)
-        out[k] = worst
-    return out
+    D = int(basis.offsets[K + 1])
+    C = basis._coeff[:D, :D]
+    diag, lowering = monomial_operator(basis.spec, basis._monomials[:D])
+    lam = np.repeat(basis.lambdas[: K + 1], np.diff(basis.offsets[: K + 2]))
+    R = (lam[:, None] + diag) * C
+    for src, dst, coef in lowering:
+        R[:, dst] += coef * C[:, src]
+    scale = np.where(lam > 0, lam * np.abs(C).max(axis=1), 1.0)
+    return np.maximum.reduceat(np.abs(R).max(axis=1) / scale, basis.offsets[: K + 1])
 
 
 # ---------------------------------------------------------------------------
@@ -247,6 +238,8 @@ def verify_eigenrelation(basis, max_level=None):
 
 
 def _degree_cap(spec, precision_mode):
+    if precision_mode == "longdouble" and not LONGDOUBLE_EXTENDED:
+        raise CapacityError("longdouble is float64 on this platform; use precision double")
     caps = _CAPS_EXTENDED if precision_mode == "longdouble" else _CAPS_DOUBLE
     key = (spec.kind, spec.n)
     if key not in caps:

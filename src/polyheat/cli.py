@@ -32,7 +32,8 @@ from .domains import (
     metric_tensor,
     total_mass,
 )
-from .errors import CapacityError, ParameterError, PrecisionError
+from .errors import (BoundarySingularityError, CapacityError, DomainError, ParameterError,
+                     PrecisionError)
 from .heat import HeatKernelEvaluator, MultiplierSpec, TruncationPolicy, default_t_min
 from .polynomials import MultiPoly
 from .quadrature import build_quadrature
@@ -243,10 +244,8 @@ def suite_basis(cfg, ev, vol, rng):
 
     gram = ev.basis.gram_residual()
     tol = 1e-10 if cfg.spec.kind == INTERVAL else 1e-8
-    dims_ok = all(
-        len(ev.basis.levels[k]) == level_dimension(cfg.spec.n, k)
-        for k in range(ev.basis.max_degree + 1)
-    )
+    dims_ok = all(int(d) == level_dimension(cfg.spec.n, k)
+                  for k, d in enumerate(np.diff(ev.basis.offsets)))
     return {"gram_residual": gram, "tolerance": tol, "dimensions_ok": dims_ok}, (
         gram <= tol and dims_ok
     )
@@ -527,7 +526,8 @@ def main(argv=None):
             return cmd_kernel_export(args)
         if args.command == "validate":
             return cmd_validate(args)
-    except (ParameterError, CapacityError, PrecisionError) as e:
+    except (ParameterError, CapacityError, PrecisionError, DomainError,
+            BoundarySingularityError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     return 2

@@ -260,6 +260,9 @@ class HeatKernelEvaluator:
                 )
             tail_factor = 0.0
         elif phi.family == "sinc_power":
+            if K < 2:
+                raise CapacityError(
+                    f"the sinc_power tail bound needs a basis cap >= 2, got {K}; raise the cap")
             m = phi.order
             env = (2.0 / (phi.band * delta)) ** (2 * m)
             tail_factor = 2.0 * env * (K - 1.0) ** (1 - 2 * m) / (2 * m - 1)

@@ -291,6 +291,38 @@ def apply_simplex_operator(p, kappa):
     return out
 
 
+def monomial_operator(spec, monomials):
+    """The operator of ``spec`` on each monomial x^e, in closed form.
+
+    L x^e = -(|e|(|e|-1) + c|e|) x^e plus lowering terms: m(m-1) x^(m-2) and
+    (beta-alpha) m x^(m-1) on the interval, e_i(e_i-1) x^(e-2d_i) on the
+    ball, e_i(e_i+kappa_i-1/2) x^(e-d_i) on the simplex; the drift c is as in
+    ``apply_*_operator``.  Returns (diag, [(src, dst, coef), ...]): coef[t] is
+    the coefficient of monomials[dst[t]] in L monomials[src[t]], and each
+    src -> dst map is injective.  ``monomials`` must be closed under lowering.
+    """
+    E = np.array(monomials, dtype=np.int64).reshape(len(monomials), -1)
+    if spec.kind == "interval":
+        drift = spec.alpha + spec.beta + 2.0
+        terms = [(0, 2, E[:, 0] - 1.0), (0, 1, spec.beta - spec.alpha)]
+    elif spec.kind == "ball":
+        drift = spec.n + 2.0 * spec.gamma
+        terms = [(i, 2, E[:, i] - 1.0) for i in range(spec.n)]
+    else:
+        drift = sum(spec.kappa) + (spec.n + 1) / 2.0
+        terms = [(i, 1, E[:, i] + spec.kappa[i] - 0.5) for i in range(spec.n)]
+    index = {e: j for j, e in enumerate(map(tuple, E.tolist()))}
+    lowering = []
+    for axis, shift, factor in terms:
+        src = np.nonzero(E[:, axis] >= shift)[0]
+        low = E[src]
+        low[:, axis] -= shift
+        dst = np.array([index[e] for e in map(tuple, low.tolist())], dtype=np.int64)
+        lowering.append((src, dst, (E[:, axis] * factor)[src]))
+    deg = E.sum(axis=1).astype(float)
+    return -(deg * (deg - 1.0) + drift * deg), lowering
+
+
 def poly_affine_univariate(p, a, b):
     """Exact composition p(a*x + b) for univariate p, by Horner."""
     if p.dimension != 1:

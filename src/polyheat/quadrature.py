@@ -15,7 +15,7 @@ from math import pi
 import numpy as np
 from scipy.special import roots_jacobi, roots_legendre
 
-from .domains import BALL, INTERVAL, DomainSpec, total_mass
+from .domains import BALL, INTERVAL, DomainSpec
 from .errors import CapacityError, DomainError
 
 MAX_NODES = 5_000_000
@@ -35,20 +35,6 @@ class QuadratureRule:
 
     def total(self):
         return float(self.weights.sum())
-
-    def integrate_values(self, values):
-        values = np.asarray(values, dtype=float)
-        return values.T @ self.weights
-
-    def integrate(self, fn):
-        return float(self.weights @ np.apply_along_axis(fn, 1, self.nodes))
-
-    def to_json_obj(self):
-        return {
-            "exact_degree": self.exact_degree,
-            "nodes": self.nodes.tolist(),
-            "weights": self.weights.tolist(),
-        }
 
 
 def jacobi_recurrence(max_degree, alpha, beta):
@@ -161,10 +147,3 @@ def build_quadrature(spec: DomainSpec, exact_degree: int) -> QuadratureRule:
         nodes[:, i] = u[:, i] * shrink
         shrink = shrink * (1 - u[:, i])
     return QuadratureRule(nodes, weights, d)
-
-
-def check_rule(spec, rule, rel_tol=1e-12):
-    """Cheap self-check: the weights must sum to the closed-form mass."""
-    mass = total_mass(spec)
-    err = abs(rule.total() - mass) / mass
-    return err <= rel_tol, err

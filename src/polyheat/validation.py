@@ -131,9 +131,6 @@ class PolyField:
         pts = np.atleast_2d(np.asarray(pts, float))
         return np.stack([g.eval_many(pts) for g in self._grads], axis=1)
 
-    def sup_norm_hint(self):
-        return sum(abs(c) for _, c in self.poly.items())
-
 
 class GaussianBump:
     """Smooth bounded test function exp(-sum ((x_i - c_i)/s_i)^2) with gradient.

@@ -41,14 +41,6 @@ class VolumeEstimate:
     method: str  # "exact1d" | "montecarlo"
     samples: int
 
-    def to_json_obj(self):
-        return {
-            "value": self.value,
-            "stderr": self.stderr,
-            "method": self.method,
-            "samples": self.samples,
-        }
-
 
 def volume_surrogate(spec, x, r):
     """Closed-form comparability surrogate for V(x, r); no normalizing constant."""

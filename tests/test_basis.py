@@ -3,6 +3,7 @@ from math import comb, pi, sqrt
 import numpy as np
 import pytest
 
+from polyheat import basis as basis_module
 from polyheat.basis import (
     build_basis,
     christoffel_diag,
@@ -15,6 +16,7 @@ from polyheat.basis import (
 )
 from polyheat.domains import DomainSpec, total_mass
 from polyheat.errors import CapacityError, DomainError
+from polyheat.polynomials import MultiPoly, monomial_operator
 from polyheat.quadrature import build_quadrature
 from polyheat.validation import operator_symmetry_residual, random_poly
 
@@ -70,6 +72,7 @@ class TestBuild:
         res = verify_eigenrelation(basis)
         assert res[0] <= 1e-12
         assert res.max() <= 1e-9
+        assert np.array_equal(verify_eigenrelation(basis, max_level=5), res[:6])
 
     def test_constant_level(self, spec):
         basis = build_basis(spec, 3)
@@ -81,6 +84,63 @@ class TestBuild:
         basis = build_basis(spec, 10)
         vals = basis.evaluate(basis.quad.nodes)
         assert np.abs(vals - basis.node_values).max() <= 1e-11
+
+
+OPERATOR_CASES = [
+    DomainSpec.interval(0.7, -0.3),
+    DomainSpec.interval(-0.5, -0.5),
+    DomainSpec.ball(1, 0.8),
+    DomainSpec.ball(2, 0.25),
+    DomainSpec.ball(3, -0.3),
+    DomainSpec.simplex(1, (0.5, 1.5)),
+    DomainSpec.simplex(2, (-0.3, 0.8, 1.7)),
+    DomainSpec.simplex(3, (0.2, 0.5, 1.0, -0.4)),
+]
+
+
+def reference_eigen_residuals(basis):
+    """The MultiPoly form of verify_eigenrelation: one member at a time."""
+    out = np.zeros(basis.max_degree + 1)
+    for k in range(basis.max_degree + 1):
+        lam = basis.lambdas[k]
+        for p in basis.levels[k]:
+            r = basis.spec.apply_operator(p) + lam * p
+            scale = 1.0 if k == 0 else lam * p.max_abs_coeff()
+            out[k] = max(out[k], r.max_abs_coeff() / scale)
+    return out
+
+
+@pytest.mark.parametrize("spec", OPERATOR_CASES, ids=lambda s: s.label())
+class TestVectorizedVerification:
+    def test_monomial_operator_matches_multipoly(self, spec):
+        monos = graded_monomials(spec.n, 8)
+        diag, lowering = monomial_operator(spec, monos)
+        L = np.diag(diag)
+        for src, dst, coef in lowering:
+            assert np.unique(dst).size == dst.size
+            L[dst, src] += coef
+        for j, e in enumerate(monos):
+            ref = spec.apply_operator(MultiPoly.monomial(e))
+            col = np.array([ref.coeff(f) for f in monos])
+            assert np.abs(L[:, j] - col).max() <= 1e-12 * max(1.0, np.abs(col).max())
+
+    def test_matches_multipoly_reference(self, spec):
+        basis = build_basis(spec, 6 if spec.n == 3 else 12)
+        ref = reference_eigen_residuals(basis)
+        assert np.abs(verify_eigenrelation(basis) - ref).max() <= 1e-13
+
+    def test_perturbed_member_fails_its_level(self, spec):
+        basis = build_basis(spec, 6)
+        clean = verify_eigenrelation(basis)
+        k = 4
+        row = int(basis.offsets[k]) + 1 if spec.n > 1 else k
+        for col in (0, int(basis.offsets[k + 1]) - 1):
+            saved = basis._coeff[row, col]
+            basis._coeff[row, col] += 1e-6 * np.abs(basis._coeff[row]).max()
+            res = verify_eigenrelation(basis)
+            assert res[k] > 1e-8
+            assert np.array_equal(np.delete(res, k), np.delete(clean, k))
+            basis._coeff[row, col] = saved
 
 
 class TestIntervalBasis:
@@ -177,6 +237,13 @@ class TestCapsAndModes:
             build_basis(DomainSpec.ball(2, 0.5), 41)
         with pytest.raises(CapacityError):
             build_basis(DomainSpec.interval(-0.5, -0.5), 300)
+
+    def test_longdouble_refused_when_it_is_float64(self, monkeypatch):
+        monkeypatch.setattr(basis_module, "LONGDOUBLE_EXTENDED", False)
+        with pytest.raises(CapacityError, match="float64") as info:
+            build_basis(DomainSpec.ball(2, 0.5), 8, precision_mode="longdouble")
+        assert "\n" not in str(info.value)
+        assert build_basis(DomainSpec.ball(2, 0.5), 8).gram_residual() <= 1e-8
 
     def test_longdouble_mode(self):
         basis = build_basis(DomainSpec.ball(2, 0.5), 8, precision_mode="longdouble")

@@ -69,6 +69,14 @@ class TestGeom:
         val = float(out[1].split(",")[-2])
         assert val == pytest.approx(abs(np.arccos(0.3) - np.arccos(0.5)), rel=1e-12)
 
+    @pytest.mark.parametrize("query", [["dist", "--x", "2,0", "--y", "0,0"],
+                                       ["metric", "--x", "1,0"]])
+    def test_bad_point_is_one_line_error(self, tmp_path, capsys, query):
+        cfgfile = write_config(tmp_path, "[domain]\nkind = ball\nn = 2\ngamma = 0.5\n")
+        assert main(["--config", cfgfile, "geom"] + query) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_volume_deterministic(self, tmp_path, capsys):
         cfgfile = write_config(tmp_path, "[domain]\nkind = ball\nn = 2\ngamma = 0.5\n[run]\nseed = 3\n")
         main(["--config", cfgfile, "geom", "volume", "--x", "0.1,0.1", "--r", "0.4",

@@ -8,7 +8,8 @@ import pytest
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
 
-@pytest.mark.parametrize("name", ["heat_kernel_basics.py", "multiplier_localization.py"])
+@pytest.mark.parametrize("name", ["eigensystem_tour.py", "heat_kernel_basics.py",
+                                  "multiplier_localization.py"])
 def test_demo_runs(name, capsys):
     runpy.run_path(str(DEMOS / name), run_name="__main__")
     assert capsys.readouterr().out.strip()

@@ -150,6 +150,12 @@ class TestMultipliers:
         _, sharp_tail = sharp.multiplier_kernel(phi, 0.05, [0.3], [0.31])
         assert sharp_tail <= 1e-12
 
+    def test_sinc_tail_refused_below_cap_two(self):
+        ev = HeatKernelEvaluator(build_basis(DomainSpec.interval(-0.5, -0.5), 1),
+                                 TruncationPolicy(1e-10, 1e-3, 1))
+        with pytest.raises(CapacityError, match="cap"):
+            ev.multiplier_kernel(MultiplierSpec("sinc_power"), 0.1, [0.2], [0.3])
+
     def test_multiplier_profiles(self):
         bump = MultiplierSpec("smooth_bump", support=2.0, order=3)
         u = np.linspace(-3, 3, 101)
