@@ -25,6 +25,7 @@ from .domains import (
     contains,
     distance,
     distance_many,
+    distance_matrix,
     inverse_metric,
     metric_det,
     metric_tensor,

@@ -441,7 +441,7 @@ def cmd_validate(args):
     for name in names:
         try:
             results, ok = SUITE_FUNCS[name](cfg, ev, vol, rng)
-        except (PrecisionError, CapacityError) as e:
+        except (PrecisionError, CapacityError, DomainError, BoundarySingularityError) as e:
             results, ok = {"error": str(e)}, False
         report["suites"][name] = {"results": results, "pass": bool(ok)}
         overall = overall and ok

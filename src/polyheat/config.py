@@ -98,17 +98,50 @@ def default_config():
     return RunConfig(spec=DomainSpec.interval(-0.5, -0.5))
 
 
+# Every key the INI file may set, by section.
+KNOWN_KEYS = {
+    "domain": ("kind", "n", "alpha", "beta", "gamma", "kappa"),
+    "basis": ("max_degree", "precision"),
+    "kernel": ("epsilon", "t_min"),
+    "grids": ("points", "times", "radii", "epsilons", "deltas"),
+    "mc": ("samples",),
+    "run": ("seed", "output", "threads"),
+}
+_KINDS = {int: "an integer", float: "a number", _parse_floats: "a list of numbers"}
+
+
+def _read(sec, key, conv, default):
+    """``conv(sec[key])``, or ``default`` when the key is absent."""
+    raw = sec.get(key)
+    if raw is None:
+        return default
+    try:
+        return conv(raw)
+    except ValueError:
+        raise ParameterError(f"[{sec.name}] {key} = {raw!r} is not {_KINDS[conv]}") from None
+
+
 def _spec_from_section(sec):
     kind = sec.get("kind", INTERVAL).strip().lower()
+    if kind not in (INTERVAL, BALL, SIMPLEX):
+        raise ParameterError(f"[domain] kind = {kind!r} is not one of interval|ball|simplex")
     if kind == INTERVAL:
-        return DomainSpec.interval(float(sec.get("alpha", -0.5)), float(sec.get("beta", -0.5)))
+        return DomainSpec.interval(_read(sec, "alpha", float, -0.5), _read(sec, "beta", float, -0.5))
+    n = _read(sec, "n", int, 2)
     if kind == BALL:
-        return DomainSpec.ball(int(sec.get("n", 2)), float(sec.get("gamma", 0.5)))
-    if kind == SIMPLEX:
-        n = int(sec.get("n", 2))
-        kappa = _parse_floats(sec.get("kappa", ", ".join(["0.5"] * (n + 1))))
-        return DomainSpec.simplex(n, kappa)
-    raise ParameterError(f"[domain] kind = {kind!r} is not one of interval|ball|simplex")
+        return DomainSpec.ball(n, _read(sec, "gamma", float, 0.5))
+    return DomainSpec.simplex(n, _read(sec, "kappa", _parse_floats, [0.5] * (n + 1)))
+
+
+def _check_keys(parser):
+    if parser.defaults():
+        raise ParameterError("unknown config section [DEFAULT]")
+    for name in parser.sections():
+        if name not in KNOWN_KEYS:
+            raise ParameterError(f"unknown config section [{name}]")
+        for key in parser.options(name):
+            if key not in KNOWN_KEYS[name]:
+                raise ParameterError(f"unknown config key [{name}] {key}")
 
 
 def load_config(path=None, **overrides):
@@ -116,46 +149,53 @@ def load_config(path=None, **overrides):
     cfg = default_config()
     if path is not None:
         parser = configparser.ConfigParser()
-        read = parser.read(path)
+        try:
+            read = parser.read(path)
+        except configparser.Error as e:
+            raise ParameterError(f"config file {path!r}: {' '.join(str(e).split())}") from None
         if not read:
             raise ParameterError(f"config file {path!r} not found or unreadable")
+        _check_keys(parser)
         if parser.has_section("domain"):
             cfg = replace(cfg, spec=_spec_from_section(parser["domain"]))
         if parser.has_section("basis"):
             sec = parser["basis"]
             cfg = replace(
                 cfg,
-                max_degree=int(sec.get("max_degree", cfg.max_degree)),
+                max_degree=_read(sec, "max_degree", int, cfg.max_degree),
                 precision=sec.get("precision", cfg.precision).strip(),
             )
         if parser.has_section("kernel"):
             sec = parser["kernel"]
-            cfg = replace(cfg, epsilon=float(sec.get("epsilon", cfg.epsilon)))
-            if sec.get("t_min") is not None:
-                cfg = replace(cfg, t_min=float(sec["t_min"]))
+            cfg = replace(cfg, epsilon=_read(sec, "epsilon", float, cfg.epsilon),
+                          t_min=_read(sec, "t_min", float, cfg.t_min))
         if parser.has_section("grids"):
             sec = parser["grids"]
             cfg = replace(
                 cfg,
-                points=int(sec.get("points", cfg.points)),
-                times=tuple(_parse_floats(sec.get("times", ""))) or cfg.times,
-                radii=tuple(_parse_floats(sec.get("radii", ""))) or cfg.radii,
-                epsilons=tuple(_parse_floats(sec.get("epsilons", ""))) or cfg.epsilons,
-                deltas=tuple(_parse_floats(sec.get("deltas", ""))) or cfg.deltas,
+                points=_read(sec, "points", int, cfg.points),
+                times=tuple(_read(sec, "times", _parse_floats, ())) or cfg.times,
+                radii=tuple(_read(sec, "radii", _parse_floats, ())) or cfg.radii,
+                epsilons=tuple(_read(sec, "epsilons", _parse_floats, ())) or cfg.epsilons,
+                deltas=tuple(_read(sec, "deltas", _parse_floats, ())) or cfg.deltas,
             )
         if parser.has_section("mc"):
-            cfg = replace(cfg, mc_samples=int(parser["mc"].get("samples", cfg.mc_samples)))
+            cfg = replace(cfg, mc_samples=_read(parser["mc"], "samples", int, cfg.mc_samples))
         if parser.has_section("run"):
             sec = parser["run"]
             cfg = replace(
                 cfg,
-                seed=int(sec.get("seed", cfg.seed)),
+                seed=_read(sec, "seed", int, cfg.seed),
                 output=sec.get("output", cfg.output).strip(),
-                threads=int(sec.get("threads", cfg.threads)),
+                threads=_read(sec, "threads", int, cfg.threads),
             )
     env_threads = os.environ.get("POLYHEAT_THREADS")
     if env_threads:
-        cfg = replace(cfg, threads=int(env_threads))
+        try:
+            cfg = replace(cfg, threads=int(env_threads))
+        except ValueError:
+            raise ParameterError(
+                f"POLYHEAT_THREADS = {env_threads!r} is not an integer") from None
     known = {f.name for f in cfg.__dataclass_fields__.values()}
     bad = set(overrides) - known
     if bad:

@@ -211,6 +211,15 @@ def distance_many(spec, x, points):
     return out
 
 
+def distance_matrix(spec, X, Y):
+    """Pairwise rho for an (p, n) and a (q, n) array: one product of lifted rows."""
+    X = np.array([_require_inside(spec, x) for x in X])
+    Y = np.array([_require_inside(spec, y) for y in Y])
+    out = np.arccos(np.clip(lift_rows(spec, X) @ lift_rows(spec, Y).T, -1, 1))
+    out[np.all(X[:, None, :] == Y[None, :, :], axis=2)] = 0.0
+    return out
+
+
 def rho_to_boundary(spec, x):
     """Intrinsic distance from x to the domain boundary."""
     x = _require_inside(spec, x)
@@ -268,13 +277,28 @@ def weight_log_gradient(spec, x):
 # chart lift and metric
 
 
+def lift_rows(spec, points):
+    """Chart lift of each row of an (m, n) array of domain points, unnormalized.
+
+    Ball and interval rows become (x, sqrt(1 - |x|^2)) on the upper
+    hemisphere, simplex rows (sqrt(x_1), ..., sqrt(x_n), sqrt(1 - sum x)) on
+    the positive orthant, so rho(x, y) = arccos(lift(x) . lift(y)).
+    """
+    pts = np.asarray(points, dtype=float)
+    out = np.empty((len(pts), spec.n + 1))
+    if spec.kind == SIMPLEX:
+        np.sqrt(np.clip(pts, 0, None), out=out[:, : spec.n])
+        last = 1 - pts.sum(axis=1)
+    else:
+        out[:, : spec.n] = pts
+        last = 1 - (pts * pts).sum(axis=1)
+    np.sqrt(np.clip(last, 0, None), out=out[:, spec.n])
+    return out
+
+
 def chart_lift(spec, x):
     """Lift x to the unit sphere in R^(n+1) through the canonical chart."""
-    x = _require_inside(spec, x)
-    if spec.kind == SIMPLEX:
-        y = np.concatenate([np.sqrt(np.clip(x, 0, None)), [sqrt(max(0.0, 1 - x.sum()))]])
-    else:
-        y = np.concatenate([x, [sqrt(max(0.0, 1 - float(x @ x)))]])
+    y = lift_rows(spec, _require_inside(spec, x)[None, :])[0]
     return y / np.linalg.norm(y)
 
 

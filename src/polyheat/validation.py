@@ -22,6 +22,7 @@ from .domains import (
     SIMPLEX,
     DomainSpec,
     distance,
+    distance_matrix,
     inverse_metric_polys,
     rho_to_boundary,
     weight_density,
@@ -223,12 +224,13 @@ def gauss_ratio_scan(ev: HeatKernelEvaluator, vol, points, times,
     rows = []
     e_vals, n_diag = [], []
     excluded = violations = 0
+    rhos = distance_matrix(spec, pts, pts)
     for t in times:
         vals, tails = ev.heat_kernel_grid(t, pts, pts)
         vols = np.array([vol(x, sqrt(t)).value for x in pts])
         for i in range(len(pts)):
             for j in range(i, len(pts)):
-                rho = distance(spec, pts[i], pts[j])
+                rho = float(rhos[i, j])
                 ratio = rho * rho / t
                 far = threshold <= ratio <= band_hi
                 near = ratio <= diag_band

@@ -1,19 +1,25 @@
 """Metric-ball volumes V(x, r) and their closed-form comparability surrogates.
 
 On the interval the volume is exact through regularized incomplete Beta
-integrals.  On the ball and simplex it is estimated by Monte Carlo with
-exact sampling from the normalized weighted measure (Beta radial profile on
-the ball, Dirichlet on the simplex), using a counter-based Philox generator
-keyed by (seed, query id) so that every query is reproducible regardless of
-evaluation order.
+integrals.  On the ball and simplex it is estimated by Monte Carlo.  The
+chart maps the ball onto the upper hemisphere of S^n and the simplex onto
+the positive orthant (x_i = y_i^2), so rho(x, y) < r exactly when
+lift(x) . lift(y) > cos r.  One exact sample of the normalized weighted
+measure (Beta radial profile on the ball, Dirichlet on the simplex) is drawn
+per (spec, samples, seed, strata) from a counter-based Philox generator keyed
+by the seed, stored lifted to the sphere, and every query is one mat-vec on
+it.
+
+All queries of a seed share that sample, so their errors are correlated.
+Each estimate is still unbiased and carries its own standard error, results
+do not depend on the order of the queries, and V(x, 2r) >= V(x, r) holds
+exactly, since every hit within r is a hit within 2r.
 """
 
 from __future__ import annotations
 
-import hashlib
-import struct
 from dataclasses import dataclass
-from math import acos, pi, sqrt
+from math import acos, cos, pi, sqrt
 
 import numpy as np
 from scipy.special import betainc, betaincinv
@@ -24,7 +30,7 @@ from .domains import (
     SIMPLEX,
     DomainSpec,
     _require_inside,
-    distance_many,
+    chart_lift,
     log_beta,
     total_mass,
 )
@@ -61,19 +67,6 @@ def volume_surrogate(spec, x, r):
     return float(out)
 
 
-def _query_key(seed, x, r, query_id):
-    if query_id is None:
-        h = hashlib.blake2b(digest_size=8)
-        h.update(struct.pack(f"<{len(x)}d", *x))
-        h.update(struct.pack("<d", r))
-        query_id = int.from_bytes(h.digest(), "little")
-    return np.array([seed & 0xFFFFFFFFFFFFFFFF, query_id & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
-
-
-def _rng_for(seed, x, r, query_id):
-    return np.random.Generator(np.random.Philox(key=_query_key(seed, x, r, query_id)))
-
-
 def sample_measure(spec, count, rng):
     """Draw ``count`` points from the normalized weighted measure."""
     if spec.kind == BALL:
@@ -100,20 +93,66 @@ def _interval_volume(spec, x, r):
     return float(val)
 
 
-def ball_volume(
-    spec,
-    x,
-    r,
-    samples=DEFAULT_SAMPLES,
-    seed=0,
-    query_id=None,
-    strata=RADIAL_STRATA,
-):
+# (key, lifted sample) of the last Monte Carlo query: one sample is kept
+_cloud = (None, None)
+
+
+def _lifted_cloud(spec, samples, seed, strata):
+    """The lifted sample for this key, drawn only when the key changes.
+
+    The old sample is released before the new one is drawn, so that two are
+    never held at once (``functools.lru_cache`` would hold both while it
+    draws).
+    """
+    global _cloud
+    key = (spec, samples, seed, strata)
+    entry = _cloud
+    if entry[0] == key:
+        return entry[1]
+    del entry
+    _cloud = (None, None)
+    cloud = _draw_lifted(spec, samples, seed, strata)
+    _cloud = (key, cloud)
+    return cloud
+
+
+def _draw_lifted(spec, samples, seed, strata):
+    """The seed's sample of the normalized measure, lifted to the chart sphere.
+
+    Ball rows are (sqrt(v) dir, sqrt(1 - v)) with v the squared radius, drawn
+    stratum-major over ``strata`` equal-probability shells of its
+    Beta(n/2, gamma+1/2) law; simplex rows are the square roots of a
+    Dirichlet draw, last coordinate included.  Read-only once built.
+    """
+    rng = np.random.Generator(np.random.Philox(key=seed & 0xFFFFFFFFFFFFFFFF))
+    n = spec.n
+    if spec.kind == BALL:
+        a, b = n / 2.0, spec.gamma + 0.5
+        edges = betaincinv(a, b, np.linspace(0.0, 1.0, strata + 1))
+        per = samples // strata
+        cloud = np.empty((per * strata, n + 1))
+        for s in range(strata):
+            rows = cloud[s * per:(s + 1) * per]
+            dirs = rng.standard_normal((per, n))
+            dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+            v = betaincinv(a, b, rng.uniform(s / strata, (s + 1) / strata, size=per))
+            v = np.clip(v, edges[s], edges[s + 1])
+            np.multiply(np.sqrt(v)[:, None], dirs, out=rows[:, :n])
+            np.sqrt(1 - v, out=rows[:, n])
+    else:
+        cloud = rng.dirichlet(np.asarray(spec.kappa) + 0.5, size=samples)
+        np.sqrt(cloud, out=cloud)
+    cloud.flags.writeable = False
+    return cloud
+
+
+def ball_volume(spec, x, r, samples=DEFAULT_SAMPLES, seed=0, strata=RADIAL_STRATA):
     """Weighted volume of the metric ball of radius r around x.
 
     Interval: deterministic (incomplete Beta), stderr 0.  Ball and simplex:
-    seeded Monte Carlo; the ball samples are stratified over equal-probability
-    radial shells of the Beta(n/2, gamma+1/2) profile of r^2.
+    the fraction of the seed's lifted sample with lift(x) . y > cos r; on the
+    ball the sample is stratified over equal-probability radial shells of
+    the Beta(n/2, gamma+1/2) profile of r^2.
     """
     x = _require_inside(spec, x)
     if r <= 0:
@@ -124,37 +163,21 @@ def ball_volume(
     if spec.kind == INTERVAL:
         return VolumeEstimate(_interval_volume(spec, x, r), 0.0, "exact1d", 0)
 
-    rng = _rng_for(seed, x, r, query_id)
-    if spec.kind == BALL and strata > 1:
-        n, g = spec.n, spec.gamma
-        edges = betaincinv(n / 2.0, g + 0.5, np.linspace(0.0, 1.0, strata + 1))
-        per = samples // strata
-        p_hats = np.empty(strata)
-        for s in range(strata):
-            dirs = rng.standard_normal((per, n))
-            dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-            q = rng.uniform(s / strata, (s + 1) / strata, size=per)
-            v = betaincinv(n / 2.0, g + 0.5, q)
-            v = np.clip(v, edges[s], edges[s + 1])
-            pts = np.sqrt(v)[:, None] * dirs
-            p_hats[s] = np.mean(distance_many(spec, x, pts) < r)
-        p = p_hats.mean()
-        var = np.sum(p_hats * (1 - p_hats) / per) / strata ** 2
-        used = per * strata
-    else:
-        pts = sample_measure(spec, samples, rng)
-        hits = distance_many(spec, x, pts) < r
-        p = hits.mean()
-        var = p * (1 - p) / samples
-        used = samples
-    return VolumeEstimate(mass * p, mass * sqrt(max(var, 0.0)), "montecarlo", used)
+    strata = strata if spec.kind == BALL else 1
+    cloud = _lifted_cloud(spec, samples, seed, strata)
+    hits = cloud @ chart_lift(spec, x) > cos(r)
+    p_hats = hits.reshape(strata, -1).mean(axis=1)
+    per = len(cloud) // strata
+    p = p_hats.mean()
+    var = np.sum(p_hats * (1 - p_hats) / per) / strata ** 2
+    return VolumeEstimate(mass * p, mass * sqrt(max(var, 0.0)), "montecarlo", len(cloud))
 
 
 class VolumeSource:
     """Caching front-end used by the validation scans.
 
-    Each distinct (x, r) query gets its own deterministic generator derived
-    from (seed, hash(x, r)), so results do not depend on evaluation order.
+    Each distinct (x, r) query is answered once by :func:`ball_volume` on
+    the sample of ``seed``, so results do not depend on evaluation order.
     """
 
     def __init__(self, spec: DomainSpec, samples=DEFAULT_SAMPLES, seed=0, max_rel_stderr=None):

@@ -54,6 +54,28 @@ class TestConfig:
         monkeypatch.setenv("POLYHEAT_THREADS", "4")
         assert load_config(None).threads == 4
 
+    @pytest.mark.parametrize("body, named", [
+        ("[mc]\nsamples = abc\n", "[mc] samples"),
+        ("[domain]\nkind = simplex\nkappa = 0.5, x, 0.5\n", "[domain] kappa"),
+        ("[basis]\nmax_degre = 12\n", "[basis] max_degre"),
+        ("[basis]\nmax_degree = 12\n[montecarlo]\nsamples = 10\n", "[montecarlo]"),
+    ])
+    def test_bad_config_is_one_line_error(self, tmp_path, capsys, body, named):
+        cfgfile = write_config(tmp_path, body)
+        assert main(["--config", cfgfile, "validate", "all"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid config: ") and err.count("\n") == 1 and named in err
+        assert main(["--config", cfgfile, "config", "show"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and named in err
+
+    def test_bad_env_threads_is_one_line_error(self, monkeypatch, capsys):
+        monkeypatch.setenv("POLYHEAT_THREADS", "four")
+        assert main(["config", "show"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "POLYHEAT_THREADS" in err
+
     def test_invalid_domain_cites_range(self, tmp_path, capsys):
         cfgfile = write_config(tmp_path, "[domain]\nkind = ball\nn = 2\ngamma = -0.6\n")
         code = main(["--config", cfgfile, "validate", "all"])
@@ -138,6 +160,20 @@ class TestValidate:
         first = (tmp_path / "validate_basis.json").read_bytes()
         main(["--config", cfgfile, "validate", "basis"])
         assert (tmp_path / "validate_basis.json").read_bytes() == first
+
+    def test_suite_domain_error_fails_that_suite_only(self, tmp_path, capsys):
+        # one grid point leaves the Gaussian scan without an admissible pair
+        cfgfile = write_config(tmp_path, (
+            "[domain]\nkind = ball\nn = 2\ngamma = 0.5\n[basis]\nmax_degree = 12\n"
+            "[grids]\npoints = 1\ndeltas = 0.5, 0.4\n[mc]\nsamples = 100000\n"
+            f"[run]\noutput = {tmp_path}\n"))
+        assert main(["--config", cfgfile, "validate", "all"]) == 1
+        report = json.loads((tmp_path / "validate_all.json").read_text())
+        gauss = report["suites"]["gauss"]
+        assert gauss["pass"] is False and "no admissible" in gauss["results"]["error"]
+        assert report["suites"]["ops"]["pass"] is True
+        assert report["pass"] is False
+        assert "gauss            FAIL" in capsys.readouterr().out
 
     def test_correspondence_suite(self, tmp_path, capsys):
         cfgfile = write_config(tmp_path, INTERVAL_INI.format(out=tmp_path))

@@ -10,6 +10,7 @@ from polyheat.domains import (
     contains,
     distance,
     distance_many,
+    distance_matrix,
     inverse_metric,
     inverse_metric_polys,
     metric_det,
@@ -113,6 +114,25 @@ class TestDistance:
     def test_outside_raises(self):
         with pytest.raises(DomainError):
             distance(DomainSpec.ball(2, 0.5), (1.2, 0.0), (0.0, 0.0))
+        with pytest.raises(DomainError):
+            distance_matrix(DomainSpec.ball(2, 0.5), [[0.1, 0.0], [1.2, 0.0]], [[0.0, 0.0]])
+
+    @pytest.mark.parametrize("spec", [
+        DomainSpec.interval(-0.5, -0.5), DomainSpec.interval(0.7, -0.3),
+        DomainSpec.ball(2, 0.25), DomainSpec.ball(3, -0.2),
+        DomainSpec.simplex(2, (-0.3, 0.8, 1.7)), DomainSpec.simplex(3, (0.5, 0.5, 0.5, 0.5)),
+    ], ids=lambda s: f"{s.kind}{s.n}({','.join(f'{p:g}' for p in s.params)})")
+    def test_distance_matrix_matches(self, spec):
+        rng = np.random.default_rng(11)
+        X = np.array(random_interior(spec, rng, 30))
+        Y = np.vstack([random_interior(spec, rng, 20), X[:5]])
+        D = distance_matrix(spec, X, Y)
+        assert D.shape == (30, 25)
+        ref = np.array([[distance(spec, x, y) for y in Y] for x in X])
+        far = ref > 1e-3
+        assert np.abs(D - ref)[far].max() <= 1e-12
+        assert np.all(D[np.arange(5), 20 + np.arange(5)] == 0.0)
+        assert np.all(np.diag(distance_matrix(spec, X, X)) == 0.0)
 
 
 class TestChart:

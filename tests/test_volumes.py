@@ -1,9 +1,11 @@
-from math import pi, sqrt
+import tracemalloc
+from math import pi, sin, sqrt
 
 import numpy as np
 import pytest
 
-from polyheat.domains import DomainSpec, total_mass
+from polyheat.cli import main
+from polyheat.domains import DomainSpec, distance_many, total_mass
 from polyheat.errors import DomainError, PrecisionError
 from polyheat.volumes import (
     VolumeSource,
@@ -103,3 +105,73 @@ class TestVolumeSource:
         strict = VolumeSource(spec, samples=2_000, seed=3, max_rel_stderr=0.001)
         with pytest.raises(PrecisionError):
             strict((0.1, 0.1), 0.05)
+
+    def test_flat_disc_at_center_is_exact_within_stderr(self):
+        # gamma = 1/2 is Lebesgue measure and rho(0, y) = arcsin|y|, so
+        # V(0, r) = pi sin^2 r
+        src = VolumeSource(DomainSpec.ball(2, 0.5), samples=200_000, seed=9)
+        for r in (0.1, 0.4, 1.0):
+            est = src((0.0, 0.0), r)
+            assert est.method == "montecarlo" and est.samples == 200_000
+            assert abs(est.value - pi * sin(r) ** 2) <= 4 * est.stderr
+
+    @pytest.mark.parametrize("spec, x", [
+        (DomainSpec.ball(2, 0.25), (0.2, -0.3)),
+        (DomainSpec.simplex(2, (0.5, 1.5, 0.5)), (0.2, 0.3)),
+    ])
+    def test_matches_independent_distance_estimate(self, spec, x):
+        src = VolumeSource(spec, samples=200_000, seed=4)
+        pts = sample_measure(spec, 200_000, np.random.default_rng(17))
+        mass = total_mass(spec)
+        for r in (0.15, 0.5):
+            p = np.mean(distance_many(spec, x, pts) < r)
+            ref, ref_err = mass * p, mass * sqrt(p * (1 - p) / len(pts))
+            est = src(x, r)
+            assert abs(est.value - ref) <= 4 * sqrt(est.stderr ** 2 + ref_err ** 2)
+
+    def test_doubling_is_monotone_on_one_source(self):
+        for spec in (DomainSpec.ball(2, 0.0), DomainSpec.simplex(2, (0.5, 0.5, 0.5))):
+            src = VolumeSource(spec, samples=50_000, seed=6)
+            for x in ((0.1, 0.2), (0.3, 0.05), (0.45, 0.45)):
+                for r in (0.01, 0.05, 0.2, 0.7, 1.4):
+                    assert src(x, 2 * r).value >= src(x, r).value
+
+    def test_query_order_does_not_matter(self):
+        spec = DomainSpec.simplex(2, (0.5, 0.5, 0.5))
+        queries = [((0.1, 0.2), 0.1), ((0.3, 0.3), 0.4), ((0.6, 0.1), 0.05)]
+        forward = VolumeSource(spec, samples=50_000, seed=8)
+        a = [forward(x, r) for x, r in queries]
+        # a query on another domain between the two runs evicts the cached sample
+        ball_volume(DomainSpec.ball(2, 0.5), (0.0, 0.0), 0.3, samples=1_000, seed=8)
+        backward = VolumeSource(spec, samples=50_000, seed=8)
+        b = [backward(x, r) for x, r in reversed(queries)][::-1]
+        assert a == b
+
+    def test_geom_volume_matches_source(self, tmp_path, capsys):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[domain]\nkind = simplex\nn = 2\nkappa = 0.5, 1.5, 0.5\n"
+                       "[run]\nseed = 21\n")
+        assert main(["--config", str(cfg), "geom", "volume", "--x", "0.2,0.3", "--r", "0.4",
+                     "--samples", "60000"]) == 0
+        value, stderr = capsys.readouterr().out.splitlines()[1].split(",")[-2:]
+        est = VolumeSource(DomainSpec.simplex(2, (0.5, 1.5, 0.5)), 60_000, 21)((0.2, 0.3), 0.4)
+        assert (float(value), float(stderr)) == (float(f"{est.value:.12g}"),
+                                                 float(f"{est.stderr:.12g}"))
+
+    def test_memory_is_one_lifted_sample(self):
+        spec, N = DomainSpec.ball(2, 0.5), 200_000
+        rng = np.random.default_rng(3)
+        xs = sample_measure(spec, 20, rng)
+        tracemalloc.start()
+        try:
+            # the sample of another seed is held on entry and must be
+            # released before the new one is drawn
+            ball_volume(spec, (0.0, 0.0), 0.3, samples=N, seed=11)
+            tracemalloc.reset_peak()
+            src = VolumeSource(spec, samples=N, seed=12)
+            for x, r in zip(xs, np.linspace(0.05, 1.5, 20)):
+                src(x, r)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * (spec.n + 1) * N * 8
