@@ -4,12 +4,10 @@ bounds, doubling, Green's identities, chart correspondences, and spectral
 multiplier localization."""
 
 from .basis import (
-    EigenTable,
     OrthonormalBasis,
     basis_from_json_obj,
     build_basis,
     christoffel_diag,
-    eigen_table,
     eigenvalue,
     level_dimension,
     projection_kernel,

@@ -6,20 +6,24 @@ the operator acts on level k as multiplication by -lambda_k.
 
 Construction.  On the interval the basis comes from the classical
 three-term recurrence (stable to degree 200 and beyond) and doubles as an
-independent cross-check of the general path.  On the ball and simplex each
-level is generated from coordinate-times-previous-level candidates and
-orthogonalized by modified Gram-Schmidt with a second clean-up pass
-("twice is enough"), pivoting on the largest residual norm.  Inner products
-use a quadrature rule exact to degree 2*max_degree + 2, so Gram entries are
-exact up to rounding.  The sequence of orthogonalization coefficients is
-recorded as a replay plan, which evaluates the basis at arbitrary points by
-the same well-conditioned recursion instead of through the (exponentially
-ill-conditioned) monomial coefficient form.
+independent cross-check of the general path.  On the ball and simplex the
+basis is built one level at a time.  The candidates x_i P_(k-1, j) of level
+k form one block, which is orthogonalized against every accepted member by
+block classical Gram-Schmidt applied twice ("twice is enough"); modified
+Gram-Schmidt inside the block then picks the level's members, pivoting on
+the largest residual norm.  Inner products use a quadrature rule exact to
+degree 2*max_degree + 2, so Gram entries are exact up to rounding.  The
+orthogonalization coefficients are recorded as a replay plan, which
+evaluates the basis at arbitrary points by the same well-conditioned
+recursion instead of through the (exponentially ill-conditioned) monomial
+coefficient form, in K steps of two matrix products each: one against
+levels k-2 and k-1 (the three-term relation x_i P_k = A P_(k+1) + B P_k +
+C P_(k-1) makes the coefficients against lower levels vanish) and one with
+the inverse of the level's triangle.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb, sqrt
 
 import numpy as np
@@ -55,24 +59,6 @@ def level_dimension(n: int, k: int) -> int:
     return 1 if k == 0 else comb(k + n - 1, k)
 
 
-@dataclass(frozen=True)
-class EigenTable:
-    """Eigenvalues lambda_0..lambda_K; strictly increasing with lambda_0 = 0."""
-
-    spec: DomainSpec
-    lambdas: np.ndarray
-
-    def __post_init__(self):
-        lam = self.lambdas
-        if lam[0] != 0.0 or np.any(np.diff(lam) <= 0):
-            raise ParameterError("eigenvalues must start at 0 and increase strictly")
-
-
-def eigen_table(spec, max_degree) -> EigenTable:
-    lam = np.array([eigenvalue(spec, k) for k in range(max_degree + 1)])
-    return EigenTable(spec, lam)
-
-
 def graded_monomials(n, max_degree):
     """Exponent tuples of total degree <= max_degree in graded order."""
     out = []
@@ -105,6 +91,8 @@ class OrthonormalBasis:
         self._node_values = node_values     # (quad.size, D)
         self._backend = eval_backend        # callable points -> (p, D)
         self.lambdas = np.array([eigenvalue(spec, k) for k in range(max_degree + 1)])
+        if self.lambdas[0] != 0.0 or np.any(np.diff(self.lambdas) <= 0):
+            raise ParameterError("eigenvalues must start at 0 and increase strictly")
         self._levels = None
         self._gram = None
         dims = [level_dimension(spec.n, k) for k in range(max_degree + 1)]
@@ -298,134 +286,118 @@ def _build_interval(spec, K, quad, precision_mode):
 
 
 def _build_generated(spec, K, quad, precision_mode):
+    """Gram-Schmidt build of the ball and simplex bases, one level at a time.
+
+    Values are kept member-major: row r of U holds member r at the nodes.
+    Level k starts from the candidate block X = [x_i P_(k-1, j)].  Block
+    CGS2 removes its components along the s accepted members,
+    X = R^T U[:s] + Q.  Pivoted MGS inside the block then takes dim_k
+    members, each the surviving row of largest residual norm, so that
+    X[sel] = R[:, sel]^T U[:s] + T^T U_k with T upper triangular, and the
+    coefficient rows are C_k = T^-T (shift(C[parents]) - R[:, sel]^T C[:s]).
+    """
     dtype = np.longdouble if precision_mode == "longdouble" else np.float64
     n = spec.n
     monos = graded_monomials(n, K)
     mono_index = {e: i for i, e in enumerate(monos)}
     D = len(monos)
-    dims = [level_dimension(n, k) for k in range(K + 1)]
-    total = sum(dims)
-    if total != D:
-        raise AssertionError("monomial count must match cumulative level dimensions")
-
-    nodes = quad.nodes.astype(dtype)
+    offsets = np.concatenate([[0], np.cumsum([level_dimension(n, k) for k in range(K + 1)])])
+    coords = quad.nodes.T.astype(dtype)             # (n, nodes)
     w = quad.weights.astype(dtype)
-    mass = float(w.sum())
+    mass = w.sum()
 
-    V = np.zeros((quad.size, total), dtype=dtype)       # values at nodes
-    C = np.zeros((total, D), dtype=dtype)               # monomial coefficients
-    plan_axis = np.zeros(total, dtype=np.int64)
-    plan_prev = np.zeros(total, dtype=np.int64)
-    plan_norm = np.zeros(total)
-    plan_coeff = [np.zeros(0)] * total
-
-    V[:, 0] = 1.0 / sqrt(mass)
-    C[0, 0] = 1.0 / sqrt(mass)
-
-    # x_i * monomial index map for the coefficient side
-    shift_map = []
-    for i in range(n):
-        row = np.full(D, -1, dtype=np.int64)
-        for idx, e in enumerate(monos):
-            if sum(e) < K:
-                e2 = list(e)
-                e2[i] += 1
-                row[idx] = mono_index[tuple(e2)]
-        shift_map.append(row)
-
-    pos = 1
-    level_start = [0, 1]
+    U = np.zeros((D, quad.size), dtype=dtype)       # member values at the nodes
+    C = np.zeros((D, D), dtype=dtype)               # monomial coefficients
+    U[0] = C[0, 0] = 1 / np.sqrt(mass)
+    # shift[i, c]: column of x_i * monomial c, for monomials below degree K
+    low = int(offsets[K])
+    shift = np.array([[mono_index[e[:i] + (e[i] + 1,) + e[i + 1:]] for e in monos[:low]]
+                      for i in range(n)], dtype=np.int64).reshape(n, low)
+    steps = []
     for k in range(1, K + 1):
-        prev_sl = slice(level_start[k - 1], level_start[k])
-        prev_pos = np.arange(prev_sl.start, prev_sl.stop)
-        cand_axis = []
-        cand_prev = []
-        for i in range(n):
-            for j in prev_pos:
-                cand_axis.append(i)
-                cand_prev.append(j)
-        cand_axis = np.array(cand_axis)
-        cand_prev = np.array(cand_prev)
-        ncand = cand_axis.size
+        s, e, prev = int(offsets[k]), int(offsets[k + 1]), int(offsets[k - 1])
+        d, m = e - s, n * (s - prev)
+        axes = np.repeat(np.arange(n), s - prev)
+        parents = np.tile(np.arange(prev, s), n)
+        Q = (coords[:, None] * U[prev:s]).reshape(m, -1)    # rows x_i P_(k-1, j)
+        orig_norm = np.sqrt(np.einsum("ij,j,ij->i", Q, w, Q))
+        R = np.zeros((s, m), dtype=dtype)
+        buf = np.empty_like(Q)
+        for _ in range(2):
+            P = U[:s] @ np.multiply(Q, w, out=buf).T
+            Q -= np.matmul(P.T, U[:s], out=buf)
+            R += P
+        del buf
 
-        cand_vals = nodes[:, cand_axis] * V[:, cand_prev]
-        orig_norm = np.sqrt(np.einsum("ij,ij->j", cand_vals, w[:, None] * cand_vals))
-        dcoef = np.zeros((ncand, total), dtype=dtype)
-
-        def subtract(cols, against):
-            proj = V[:, against].T @ (w[:, None] * cand_vals[:, cols])
-            cand_vals[:, cols] -= V[:, against] @ proj
-            dcoef[np.ix_(cols, against)] += proj.T
-
-        all_cols = np.arange(ncand)
-        prior = np.arange(pos)
-        subtract(all_cols, prior)
-        subtract(all_cols, prior)
-
-        alive = list(range(ncand))
-        for _ in range(dims[k]):
-            norms = np.sqrt(np.einsum("ij,ij->j", cand_vals[:, alive],
-                                      w[:, None] * cand_vals[:, alive]))
-            best = alive[int(np.argmax(norms))]
-            # final clean-up passes against everything accepted so far
-            accepted = np.arange(pos)
-            for _ in range(2):
-                proj = V[:, accepted].T @ (w * cand_vals[:, best])
-                cand_vals[:, best] -= V[:, accepted] @ proj
-                dcoef[best, accepted] += proj
-            nrm = float(np.sqrt(cand_vals[:, best] @ (w * cand_vals[:, best])))
-            if nrm < 1e-8 * float(orig_norm[best]):
+        # pivoted MGS on the rows of Q; rows [j:] are the surviving candidates
+        order = np.arange(m)
+        T = np.zeros((d, m), dtype=dtype)   # in-level coefficients, by row of Q
+        for j in range(d):
+            b = j + int(np.argmax(np.einsum("ij,j,ij->i", Q[j:], w, Q[j:])))
+            Q[[j, b]], T[:, [j, b]], order[[j, b]] = Q[[b, j]], T[:, [b, j]], order[[b, j]]
+            q = Q[j]
+            if j:   # second pass against the level's accepted members
+                t = U[s:s + j] @ (w * q)
+                q -= t @ U[s:s + j]
+                T[:j, j] += t
+            nrm = np.sqrt(q @ (w * q))
+            if nrm < 1e-8 * orig_norm[order[j]]:
                 raise PrecisionError(
                     f"orthogonalization lost level {k} of {spec.label()} "
-                    f"(residual {nrm:.2e} of {float(orig_norm[best]):.2e}); "
+                    f"(residual {float(nrm):.2e} of {float(orig_norm[order[j]]):.2e}); "
                     "raise the precision mode or lower the degree"
                 )
-            V[:, pos] = cand_vals[:, best] / nrm
-            raw = np.zeros(D, dtype=dtype)
-            src = C[cand_prev[best]]
-            smap = shift_map[cand_axis[best]]
-            nz = np.nonzero(src)[0]
-            raw[smap[nz]] = src[nz]
-            C[pos] = (raw - dcoef[best, :pos] @ C[:pos]) / nrm
-            plan_axis[pos] = cand_axis[best]
-            plan_prev[pos] = cand_prev[best]
-            plan_norm[pos] = nrm
-            plan_coeff[pos] = np.asarray(dcoef[best, :pos], dtype=float).copy()
-            alive.remove(best)
-            if alive:
-                # keep the surviving candidates orthogonal to the new vector
-                proj = V[:, pos] @ (w[:, None] * cand_vals[:, alive])
-                cand_vals[:, alive] -= np.outer(V[:, pos], proj)
-                dcoef[alive, pos] += proj
-            pos += 1
-        level_start.append(pos)
+            U[s + j] = q / nrm
+            T[j, j] = nrm
+            t = Q[j + 1:] @ (w * U[s + j])
+            Q[j + 1:] -= t[:, None] * U[s + j]
+            T[j, j + 1:] += t
+        del Q, q    # the next level's block is allocated after this one is freed
+        sel = order[:d]
+        T = T[:, :d]
+        R = R[:, sel]
 
-    plan = _ReplayPlan(mass, plan_axis, plan_prev, plan_norm, plan_coeff, total)
-    node_values = np.asarray(V, dtype=float)
-    coeff = np.asarray(C, dtype=float)
-    return OrthonormalBasis(spec, K, quad, precision_mode, coeff, monos,
-                            node_values, plan.evaluate)
+        # L = T^-T by forward substitution; C_k = L (shift(C[parents]) - R^T C[:s])
+        L = np.zeros((d, d), dtype=dtype)
+        for j in range(d):
+            L[j] = -(T[:j, j] @ L[:j])
+            L[j, j] += 1
+            L[j] /= T[j, j]
+        rhs = np.zeros((d, e), dtype=dtype)
+        rhs[np.arange(d)[:, None], shift[axes[sel], :s]] = C[parents[sel], :s]
+        rhs -= R.T @ C[:s, :e]
+        C[s:e, :e] = L @ rhs
+        lo = int(offsets[max(k - 2, 0)])
+        steps.append((axes[sel], parents[sel], lo, np.asarray(R[lo:], dtype=float),
+                      np.asarray(L, dtype=float)))
+
+    plan = _ReplayPlan(float(mass), offsets, steps)
+    return OrthonormalBasis(spec, K, quad, precision_mode, np.asarray(C, dtype=float), monos,
+                            np.asarray(U, dtype=float).T, plan.evaluate)
 
 
 class _ReplayPlan:
-    """Replays the recorded orthogonalization at arbitrary points."""
+    """Replays the level-blocked orthogonalization at arbitrary points.
 
-    def __init__(self, mass, axes, prev, norms, coeffs, size):
+    Level k needs its pivots' axes and parents, its coefficients R against
+    levels k-2 and k-1 (by the three-term relation, those against lower
+    levels vanish up to rounding) and L = T^-T: two matrix products per
+    level, U_k = L (x_axes U_parents - R^T U_(k-2..k-1)), on member-major
+    rows.
+    """
+
+    def __init__(self, mass, offsets, steps):
         self.mass = mass
-        self.axes = axes
-        self.prev = prev
-        self.norms = norms
-        self.coeffs = coeffs
-        self.size = size
+        self.offsets = offsets
+        self.steps = steps
 
     def evaluate(self, pts):
-        p = pts.shape[0]
-        V = np.empty((p, self.size))
-        V[:, 0] = 1.0 / sqrt(self.mass)
-        for pos in range(1, self.size):
-            d = self.coeffs[pos]
-            v = pts[:, self.axes[pos]] * V[:, self.prev[pos]]
-            if d.size:
-                v = v - V[:, : d.size] @ d
-            V[:, pos] = v / self.norms[pos]
-        return V
+        U = np.empty((int(self.offsets[-1]), pts.shape[0]))
+        U[0] = 1.0 / sqrt(self.mass)
+        coords = pts.T
+        for s, e, (axes, parents, lo, R, L) in zip(self.offsets[1:], self.offsets[2:],
+                                                   self.steps):
+            rhs = coords[axes] * U[parents]
+            rhs -= R.T @ U[lo:s]
+            U[s:e] = L @ rhs
+        return U.T

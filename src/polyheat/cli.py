@@ -158,24 +158,33 @@ def _kernel_grid_points(cfg, resolution):
     return pts, None
 
 
+def _grid_rows(labels, param, vals, tails):
+    """CSV rows ``row label, column label, param, value, tail`` of one grid."""
+    return [f"{a},{b},{_fmt(param)},{_fmt(vals[i, j])},{_fmt(tails[i, j])}"
+            for i, a in enumerate(labels) for j, b in enumerate(labels)]
+
+
+def _emit_csv(header, rows, out):
+    """Write the CSV to ``out`` (and say so), or to stdout when out is None."""
+    text = "\n".join([header] + rows) + "\n"
+    if out:
+        _write(out, text)
+        print(f"wrote {out}")
+    else:
+        sys.stdout.write(text)
+
+
+def _point_labels(pts):
+    return [f"\"{p.tolist()}\"" for p in pts]
+
+
 def cmd_kernel_eval(args):
     cfg = load_config(args.config)
     ev = _evaluator(cfg)
     pts, _ = _kernel_grid_points(cfg, args.grid)
     vals, tails = ev.heat_kernel_grid(args.t, pts, pts)
-    lines = ["x,y,t,value,tail_bound"]
-    for i in range(len(pts)):
-        for j in range(len(pts)):
-            lines.append(
-                f"\"{pts[i].tolist()}\",\"{pts[j].tolist()}\",{_fmt(args.t)},"
-                f"{_fmt(vals[i, j])},{_fmt(tails[i, j])}"
-            )
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        _write(args.out, text)
-        print(f"wrote {args.out}")
-    else:
-        sys.stdout.write(text)
+    _emit_csv("x,y,t,value,tail_bound", _grid_rows(_point_labels(pts), args.t, vals, tails),
+              args.out)
     return 0
 
 
@@ -186,19 +195,8 @@ def cmd_kernel_multiplier(args):
                          band=args.band)
     pts, _ = _kernel_grid_points(cfg, args.grid)
     vals, tails = ev.multiplier_grid(phi, args.delta, pts, pts)
-    lines = ["x,y,delta,value,tail_bound"]
-    for i in range(len(pts)):
-        for j in range(len(pts)):
-            lines.append(
-                f"\"{pts[i].tolist()}\",\"{pts[j].tolist()}\",{_fmt(args.delta)},"
-                f"{_fmt(vals[i, j])},{_fmt(tails[i, j])}"
-            )
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        _write(args.out, text)
-        print(f"wrote {args.out}")
-    else:
-        sys.stdout.write(text)
+    _emit_csv("x,y,delta,value,tail_bound",
+              _grid_rows(_point_labels(pts), args.delta, vals, tails), args.out)
     return 0
 
 
@@ -207,16 +205,12 @@ def cmd_kernel_export(args):
     ev = _evaluator(cfg)
     ts = [float(v) for v in args.t_list.replace(",", " ").split()]
     pts, weights = _kernel_grid_points(cfg, args.resolution)
-    lines = ["i,j,t,value,tail_bound"]
+    labels = [str(i) for i in range(len(pts))]
+    rows = []
     for t in ts:
         vals, tails = ev.heat_kernel_grid(t, pts, pts)
-        for i in range(len(pts)):
-            for j in range(len(pts)):
-                lines.append(f"{i},{j},{_fmt(t)},{_fmt(vals[i, j])},{_fmt(tails[i, j])}")
-    text = "\n".join(lines) + "\n"
-    out = args.out or "kernel_grid.csv"
-    _write(out, text)
-    print(f"wrote {out}")
+        rows += _grid_rows(labels, t, vals, tails)
+    _emit_csv("i,j,t,value,tail_bound", rows, args.out or "kernel_grid.csv")
     if weights is not None:
         row_mass = vals @ weights
         print(f"# last-t row-mass range [{row_mass.min():.9f}, {row_mass.max():.9f}]")

@@ -12,8 +12,9 @@ from dataclasses import dataclass, replace
 
 from .domains import BALL, INTERVAL, SIMPLEX, DomainSpec
 from .errors import ParameterError
+from .volumes import RADIAL_STRATA
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 def _parse_floats(text):
@@ -181,6 +182,9 @@ def load_config(path=None, **overrides):
             )
         if parser.has_section("mc"):
             cfg = replace(cfg, mc_samples=_read(parser["mc"], "samples", int, cfg.mc_samples))
+            if cfg.mc_samples < RADIAL_STRATA:
+                raise ParameterError(f"[mc] samples = {cfg.mc_samples} is below "
+                                     f"{RADIAL_STRATA}, the number of radial strata")
         if parser.has_section("run"):
             sec = parser["run"]
             cfg = replace(

@@ -19,7 +19,7 @@ from math import log, sqrt
 
 import numpy as np
 
-from .basis import OrthonormalBasis, eigen_table, eigenvalue
+from .basis import OrthonormalBasis, eigenvalue
 from .domains import INTERVAL
 from .errors import CapacityError, ParameterError, PrecisionError
 
@@ -117,16 +117,12 @@ class HeatKernelEvaluator:
         if policy.hard_cap > basis.max_degree:
             raise CapacityError("policy cap exceeds the built basis degree")
         self.policy = policy
-        self.eigen = eigen_table(basis.spec, policy.hard_cap)
+        self.lambdas = basis.lambdas[: policy.hard_cap + 1]
         self._members = int(basis.offsets[policy.hard_cap + 1])  # up to the cap
 
     @property
     def spec(self):
         return self.basis.spec
-
-    @property
-    def lambdas(self):
-        return self.eigen.lambdas
 
     # -- core spectral summation -----------------------------------------
 

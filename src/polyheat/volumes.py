@@ -34,7 +34,7 @@ from .domains import (
     log_beta,
     total_mass,
 )
-from .errors import DomainError, PrecisionError
+from .errors import DomainError, ParameterError, PrecisionError
 
 DEFAULT_SAMPLES = 1_000_000
 RADIAL_STRATA = 8
@@ -164,6 +164,8 @@ def ball_volume(spec, x, r, samples=DEFAULT_SAMPLES, seed=0, strata=RADIAL_STRAT
         return VolumeEstimate(_interval_volume(spec, x, r), 0.0, "exact1d", 0)
 
     strata = strata if spec.kind == BALL else 1
+    if samples < strata:
+        raise ParameterError(f"Monte Carlo needs at least {strata} samples, got {samples}")
     cloud = _lifted_cloud(spec, samples, seed, strata)
     hits = cloud @ chart_lift(spec, x) > cos(r)
     p_hats = hits.reshape(strata, -1).mean(axis=1)

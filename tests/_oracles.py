@@ -3,14 +3,17 @@
 Everything here is computed through a different route than the library code
 it checks: sympy symbolic calculus for the operators, closed-form Gamma
 integrals for monomial moments, the classical cosine series for the
-equilibrium-weight heat kernel, and LAPACK determinants.
+equilibrium-weight heat kernel, LAPACK determinants, and a member-by-member
+Gram-Schmidt build of the ball and simplex bases.
 """
 
-from math import exp, lgamma, pi
+from math import exp, lgamma, pi, sqrt
 
 import numpy as np
 import sympy as sp
 
+from polyheat.basis import level_dimension
+from polyheat.errors import PrecisionError
 from polyheat.polynomials import MultiPoly
 
 
@@ -127,3 +130,43 @@ def arc_volume_chebyshev(x, r):
     """Arc-length volume on the interval at alpha = beta = -1/2."""
     th = np.arccos(np.clip(x, -1, 1))
     return float(min(pi, th + r) - max(0.0, th - r))
+
+
+def member_gram_schmidt(spec, K, quad):
+    """Node values (quad.size, D) of the ball or simplex basis, one member at a time.
+
+    Level k is generated from the candidates x_i P_(k-1, j), orthogonalized
+    twice against every accepted member; the members are then taken one by
+    one, each the surviving candidate of largest residual norm, cleaned twice
+    more against everything accepted and normalized, and the other survivors
+    are orthogonalized against it.
+    """
+    n = spec.n
+    dims = [level_dimension(n, k) for k in range(K + 1)]
+    nodes, w = quad.nodes, quad.weights
+    V = np.zeros((quad.size, sum(dims)))
+    V[:, 0] = 1.0 / sqrt(w.sum())
+    pos = 1
+    for k in range(1, K + 1):
+        prev = np.arange(pos - dims[k - 1], pos)
+        cand = np.concatenate([nodes[:, [i]] * V[:, prev] for i in range(n)], axis=1)
+        orig_norm = np.sqrt(np.einsum("ij,ij->j", cand, w[:, None] * cand))
+        for _ in range(2):
+            cand -= V[:, :pos] @ (V[:, :pos].T @ (w[:, None] * cand))
+        alive = list(range(cand.shape[1]))
+        for _ in range(dims[k]):
+            norms = np.sqrt(np.einsum("ij,ij->j", cand[:, alive], w[:, None] * cand[:, alive]))
+            best = alive[int(np.argmax(norms))]
+            v = cand[:, best]
+            for _ in range(2):
+                v = v - V[:, :pos] @ (V[:, :pos].T @ (w * v))
+            nrm = sqrt(v @ (w * v))
+            if nrm < 1e-8 * orig_norm[best]:
+                raise PrecisionError(f"member Gram-Schmidt lost level {k}")
+            V[:, pos] = v / nrm
+            alive.remove(best)
+            if alive:
+                proj = V[:, pos] @ (w[:, None] * cand[:, alive])
+                cand[:, alive] -= np.outer(V[:, pos], proj)
+            pos += 1
+    return V

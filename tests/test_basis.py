@@ -1,3 +1,4 @@
+import tracemalloc
 from math import comb, pi, sqrt
 
 import numpy as np
@@ -7,7 +8,6 @@ from polyheat import basis as basis_module
 from polyheat.basis import (
     build_basis,
     christoffel_diag,
-    eigen_table,
     eigenvalue,
     graded_monomials,
     level_dimension,
@@ -15,10 +15,12 @@ from polyheat.basis import (
     verify_eigenrelation,
 )
 from polyheat.domains import DomainSpec, total_mass
-from polyheat.errors import CapacityError, DomainError
+from polyheat.errors import CapacityError, DomainError, ParameterError, PrecisionError
 from polyheat.polynomials import MultiPoly, monomial_operator
 from polyheat.quadrature import build_quadrature
 from polyheat.validation import operator_symmetry_residual, random_poly
+
+from _oracles import member_gram_schmidt
 
 
 class TestEigenvalues:
@@ -30,9 +32,14 @@ class TestEigenvalues:
     def test_table_monotone(self):
         for spec in (DomainSpec.interval(0.3, -0.4), DomainSpec.ball(2, -0.3),
                      DomainSpec.simplex(2, (-0.4, 0.0, 1.0))):
-            tab = eigen_table(spec, 30)
-            assert tab.lambdas[0] == 0.0
-            assert np.all(np.diff(tab.lambdas) > 0)
+            lambdas = build_basis(spec, 30 if spec.kind == "interval" else 12).lambdas
+            assert lambdas[0] == 0.0
+            assert np.all(np.diff(lambdas) > 0)
+
+    def test_basis_refuses_non_increasing_eigenvalues(self, monkeypatch):
+        monkeypatch.setattr(basis_module, "eigenvalue", lambda spec, k: float(k % 3))
+        with pytest.raises(ParameterError, match="increase strictly"):
+            build_basis(DomainSpec.interval(-0.5, -0.5), 4)
 
     def test_level_dimensions(self):
         assert level_dimension(2, 0) == 1
@@ -84,6 +91,97 @@ class TestBuild:
         basis = build_basis(spec, 10)
         vals = basis.evaluate(basis.quad.nodes)
         assert np.abs(vals - basis.node_values).max() <= 1e-11
+
+
+def level_projectors(V, offsets):
+    """Sum_j P_kj(x) P_kj(y) over the rows of V, one matrix per level."""
+    return [V[:, a:b] @ V[:, a:b].T for a, b in zip(offsets[:-1], offsets[1:])]
+
+
+class TestLevelBlockedBuild:
+    @pytest.mark.parametrize("spec, interval", [
+        (DomainSpec.ball(1, 0.25), DomainSpec.interval(-0.25, -0.25)),
+        (DomainSpec.ball(1, 1.5), DomainSpec.interval(1.0, 1.0)),
+        (DomainSpec.simplex(1, (0.5, 1.5)), DomainSpec.interval(1.0, 0.0)),
+        (DomainSpec.simplex(1, (-0.3, 0.8)), DomainSpec.interval(0.3, -0.8)),
+    ], ids=lambda s: s.label())
+    def test_one_dimensional_levels_match_the_recurrence(self, spec, interval):
+        # the simplex [0, 1] is the interval under t = 2x - 1, and its
+        # measure is the interval's divided by the mass ratio c
+        K = 16
+        u = np.random.default_rng(5).uniform(0.02, 0.98, (40, 1))
+        t = 2 * u - 1
+        x = t if spec.kind == "ball" else u
+        c = total_mass(interval) / total_mass(spec)
+        got = level_projectors(build_basis(spec, K).evaluate(x), np.arange(K + 2))
+        ref = level_projectors(build_basis(interval, K).evaluate(t), np.arange(K + 2))
+        for P, Q in zip(got, ref):
+            assert np.abs(P - c * Q).max() <= 1e-12 * np.abs(c * Q).max()
+
+    @pytest.mark.parametrize("spec, K", [
+        (DomainSpec.ball(2, 0.5), 12),
+        (DomainSpec.simplex(2, (-0.3, 0.8, 1.7)), 12),
+        (DomainSpec.ball(3, -0.3), 6),
+        (DomainSpec.simplex(3, (0.2, 0.5, 1.0, -0.4)), 6),
+    ], ids=lambda s: s.label() if isinstance(s, DomainSpec) else f"K={s}")
+    def test_levels_match_member_by_member_build(self, spec, K):
+        basis = build_basis(spec, K)
+        ref = member_gram_schmidt(spec, K, basis.quad)
+        for P, Q in zip(level_projectors(basis.node_values, basis.offsets),
+                        level_projectors(ref, basis.offsets)):
+            assert np.abs(P - Q).max() <= 1e-10 * np.abs(Q).max()
+
+    @pytest.mark.parametrize("spec, K", [
+        (DomainSpec.ball(2, 0.5), 20),
+        (DomainSpec.simplex(2, (0.5, 0.5, 0.5)), 20),
+        (DomainSpec.ball(3, -0.3), 8),
+        (DomainSpec.simplex(3, (0.2, 0.5, 1.0, -0.4)), 8),
+    ], ids=lambda s: s.label() if isinstance(s, DomainSpec) else f"K={s}")
+    def test_dropped_replay_coefficients_vanish(self, spec, K):
+        # replay keeps the coefficients of x_i P_(k-1, j) against levels k-2
+        # and k-1 only; those against lower levels vanish up to rounding
+        basis = build_basis(spec, K)
+        V, w, o = basis.node_values, basis.quad.weights, basis.offsets
+        for k in range(3, K + 1):
+            X = np.concatenate([basis.quad.nodes[:, [i]] * V[:, o[k - 1]:o[k]]
+                                for i in range(spec.n)], axis=1)
+            coef = V[:, :o[k]].T @ (w[:, None] * X)
+            assert np.abs(coef[:o[k - 2]]).max() <= 1e-13 * np.abs(coef[o[k - 2]:]).max()
+
+    def test_replay_matches_nodes_at_degree_30(self):
+        basis = build_basis(DomainSpec.ball(2, 0.5), 30)
+        assert np.abs(basis.evaluate(basis.quad.nodes) - basis.node_values).max() <= 1e-8
+
+    def test_longdouble_levels_match_double(self):
+        spec = DomainSpec.simplex(2, (0.5, 0.5, 0.5))
+        ext = build_basis(spec, 8, precision_mode="longdouble")
+        dbl = build_basis(spec, 8)
+        for P, Q in zip(level_projectors(ext.node_values, ext.offsets),
+                        level_projectors(dbl.node_values, dbl.offsets)):
+            assert np.abs(P - Q).max() <= 1e-12 * np.abs(Q).max()
+
+    @pytest.mark.parametrize("spec", [DomainSpec.ball(2, 0.5),
+                                      DomainSpec.simplex(2, (0.5, 0.5, 0.5))],
+                             ids=lambda s: s.label())
+    def test_quadrature_too_coarse_loses_a_level(self, spec):
+        quad = build_quadrature(spec, 8)     # exact to degree 8, not 2K + 2 = 22
+        with pytest.raises(PrecisionError, match="lost level") as info:
+            build_basis(spec, 10, quad=quad)
+        assert "\n" not in str(info.value)
+
+    @pytest.mark.parametrize("spec", [DomainSpec.ball(2, 0.5),
+                                      DomainSpec.simplex(2, (0.5, 0.5, 0.5))],
+                             ids=lambda s: s.label())
+    def test_build_holds_at_most_one_extra_node_array(self, spec):
+        K = 20
+        quad = build_quadrature(spec, 2 * K + 2)
+        tracemalloc.start()
+        try:
+            basis = build_basis(spec, K, quad=quad)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - kept <= quad.size * basis.size * 8
 
 
 OPERATOR_CASES = [

@@ -59,6 +59,7 @@ class TestConfig:
         ("[domain]\nkind = simplex\nkappa = 0.5, x, 0.5\n", "[domain] kappa"),
         ("[basis]\nmax_degre = 12\n", "[basis] max_degre"),
         ("[basis]\nmax_degree = 12\n[montecarlo]\nsamples = 10\n", "[montecarlo]"),
+        ("[domain]\nkind = ball\nn = 2\n[mc]\nsamples = 4\n", "[mc] samples = 4"),
     ])
     def test_bad_config_is_one_line_error(self, tmp_path, capsys, body, named):
         cfgfile = write_config(tmp_path, body)
@@ -98,6 +99,13 @@ class TestGeom:
         assert main(["--config", cfgfile, "geom"] + query) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_volume_below_strata_is_one_line_error(self, tmp_path, capsys):
+        cfgfile = write_config(tmp_path, "[domain]\nkind = ball\nn = 2\ngamma = 0.5\n")
+        assert main(["--config", cfgfile, "geom", "volume", "--x", "0,0", "--r", "0.3",
+                     "--samples", "4"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: Monte Carlo needs at least 8 samples, got 4\n"
 
     def test_volume_deterministic(self, tmp_path, capsys):
         cfgfile = write_config(tmp_path, "[domain]\nkind = ball\nn = 2\ngamma = 0.5\n[run]\nseed = 3\n")
@@ -144,12 +152,47 @@ class TestKernelExport:
         assert len(out) == 1 + 16
 
 
+PIN_INI = "[domain]\nkind = interval\nalpha = -0.5\nbeta = -0.5\n[basis]\nmax_degree = 24\n"
+PIN_POINTS = ['"[-0.7071067811865475]"', '"[0.7071067811865475]"']
+
+
+def pinned_rows(param, values, tail, labels=PIN_POINTS):
+    """Rows of a 2 x 2 kernel CSV: (diagonal, off-diagonal) values, one tail."""
+    return "".join(f"{a},{b},{param},{values[i != j]},{tail}\n"
+                   for i, a in enumerate(labels) for j, b in enumerate(labels))
+
+
+class TestKernelCsvBytes:
+    def test_eval_multiplier_and_export_bytes(self, tmp_path, capsys):
+        cfgfile = write_config(tmp_path, PIN_INI)
+        assert main(["--config", cfgfile, "kernel", "eval", "--t", "0.5", "--grid", "2"]) == 0
+        heat = ("0.515125443247", "0.121921453404")
+        assert capsys.readouterr().out == "x,y,t,value,tail_bound\n" + pinned_rows(
+            "0.5", heat, "2.44278094652e-136")
+
+        out = tmp_path / "mult.csv"
+        assert main(["--config", cfgfile, "kernel", "multiplier", "--family", "heat_exp",
+                     "--delta", "0.3", "--grid", "2", "--out", str(out)]) == 0
+        assert capsys.readouterr().out == f"wrote {out}\n"
+        assert out.read_text() == "x,y,delta,value,tail_bound\n" + pinned_rows(
+            "0.3", ("0.941308325979", "0.000992353402096"), "4.7990666773e-25")
+
+        out = tmp_path / "grid.csv"
+        assert main(["--config", cfgfile, "kernel", "export", "--t-list", "0.5,1.0",
+                     "--resolution", "2", "--out", str(out)]) == 0
+        assert capsys.readouterr().out == (
+            f"wrote {out}\n# last-t row-mass range [1.000000225, 1.000000225]\n")
+        assert out.read_text() == "i,j,t,value,tail_bound\n" + pinned_rows(
+            "0.5", heat, "2.44278094652e-136", ["0", "1"]) + pinned_rows(
+            "1", ("0.43544890344", "0.201171012212"), "4.6866112328e-272", ["0", "1"])
+
+
 class TestValidate:
     def test_ops_suite_report(self, tmp_path, capsys):
         cfgfile = write_config(tmp_path, INTERVAL_INI.format(out=tmp_path))
         assert main(["--config", cfgfile, "validate", "ops"]) == 0
         report = json.loads((tmp_path / "validate_ops.json").read_text())
-        assert report["schema_version"] == 1
+        assert report["schema_version"] == 2
         assert report["pass"] is True
         assert report["config"]["domain"]["kind"] == "interval"
         assert report["suites"]["ops"]["results"]["max"] <= 1e-9

@@ -6,7 +6,7 @@ import pytest
 
 from polyheat.cli import main
 from polyheat.domains import DomainSpec, distance_many, total_mass
-from polyheat.errors import DomainError, PrecisionError
+from polyheat.errors import DomainError, ParameterError, PrecisionError
 from polyheat.volumes import (
     VolumeSource,
     ball_volume,
@@ -69,6 +69,13 @@ class TestMonteCarlo:
         assert a.value == b.value and a.stderr == b.stderr
         c = ball_volume(spec, x, 0.4, samples=50_000, seed=43)
         assert c.value != a.value
+
+    def test_fewer_samples_than_strata_refused(self):
+        with pytest.raises(ParameterError, match="at least 8 samples, got 4") as info:
+            ball_volume(DomainSpec.ball(2, 0.5), (0, 0), 0.3, samples=4)
+        assert "\n" not in str(info.value)
+        with pytest.raises(ParameterError, match="at least 1 samples, got 0"):
+            ball_volume(DomainSpec.simplex(2, (0.5, 0.5, 0.5)), (0.2, 0.2), 0.3, samples=0)
 
     def test_stratified_agrees_with_plain(self):
         spec = DomainSpec.ball(2, 0.25)
