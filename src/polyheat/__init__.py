@@ -40,13 +40,13 @@ from .errors import (
     ParameterError,
     PrecisionError,
 )
-from .heat import HeatKernelEvaluator, MultiplierSpec, TruncationPolicy, default_t_min
+from .heat import (HeatKernelEvaluator, MultiplierSpec, PointSet, TruncationPolicy,
+                   default_t_min)
 from .polynomials import (
     MultiPoly,
     apply_ball_operator,
     apply_jacobi_operator,
     apply_simplex_operator,
-    poly_affine_univariate,
     poly_eval,
     poly_partial,
 )

@@ -110,6 +110,13 @@ class OrthonormalBasis:
         return slice(int(self.offsets[k]), int(self.offsets[k + 1]))
 
     @property
+    def coefficients(self):
+        """Monomial coefficients, read-only: row = member, column = graded monomial."""
+        view = self._coeff.view()
+        view.flags.writeable = False
+        return view
+
+    @property
     def levels(self):
         """Per-level lists of MultiPoly (built lazily from coefficients)."""
         if self._levels is None:
@@ -260,14 +267,15 @@ def _build_interval(spec, K, quad, precision_mode):
     a, sqb, mass = jacobi_recurrence(K + 1, spec.alpha, spec.beta)
 
     def eval_all(pts):
+        # member-major, as in _ReplayPlan: row k is P_k at every point
         x = pts[:, 0]
-        V = np.empty((x.size, K + 1))
-        V[:, 0] = 1.0 / sqrt(mass)
+        U = np.empty((K + 1, x.size))
+        U[0] = 1.0 / sqrt(mass)
         if K >= 1:
-            V[:, 1] = (x - a[0]) * V[:, 0] / sqb[1]
+            U[1] = (x - a[0]) * U[0] / sqb[1]
         for k in range(1, K):
-            V[:, k + 1] = ((x - a[k]) * V[:, k] - sqb[k] * V[:, k - 1]) / sqb[k + 1]
-        return V
+            U[k + 1] = ((x - a[k]) * U[k] - sqb[k] * U[k - 1]) / sqb[k + 1]
+        return U.T
 
     # coefficient recurrence (ascending powers)
     C = np.zeros((K + 1, K + 1))

@@ -128,24 +128,22 @@ def cmd_basis_verify(args):
 def cmd_geom(args):
     cfg = load_config(args.config)
     spec = cfg.spec
-    print("x,y,value,stderr")
+    x = _parse_point(args.x)
     if args.geom_op == "dist":
-        x, y = _parse_point(args.x), _parse_point(args.y)
-        print(f"\"{x.tolist()}\",\"{y.tolist()}\",{_fmt(distance(spec, x, y))},0")
+        y = _parse_point(args.y)
+        rows = [f"\"{x.tolist()}\",\"{y.tolist()}\",{_fmt(distance(spec, x, y))},0"]
     elif args.geom_op == "lift":
-        x = _parse_point(args.x)
-        print(f"\"{x.tolist()}\",\"{chart_lift(spec, x).tolist()}\",0,0")
+        rows = [f"\"{x.tolist()}\",\"{chart_lift(spec, x).tolist()}\",0,0"]
     elif args.geom_op == "metric":
-        x = _parse_point(args.x)
-        g = metric_tensor(spec, x)
-        gi = inverse_metric(spec, x)
-        print(f"\"{x.tolist()}\",\"g={g.tolist()}\",{_fmt(metric_det(spec, x))},0")
-        print(f"\"{x.tolist()}\",\"ginv={gi.tolist()}\",0,0")
-    elif args.geom_op == "volume":
-        x = _parse_point(args.x)
+        g, gi, det = metric_tensor(spec, x), inverse_metric(spec, x), metric_det(spec, x)
+        rows = [f"\"{x.tolist()}\",\"g={g.tolist()}\",{_fmt(det)},0",
+                f"\"{x.tolist()}\",\"ginv={gi.tolist()}\",0,0"]
+    else:
         est = ball_volume(spec, x, args.r, samples=args.samples or cfg.mc_samples,
                           seed=cfg.seed)
-        print(f"\"{x.tolist()}\",{_fmt(args.r)},{_fmt(est.value)},{_fmt(est.stderr)}")
+        rows = [f"\"{x.tolist()}\",{_fmt(args.r)},{_fmt(est.value)},{_fmt(est.stderr)}"]
+    # the header follows the query, so a refused query leaves stdout empty
+    _emit_csv("x,y,value,stderr", rows, None)
     return 0
 
 
@@ -247,16 +245,14 @@ def suite_basis(cfg, ev, vol, rng):
 
 def suite_kernel(cfg, ev, vol, rng):
     spec = cfg.spec
-    pts = val.interior_points(spec, min(cfg.points, 10))
-    t_lo = ev.policy.t_min
-    masses = [ev.mass_check(t, x) for t in (t_lo, 1.0, 5.0) for x in pts]
-    mass_err = float(max(abs(m - 1.0) for m in masses))
-    semi = max(
-        ev.semigroup_check(0.3, 0.2, pts[0], pts[-1]),
-        ev.semigroup_check(0.5, 0.5, pts[0], pts[-1]),
-    )
-    va, _ = ev.heat_kernel(0.2, pts[0], pts[-1])
-    vb, _ = ev.heat_kernel(0.2, pts[-1], pts[0])
+    # one basis evaluation of the points serves every check below
+    pts = ev.point_set(val.interior_points(spec, min(cfg.points, 10)))
+    mass_err = max(float(np.abs(ev.mass_grid(t, pts) - 1.0).max())
+                   for t in (ev.policy.t_min, 1.0, 5.0))
+    x, y = pts[0], pts[-1]
+    semi = max(ev.semigroup_check(0.3, 0.2, x, y), ev.semigroup_check(0.5, 0.5, x, y))
+    va, _ = ev.heat_kernel(0.2, x, y)
+    vb, _ = ev.heat_kernel(0.2, y, x)
     sym = abs(va - vb)
     f = val.random_poly(spec.n, min(10, ev.basis.max_degree), rng)
     h = val.random_poly(spec.n, min(10, ev.basis.max_degree), rng)

@@ -7,14 +7,13 @@ Every report embeds the fully resolved configuration, and identical
 from __future__ import annotations
 
 import configparser
-import os
 from dataclasses import dataclass, replace
 
 from .domains import BALL, INTERVAL, SIMPLEX, DomainSpec
 from .errors import ParameterError
 from .volumes import RADIAL_STRATA
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 
 def _parse_floats(text):
@@ -36,7 +35,6 @@ class RunConfig:
     mc_samples: int = 1_000_000
     seed: int = 12345
     output: str = "reports"
-    threads: int = 1
 
     def to_json_obj(self):
         return {
@@ -52,7 +50,7 @@ class RunConfig:
                 "deltas": list(self.deltas),
             },
             "mc": {"samples": self.mc_samples},
-            "run": {"seed": self.seed, "output": self.output, "threads": self.threads},
+            "run": {"seed": self.seed, "output": self.output},
         }
 
     def to_ini(self):
@@ -90,7 +88,6 @@ class RunConfig:
             "[run]",
             f"seed = {self.seed}",
             f"output = {self.output}",
-            f"threads = {self.threads}",
         ]
         return "\n".join(lines) + "\n"
 
@@ -106,7 +103,7 @@ KNOWN_KEYS = {
     "kernel": ("epsilon", "t_min"),
     "grids": ("points", "times", "radii", "epsilons", "deltas"),
     "mc": ("samples",),
-    "run": ("seed", "output", "threads"),
+    "run": ("seed", "output"),
 }
 _KINDS = {int: "an integer", float: "a number", _parse_floats: "a list of numbers"}
 
@@ -191,15 +188,7 @@ def load_config(path=None, **overrides):
                 cfg,
                 seed=_read(sec, "seed", int, cfg.seed),
                 output=sec.get("output", cfg.output).strip(),
-                threads=_read(sec, "threads", int, cfg.threads),
             )
-    env_threads = os.environ.get("POLYHEAT_THREADS")
-    if env_threads:
-        try:
-            cfg = replace(cfg, threads=int(env_threads))
-        except ValueError:
-            raise ParameterError(
-                f"POLYHEAT_THREADS = {env_threads!r} is not an integer") from None
     known = {f.name for f in cfg.__dataclass_fields__.values()}
     bad = set(overrides) - known
     if bad:

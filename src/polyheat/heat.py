@@ -105,6 +105,23 @@ class MultiplierSpec:
         return self.order * self.band if self.family == "sinc_power" else None
 
 
+class PointSet:
+    """Basis values up to one evaluator's cap at a set of points, evaluated once.
+
+    Made by ``HeatKernelEvaluator.point_set``; every kernel method of that
+    evaluator takes it in place of a point array, so a caller that queries
+    the same points at several times or against several sets pays for one
+    basis evaluation.  Indexing selects points without evaluating again.
+    """
+
+    def __init__(self, owner, values):
+        self.owner = owner
+        self.values = values
+
+    def __getitem__(self, rows):
+        return PointSet(self.owner, np.atleast_2d(self.values[rows]))
+
+
 class HeatKernelEvaluator:
     """Heat and multiplier kernels over one orthonormal basis."""
 
@@ -126,8 +143,16 @@ class HeatKernelEvaluator:
 
     # -- core spectral summation -----------------------------------------
 
+    def point_set(self, points):
+        """Evaluate the basis at ``points`` once, for reuse across kernel calls."""
+        return PointSet(self, self._values(points))
+
     def _values(self, points):
         """Values of the basis members up to the cap: (npoints, members)."""
+        if isinstance(points, PointSet):
+            if points.owner is not self:
+                raise ParameterError("the point set was evaluated by another evaluator")
+            return points.values
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         return self.basis.evaluate(pts)[:, : self._members]
 
@@ -224,9 +249,13 @@ class HeatKernelEvaluator:
 
     def mass_check(self, t, x, quad=None):
         """integral of e^(tL)(x, .) d(mu); contract: equals 1."""
+        return float(self.mass_grid(t, x, quad)[0])
+
+    def mass_grid(self, t, X, quad=None):
+        """mass_check at each point of X in one kernel sum: (p,)."""
         quad, nodes = self._node_values(quad)
-        row, _ = self._heat(t, self._values(x), nodes)
-        return float(row[0] @ quad.weights)
+        rows, _ = self._heat(t, self._values(X), nodes)
+        return rows @ quad.weights
 
     def semigroup_check(self, s, t, x, z, quad=None):
         """|e^((s+t)L)(x,z) - integral e^(sL)(x,y) e^(tL)(y,z) dmu(y)|."""

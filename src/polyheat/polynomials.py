@@ -322,14 +322,3 @@ def monomial_operator(spec, monomials):
     deg = E.sum(axis=1).astype(float)
     return -(deg * (deg - 1.0) + drift * deg), lowering
 
-
-def poly_affine_univariate(p, a, b):
-    """Exact composition p(a*x + b) for univariate p, by Horner."""
-    if p.dimension != 1:
-        raise DomainError("affine composition implemented for univariate polynomials")
-    lin = MultiPoly(1, {(1,): a, (0,): b})
-    out = MultiPoly.zero(1)
-    coeffs = {e[0]: c for e, c in p.items()}
-    for k in range(p.degree(), -1, -1):
-        out = out * lin + coeffs.get(k, 0.0)
-    return out

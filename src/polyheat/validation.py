@@ -10,7 +10,7 @@ apparent violation of a lower bound is a hard error.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import pi, sqrt
+from math import comb, pi, sqrt
 
 import numpy as np
 from scipy.integrate import quad as scipy_quad
@@ -21,7 +21,6 @@ from .domains import (
     INTERVAL,
     SIMPLEX,
     DomainSpec,
-    distance,
     distance_matrix,
     inverse_metric_polys,
     rho_to_boundary,
@@ -30,13 +29,7 @@ from .domains import (
 )
 from .errors import CapacityError, DomainError, PrecisionError
 from .heat import HeatKernelEvaluator, MultiplierSpec
-from .polynomials import (
-    MultiPoly,
-    apply_jacobi_operator,
-    apply_simplex_operator,
-    poly_affine_univariate,
-    poly_partial,
-)
+from .polynomials import MultiPoly, monomial_operator, poly_partial
 from .quadrature import build_quadrature, _angular_rule
 
 BOUNDARY_MARGIN = 0.05
@@ -225,8 +218,9 @@ def gauss_ratio_scan(ev: HeatKernelEvaluator, vol, points, times,
     e_vals, n_diag = [], []
     excluded = violations = 0
     rhos = distance_matrix(spec, pts, pts)
+    grid = ev.point_set(pts)
     for t in times:
-        vals, tails = ev.heat_kernel_grid(t, pts, pts)
+        vals, tails = ev.heat_kernel_grid(t, grid, grid)
         vols = np.array([vol(x, sqrt(t)).value for x in pts])
         for i in range(len(pts)):
             for j in range(i, len(pts)):
@@ -570,6 +564,24 @@ class CorrespondenceReport:
         return all(ok for *_, ok in self.checks)
 
 
+def _substitution_matrix(max_k):
+    """A[r, j] = C(r, j) 2^j (-1)^(r-j): the coefficients of p(2x - 1) are c @ A.
+
+    Binomials times powers of two are exact in doubles through r = 56.
+    """
+    return np.array([[float(comb(r, j) * 2 ** j * (-1) ** (r - j)) for j in range(max_k + 1)]
+                     for r in range(max_k + 1)])
+
+
+def _operator_matrix(spec, max_k):
+    """Dense M with (L p) = c @ M for univariate p of coefficients c, ascending."""
+    diag, lowering = monomial_operator(spec, [(d,) for d in range(max_k + 1)])
+    M = np.diag(diag)
+    for src, dst, coef in lowering:
+        M[src, dst] += coef
+    return M
+
+
 def jacobi_simplex_correspondence(alpha, beta, max_k, grid_size=20,
                                   times=(0.2, 1.0), tol=1e-9, seed=0):
     """Four residuals tying the interval operator to the n=1 simplex:
@@ -578,50 +590,41 @@ def jacobi_simplex_correspondence(alpha, beta, max_k, grid_size=20,
     (ii) eigenfunction matching up to sign with the 2^(-(a+b+1)/2) scaling,
     (iii) distance halving on a grid,
     (iv) heat-kernel scaling by 2^(-(a+b+1)).
+
+    (i) and (ii) work on ascending coefficient arrays: the substitution
+    x -> 2x - 1 is one product with the exact matrix of
+    ``_substitution_matrix`` and each operator one product with its dense
+    matrix from ``monomial_operator``.
     """
     kappa = (beta + 0.5, alpha + 0.5)
     ispec = DomainSpec.interval(alpha, beta)
     sspec = DomainSpec.simplex(1, kappa)
     rng = np.random.default_rng(seed)
+    A = _substitution_matrix(max_k)
     checks = []
 
-    f = random_poly(1, max_k, rng)
-    g = poly_affine_univariate(f, 2.0, -1.0)
-    lhs = apply_simplex_operator(g, kappa)
-    rhs = poly_affine_univariate(apply_jacobi_operator(f, alpha, beta), 2.0, -1.0)
-    scale = max(lhs.max_abs_coeff(), rhs.max_abs_coeff(), 1e-300)
-    checks.append(("operator_conjugation", lhs.coeff_distance(rhs) / scale))
+    f = rng.uniform(-1.0, 1.0, max_k + 1)     # random_poly(1, max_k, rng), ascending
+    lhs = (f @ A) @ _operator_matrix(sspec, max_k)
+    rhs = (f @ _operator_matrix(ispec, max_k)) @ A
+    scale = max(np.abs(lhs).max(), np.abs(rhs).max(), 1e-300)
+    checks.append(("operator_conjugation", np.abs(lhs - rhs).max() / scale))
 
     ib = build_basis(ispec, max_k)
     sb = build_basis(sspec, max_k)
-    factor = 2.0 ** ((alpha + beta + 1) / 2.0)
-    worst = 0.0
-    for k in range(max_k + 1):
-        q = poly_affine_univariate(ib.levels[k][0], 2.0, -1.0) * factor
-        s = sb.levels[k][0]
-        lead_q = q.coeff((k,)) if k > 0 else q.coeff((0,))
-        lead_s = s.coeff((k,)) if k > 0 else s.coeff((0,))
-        if lead_q * lead_s < 0:
-            s = -1.0 * s
-        scale = max(q.max_abs_coeff(), s.max_abs_coeff())
-        worst = max(worst, q.coeff_distance(s) / scale)
-    checks.append(("eigenfunction_match", worst))
+    Q = (ib.coefficients @ A) * 2.0 ** ((alpha + beta + 1) / 2.0)
+    S = sb.coefficients * np.where(np.diag(Q) * np.diag(sb.coefficients) < 0, -1.0, 1.0)[:, None]
+    scale = np.maximum(np.abs(Q).max(axis=1), np.abs(S).max(axis=1))
+    checks.append(("eigenfunction_match", (np.abs(Q - S).max(axis=1) / scale).max()))
 
-    xs = np.cos(np.linspace(0.15, pi - 0.15, grid_size))
-    worst = 0.0
-    for x in xs:
-        for y in xs:
-            r_int = distance(ispec, [x], [y])
-            r_simp = distance(sspec, [(x + 1) / 2], [(y + 1) / 2])
-            worst = max(worst, abs(r_simp - r_int / 2.0))
-    checks.append(("distance_halving", worst))
+    X = np.cos(np.linspace(0.15, pi - 0.15, grid_size))[:, None]
+    X1 = (X + 1) / 2
+    gap = distance_matrix(sspec, X1, X1) - distance_matrix(ispec, X, X) / 2.0
+    checks.append(("distance_halving", np.abs(gap).max()))
 
     evi = HeatKernelEvaluator(ib)
     evs = HeatKernelEvaluator(sb)
     kscale = 2.0 ** (-(alpha + beta + 1))
     worst = 0.0
-    X = xs[:, None]
-    X1 = (X + 1) / 2
     for t in times:
         ki, _ = evi.heat_kernel_grid(t, X, X)
         ks, _ = evs.heat_kernel_grid(t, X1, X1)
@@ -678,16 +681,18 @@ def localization_check(ev, delta, m, vol, anchors=None, window=(2.0, 20.0),
     anchors = np.atleast_2d(np.asarray(anchors, float))
     xis = np.concatenate([[0.0, 0.5, 1.0, 2.0, 3.0],
                           np.geomspace(0.9 * window[0], window[1], n_radii)])
+    rays = [geodesic_ray(spec, a, delta * xis) for a in anchors]
+    # one grid per delta: every anchor against all rays, each reads its block
+    vals, tails = ev.multiplier_grid(phi, delta, anchors,
+                                     np.concatenate([targets for _, targets in rays]))
     rows_x, rows_y = [], []
     excluded = used = 0
     cm = 0.0
-    for a in anchors:
+    for i, (a, (dists, targets)) in enumerate(zip(anchors, rays)):
         va = vol(a, delta).value
-        dists, targets = geodesic_ray(spec, a, delta * xis)
-        vals, tails = ev.multiplier_grid(phi, delta, a[None, :], targets)
         for idx in range(len(targets)):
+            k, b = abs(float(vals[i, used])), float(tails[i, used])
             used += 1
-            k, b = abs(float(vals[0, idx])), float(tails[0, idx])
             if k > 0 and b > 0.1 * k:
                 excluded += 1
                 continue
@@ -758,22 +763,23 @@ def finite_speed_scan(ev, delta, m, A, anchors=None, threshold=1e-8,
     anchors = np.atleast_2d(np.asarray(anchors, float))
     smax = min(pi, 3.0 * delta * m * A)
     targets_s = np.linspace(0.02 * delta * m * A, smax, n_radii)
-    rhos, mags = [], []
-    worst_tail = 0.0
-    for a in anchors:
-        dists, targets = geodesic_ray(spec, a, targets_s)
-        vals, tails = ev.multiplier_grid(phi, delta, a[None, :], targets)
-        worst_tail = max(worst_tail, float(tails.max()))
-        rhos.extend(dists)
-        mags.extend(np.abs(vals[0]))
+    rays = [geodesic_ray(spec, a, targets_s) for a in anchors]
+    rhos = np.concatenate([dists for dists, _ in rays])
+    # one grid per delta: every anchor against all rays, each reads its block
+    vals, tails = ev.multiplier_grid(phi, delta, anchors,
+                                     np.concatenate([targets for _, targets in rays]))
+    block = np.repeat(np.arange(len(anchors)), [len(dists) for dists, _ in rays])
+    cols = np.arange(len(rhos))
+    mags = np.abs(vals[block, cols])
+    worst_tail = float(tails[block, cols].max())
     if worst_tail > tail_cap:
         raise PrecisionError(
             f"multiplier truncation tail {worst_tail:.2e} exceeds {tail_cap:g}; "
             "raise the basis cap"
         )
     order = np.argsort(rhos)
-    rhos = np.asarray(rhos)[order]
-    mags = np.asarray(mags)[order]
+    rhos = rhos[order]
+    mags = mags[order]
     if rhos[-1] < delta * m * A:
         raise DomainError("rays too short to bracket the expected support radius")
     suffix = np.maximum.accumulate(mags[::-1])[::-1]

@@ -3,8 +3,9 @@
 Everything here is computed through a different route than the library code
 it checks: sympy symbolic calculus for the operators, closed-form Gamma
 integrals for monomial moments, the classical cosine series for the
-equilibrium-weight heat kernel, LAPACK determinants, and a member-by-member
-Gram-Schmidt build of the ball and simplex bases.
+equilibrium-weight heat kernel, LAPACK determinants, a member-by-member
+Gram-Schmidt build of the ball and simplex bases, and the interval/simplex
+correspondence through sparse polynomial arithmetic and scalar distances.
 """
 
 from math import exp, lgamma, pi, sqrt
@@ -12,9 +13,11 @@ from math import exp, lgamma, pi, sqrt
 import numpy as np
 import sympy as sp
 
-from polyheat.basis import level_dimension
-from polyheat.errors import PrecisionError
-from polyheat.polynomials import MultiPoly
+from polyheat.basis import build_basis, level_dimension
+from polyheat.domains import DomainSpec, distance
+from polyheat.errors import DomainError, PrecisionError
+from polyheat.polynomials import MultiPoly, apply_jacobi_operator, apply_simplex_operator
+from polyheat.validation import random_poly
 
 
 def poly_to_sympy(p, symbols):
@@ -170,3 +173,51 @@ def member_gram_schmidt(spec, K, quad):
                 cand[:, alive] -= np.outer(V[:, pos], proj)
             pos += 1
     return V
+
+
+def poly_affine_univariate(p, a, b):
+    """Exact composition p(a*x + b) for univariate p, by Horner."""
+    if p.dimension != 1:
+        raise DomainError("affine composition implemented for univariate polynomials")
+    lin = MultiPoly(1, {(1,): a, (0,): b})
+    out = MultiPoly.zero(1)
+    coeffs = {e[0]: c for e, c in p.items()}
+    for k in range(p.degree(), -1, -1):
+        out = out * lin + coeffs.get(k, 0.0)
+    return out
+
+
+def reference_correspondence(alpha, beta, max_k, grid_size=20, seed=0):
+    """Residuals (i)-(iii) of ``jacobi_simplex_correspondence`` through MultiPoly.
+
+    The random polynomial and the basis members are composed with x -> 2x - 1
+    by Horner, the operators applied term by term, the members read from
+    ``OrthonormalBasis.levels``, and the distances taken one pair at a time.
+    """
+    kappa = (beta + 0.5, alpha + 0.5)
+    ispec = DomainSpec.interval(alpha, beta)
+    sspec = DomainSpec.simplex(1, kappa)
+    out = {}
+
+    f = random_poly(1, max_k, np.random.default_rng(seed))
+    lhs = apply_simplex_operator(poly_affine_univariate(f, 2.0, -1.0), kappa)
+    rhs = poly_affine_univariate(apply_jacobi_operator(f, alpha, beta), 2.0, -1.0)
+    scale = max(lhs.max_abs_coeff(), rhs.max_abs_coeff(), 1e-300)
+    out["operator_conjugation"] = lhs.coeff_distance(rhs) / scale
+
+    ib, sb = build_basis(ispec, max_k), build_basis(sspec, max_k)
+    factor = 2.0 ** ((alpha + beta + 1) / 2.0)
+    worst = 0.0
+    for k in range(max_k + 1):
+        q = poly_affine_univariate(ib.levels[k][0], 2.0, -1.0) * factor
+        s = sb.levels[k][0]
+        if q.coeff((k,)) * s.coeff((k,)) < 0:
+            s = -1.0 * s
+        worst = max(worst, q.coeff_distance(s) / max(q.max_abs_coeff(), s.max_abs_coeff()))
+    out["eigenfunction_match"] = worst
+
+    xs = np.cos(np.linspace(0.15, pi - 0.15, grid_size))
+    out["distance_halving"] = max(
+        abs(distance(sspec, [(x + 1) / 2], [(y + 1) / 2]) - distance(ispec, [x], [y]) / 2.0)
+        for x in xs for y in xs)
+    return out

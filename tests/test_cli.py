@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from polyheat.basis import OrthonormalBasis
 from polyheat.cli import main
 from polyheat.config import default_config, load_config
 
@@ -50,16 +51,13 @@ class TestConfig:
         assert cfg.spec.kind == "interval"
         assert cfg.epsilon == 1e-10
 
-    def test_env_threads(self, monkeypatch):
-        monkeypatch.setenv("POLYHEAT_THREADS", "4")
-        assert load_config(None).threads == 4
-
     @pytest.mark.parametrize("body, named", [
         ("[mc]\nsamples = abc\n", "[mc] samples"),
         ("[domain]\nkind = simplex\nkappa = 0.5, x, 0.5\n", "[domain] kappa"),
         ("[basis]\nmax_degre = 12\n", "[basis] max_degre"),
         ("[basis]\nmax_degree = 12\n[montecarlo]\nsamples = 10\n", "[montecarlo]"),
         ("[domain]\nkind = ball\nn = 2\n[mc]\nsamples = 4\n", "[mc] samples = 4"),
+        ("[run]\nthreads = 1\n", "[run] threads"),
     ])
     def test_bad_config_is_one_line_error(self, tmp_path, capsys, body, named):
         cfgfile = write_config(tmp_path, body)
@@ -69,13 +67,6 @@ class TestConfig:
         assert main(["--config", cfgfile, "config", "show"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and named in err
-
-    def test_bad_env_threads_is_one_line_error(self, monkeypatch, capsys):
-        monkeypatch.setenv("POLYHEAT_THREADS", "four")
-        assert main(["config", "show"]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert "POLYHEAT_THREADS" in err
 
     def test_invalid_domain_cites_range(self, tmp_path, capsys):
         cfgfile = write_config(tmp_path, "[domain]\nkind = ball\nn = 2\ngamma = -0.6\n")
@@ -97,15 +88,17 @@ class TestGeom:
     def test_bad_point_is_one_line_error(self, tmp_path, capsys, query):
         cfgfile = write_config(tmp_path, "[domain]\nkind = ball\nn = 2\ngamma = 0.5\n")
         assert main(["--config", cfgfile, "geom"] + query) == 2
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert out == ""
 
     def test_volume_below_strata_is_one_line_error(self, tmp_path, capsys):
         cfgfile = write_config(tmp_path, "[domain]\nkind = ball\nn = 2\ngamma = 0.5\n")
         assert main(["--config", cfgfile, "geom", "volume", "--x", "0,0", "--r", "0.3",
                      "--samples", "4"]) == 2
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
         assert err == "error: Monte Carlo needs at least 8 samples, got 4\n"
+        assert out == ""
 
     def test_volume_deterministic(self, tmp_path, capsys):
         cfgfile = write_config(tmp_path, "[domain]\nkind = ball\nn = 2\ngamma = 0.5\n[run]\nseed = 3\n")
@@ -192,7 +185,7 @@ class TestValidate:
         cfgfile = write_config(tmp_path, INTERVAL_INI.format(out=tmp_path))
         assert main(["--config", cfgfile, "validate", "ops"]) == 0
         report = json.loads((tmp_path / "validate_ops.json").read_text())
-        assert report["schema_version"] == 2
+        assert report["schema_version"] == 3
         assert report["pass"] is True
         assert report["config"]["domain"]["kind"] == "interval"
         assert report["suites"]["ops"]["results"]["max"] <= 1e-9
@@ -217,6 +210,22 @@ class TestValidate:
         assert report["suites"]["ops"]["pass"] is True
         assert report["pass"] is False
         assert "gauss            FAIL" in capsys.readouterr().out
+
+    def test_interval_validate_all_evaluates_each_point_set_once(self, tmp_path, capsys,
+                                                                  monkeypatch):
+        calls = []
+        evaluate = OrthonormalBasis.evaluate
+
+        def counted(basis, points):
+            calls.append(len(points))
+            return evaluate(basis, points)
+
+        monkeypatch.setattr(OrthonormalBasis, "evaluate", counted)
+        cfgfile = write_config(tmp_path, (
+            "[domain]\nkind = interval\nalpha = -0.5\nbeta = -0.5\n"
+            f"[basis]\nmax_degree = 200\n[run]\noutput = {tmp_path}\n"))
+        assert main(["--config", cfgfile, "validate", "all"]) == 0
+        assert len(calls) <= 20
 
     def test_correspondence_suite(self, tmp_path, capsys):
         cfgfile = write_config(tmp_path, INTERVAL_INI.format(out=tmp_path))

@@ -110,6 +110,30 @@ class TestMassAndSemigroup:
         assert cheb_ev.semigroup_check(30.0, 30.0, [0.3], [-0.2]) <= 1e-10
 
 
+class TestPointSet:
+    @pytest.mark.parametrize("fixture", ["cheb_ev", "ball_ev"])
+    def test_reuse_matches_fresh_evaluation(self, fixture, request, monkeypatch):
+        ev = request.getfixturevalue(fixture)
+        pts = (np.cos(np.linspace(0.3, 2.8, 6))[:, None] if ev.spec.n == 1
+               else _points(ev.spec, 6, np.random.default_rng(4)))
+        fresh = [ev.heat_kernel_grid(t, pts, pts[1:3]) for t in (0.1, 1.0)]
+        P = ev.point_set(pts)
+        calls = []
+        monkeypatch.setattr(ev.basis, "evaluate", lambda points: calls.append(points))
+        for t, (want_v, want_b) in zip((0.1, 1.0), fresh):
+            v, b = ev.heat_kernel_grid(t, P, P[1:3])
+            np.testing.assert_allclose(v, want_v, rtol=0, atol=1e-13)
+            np.testing.assert_allclose(b, want_b, rtol=0, atol=1e-13)
+            np.testing.assert_allclose(ev.mass_grid(t, P), 1.0, rtol=0, atol=1e-8)
+        assert ev.semigroup_check(0.3, 0.2, P[0], P[-1]) <= 1e-6
+        assert calls == []
+
+    def test_set_of_another_evaluator_refused(self, cheb_ev):
+        other = HeatKernelEvaluator(cheb_ev.basis, cheb_ev.policy)
+        with pytest.raises(ParameterError, match="another evaluator"):
+            other.heat_kernel_grid(0.5, cheb_ev.point_set([[0.3]]), [[0.1]])
+
+
 class TestMultipliers:
     def test_heat_exp_equals_heat(self, ball_ev):
         x, y = np.array([0.2, 0.1]), np.array([-0.3, 0.4])

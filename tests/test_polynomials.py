@@ -9,12 +9,12 @@ from polyheat.polynomials import (
     apply_ball_operator,
     apply_jacobi_operator,
     apply_simplex_operator,
-    poly_affine_univariate,
     poly_eval,
     poly_partial,
 )
 
 from _oracles import (
+    poly_affine_univariate,
     sympy_ball_apply,
     sympy_jacobi_apply,
     sympy_simplex_apply,

@@ -7,6 +7,7 @@ from polyheat.errors import DomainError
 from polyheat.heat import HeatKernelEvaluator
 from polyheat.polynomials import MultiPoly
 from polyheat.quadrature import build_quadrature
+from polyheat import validation
 from polyheat.validation import (
     GaussianBump,
     PolyField,
@@ -24,6 +25,8 @@ from polyheat.validation import (
     random_poly,
 )
 from polyheat.volumes import VolumeSource
+
+from _oracles import reference_correspondence
 
 
 @pytest.fixture(scope="module")
@@ -174,6 +177,30 @@ class TestCorrespondence:
                          "distance_halving", "kernel_scaling"]
         for _, res, tol, ok in rep.checks:
             assert ok and res <= tol
+
+    @pytest.mark.parametrize("alpha, beta", [(-0.5, -0.5), (0.0, -0.9), (0.7, -0.3)])
+    def test_matches_multipoly_reference(self, alpha, beta):
+        rep = jacobi_simplex_correspondence(alpha, beta, 30, seed=3)
+        ref = reference_correspondence(alpha, beta, 30, seed=3)
+        got = {name: res for name, res, _, _ in rep.checks}
+        for name, want in ref.items():
+            assert abs(got[name] - want) <= 1e-13, name
+
+    def test_perturbed_simplex_coefficient_fails_match(self, monkeypatch):
+        def perturbed(spec, max_degree, **kw):
+            basis = build_basis(spec, max_degree, **kw)
+            if spec.kind == "simplex":
+                assert not basis.coefficients.flags.writeable
+                C = basis.coefficients.copy()
+                j = int(np.argmax(np.abs(C[20])))
+                C[20, j] *= 1 + 1e-6
+                basis._coeff = C
+            return basis
+
+        monkeypatch.setattr(validation, "build_basis", perturbed)
+        rep = jacobi_simplex_correspondence(0.7, -0.3, 30)
+        failed = [name for name, _, _, ok in rep.checks if not ok]
+        assert failed == ["eigenfunction_match"]
 
 
 class TestGaussDoubling:
