@@ -48,7 +48,11 @@ def _fmt(x):
 
 
 def _parse_point(text):
-    return np.array([float(v) for v in text.replace(",", " ").split()])
+    try:
+        return np.array([float(v) for v in text.replace(",", " ").split()])
+    except ValueError:
+        raise ParameterError(f"malformed point {text!r}: expected numbers "
+                             "separated by commas or spaces") from None
 
 
 def _evaluator(cfg):
@@ -254,8 +258,8 @@ def suite_kernel(cfg, ev, vol, rng):
     va, _ = ev.heat_kernel(0.2, x, y)
     vb, _ = ev.heat_kernel(0.2, y, x)
     sym = abs(va - vb)
-    f = val.random_poly(spec.n, min(10, ev.basis.max_degree), rng)
-    h = val.random_poly(spec.n, min(10, ev.basis.max_degree), rng)
+    f = val.random_coefficients(spec.n, min(10, ev.basis.max_degree), rng)
+    h = val.random_coefficients(spec.n, min(10, ev.basis.max_degree), rng)
     selfadj = val.kernel_selfadjointness_residual(ev, 0.5, f, h)
     results = {"mass_error": mass_err, "semigroup_gap": float(semi),
                "symmetry_gap": float(sym), "selfadjoint_gap": float(selfadj)}
@@ -285,9 +289,10 @@ def suite_green(cfg, ev, vol, rng, pairs=20):
     worst = 0.0
     deg = max(2, min(6, cfg.max_degree))
     quad = build_quadrature(spec, 2 * deg + 6)
+    # the pairs are coefficient vectors; the checks share one Vandermonde
     for _ in range(pairs):
-        f = val.random_poly(spec.n, deg, rng)
-        h = val.PolyField(val.random_poly(spec.n, max(1, deg - 2), rng))
+        f = val.random_coefficients(spec.n, deg, rng)
+        h = val.PolyField(val.random_coefficients(spec.n, max(1, deg - 2), rng), spec.n)
         worst = max(worst, val.green_identity_check(spec, f, h, quad))
     return {"max_residual": worst, "pairs": pairs, "tolerance": 1e-8}, worst <= 1e-8
 
@@ -325,7 +330,7 @@ def suite_flux(cfg, ev, vol, rng):
 def suite_chart(cfg, ev, vol, rng):
     spec = cfg.spec
     pts = val.interior_points(spec, 100, margin=0.02)
-    f = val.random_poly(spec.n, 5, rng)
+    f = val.random_coefficients(spec.n, 5, rng)
     res = val.chart_laplacian_check(spec, f, pts)
     return {"max_residual": res, "samples": len(pts), "tolerance": 1e-8}, res <= 1e-8
 

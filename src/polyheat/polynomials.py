@@ -6,6 +6,12 @@ rounding of the coefficients themselves), which lets eigen-relations be
 certified without sampling.  Terms are kept and serialized in graded order
 with a lexicographic tie-break, so iteration and JSON dumps are
 deterministic across platforms.
+
+The verification and validation paths do not use ``MultiPoly``: they hold a
+polynomial as a coefficient vector over graded monomials and act on it with
+dense matrices (``operator_matrix``, ``partial_matrix``), evaluated through
+one ``monomial_vandermonde``.  ``MultiPoly`` and ``apply_*_operator`` stay
+the exact public reference.
 """
 
 from __future__ import annotations
@@ -321,4 +327,47 @@ def monomial_operator(spec, monomials):
         lowering.append((src, dst, (E[:, axis] * factor)[src]))
     deg = E.sum(axis=1).astype(float)
     return -(deg * (deg - 1.0) + drift * deg), lowering
+
+
+# ---------------------------------------------------------------------------
+# dense coefficient arrays: a polynomial is a row vector c over ``monomials``
+
+
+def operator_matrix(spec, monomials):
+    """Dense M with (L p) = c @ M for p of coefficients c over ``monomials``."""
+    diag, lowering = monomial_operator(spec, monomials)
+    M = np.diag(diag)
+    for src, dst, coef in lowering:
+        M[src, dst] += coef
+    return M
+
+
+def partial_matrix(monomials, axis):
+    """Dense exponent shift D with (d p / d x_axis) = c @ D.
+
+    D[src, dst] = e_axis where monomials[dst] is monomials[src] lowered by
+    one along ``axis``; ``monomials`` must be closed under lowering.
+    """
+    E = np.array(monomials, dtype=np.int64).reshape(len(monomials), -1)
+    index = {e: j for j, e in enumerate(map(tuple, E.tolist()))}
+    D = np.zeros((len(E), len(E)))
+    for src, e in enumerate(E.tolist()):
+        if e[axis]:
+            k = e[axis]
+            e[axis] -= 1
+            D[src, index[tuple(e)]] = k
+    return D
+
+
+def monomial_vandermonde(points, monomials):
+    """V[m, j] = prod_i points[m, i] ** monomials[j][i]; values of c are V @ c."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    E = np.array(monomials, dtype=np.int64).reshape(len(monomials), -1)
+    if pts.shape[1] != E.shape[1]:
+        raise DomainError("point dimension mismatch")
+    V = np.ones((len(pts), len(E)))
+    powers = np.arange(int(E.max(initial=0)) + 1)
+    for i in range(E.shape[1]):
+        V *= (pts[:, i:i + 1] ** powers)[:, E[:, i]]
+    return V
 

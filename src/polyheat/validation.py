@@ -15,21 +15,20 @@ from math import comb, pi, sqrt
 import numpy as np
 from scipy.integrate import quad as scipy_quad
 
-from .basis import build_basis, eigenvalue
+from .basis import build_basis, eigenvalue, graded_monomials
 from .domains import (
     BALL,
     INTERVAL,
     SIMPLEX,
     DomainSpec,
     distance_matrix,
-    inverse_metric_polys,
     rho_to_boundary,
     weight_density,
     weight_log_gradient,
 )
 from .errors import CapacityError, DomainError, PrecisionError
 from .heat import HeatKernelEvaluator, MultiplierSpec
-from .polynomials import MultiPoly, monomial_operator, poly_partial
+from .polynomials import MultiPoly, monomial_vandermonde, operator_matrix, partial_matrix
 from .quadrature import build_quadrature, _angular_rule
 
 BOUNDARY_MARGIN = 0.05
@@ -111,19 +110,117 @@ def geodesic_ray(spec, anchor, s_values, aim=None):
     return np.array(dists), np.array(pts)
 
 
-class PolyField:
-    """Polynomial test function with exact value and gradient."""
+# ---------------------------------------------------------------------------
+# test polynomials as coefficient vectors over graded_monomials(n, degree)
 
-    def __init__(self, poly: MultiPoly):
-        self.poly = poly
-        self._grads = [poly_partial(poly, i) for i in range(poly.dimension)]
+
+def _coefficients(n, f):
+    """(degree, coefficient vector over graded_monomials(n, degree)) of ``f``.
+
+    ``f`` is a MultiPoly (read in one pass over its terms) or a coefficient
+    vector, whose length fixes its degree.
+    """
+    if isinstance(f, MultiPoly):
+        if f.dimension != n:
+            raise DomainError(f"polynomial in {f.dimension} variables on a domain of dimension {n}")
+        degree = max(f.degree(), 0)
+        index = {e: j for j, e in enumerate(graded_monomials(n, degree))}
+        coef = np.zeros(len(index))
+        for e, c in f.items():
+            coef[index[e]] = c
+        return degree, coef
+    coef = np.asarray(f, dtype=float)
+    degree = 0
+    while comb(n + degree, n) < len(coef):
+        degree += 1
+    if coef.ndim != 1 or comb(n + degree, n) != len(coef):
+        raise DomainError(f"{coef.shape} coefficients are not a full graded basis in {n} variables")
+    return degree, coef
+
+
+class _MonomialFrame:
+    """Test polynomials of degree <= ``degree`` evaluated at fixed points.
+
+    For a coefficient vector c over the frame's monomials (``pad``), the
+    values of f, L f and d_i f at the points are ``V @ c``, ``VL @ c`` and
+    ``VD[i] @ c``; ``partials[i]`` is the exponent shift of d_i and ``G``
+    the inverse metric at the points.
+    """
+
+    def __init__(self, spec, points, degree):
+        self.spec, self.degree = spec, degree
+        self.points = np.array(points, dtype=float)
+        monomials = graded_monomials(spec.n, degree)
+        self.V = monomial_vandermonde(self.points, monomials)
+        self.VL = self.V @ operator_matrix(spec, monomials).T
+        self.partials = [partial_matrix(monomials, i) for i in range(spec.n)]
+        self.VD = np.stack([self.V @ D.T for D in self.partials])
+        self.G = _inverse_metric_at(spec, self.points)
+
+    def pad(self, coef):
+        """``coef`` over the frame's monomials (graded order: zeros appended)."""
+        out = np.zeros(self.V.shape[1])
+        out[:len(coef)] = coef
+        return out
+
+    def covers(self, spec, points, degree):
+        return (self.spec == spec and self.degree >= degree
+                and self.points.shape == points.shape and np.array_equal(self.points, points))
+
+
+# the frame of the last check: repeated checks on one point set, such as the
+# Green pairs of a suite on one quadrature, share its Vandermonde
+_last_frame = None
+
+
+def _frame(spec, points, degree):
+    global _last_frame
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    if _last_frame is None or not _last_frame.covers(spec, points, degree):
+        _last_frame = _MonomialFrame(spec, points, degree)
+    return _last_frame
+
+
+def _inverse_metric_at(spec, pts):
+    """Chart inverse metric at each point, (m, n, n): I - x x^T, 4 (diag x - x x^T)."""
+    G = -pts[:, :, None] * pts[:, None, :]
+    i = np.arange(spec.n)
+    G[:, i, i] += pts if spec.kind == SIMPLEX else 1.0
+    return 4.0 * G if spec.kind == SIMPLEX else G
+
+
+def _metric_divergence(spec, pts):
+    """sum_i d_i G_ij at each point, (m, n): -(n+1) x_j, 4 (1 - (n+1) x_j)."""
+    if spec.kind == SIMPLEX:
+        return 4.0 * (1.0 - (spec.n + 1.0) * pts)
+    return -(spec.n + 1.0) * pts
+
+
+class PolyField:
+    """Polynomial test function with exact value and gradient.
+
+    Kept as a coefficient vector ``coef`` over graded_monomials(n, degree);
+    built from a MultiPoly, or from such a vector with its dimension ``n``.
+    """
+
+    def __init__(self, poly, n=None):
+        self.n = poly.dimension if isinstance(poly, MultiPoly) else int(n)
+        self.degree, self.coef = _coefficients(self.n, poly)
+        self.monomials = graded_monomials(self.n, self.degree)
+        self._exponents = np.array(self.monomials).reshape(len(self.coef), self.n)
+        # row i: the coefficients of d_i of the field
+        self._grad = np.stack([self.coef @ partial_matrix(self.monomials, i)
+                               for i in range(self.n)])
 
     def values(self, pts):
-        return self.poly.eval_many(pts)
+        return monomial_vandermonde(pts, self.monomials) @ self.coef
 
     def gradients(self, pts):
-        pts = np.atleast_2d(np.asarray(pts, float))
-        return np.stack([g.eval_many(pts) for g in self._grads], axis=1)
+        return monomial_vandermonde(pts, self.monomials) @ self._grad.T
+
+    def gradient_at(self, x):
+        """(n,) gradient at one point, for scalar integrands."""
+        return self._grad @ np.prod(x ** self._exponents, axis=1)
 
 
 class GaussianBump:
@@ -153,13 +250,15 @@ class GaussianBump:
         return -2.0 * (pts - self.center) * self._inv2 * v[:, None]
 
 
-def random_poly(n, degree, rng, scale=1.0):
-    from .basis import graded_monomials
+def random_coefficients(n, degree, rng, scale=1.0):
+    """Uniform coefficients over graded_monomials(n, degree), drawn in that order."""
+    return rng.uniform(-scale, scale, comb(n + degree, n))
 
-    terms = {}
-    for e in graded_monomials(n, degree):
-        terms[e] = rng.uniform(-scale, scale)
-    return MultiPoly(n, terms)
+
+def random_poly(n, degree, rng, scale=1.0):
+    """The MultiPoly of ``random_coefficients``, from the same draws."""
+    coef = random_coefficients(n, degree, rng, scale)
+    return MultiPoly(n, dict(zip(graded_monomials(n, degree), coef)))
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +320,7 @@ def gauss_ratio_scan(ev: HeatKernelEvaluator, vol, points, times,
     grid = ev.point_set(pts)
     for t in times:
         vals, tails = ev.heat_kernel_grid(t, grid, grid)
-        vols = np.array([vol(x, sqrt(t)).value for x in pts])
+        vols = vol.values(pts, sqrt(t))
         for i in range(len(pts)):
             for j in range(i, len(pts)):
                 rho = float(rhos[i, j])
@@ -344,27 +443,31 @@ def _chart_factor(spec):
     return 4.0 if spec.kind == SIMPLEX else 1.0
 
 
-def green_identity_check(spec, f: MultiPoly, h, quad=None):
+def green_identity_check(spec, f, h, quad=None):
     """|int h Lw f dmu + int <grad f, grad h>_g dmu| / max(|lhs|, |rhs|, 1).
 
+    ``f`` is a MultiPoly or a coefficient vector over graded monomials;
     ``h`` provides vectorized values and gradients (PolyField, GaussianBump).
     The weighted Laplacian on the chart equals the polynomial operator up to
-    the fixed chart factor (4 on the simplex).
+    the fixed chart factor (4 on the simplex).  Checks on one quadrature
+    share its monomial Vandermonde.
     """
+    deg, cf = _coefficients(spec.n, f)
+    poly_h = isinstance(h, PolyField)
     if quad is None:
-        deg = f.degree() + (h.poly.degree() if isinstance(h, PolyField) else 0) + 4
-        quad = build_quadrature(spec, deg)
+        quad = build_quadrature(spec, deg + (h.degree if poly_h else 0) + 4)
     pts, w = quad.nodes, quad.weights
-    lf = _chart_factor(spec) * spec.apply_operator(f).eval_many(pts)
-    lhs = float(w @ (h.values(pts) * lf))
-    ginv = inverse_metric_polys(spec)
-    gf = np.stack([poly_partial(f, i).eval_many(pts) for i in range(spec.n)], axis=1)
-    gh = h.gradients(pts)
-    inner = np.zeros(len(pts))
-    for i in range(spec.n):
-        for j in range(spec.n):
-            inner += ginv[i][j].eval_many(pts) * gf[:, i] * gh[:, j]
-    rhs = -float(w @ inner)
+    fr = _frame(spec, pts, max(deg, h.degree) if poly_h else deg)
+    if poly_h:
+        ch = fr.pad(h.coef)
+        hv, gh = fr.V @ ch, fr.VD @ ch
+    else:
+        hv, gh = h.values(pts), h.gradients(pts).T
+    cf = fr.pad(cf)
+    lf = _chart_factor(spec) * (fr.VL @ cf)
+    lhs = float(w @ (hv * lf))
+    gf = fr.VD @ cf
+    rhs = -float(w @ np.einsum("im,mij,jm->m", gf, fr.G, gh))
     return abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1.0)
 
 
@@ -388,18 +491,13 @@ class FluxReport:
 def _ball_flux(spec, f, h, eps):
     n = spec.n
     R = sqrt(1 - eps)
-    grads = [poly_partial(f, i) for i in range(n)]
     if n == 1:
-        total = 0.0
-        for s in (R, -R):
-            xv = np.array([[s]])
-            total += float((s / R) * grads[0].eval_many(xv)[0] * h.values(xv)[0])
+        xv = np.array([[R], [-R]])
+        total = float(np.array([1.0, -1.0]) @ (f.gradients(xv)[:, 0] * h.values(xv)))
         return eps ** (spec.gamma + 0.5) * total
-    theta, wts = _angular_rule(n, max(f.degree() + 6, 32))
+    theta, wts = _angular_rule(n, max(f.degree + 6, 32))
     pts = R * theta
-    radial = np.zeros(len(pts))
-    for i in range(n):
-        radial += theta[:, i] * grads[i].eval_many(pts)
+    radial = np.einsum("mi,mi->m", theta, f.gradients(pts))
     integral = float(wts @ (radial * h.values(pts)))
     return R ** (n - 1) * eps ** (spec.gamma + 0.5) * integral
 
@@ -411,13 +509,11 @@ def _simplex_face_flux(spec, f, h, eps, face):
     |x| = 1 - eps.  Supported for n in {1, 2}.
     """
     n = spec.n
-    kap = spec.kappa
-    grads = [poly_partial(f, i) for i in range(n)]
 
-    def X_comp(x, i):
-        g = grads[i].eval_many(x[None, :])[0]
-        s = sum(x[j] * grads[j].eval_many(x[None, :])[0] for j in range(n))
-        return 4.0 * x[i] * (g - s)
+    def X(x):
+        # the field 4 x_i (d_i f - sum_j x_j d_j f) at one point
+        g = f.gradient_at(x)
+        return 4.0 * x * (g - x @ g)
 
     def wbr(x):
         return weight_density(spec, x)
@@ -425,9 +521,9 @@ def _simplex_face_flux(spec, f, h, eps, face):
     if n == 1:
         if face == 0:
             x = np.array([eps])
-            return -h.values(x[None, :])[0] * wbr(x) * X_comp(x, 0)
+            return -h.values(x[None, :])[0] * wbr(x) * X(x)[0]
         x = np.array([1 - eps])
-        return h.values(x[None, :])[0] * wbr(x) * X_comp(x, 0)
+        return h.values(x[None, :])[0] * wbr(x) * X(x)[0]
     if n != 2:
         raise CapacityError("simplex flux faces implemented for n in {1, 2}")
     if face < n:
@@ -437,7 +533,7 @@ def _simplex_face_flux(spec, f, h, eps, face):
             x = np.empty(2)
             x[face] = eps
             x[other] = u
-            return -h.values(x[None, :])[0] * wbr(x) * X_comp(x, face)
+            return -h.values(x[None, :])[0] * wbr(x) * X(x)[face]
 
         val, _ = scipy_quad(integrand, eps, 1 - 2 * eps, limit=200)
         return val
@@ -446,7 +542,7 @@ def _simplex_face_flux(spec, f, h, eps, face):
     # sqrt(n) dx', so the two sqrt(n) factors cancel
     def integrand(u):
         x = np.array([u, 1 - eps - u])
-        return h.values(x[None, :])[0] * wbr(x) * (X_comp(x, 0) + X_comp(x, 1))
+        return h.values(x[None, :])[0] * wbr(x) * X(x).sum()
 
     val, _ = scipy_quad(integrand, eps, 1 - 2 * eps, limit=200)
     return val
@@ -457,7 +553,9 @@ def boundary_flux_decay(spec, f, h, epsilons):
 
     The ball has a single spherical face with expected rate gamma + 1/2; the
     simplex is decomposed into its n + 1 faces with per-face rates
-    kappa_i + 1/2, the smallest kappa dominating the total.
+    kappa_i + 1/2, the smallest kappa dominating the total.  ``f`` is a
+    MultiPoly or a coefficient vector over graded monomials, ``h`` provides
+    vectorized values (PolyField, GaussianBump).
     """
     eps = sorted(set(float(e) for e in epsilons), reverse=True)
     if len(eps) < 4 or not all(0 < e < 0.5 for e in eps):
@@ -468,6 +566,7 @@ def boundary_flux_decay(spec, f, h, epsilons):
             "to the n=1 simplex first"
         )
     faces = {}
+    f = PolyField(f, spec.n)
     if spec.kind == BALL:
         names = ["sphere"]
         expected = {"sphere": spec.gamma + 0.5}
@@ -509,35 +608,25 @@ def boundary_flux_decay(spec, f, h, epsilons):
 # chart correspondence
 
 
-def chart_laplacian_check(spec, f: MultiPoly, points):
+def chart_laplacian_check(spec, f, points):
     """Max relative gap between the chart-side weighted Laplacian and the
-    polynomial operator (times 4 on the simplex) over the sample points."""
+    polynomial operator (times 4 on the simplex) over the sample points.
+
+    The chart side is sum_ij G^ij d_i d_j f + sum_j (sum_i d_i G^ij
+    + sum_i G^ij d_i log w) d_j f, with the inverse metric G, its divergence
+    and the log-weight gradient in closed form at the points.
+    """
     pts = np.atleast_2d(np.asarray(points, float))
-    n = spec.n
-    ginv = inverse_metric_polys(spec)
-    div_j = []
-    for j in range(n):
-        s = MultiPoly.zero(n)
-        for i in range(n):
-            s = s + poly_partial(ginv[i][j], i)
-        div_j.append(s)
-    f_i = [poly_partial(f, i) for i in range(n)]
-    f_ij = [[poly_partial(f_i[i], j) for j in range(n)] for i in range(n)]
-
-    chart = np.zeros(len(pts))
-    for i in range(n):
-        for j in range(n):
-            chart += ginv[i][j].eval_many(pts) * f_ij[i][j].eval_many(pts)
-    for j in range(n):
-        chart += div_j[j].eval_many(pts) * f_i[j].eval_many(pts)
+    deg, c = _coefficients(spec.n, f)
+    fr = _frame(spec, pts, deg)
+    c = fr.pad(c)
+    first = [c @ D for D in fr.partials]        # coefficients of d_i f
+    chart = sum(fr.G[:, i, j] * (fr.V @ (first[i] @ D))
+                for i in range(spec.n) for j, D in enumerate(fr.partials))
     logw = np.stack([weight_log_gradient(spec, p) for p in pts], axis=0)
-    for j in range(n):
-        coef = np.zeros(len(pts))
-        for i in range(n):
-            coef += ginv[i][j].eval_many(pts) * logw[:, i]
-        chart += coef * f_i[j].eval_many(pts)
-
-    op = _chart_factor(spec) * spec.apply_operator(f).eval_many(pts)
+    drift = _metric_divergence(spec, pts) + np.einsum("mij,mi->mj", fr.G, logw)
+    chart = chart + np.einsum("mj,jm->m", drift, fr.VD @ c)
+    op = _chart_factor(spec) * (fr.VL @ c)
     num = float(np.max(np.abs(chart - op)))
     den = float(np.max(np.maximum(np.abs(chart), np.abs(op))))
     return num / den if den > 0 else num
@@ -573,15 +662,6 @@ def _substitution_matrix(max_k):
                      for r in range(max_k + 1)])
 
 
-def _operator_matrix(spec, max_k):
-    """Dense M with (L p) = c @ M for univariate p of coefficients c, ascending."""
-    diag, lowering = monomial_operator(spec, [(d,) for d in range(max_k + 1)])
-    M = np.diag(diag)
-    for src, dst, coef in lowering:
-        M[src, dst] += coef
-    return M
-
-
 def jacobi_simplex_correspondence(alpha, beta, max_k, grid_size=20,
                                   times=(0.2, 1.0), tol=1e-9, seed=0):
     """Four residuals tying the interval operator to the n=1 simplex:
@@ -594,7 +674,7 @@ def jacobi_simplex_correspondence(alpha, beta, max_k, grid_size=20,
     (i) and (ii) work on ascending coefficient arrays: the substitution
     x -> 2x - 1 is one product with the exact matrix of
     ``_substitution_matrix`` and each operator one product with its dense
-    matrix from ``monomial_operator``.
+    matrix from ``operator_matrix``.
     """
     kappa = (beta + 0.5, alpha + 0.5)
     ispec = DomainSpec.interval(alpha, beta)
@@ -603,9 +683,10 @@ def jacobi_simplex_correspondence(alpha, beta, max_k, grid_size=20,
     A = _substitution_matrix(max_k)
     checks = []
 
-    f = rng.uniform(-1.0, 1.0, max_k + 1)     # random_poly(1, max_k, rng), ascending
-    lhs = (f @ A) @ _operator_matrix(sspec, max_k)
-    rhs = (f @ _operator_matrix(ispec, max_k)) @ A
+    monomials = graded_monomials(1, max_k)    # (0,), (1,), ..., (max_k,)
+    f = random_coefficients(1, max_k, rng)
+    lhs = (f @ A) @ operator_matrix(sspec, monomials)
+    rhs = (f @ operator_matrix(ispec, monomials)) @ A
     scale = max(np.abs(lhs).max(), np.abs(rhs).max(), 1e-300)
     checks.append(("operator_conjugation", np.abs(lhs - rhs).max() / scale))
 
@@ -688,20 +769,21 @@ def localization_check(ev, delta, m, vol, anchors=None, window=(2.0, 20.0),
     rows_x, rows_y = [], []
     excluded = used = 0
     cm = 0.0
-    for i, (a, (dists, targets)) in enumerate(zip(anchors, rays)):
-        va = vol(a, delta).value
-        for idx in range(len(targets)):
-            k, b = abs(float(vals[i, used])), float(tails[i, used])
-            used += 1
-            if k > 0 and b > 0.1 * k:
-                excluded += 1
-                continue
-            xi = dists[idx] / delta
-            base = k * sqrt(va * vol(targets[idx], delta).value)
-            cm = max(cm, base * (1.0 + xi) ** m)
-            if window[0] <= xi <= window[1] and base > 0:
-                rows_x.append(1.0 + xi)
-                rows_y.append(base)
+    va = vol.values(anchors, delta)
+    for i, (dists, targets) in enumerate(rays):
+        cols = slice(used, used + len(targets))
+        used += len(targets)
+        k, b = np.abs(vals[i, cols]), tails[i, cols]
+        keep = ~((k > 0) & (b > 0.1 * k))
+        excluded += int(np.count_nonzero(~keep))
+        if not keep.any():
+            continue
+        xi = dists[keep] / delta
+        base = k[keep] * np.sqrt(va[i] * vol.values(targets[keep], delta))
+        cm = max(cm, float(np.max(base * (1.0 + xi) ** m)))
+        fit = (window[0] <= xi) & (xi <= window[1]) & (base > 0)
+        rows_x.extend((1.0 + xi[fit]).tolist())
+        rows_y.extend(base[fit].tolist())
     if excluded > 0.2 * used:
         raise PrecisionError(
             f"{excluded}/{used} grid points dominated by truncation; "
@@ -797,13 +879,16 @@ def finite_speed_scan(ev, delta, m, A, anchors=None, threshold=1e-8,
 # symmetry / self-adjointness
 
 
-def operator_symmetry_residual(spec, quad, f: MultiPoly, h: MultiPoly):
-    """(relative symmetry gap of the bilinear form, -int f Lf dmu)."""
+def operator_symmetry_residual(spec, quad, f, h):
+    """(relative symmetry gap of the bilinear form, -int f Lf dmu).
+
+    ``f`` and ``h`` are MultiPolys or coefficient vectors over graded monomials.
+    """
     pts, w = quad.nodes, quad.weights
-    lf = spec.apply_operator(f).eval_many(pts)
-    lh = spec.apply_operator(h).eval_many(pts)
-    fv = f.eval_many(pts)
-    hv = h.eval_many(pts)
+    (df, cf), (dh, ch) = _coefficients(spec.n, f), _coefficients(spec.n, h)
+    fr = _frame(spec, pts, max(df, dh))
+    cf, ch = fr.pad(cf), fr.pad(ch)
+    fv, lf, hv, lh = fr.V @ cf, fr.VL @ cf, fr.V @ ch, fr.VL @ ch
     a = float(w @ (lf * hv))
     b = float(w @ (fv * lh))
     gap = abs(a - b) / max(abs(a), abs(b), 1.0)
@@ -811,8 +896,11 @@ def operator_symmetry_residual(spec, quad, f: MultiPoly, h: MultiPoly):
     return gap, dirichlet
 
 
-def kernel_selfadjointness_residual(ev, t, f: MultiPoly, h: MultiPoly, quad=None):
-    """Relative gap of int (e^{tL} f) h dmu against int f (e^{tL} h) dmu."""
+def kernel_selfadjointness_residual(ev, t, f, h, quad=None):
+    """Relative gap of int (e^{tL} f) h dmu against int f (e^{tL} h) dmu.
+
+    ``f`` and ``h`` are MultiPolys or coefficient vectors over graded monomials.
+    """
     basis = ev.basis
     if quad is None:
         quad = basis.quad
@@ -820,8 +908,11 @@ def kernel_selfadjointness_residual(ev, t, f: MultiPoly, h: MultiPoly, quad=None
     else:
         V = basis.evaluate(quad.nodes)
     w = quad.weights
-    fv = f.eval_many(quad.nodes)
-    hv = h.eval_many(quad.nodes)
+    n = basis.spec.n
+    (df, cf), (dh, ch) = _coefficients(n, f), _coefficients(n, h)
+    M = monomial_vandermonde(quad.nodes, graded_monomials(n, max(df, dh)))
+    fv = M[:, :len(cf)] @ cf
+    hv = M[:, :len(ch)] @ ch
     coef_f = V.T @ (w * fv)
     coef_h = V.T @ (w * hv)
     damp = np.concatenate([

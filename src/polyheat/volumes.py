@@ -26,6 +26,7 @@ from scipy.special import betainc, betaincinv
 
 from .domains import (
     BALL,
+    CONTAINMENT_TOL,
     INTERVAL,
     SIMPLEX,
     DomainSpec,
@@ -82,15 +83,17 @@ def sample_measure(spec, count, rng):
     raise DomainError("direct sampling implemented for ball and simplex")
 
 
-def _interval_volume(spec, x, r):
-    theta = acos(min(1.0, max(-1.0, x[0])))
-    lo, hi = max(0.0, theta - r), min(pi, theta + r)
+def _interval_volumes(spec, xs, r):
+    """Exact V(x, r) on the interval for an array of points x, 0 < r < pi."""
+    # math.acos, not np.arccos, whose SIMD loop differs in the last bit on
+    # some points; the betainc differences below cancel and magnify it
+    theta = np.array([acos(v) for v in np.clip(xs, -1.0, 1.0).tolist()])
+    lo, hi = np.maximum(0.0, theta - r), np.minimum(pi, theta + r)
     # y runs over (cos(hi), cos(lo)); substitute u = (1+y)/2
     a, b = spec.alpha, spec.beta
     u_lo, u_hi = (1 + np.cos(hi)) / 2, (1 + np.cos(lo)) / 2
     scale = 2.0 ** (a + b + 1) * np.exp(log_beta(b + 1, a + 1))
-    val = scale * (betainc(b + 1, a + 1, u_hi) - betainc(b + 1, a + 1, u_lo))
-    return float(val)
+    return scale * (betainc(b + 1, a + 1, u_hi) - betainc(b + 1, a + 1, u_lo))
 
 
 # (key, lifted sample) of the last Monte Carlo query: one sample is kept
@@ -161,7 +164,7 @@ def ball_volume(spec, x, r, samples=DEFAULT_SAMPLES, seed=0, strata=RADIAL_STRAT
     if r >= pi:
         return VolumeEstimate(mass, 0.0, "exact1d" if spec.kind == INTERVAL else "montecarlo", 0)
     if spec.kind == INTERVAL:
-        return VolumeEstimate(_interval_volume(spec, x, r), 0.0, "exact1d", 0)
+        return VolumeEstimate(float(_interval_volumes(spec, x, r)[0]), 0.0, "exact1d", 0)
 
     strata = strata if spec.kind == BALL else 1
     if samples < strata:
@@ -205,3 +208,34 @@ class VolumeSource:
                 )
             self._cache[key] = est
         return self._cache[key]
+
+    def values(self, points, r):
+        """V(x, r).value for each row of ``points``, through the same cache.
+
+        On the interval the misses are one vectorized incomplete-Beta
+        evaluation; on the ball and simplex each point is one query as
+        through ``__call__``.
+        """
+        pts = np.asarray(points, dtype=float).reshape(-1, self.spec.n)
+        if self.spec.kind != INTERVAL:
+            return np.array([self(x, r).value for x in pts])
+        if r <= 0:
+            raise DomainError("radius must be positive")
+        outside = ~(np.abs(pts[:, 0]) <= 1 + CONTAINMENT_TOL)     # NaN is outside too
+        if outside.any():
+            raise DomainError(f"point {pts[outside][0].tolist()} lies outside the closed interval")
+        rr = round(float(r), 15)
+        keys = [(x, rr) for x in map(tuple, np.round(pts, 15).tolist())]
+        # first row of each missing key, as a run of single queries would take
+        miss = {}
+        for i, key in enumerate(keys):
+            if key not in self._cache:
+                miss.setdefault(key, i)
+        if miss:
+            if r >= pi:
+                vals = np.full(len(miss), total_mass(self.spec))
+            else:
+                vals = _interval_volumes(self.spec, pts[list(miss.values()), 0], r)
+            for key, v in zip(miss, vals.tolist()):
+                self._cache[key] = VolumeEstimate(v, 0.0, "exact1d", 0)
+        return np.array([self._cache[key].value for key in keys])

@@ -4,20 +4,37 @@ Everything here is computed through a different route than the library code
 it checks: sympy symbolic calculus for the operators, closed-form Gamma
 integrals for monomial moments, the classical cosine series for the
 equilibrium-weight heat kernel, LAPACK determinants, a member-by-member
-Gram-Schmidt build of the ball and simplex bases, and the interval/simplex
-correspondence through sparse polynomial arithmetic and scalar distances.
+Gram-Schmidt build of the ball and simplex bases, the interval/simplex
+correspondence through sparse polynomial arithmetic and scalar distances,
+and the Green, chart and flux checks through ``MultiPoly`` arithmetic (the
+operator applied term by term, the inverse metric as exact polynomials,
+every evaluation through ``eval_many``).
 """
 
 from math import exp, lgamma, pi, sqrt
 
 import numpy as np
 import sympy as sp
+from scipy.integrate import quad as scipy_quad
 
 from polyheat.basis import build_basis, level_dimension
-from polyheat.domains import DomainSpec, distance
+from polyheat.domains import (
+    BALL,
+    DomainSpec,
+    distance,
+    inverse_metric_polys,
+    weight_density,
+    weight_log_gradient,
+)
 from polyheat.errors import DomainError, PrecisionError
-from polyheat.polynomials import MultiPoly, apply_jacobi_operator, apply_simplex_operator
-from polyheat.validation import random_poly
+from polyheat.polynomials import (
+    MultiPoly,
+    apply_jacobi_operator,
+    apply_simplex_operator,
+    poly_partial,
+)
+from polyheat.quadrature import _angular_rule
+from polyheat.validation import loglog_fit, random_poly
 
 
 def poly_to_sympy(p, symbols):
@@ -220,4 +237,143 @@ def reference_correspondence(alpha, beta, max_k, grid_size=20, seed=0):
     out["distance_halving"] = max(
         abs(distance(sspec, [(x + 1) / 2], [(y + 1) / 2]) - distance(ispec, [x], [y]) / 2.0)
         for x in xs for y in xs)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Green, chart and flux through MultiPoly arithmetic
+
+
+class ReferenceField:
+    """A MultiPoly test function evaluated term by term."""
+
+    def __init__(self, poly):
+        self.poly = poly
+        self._grads = [poly_partial(poly, i) for i in range(poly.dimension)]
+
+    def values(self, pts):
+        return self.poly.eval_many(pts)
+
+    def gradients(self, pts):
+        pts = np.atleast_2d(np.asarray(pts, float))
+        return np.stack([g.eval_many(pts) for g in self._grads], axis=1)
+
+
+def _chart_factor(spec):
+    return 4.0 if spec.kind == "simplex" else 1.0
+
+
+def reference_green(spec, f, h, quad):
+    """``green_identity_check`` through MultiPoly; ``h`` a ReferenceField or bump."""
+    pts, w = quad.nodes, quad.weights
+    lf = _chart_factor(spec) * spec.apply_operator(f).eval_many(pts)
+    lhs = float(w @ (h.values(pts) * lf))
+    ginv = inverse_metric_polys(spec)
+    gf = np.stack([poly_partial(f, i).eval_many(pts) for i in range(spec.n)], axis=1)
+    gh = h.gradients(pts)
+    inner = np.zeros(len(pts))
+    for i in range(spec.n):
+        for j in range(spec.n):
+            inner += ginv[i][j].eval_many(pts) * gf[:, i] * gh[:, j]
+    rhs = -float(w @ inner)
+    return abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1.0)
+
+
+def reference_chart(spec, f, points):
+    """``chart_laplacian_check`` through MultiPoly: the metric divergence too."""
+    pts = np.atleast_2d(np.asarray(points, float))
+    n = spec.n
+    ginv = inverse_metric_polys(spec)
+    div_j = []
+    for j in range(n):
+        s = MultiPoly.zero(n)
+        for i in range(n):
+            s = s + poly_partial(ginv[i][j], i)
+        div_j.append(s)
+    f_i = [poly_partial(f, i) for i in range(n)]
+    f_ij = [[poly_partial(f_i[i], j) for j in range(n)] for i in range(n)]
+    chart = np.zeros(len(pts))
+    for i in range(n):
+        for j in range(n):
+            chart += ginv[i][j].eval_many(pts) * f_ij[i][j].eval_many(pts)
+    for j in range(n):
+        chart += div_j[j].eval_many(pts) * f_i[j].eval_many(pts)
+    logw = np.stack([weight_log_gradient(spec, p) for p in pts], axis=0)
+    for j in range(n):
+        coef = np.zeros(len(pts))
+        for i in range(n):
+            coef += ginv[i][j].eval_many(pts) * logw[:, i]
+        chart += coef * f_i[j].eval_many(pts)
+    op = _chart_factor(spec) * spec.apply_operator(f).eval_many(pts)
+    num = float(np.max(np.abs(chart - op)))
+    den = float(np.max(np.maximum(np.abs(chart), np.abs(op))))
+    return num / den if den > 0 else num
+
+
+def _reference_ball_flux(spec, f, h, eps):
+    n = spec.n
+    R = sqrt(1 - eps)
+    grads = [poly_partial(f, i) for i in range(n)]
+    if n == 1:
+        total = 0.0
+        for s in (R, -R):
+            xv = np.array([[s]])
+            total += float((s / R) * grads[0].eval_many(xv)[0] * h.values(xv)[0])
+        return eps ** (spec.gamma + 0.5) * total
+    theta, wts = _angular_rule(n, max(f.degree() + 6, 32))
+    pts = R * theta
+    radial = np.zeros(len(pts))
+    for i in range(n):
+        radial += theta[:, i] * grads[i].eval_many(pts)
+    integral = float(wts @ (radial * h.values(pts)))
+    return R ** (n - 1) * eps ** (spec.gamma + 0.5) * integral
+
+
+def _reference_simplex_face_flux(spec, f, h, eps, face):
+    n = spec.n
+    grads = [poly_partial(f, i) for i in range(n)]
+
+    def X_comp(x, i):
+        g = grads[i].eval_many(x[None, :])[0]
+        s = sum(x[j] * grads[j].eval_many(x[None, :])[0] for j in range(n))
+        return 4.0 * x[i] * (g - s)
+
+    def wbr(x):
+        return weight_density(spec, x)
+
+    if n == 1:
+        x = np.array([eps if face == 0 else 1 - eps])
+        sign = -1.0 if face == 0 else 1.0
+        return sign * h.values(x[None, :])[0] * wbr(x) * X_comp(x, 0)
+    if face < n:
+        other = 1 - face
+
+        def integrand(u):
+            x = np.empty(2)
+            x[face] = eps
+            x[other] = u
+            return -h.values(x[None, :])[0] * wbr(x) * X_comp(x, face)
+    else:
+        def integrand(u):
+            x = np.array([u, 1 - eps - u])
+            return h.values(x[None, :])[0] * wbr(x) * (X_comp(x, 0) + X_comp(x, 1))
+
+    val, _ = scipy_quad(integrand, eps, 1 - 2 * eps, limit=200)
+    return val
+
+
+def reference_flux(spec, f, h, epsilons):
+    """Per face (J values in decreasing epsilon, fitted slope or None) through MultiPoly."""
+    eps = sorted(set(float(e) for e in epsilons), reverse=True)
+    if spec.kind == BALL:
+        faces = {"sphere": [_reference_ball_flux(spec, f, h, e) for e in eps]}
+    else:
+        names = [f"F{i + 1}" for i in range(spec.n)] + ["H"]
+        faces = {nm: [_reference_simplex_face_flux(spec, f, h, e, i) for e in eps]
+                 for i, nm in enumerate(names)}
+    out = {}
+    for nm, J in faces.items():
+        vals = np.abs(np.array(J))
+        slope = None if np.all(vals < 1e-14) else loglog_fit(eps, vals)[0]
+        out[nm] = (J, slope)
     return out

@@ -84,7 +84,9 @@ class TestGeom:
         assert val == pytest.approx(abs(np.arccos(0.3) - np.arccos(0.5)), rel=1e-12)
 
     @pytest.mark.parametrize("query", [["dist", "--x", "2,0", "--y", "0,0"],
-                                       ["metric", "--x", "1,0"]])
+                                       ["metric", "--x", "1,0"],
+                                       ["dist", "--x", "abc", "--y", "0.1"],
+                                       ["volume", "--x", "0.1,zz", "--r", "0.3"]])
     def test_bad_point_is_one_line_error(self, tmp_path, capsys, query):
         cfgfile = write_config(tmp_path, "[domain]\nkind = ball\nn = 2\ngamma = 0.5\n")
         assert main(["--config", cfgfile, "geom"] + query) == 2
@@ -108,6 +110,14 @@ class TestGeom:
         main(["--config", cfgfile, "geom", "volume", "--x", "0.1,0.1", "--r", "0.4",
               "--samples", "50000"])
         assert capsys.readouterr().out == first
+
+
+    def test_malformed_point_without_config(self, capsys):
+        assert main(["geom", "dist", "--x", "abc", "--y", "0.1"]) == 2
+        out, err = capsys.readouterr()
+        assert err == ("error: malformed point 'abc': expected numbers separated "
+                       "by commas or spaces\n")
+        assert out == ""
 
 
 class TestKernelExport:
@@ -226,6 +236,26 @@ class TestValidate:
             f"[basis]\nmax_degree = 200\n[run]\noutput = {tmp_path}\n"))
         assert main(["--config", cfgfile, "validate", "all"]) == 0
         assert len(calls) <= 20
+
+    @pytest.mark.parametrize("suite", ["green", "chart", "flux"])
+    def test_array_suites_apply_no_multipoly_operator(self, tmp_path, capsys, monkeypatch,
+                                                       suite):
+        import polyheat.domains
+        import polyheat.polynomials
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a MultiPoly operator was applied")
+
+        for module in (polyheat.polynomials, polyheat.domains):
+            for name in ("apply_ball_operator", "apply_simplex_operator",
+                         "apply_jacobi_operator"):
+                monkeypatch.setattr(module, name, refuse)
+        cfgfile = write_config(tmp_path, (
+            "[domain]\nkind = ball\nn = 2\ngamma = 0.5\n[basis]\nmax_degree = 12\n"
+            f"[run]\noutput = {tmp_path}\n"))
+        assert main(["--config", cfgfile, "validate", suite]) == 0
+        report = json.loads((tmp_path / f"validate_{suite}.json").read_text())
+        assert report["suites"][suite]["pass"] is True
 
     def test_correspondence_suite(self, tmp_path, capsys):
         cfgfile = write_config(tmp_path, INTERVAL_INI.format(out=tmp_path))

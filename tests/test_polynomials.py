@@ -3,12 +3,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polyheat.basis import graded_monomials
+from polyheat.domains import DomainSpec
 from polyheat.errors import DomainError, ParameterError
 from polyheat.polynomials import (
     MultiPoly,
     apply_ball_operator,
     apply_jacobi_operator,
     apply_simplex_operator,
+    monomial_vandermonde,
+    operator_matrix,
+    partial_matrix,
     poly_eval,
     poly_partial,
 )
@@ -152,6 +157,41 @@ class TestOperators:
             apply_simplex_operator(x, (-0.5, 0.5))
         with pytest.raises(ParameterError):
             apply_simplex_operator(x, (0.5, 0.5, 0.5))
+
+
+def as_coefficients(p, monomials):
+    return np.array([p.coeff(e) for e in monomials])
+
+
+class TestCoefficientArrays:
+    """The dense coefficient-array path against MultiPoly arithmetic."""
+
+    @pytest.mark.parametrize("spec", [DomainSpec.interval(0.7, -0.3), DomainSpec.ball(2, 0.5),
+                                      DomainSpec.ball(3, 0.0),
+                                      DomainSpec.simplex(2, (-0.3, 0.8, 1.7)),
+                                      DomainSpec.simplex(3, (0.25, 0.5, 0.5, 1.0))],
+                             ids=lambda s: s.label())
+    def test_operator_and_partials(self, spec):
+        rng = np.random.default_rng(13)
+        monomials = graded_monomials(spec.n, 6)
+        p = rand_poly(spec.n, 6, rng)
+        c = as_coefficients(p, monomials)
+        got = c @ operator_matrix(spec, monomials)
+        want = as_coefficients(spec.apply_operator(p), monomials)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        for axis in range(spec.n):
+            want = as_coefficients(poly_partial(p, axis), monomials)
+            assert np.array_equal(c @ partial_matrix(monomials, axis), want)
+
+    def test_vandermonde_matches_eval_many(self):
+        rng = np.random.default_rng(14)
+        monomials = graded_monomials(3, 5)
+        p = rand_poly(3, 5, rng)
+        pts = rng.uniform(-1, 1, (20, 3))
+        vals = monomial_vandermonde(pts, monomials) @ as_coefficients(p, monomials)
+        assert np.abs(vals - p.eval_many(pts)).max() <= 1e-13
+        with pytest.raises(DomainError):
+            monomial_vandermonde(pts[:, :2], monomials)
 
 
 class TestSerialization:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from polyheat.basis import build_basis
+from polyheat.basis import build_basis, graded_monomials
 from polyheat.domains import DomainSpec, distance
 from polyheat.errors import DomainError
 from polyheat.heat import HeatKernelEvaluator
@@ -22,11 +22,31 @@ from polyheat.validation import (
     jacobi_simplex_correspondence,
     localization_check,
     loglog_fit,
+    random_coefficients,
     random_poly,
 )
 from polyheat.volumes import VolumeSource
 
-from _oracles import reference_correspondence
+from _oracles import (
+    ReferenceField,
+    reference_chart,
+    reference_correspondence,
+    reference_flux,
+    reference_green,
+)
+
+ORACLE_SPECS = [DomainSpec.ball(2, 0.5), DomainSpec.ball(3, 0.0),
+                DomainSpec.simplex(2, (0.5, 0.5, 0.5)),
+                DomainSpec.simplex(3, (0.25, 0.5, 0.5, 1.0)),
+                DomainSpec.interval(0.7, -0.3)]
+
+
+def poly_of(n, coef):
+    """The MultiPoly of a coefficient vector over graded monomials."""
+    degree = 0
+    while len(graded_monomials(n, degree)) < len(coef):
+        degree += 1
+    return MultiPoly(n, dict(zip(graded_monomials(n, degree), coef)))
 
 
 @pytest.fixture(scope="module")
@@ -166,6 +186,76 @@ class TestChart:
         pts = interior_points(spec, 50, margin=0.02)
         f = random_poly(spec.n, 5, rng)
         assert chart_laplacian_check(spec, f, pts) <= 1e-8
+
+
+class TestArraysMatchMultiPoly:
+    """Green, chart and flux on coefficient arrays against the MultiPoly route."""
+
+    @pytest.mark.parametrize("spec", ORACLE_SPECS, ids=lambda s: s.label())
+    def test_green(self, spec):
+        rng = np.random.default_rng(8)
+        quad = build_quadrature(spec, 18)
+        for _ in range(4):
+            fc = random_coefficients(spec.n, 6, rng)
+            hc = random_coefficients(spec.n, 4, rng)
+            f, h = poly_of(spec.n, fc), poly_of(spec.n, hc)
+            want = reference_green(spec, f, ReferenceField(h), quad)
+            assert abs(green_identity_check(spec, fc, PolyField(hc, spec.n), quad) - want) <= 1e-13
+            assert abs(green_identity_check(spec, f, PolyField(h), quad) - want) <= 1e-13
+        bump = GaussianBump(np.full(spec.n, 0.1), 0.6)
+        want = reference_green(spec, f, bump, quad)
+        assert abs(green_identity_check(spec, f, bump, quad) - want) <= 1e-13
+
+    def test_green_frames_follow_the_points(self):
+        # checks on different point sets of one shape and degree never share values
+        spec = DomainSpec.ball(2, 0.5)
+        f = random_poly(2, 4, np.random.default_rng(9))
+        h = random_poly(2, 3, np.random.default_rng(10))
+        quads = [build_quadrature(spec, 14), build_quadrature(DomainSpec.ball(2, 0.0), 14)]
+        assert quads[0].nodes.shape == quads[1].nodes.shape
+        for quad in quads + quads[::-1]:
+            want = reference_green(spec, f, ReferenceField(h), quad)
+            assert abs(green_identity_check(spec, f, PolyField(h), quad) - want) <= 1e-13
+
+    @pytest.mark.parametrize("spec", ORACLE_SPECS, ids=lambda s: s.label())
+    def test_chart(self, spec):
+        rng = np.random.default_rng(11)
+        pts = interior_points(spec, 60, margin=0.02)
+        for _ in range(3):
+            fc = random_coefficients(spec.n, 5, rng)
+            want = reference_chart(spec, poly_of(spec.n, fc), pts)
+            assert abs(chart_laplacian_check(spec, fc, pts) - want) <= 1e-13
+
+    @pytest.mark.parametrize("spec, f, h", [
+        (DomainSpec.ball(2, 0.5), MultiPoly.monomial((2, 0)), MultiPoly.constant(2, 1.0)),
+        (DomainSpec.ball(3, 0.0), MultiPoly.monomial((2, 0, 0)), MultiPoly.constant(3, 1.0)),
+        (DomainSpec.ball(2, 0.5), random_poly(2, 4, np.random.default_rng(12)),
+         random_poly(2, 3, np.random.default_rng(13))),
+        (DomainSpec.ball(1, 0.8), random_poly(1, 4, np.random.default_rng(14)),
+         random_poly(1, 2, np.random.default_rng(15))),
+        (DomainSpec.simplex(2, (0.5, 0.5, 0.5)),
+         MultiPoly.variable(2, 0) + 0.5 * MultiPoly.monomial((2, 0)),
+         GaussianBump([0.0, 0.45], [np.inf, 0.15])),
+        (DomainSpec.simplex(2, (0.25, 0.5, 0.75)), random_poly(2, 3, np.random.default_rng(16)),
+         random_poly(2, 2, np.random.default_rng(17))),
+        # interval(0.7, -0.3) as the n=1 simplex
+        (DomainSpec.simplex(1, (0.2, 1.2)),
+         MultiPoly.variable(1, 0) + 0.5 * MultiPoly.monomial((2,)), MultiPoly.constant(1, 1.0)),
+    ], ids=["ball2", "ball3", "ball2-random", "ball1-random", "simplex2", "simplex2-random",
+            "interval-as-simplex1"])
+    def test_flux(self, spec, f, h):
+        eps = [0.2, 0.1, 0.05, 0.02, 0.01]
+        field = PolyField(h) if isinstance(h, MultiPoly) else h
+        ref = reference_flux(spec, f, ReferenceField(h) if isinstance(h, MultiPoly) else h, eps)
+        rep = boundary_flux_decay(spec, f, field, eps)
+        assert set(rep.faces) == set(ref)
+        for name, (J, slope) in ref.items():
+            got = rep.faces[name]
+            assert np.allclose(got["J"], J, rtol=1e-12, atol=0.0), name
+            if slope is None:
+                assert got["slope"] is None
+            else:
+                assert abs(got["slope"] - slope) <= 1e-9, name
 
 
 class TestCorrespondence:

@@ -165,6 +165,47 @@ class TestVolumeSource:
         assert (float(value), float(stderr)) == (float(f"{est.value:.12g}"),
                                                  float(f"{est.stderr:.12g}"))
 
+    @pytest.mark.parametrize("alpha, beta", [(-0.5, -0.5), (0.7, -0.3), (-0.9, 1.5)])
+    def test_interval_many_points_match_scalar(self, alpha, beta):
+        spec = DomainSpec.interval(alpha, beta)
+        xs = np.concatenate([[-1.0, 1.0, 0.0], np.cos(np.linspace(0.01, pi - 0.01, 36))])
+        for r in (1e-3, 0.1, 0.7, 2.0, pi):
+            src = VolumeSource(spec)
+            got = src.values(xs[:, None], r)
+            want = np.array([ball_volume(spec, (x,), r).value for x in xs])
+            assert np.all(np.abs(got - want) <= 1e-14 * want)
+            # the batch fills the same per-(x, r) cache as single queries
+            assert src((xs[5],), r).value == got[5]
+            assert len(src._cache) == len(xs)
+        if (alpha, beta) == (-0.5, -0.5):
+            arcs = [arc_volume_chebyshev(x, 0.7) for x in xs]
+            assert np.allclose(VolumeSource(spec).values(xs[:, None], 0.7), arcs,
+                               rtol=1e-13, atol=0.0)
+
+    def test_interval_rows_of_one_key_read_like_single_queries(self):
+        # cos(pi/2) rounds to the key of 0.0: the first row's value serves both
+        spec = DomainSpec.interval(0.7, -0.3)
+        xs = np.array([[0.0], [np.cos(pi / 2)], [0.4]])
+        single = VolumeSource(spec)
+        want = [single(x, 0.2).value for x in xs]
+        assert VolumeSource(spec).values(xs, 0.2).tolist() == want
+
+    def test_interval_many_points_refuse_like_scalar(self):
+        src = VolumeSource(DomainSpec.interval(0.0, 0.0))
+        with pytest.raises(DomainError):
+            src.values([[0.2], [1.5]], 0.3)
+        with pytest.raises(DomainError):
+            src.values([[np.nan]], 0.3)
+        with pytest.raises(DomainError):
+            src.values([[0.2]], 0.0)
+
+    def test_monte_carlo_many_points_are_single_queries(self):
+        spec = DomainSpec.simplex(2, (0.5, 0.5, 0.5))
+        xs = np.array([(0.1, 0.2), (0.3, 0.3), (0.6, 0.1)])
+        got = VolumeSource(spec, samples=50_000, seed=8).values(xs, 0.3)
+        single = VolumeSource(spec, samples=50_000, seed=8)
+        assert got.tolist() == [single(x, 0.3).value for x in xs]
+
     def test_memory_is_one_lifted_sample(self):
         spec, N = DomainSpec.ball(2, 0.5), 200_000
         rng = np.random.default_rng(3)
