@@ -255,15 +255,12 @@ def suite_kernel(cfg, ev, vol, rng):
                    for t in (ev.policy.t_min, 1.0, 5.0))
     x, y = pts[0], pts[-1]
     semi = max(ev.semigroup_check(0.3, 0.2, x, y), ev.semigroup_check(0.5, 0.5, x, y))
-    va, _ = ev.heat_kernel(0.2, x, y)
-    vb, _ = ev.heat_kernel(0.2, y, x)
-    sym = abs(va - vb)
     f = val.random_coefficients(spec.n, min(10, ev.basis.max_degree), rng)
     h = val.random_coefficients(spec.n, min(10, ev.basis.max_degree), rng)
     selfadj = val.kernel_selfadjointness_residual(ev, 0.5, f, h)
     results = {"mass_error": mass_err, "semigroup_gap": float(semi),
-               "symmetry_gap": float(sym), "selfadjoint_gap": float(selfadj)}
-    ok = mass_err <= 1e-6 and semi <= 1e-6 and sym <= 1e-13 and selfadj <= 1e-8
+               "selfadjoint_gap": float(selfadj)}
+    ok = mass_err <= 1e-6 and semi <= 1e-6 and selfadj <= 1e-8
     return results, ok
 
 

@@ -13,7 +13,7 @@ from .domains import BALL, INTERVAL, SIMPLEX, DomainSpec
 from .errors import ParameterError
 from .volumes import RADIAL_STRATA
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 
 def _parse_floats(text):

@@ -10,10 +10,10 @@ weights, so polynomial integrands are integrated exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import pi
+from functools import lru_cache
+from math import pi, sqrt
 
 import numpy as np
-from scipy.special import roots_jacobi, roots_legendre
 
 from .domains import BALL, INTERVAL, DomainSpec
 from .errors import CapacityError, DomainError
@@ -66,9 +66,39 @@ def jacobi_recurrence(max_degree, alpha, beta):
     return a, np.sqrt(b), mass
 
 
+def gauss_jacobi(m, alpha, beta):
+    """m-point Gauss rule for (1-x)^alpha (1+x)^beta on [-1, 1], read-only arrays."""
+    return _gauss_jacobi(int(m), float(alpha), float(beta))
+
+
+@lru_cache(maxsize=64)
+def _gauss_jacobi(m, alpha, beta):
+    # Golub-Welsch: the nodes are the eigenvalues of the Jacobi matrix of
+    # jacobi_recurrence.  One recurrence sweep at those nodes gives p_k and
+    # p_k' for k <= m; a Newton step dx = -p_m / p_m' polishes each node, and
+    # the Christoffel weight 1 / sum_(k<m) p_k^2 is taken at the polished
+    # node to first order, 1 / (S + 2 dx sum_(k<m) p_k p_k').
+    a, sqb, mass = jacobi_recurrence(m, alpha, beta)
+    x = np.linalg.eigvalsh(np.diag(a[:m]) + np.diag(sqb[1:m], 1), UPLO="U")
+    # P[k] = (p_k, p_k') at the nodes, k = 0..m; sqb[0] = 0 drops P[-1] at k = 0
+    P = np.zeros((m + 1, 2, m))
+    P[0, 0] = 1.0 / sqrt(mass)
+    for k in range(m):
+        P[k + 1] = (x - a[k]) * P[k] - sqb[k] * P[k - 1]
+        P[k + 1, 1] += P[k, 0]
+        P[k + 1] /= sqb[k + 1]
+    p, dp = P[:m, 0], P[:m, 1]
+    step = -P[m, 0] / P[m, 1]
+    x = x + step
+    w = 1.0 / (np.einsum("km,km->m", p, p) + 2.0 * step * np.einsum("km,km->m", p, dp))
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
 def gauss_jacobi_01(m, a, b):
     """Nodes/weights on (0, 1) for the weight u^b (1-u)^a."""
-    t, w = roots_jacobi(m, a, b)
+    t, w = gauss_jacobi(m, a, b)
     return (1 + t) / 2, w * 0.5 ** (a + b + 1)
 
 
@@ -83,7 +113,7 @@ def _angular_rule(n, degree):
         return pts, np.full(m, 2 * pi / m)
     if n == 3:
         mu = degree // 2 + 1
-        u, wu = roots_legendre(mu)
+        u, wu = gauss_jacobi(mu, 0.0, 0.0)
         m = degree + 1
         phi = 2 * pi * (np.arange(m) + 0.5) / m
         s = np.sqrt(1 - u ** 2)
@@ -111,7 +141,7 @@ def build_quadrature(spec: DomainSpec, exact_degree: int) -> QuadratureRule:
 
     if spec.kind == INTERVAL:
         m = d // 2 + 1
-        x, w = roots_jacobi(m, spec.alpha, spec.beta)
+        x, w = gauss_jacobi(m, spec.alpha, spec.beta)
         return QuadratureRule(x[:, None], w, d)
 
     if spec.kind == BALL:

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from math import comb, pi, sqrt
 
 import numpy as np
-from scipy.integrate import quad as scipy_quad
 
 from .basis import build_basis, eigenvalue, graded_monomials
 from .domains import (
@@ -23,13 +22,12 @@ from .domains import (
     DomainSpec,
     distance_matrix,
     rho_to_boundary,
-    weight_density,
     weight_log_gradient,
 )
 from .errors import CapacityError, DomainError, PrecisionError
 from .heat import HeatKernelEvaluator, MultiplierSpec
 from .polynomials import MultiPoly, monomial_vandermonde, operator_matrix, partial_matrix
-from .quadrature import build_quadrature, _angular_rule
+from .quadrature import _angular_rule, build_quadrature, gauss_jacobi
 
 BOUNDARY_MARGIN = 0.05
 
@@ -207,7 +205,6 @@ class PolyField:
         self.n = poly.dimension if isinstance(poly, MultiPoly) else int(n)
         self.degree, self.coef = _coefficients(self.n, poly)
         self.monomials = graded_monomials(self.n, self.degree)
-        self._exponents = np.array(self.monomials).reshape(len(self.coef), self.n)
         # row i: the coefficients of d_i of the field
         self._grad = np.stack([self.coef @ partial_matrix(self.monomials, i)
                                for i in range(self.n)])
@@ -217,10 +214,6 @@ class PolyField:
 
     def gradients(self, pts):
         return monomial_vandermonde(pts, self.monomials) @ self._grad.T
-
-    def gradient_at(self, x):
-        """(n,) gradient at one point, for scalar integrands."""
-        return self._grad @ np.prod(x ** self._exponents, axis=1)
 
 
 class GaussianBump:
@@ -502,50 +495,58 @@ def _ball_flux(spec, f, h, eps):
     return R ** (n - 1) * eps ** (spec.gamma + 0.5) * integral
 
 
+# Legendre nodes per half of a face segment, and the grading power
+FACE_NODES = 32
+FACE_GRADING = 4
+
+
+def _face_rule(eps):
+    """Nodes and weights for the segment [eps, 1 - 2 eps] of a simplex(2) face.
+
+    The weight factors of the two faces that meet each end become nearly
+    singular there as eps shrinks; each half of the segment is graded toward
+    its end, u = end -+ L ((1 + t)/2)^4, with Gauss-Legendre nodes t.
+    """
+    t, wt = gauss_jacobi(FACE_NODES, 0.0, 0.0)
+    s = (1.0 + t) / 2
+    lo, hi = eps, 1.0 - 2.0 * eps
+    L = (hi - lo) / 2
+    off = L * s ** FACE_GRADING
+    w = wt * L * FACE_GRADING / 2 * s ** (FACE_GRADING - 1)
+    return np.concatenate([lo + off, hi - off]), np.concatenate([w, w])
+
+
 def _simplex_face_flux(spec, f, h, eps, face):
     """Signed flux through one face of the shrunken simplex.
 
     face i < n: the hyperplane x_i = eps; face n: the slanted face
-    |x| = 1 - eps.  Supported for n in {1, 2}.
+    |x| = 1 - eps.  Supported for n in {1, 2}.  The slanted face's outward
+    normal (1,..,1)/sqrt(n) against its area element sqrt(n) dx' leaves the
+    plain sum of the field's components.
     """
     n = spec.n
-
-    def X(x):
-        # the field 4 x_i (d_i f - sum_j x_j d_j f) at one point
-        g = f.gradient_at(x)
-        return 4.0 * x * (g - x @ g)
-
-    def wbr(x):
-        return weight_density(spec, x)
-
     if n == 1:
-        if face == 0:
-            x = np.array([eps])
-            return -h.values(x[None, :])[0] * wbr(x) * X(x)[0]
-        x = np.array([1 - eps])
-        return h.values(x[None, :])[0] * wbr(x) * X(x)[0]
-    if n != 2:
+        x = np.array([[eps if face == 0 else 1 - eps]])
+        w = np.ones(1)
+    elif n == 2:
+        u, w = _face_rule(eps)
+        x = np.empty((u.size, 2))
+        if face < n:
+            x[:, face] = eps
+            x[:, 1 - face] = u
+        else:
+            x[:, 0] = u
+            x[:, 1] = 1 - eps - u
+    else:
         raise CapacityError("simplex flux faces implemented for n in {1, 2}")
+    # the field 4 x_i (d_i f - sum_j x_j d_j f); every node is interior
+    g = f.gradients(x)
+    field = 4.0 * x * (g - np.einsum("mi,mi->m", x, g)[:, None])
+    kappa = np.asarray(spec.kappa) - 0.5
+    density = np.prod(x ** kappa[:n], axis=1) * (1.0 - x.sum(axis=1)) ** kappa[n]
     if face < n:
-        other = 1 - face
-
-        def integrand(u):
-            x = np.empty(2)
-            x[face] = eps
-            x[other] = u
-            return -h.values(x[None, :])[0] * wbr(x) * X(x)[face]
-
-        val, _ = scipy_quad(integrand, eps, 1 - 2 * eps, limit=200)
-        return val
-
-    # slanted face: outward normal (1,..,1)/sqrt(n) against area element
-    # sqrt(n) dx', so the two sqrt(n) factors cancel
-    def integrand(u):
-        x = np.array([u, 1 - eps - u])
-        return h.values(x[None, :])[0] * wbr(x) * X(x).sum()
-
-    val, _ = scipy_quad(integrand, eps, 1 - 2 * eps, limit=200)
-    return val
+        return -float(w @ (h.values(x) * density * field[:, face]))
+    return float(w @ (h.values(x) * density * field.sum(axis=1)))
 
 
 def boundary_flux_decay(spec, f, h, epsilons):

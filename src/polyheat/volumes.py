@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from math import acos, cos, pi, sqrt
 
 import numpy as np
-from scipy.special import betainc, betaincinv
 
 from .domains import (
     BALL,
@@ -85,6 +84,10 @@ def sample_measure(spec, count, rng):
 
 def _interval_volumes(spec, xs, r):
     """Exact V(x, r) on the interval for an array of points x, 0 < r < pi."""
+    # the incomplete Beta is the package's only scipy use: imported here and
+    # in _draw_lifted, so that kernel work never loads scipy
+    from scipy.special import betainc
+
     # math.acos, not np.arccos, whose SIMD loop differs in the last bit on
     # some points; the betainc differences below cancel and magnify it
     theta = np.array([acos(v) for v in np.clip(xs, -1.0, 1.0).tolist()])
@@ -127,6 +130,8 @@ def _draw_lifted(spec, samples, seed, strata):
     Beta(n/2, gamma+1/2) law; simplex rows are the square roots of a
     Dirichlet draw, last coordinate included.  Read-only once built.
     """
+    from scipy.special import betaincinv
+
     rng = np.random.Generator(np.random.Philox(key=seed & 0xFFFFFFFFFFFFFFFF))
     n = spec.n
     if spec.kind == BALL:

@@ -358,7 +358,8 @@ def _reference_simplex_face_flux(spec, f, h, eps, face):
             x = np.array([u, 1 - eps - u])
             return h.values(x[None, :])[0] * wbr(x) * (X_comp(x, 0) + X_comp(x, 1))
 
-    val, _ = scipy_quad(integrand, eps, 1 - 2 * eps, limit=200)
+    # a pure relative tolerance near the double-precision floor
+    val, _ = scipy_quad(integrand, eps, 1 - 2 * eps, limit=200, epsabs=0, epsrel=1e-13)
     return val
 
 

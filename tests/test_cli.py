@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import polyheat
 from polyheat.basis import OrthonormalBasis
 from polyheat.cli import main
 from polyheat.config import default_config, load_config
@@ -156,7 +161,8 @@ class TestKernelExport:
 
 
 PIN_INI = "[domain]\nkind = interval\nalpha = -0.5\nbeta = -0.5\n[basis]\nmax_degree = 24\n"
-PIN_POINTS = ['"[-0.7071067811865475]"', '"[0.7071067811865475]"']
+# the two Gauss-Chebyshev nodes, +-float(sqrt(1/2))
+PIN_POINTS = ['"[-0.7071067811865476]"', '"[0.7071067811865476]"']
 
 
 def pinned_rows(param, values, tail, labels=PIN_POINTS):
@@ -195,7 +201,7 @@ class TestValidate:
         cfgfile = write_config(tmp_path, INTERVAL_INI.format(out=tmp_path))
         assert main(["--config", cfgfile, "validate", "ops"]) == 0
         report = json.loads((tmp_path / "validate_ops.json").read_text())
-        assert report["schema_version"] == 3
+        assert report["schema_version"] == 4
         assert report["pass"] is True
         assert report["config"]["domain"]["kind"] == "interval"
         assert report["suites"]["ops"]["results"]["max"] <= 1e-9
@@ -264,3 +270,44 @@ class TestValidate:
         checks = report["suites"]["correspondence"]["results"]["checks"]
         assert len(checks) == 4
         assert all(c["pass"] for c in checks)
+
+
+FOOTPRINT_SCRIPT = """
+import json, sys
+import numpy as np
+import polyheat, polyheat.cli
+from polyheat import (DomainSpec, HeatKernelEvaluator, MultiPoly, PolyField,
+                      ball_volume, boundary_flux_decay, build_basis)
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+ev = HeatKernelEvaluator(build_basis(DomainSpec.ball(2, 0.5), 10))
+pts = np.array([[0.1, 0.2], [-0.3, 0.4], [0.0, -0.5]])
+ev.heat_kernel_grid(1.0, pts, pts)
+ev = HeatKernelEvaluator(build_basis(DomainSpec.interval(-0.5, 1.5), 20))
+ev.heat_kernel_grid(1.0, pts[:, :1], pts[:, :1])
+spec = DomainSpec.simplex(2, (0.5, 0.5, 0.5))
+boundary_flux_decay(spec, MultiPoly.variable(2, 0), PolyField(MultiPoly.constant(2, 1.0)),
+                    [0.2, 0.1, 0.05, 0.02])
+kernel = scipy_modules()
+ball_volume(DomainSpec.ball(2, 0.5), np.array([0.1, 0.1]), 0.3, samples=1000, seed=1)
+print(json.dumps({"kernel": kernel, "volume": scipy_modules()}))
+"""
+
+
+def test_kernel_path_imports_no_scipy():
+    # a fresh interpreter: this test process has scipy loaded by the oracles
+    src = str(Path(polyheat.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    run = subprocess.run([sys.executable, "-c", FOOTPRINT_SCRIPT], env=env,
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    loaded = json.loads(run.stdout)
+    assert loaded["kernel"] == []
+    # the incomplete Beta of the volumes loads scipy.special (and the scipy
+    # internals it needs), and no other public scipy subpackage
+    public = {m.split(".")[1] for m in loaded["volume"]
+              if "." in m and not m.split(".")[1].startswith("_")}
+    assert public - {"version"} == {"special"}

@@ -1,10 +1,16 @@
 import numpy as np
 import pytest
+from scipy.special import roots_jacobi
 
-from polyheat.basis import graded_monomials
+from polyheat.basis import build_basis, graded_monomials
 from polyheat.domains import DomainSpec, total_mass
 from polyheat.errors import CapacityError
-from polyheat.quadrature import build_quadrature, gauss_jacobi_01, jacobi_recurrence
+from polyheat.quadrature import (
+    build_quadrature,
+    gauss_jacobi,
+    gauss_jacobi_01,
+    jacobi_recurrence,
+)
 
 from _oracles import (
     ball_monomial_moment,
@@ -77,3 +83,47 @@ def test_recurrence_chebyshev():
     assert sqb[1] ** 2 == pytest.approx(0.5)
     assert sqb[2] ** 2 == pytest.approx(0.25)
     assert sqb[5] ** 2 == pytest.approx(0.25)
+
+
+RULE_SIZES = [1, 2, 7, 32, 202]
+RULE_WEIGHTS = [(-0.9, -0.9), (-0.99, 4.0), (4.0, -0.99), (0.0, 0.0), (-0.5, -0.5),
+                (1.5, -0.5), (0.7, -0.3)]
+
+
+def orthonormal_values(m, alpha, beta, x):
+    """(m, len(x)) values of p_0..p_(m-1) from the three-term recurrence."""
+    a, sqb, mass = jacobi_recurrence(m, alpha, beta)
+    P = np.empty((m, x.size))
+    P[0] = 1.0 / np.sqrt(mass)
+    for k in range(m - 1):
+        P[k + 1] = ((x - a[k]) * P[k] - (sqb[k] * P[k - 1] if k else 0.0)) / sqb[k + 1]
+    return P
+
+
+@pytest.mark.parametrize("alpha,beta", RULE_WEIGHTS)
+@pytest.mark.parametrize("m", RULE_SIZES)
+def test_gauss_jacobi_gram(m, alpha, beta):
+    x, w = gauss_jacobi(m, alpha, beta)
+    P = orthonormal_values(m, alpha, beta, x)
+    assert np.abs((P * w) @ P.T - np.eye(m)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("alpha,beta", RULE_WEIGHTS)
+@pytest.mark.parametrize("m", RULE_SIZES)
+def test_gauss_jacobi_nodes_match_scipy(m, alpha, beta):
+    x, _ = gauss_jacobi(m, alpha, beta)
+    assert np.abs(x - roots_jacobi(m, alpha, beta)[0]).max() <= 1e-14
+
+
+def test_gauss_jacobi_cached_read_only():
+    x, w = gauss_jacobi(12, 0.25, -0.5)
+    assert gauss_jacobi(12, 0.25, -0.5)[0] is x
+    with pytest.raises(ValueError):
+        x[0] = 0.0
+    with pytest.raises(ValueError):
+        w[0] = 0.0
+
+
+@pytest.mark.parametrize("alpha,beta", [(-0.9, -0.9), (-0.9, 0.0), (0.0, -0.9)])
+def test_interval_basis_gram_at_degree_200(alpha, beta):
+    assert build_basis(DomainSpec.interval(alpha, beta), 200).gram_residual() <= 1e-12

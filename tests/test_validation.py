@@ -238,11 +238,14 @@ class TestArraysMatchMultiPoly:
          GaussianBump([0.0, 0.45], [np.inf, 0.15])),
         (DomainSpec.simplex(2, (0.25, 0.5, 0.75)), random_poly(2, 3, np.random.default_rng(16)),
          random_poly(2, 2, np.random.default_rng(17))),
+        # small kappa_1 and kappa_3: nearly singular weights at both ends of each face
+        (DomainSpec.simplex(2, (0.05, 1.7, 0.1)), random_poly(2, 3, np.random.default_rng(18)),
+         random_poly(2, 2, np.random.default_rng(19))),
         # interval(0.7, -0.3) as the n=1 simplex
         (DomainSpec.simplex(1, (0.2, 1.2)),
          MultiPoly.variable(1, 0) + 0.5 * MultiPoly.monomial((2,)), MultiPoly.constant(1, 1.0)),
     ], ids=["ball2", "ball3", "ball2-random", "ball1-random", "simplex2", "simplex2-random",
-            "interval-as-simplex1"])
+            "simplex2-small-kappa", "interval-as-simplex1"])
     def test_flux(self, spec, f, h):
         eps = [0.2, 0.1, 0.05, 0.02, 0.01]
         field = PolyField(h) if isinstance(h, MultiPoly) else h
