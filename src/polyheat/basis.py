@@ -4,22 +4,31 @@ Each level k holds the orthonormal polynomials of exact degree k that are
 orthogonal to all lower degrees in L^2(domain, weighted measure);
 the operator acts on level k as multiplication by -lambda_k.
 
-Construction.  On the interval the basis comes from the classical
-three-term recurrence (stable to degree 200 and beyond) and doubles as an
-independent cross-check of the general path.  On the ball and simplex the
-basis is built one level at a time.  The candidates x_i P_(k-1, j) of level
-k form one block, which is orthogonalized against every accepted member by
-block classical Gram-Schmidt applied twice ("twice is enough"); modified
-Gram-Schmidt inside the block then picks the level's members, pivoting on
-the largest residual norm.  Inner products use a quadrature rule exact to
-degree 2*max_degree + 2, so Gram entries are exact up to rounding.  The
-orthogonalization coefficients are recorded as a replay plan, which
-evaluates the basis at arbitrary points by the same well-conditioned
-recursion instead of through the (exponentially ill-conditioned) monomial
-coefficient form, in K steps of two matrix products each: one against
-levels k-2 and k-1 (the three-term relation x_i P_k = A P_(k+1) + B P_k +
-C P_(k-1) makes the coefficients against lower levels vanish) and one with
-the inverse of the level's triangle.
+Construction.  Every basis is a closed-form product of orthonormal Jacobi
+polynomials (Dunkl & Xu, Orthogonal Polynomials of Several Variables, 2nd
+ed. 2014, 5.2-5.3; Koornwinder 1975).  With x = (x1, x'), member (m, nu) of
+level k = m + j is a Jacobi factor of degree m in x1 times member nu, of
+degree j, of the same family one dimension down, on the section through x1:
+
+  ball(n, g):    p_m^(l, l)(x1) r^j Q_nu(x'/r),  r^2 = 1 - x1^2,  l = j + g + (n-2)/2;
+  simplex(n, k): c p_m^(A, a_1)(2 x1 - 1) h^j Q_nu(x'/h),  h = 1 - x1,  a_i = k_i - 1/2,
+                 A = 2j + a_2 + ... + a_(n+1) + n - 1,  c = 2^((A + a_1 + 1)/2).
+
+The dimension-0 basis is the constant 1, so n = 1 gives the interval,
+ball(1) and simplex(1).  Every factor comes from the homogeneous form of the
+recurrence of ``quadrature.jacobi_recurrence``,
+q_(m+1) = ((u - a_m s) q_m - b_m s^2 q_(m-1)) / b_(m+1): u = x and s = 1 on
+the interval, u = x1 and only s^2 on the ball (a_m = 0), u = 2 x1 - s on the
+simplex; the family one dimension down runs at the scale s'^2 = s^2 - x1^2
+(ball) or s' = s - x1 (simplex).  It never divides by a scale, so it is exact
+on the boundary and at the vertices.  One code runs it level by level,
+vectorized over the members, on values at points (``node_values``,
+``evaluate``) and on rows of monomial coefficients, where x_i shifts columns
+(``coefficients``, ``levels``, the export, ``verify_eigenrelation``).
+
+Member order.  Level k holds one member (k - j, nu) for each member nu of
+degree j <= k of the family one dimension down, in that family's order, so
+j ascends across a level.  On the interval level k is p_k.
 """
 
 from __future__ import annotations
@@ -33,15 +42,9 @@ from .errors import CapacityError, DomainError, ParameterError, PrecisionError
 from .polynomials import MultiPoly, monomial_operator
 from .quadrature import build_quadrature, jacobi_recurrence
 
-# Degree caps per (kind, dimension); extended precision doubles the GS caps.
-_CAPS_DOUBLE = {(INTERVAL, 1): 200, (BALL, 1): 200, (SIMPLEX, 1): 200,
-                (BALL, 2): 40, (SIMPLEX, 2): 40, (BALL, 3): 25, (SIMPLEX, 3): 25}
-_CAPS_EXTENDED = {(INTERVAL, 1): 1000, (BALL, 1): 400, (SIMPLEX, 1): 400,
-                  (BALL, 2): 80, (SIMPLEX, 2): 80, (BALL, 3): 50, (SIMPLEX, 3): 50}
-
-# The extended caps need a longdouble with more mantissa than float64; on
-# aarch64 macOS and on Windows it is float64.
-LONGDOUBLE_EXTENDED = bool(np.finfo(np.longdouble).eps < 1e-18)
+# Degree caps per (kind, dimension).
+_CAPS = {(INTERVAL, 1): 200, (BALL, 1): 200, (SIMPLEX, 1): 200,
+         (BALL, 2): 40, (SIMPLEX, 2): 40, (BALL, 3): 25, (SIMPLEX, 3): 25}
 
 
 def eigenvalue(spec: DomainSpec, k: int) -> float:
@@ -59,44 +62,37 @@ def level_dimension(n: int, k: int) -> int:
     return 1 if k == 0 else comb(k + n - 1, k)
 
 
+def _offsets(n, K):
+    """Start of each level 0..K, and the total, in an n-dimensional family."""
+    return np.concatenate([[0], np.cumsum([level_dimension(n, k) for k in range(K + 1)])])
+
+
 def graded_monomials(n, max_degree):
     """Exponent tuples of total degree <= max_degree in graded order."""
-    out = []
-    for deg in range(max_degree + 1):
-        level = []
-
-        def rec(prefix, remaining, slots):
-            if slots == 1:
-                level.append(prefix + (remaining,))
-                return
-            for e in range(remaining + 1):
-                rec(prefix + (e,), remaining - e, slots - 1)
-
-        rec((), deg, n)
-        out.extend(sorted(level))
-    return out
+    def exact(deg, slots):    # lexicographic
+        return [(deg,)] if slots == 1 else [(e,) + rest for e in range(deg + 1)
+                                            for rest in exact(deg - e, slots - 1)]
+    return [e for deg in range(max_degree + 1) for e in exact(deg, n)]
 
 
 class OrthonormalBasis:
     """Graded orthonormal family with eigenvalues, values, and coefficients."""
 
-    def __init__(self, spec, max_degree, quad, precision_mode, coeff_matrix,
-                 monomials, node_values, eval_backend):
+    def __init__(self, spec, max_degree, quad):
         self.spec = spec
-        self.max_degree = int(max_degree)
+        self.max_degree = K = int(max_degree)
         self.quad = quad
-        self.precision_mode = precision_mode
-        self._coeff = coeff_matrix          # (D, D) rows = basis members
-        self._monomials = monomials         # graded exponent tuples
-        self._node_values = node_values     # (quad.size, D)
-        self._backend = eval_backend        # callable points -> (p, D)
-        self.lambdas = np.array([eigenvalue(spec, k) for k in range(max_degree + 1)])
+        self.lambdas = np.array([eigenvalue(spec, k) for k in range(K + 1)])
         if self.lambdas[0] != 0.0 or np.any(np.diff(self.lambdas) <= 0):
             raise ParameterError("eigenvalues must start at 0 and increase strictly")
+        self.offsets = _offsets(spec.n, K)
+        self._axes = [_Axis(spec, spec.n - i, K) for i in range(spec.n)]
+        self._monomials = graded_monomials(spec.n, K)
+        self._coeff = _members(_Coefficients(spec.n, K, self._monomials), spec.kind,
+                               self._axes, np.empty((self.size, self.size)))
+        self._node_values = self._values(quad.nodes)
         self._levels = None
         self._gram = None
-        dims = [level_dimension(spec.n, k) for k in range(max_degree + 1)]
-        self.offsets = np.concatenate([[0], np.cumsum(dims)])
 
     # -- structure -------------------------------------------------------
 
@@ -120,28 +116,27 @@ class OrthonormalBasis:
     def levels(self):
         """Per-level lists of MultiPoly (built lazily from coefficients)."""
         if self._levels is None:
-            levels = []
-            for k in range(self.max_degree + 1):
-                sl = self.level_slice(k)
-                members = []
-                for row in self._coeff[sl]:
-                    terms = {self._monomials[i]: float(row[i])
-                             for i in np.nonzero(row)[0]}
-                    members.append(MultiPoly(self.spec.n, terms))
-                levels.append(members)
-            self._levels = levels
+            def poly(row):
+                return MultiPoly(self.spec.n, {self._monomials[i]: float(row[i])
+                                               for i in np.nonzero(row)[0]})
+            self._levels = [[poly(row) for row in self._coeff[self.level_slice(k)]]
+                            for k in range(self.max_degree + 1)]
         return self._levels
 
     # -- evaluation --------------------------------------------------------
 
     def evaluate(self, points):
-        """Values of every basis member: (npoints, size)."""
+        """Values of every basis member: (npoints, size), member-major in memory."""
         pts = np.asarray(points, dtype=float)
         if pts.ndim == 1:
             pts = pts[:, None] if self.spec.n == 1 else pts[None, :]
         if pts.shape[1] != self.spec.n:
             raise DomainError("points have the wrong dimension")
-        return self._backend(pts)
+        return self._values(pts)
+
+    def _values(self, pts):     # the checked points of evaluate, or the nodes
+        out = np.empty((self.size, pts.shape[0]))
+        return _members(_Values(pts), self.spec.kind, self._axes, out).T
 
     @property
     def node_values(self):
@@ -161,7 +156,6 @@ class OrthonormalBasis:
         return {
             "spec": self.spec.to_json_obj(),
             "max_degree": self.max_degree,
-            "precision_mode": self.precision_mode,
             "levels": [[p.to_json_obj() for p in lev] for lev in self.levels],
         }
 
@@ -174,8 +168,7 @@ def basis_from_json_obj(obj, coeff_tol=1e-8):
     coefficient distance per member must stay below ``coeff_tol``).
     """
     spec = DomainSpec.from_json_obj(obj["spec"])
-    basis = build_basis(spec, obj["max_degree"],
-                        precision_mode=obj.get("precision_mode", "double"))
+    basis = build_basis(spec, obj["max_degree"])
     for k, stored_level in enumerate(obj["levels"]):
         for j, stored in enumerate(stored_level):
             p = MultiPoly.from_json_obj(stored)
@@ -232,180 +225,182 @@ def verify_eigenrelation(basis, max_level=None):
 # construction
 
 
-def _degree_cap(spec, precision_mode):
-    if precision_mode == "longdouble" and not LONGDOUBLE_EXTENDED:
-        raise CapacityError("longdouble is float64 on this platform; use precision double")
-    caps = _CAPS_EXTENDED if precision_mode == "longdouble" else _CAPS_DOUBLE
-    key = (spec.kind, spec.n)
-    if key not in caps:
-        raise CapacityError(f"no basis support for {spec.kind} in dimension {spec.n}")
-    return caps[key]
-
-
-def build_basis(spec, max_degree, precision_mode="double", quad=None):
+def build_basis(spec, max_degree, quad=None):
     """Construct the orthonormal eigenbasis up to ``max_degree``.
 
-    Raises CapacityError beyond the per-domain degree caps and
-    PrecisionError if orthogonalization loses a level to cancellations.
+    Raises CapacityError beyond the per-domain degree caps.  ``quad``
+    (default: exact to degree 2 max_degree + 2) carries the node values and
+    the Gram residual.
     """
-    if precision_mode not in ("double", "longdouble"):
-        raise ParameterError(f"unknown precision mode {precision_mode!r}")
-    cap = _degree_cap(spec, precision_mode)
-    if not 0 <= max_degree <= cap:
-        raise CapacityError(
-            f"max_degree {max_degree} exceeds the cap {cap} for {spec.label()} "
-            f"in {precision_mode} precision; lower the degree or switch precision"
-        )
+    key = (spec.kind, spec.n)
+    if key not in _CAPS:
+        raise CapacityError(f"no basis support for {spec.kind} in dimension {spec.n}")
+    if not 0 <= max_degree <= _CAPS[key]:
+        raise CapacityError(f"max_degree {max_degree} exceeds the cap {_CAPS[key]} "
+                            f"for {spec.label()}; lower the degree")
     if quad is None:
         quad = build_quadrature(spec, 2 * max_degree + 2)
+    return OrthonormalBasis(spec, max_degree, quad)
+
+
+def _jacobi_parameters(spec, d, j):
+    """(alpha, beta, c) of the x1 factor of the d-dimensional family, inner degree j."""
     if spec.kind == INTERVAL:
-        return _build_interval(spec, max_degree, quad, precision_mode)
-    return _build_generated(spec, max_degree, quad, precision_mode)
+        return spec.alpha, spec.beta, 1.0
+    if spec.kind == BALL:
+        lam = j + spec.gamma + (d - 2) / 2.0
+        return lam, lam, 1.0
+    a = [k - 0.5 for k in spec.kappa[spec.n - d:]]
+    alpha, beta = 2 * j + sum(a[1:]) + d - 1, a[0]
+    return alpha, beta, 2.0 ** ((alpha + beta + 1) / 2.0)
 
 
-def _build_interval(spec, K, quad, precision_mode):
-    a, sqb, mass = jacobi_recurrence(K + 1, spec.alpha, spec.beta)
+class _Axis:
+    """What one coordinate's recurrence needs, whatever the algebra.
 
-    def eval_all(pts):
-        # member-major, as in _ReplayPlan: row k is P_k at every point
-        x = pts[:, 0]
-        U = np.empty((K + 1, x.size))
-        U[0] = 1.0 / sqrt(mass)
-        if K >= 1:
-            U[1] = (x - a[0]) * U[0] / sqb[1]
-        for k in range(1, K):
-            U[k + 1] = ((x - a[k]) * U[k] - sqb[k] * U[k - 1]) / sqb[k + 1]
-        return U.T
-
-    # coefficient recurrence (ascending powers)
-    C = np.zeros((K + 1, K + 1))
-    C[0, 0] = 1.0 / sqrt(mass)
-    if K >= 1:
-        C[1, 1] = C[0, 0] / sqb[1]
-        C[1, 0] = -a[0] * C[0, 0] / sqb[1]
-    for k in range(1, K):
-        shifted = np.roll(C[k], 1)
-        shifted[0] = 0.0
-        C[k + 1] = (shifted - a[k] * C[k] - sqb[k] * C[k - 1]) / sqb[k + 1]
-
-    monos = [(d,) for d in range(K + 1)]
-    node_values = eval_all(quad.nodes)
-    return OrthonormalBasis(spec, K, quad, precision_mode, C, monos, node_values, eval_all)
-
-
-def _build_generated(spec, K, quad, precision_mode):
-    """Gram-Schmidt build of the ball and simplex bases, one level at a time.
-
-    Values are kept member-major: row r of U holds member r at the nodes.
-    Level k starts from the candidate block X = [x_i P_(k-1, j)].  Block
-    CGS2 removes its components along the s accepted members,
-    X = R^T U[:s] + Q.  Pivoted MGS inside the block then takes dim_k
-    members, each the surviving row of largest residual norm, so that
-    X[sel] = R[:, sel]^T U[:s] + T^T U_k with T upper triangular, and the
-    coefficient rows are C_k = T^-T (shift(C[parents]) - R[:, sel]^T C[:s]).
-    """
-    dtype = np.longdouble if precision_mode == "longdouble" else np.float64
-    n = spec.n
-    monos = graded_monomials(n, K)
-    mono_index = {e: i for i, e in enumerate(monos)}
-    D = len(monos)
-    offsets = np.concatenate([[0], np.cumsum([level_dimension(n, k) for k in range(K + 1)])])
-    coords = quad.nodes.T.astype(dtype)             # (n, nodes)
-    w = quad.weights.astype(dtype)
-    mass = w.sum()
-
-    U = np.zeros((D, quad.size), dtype=dtype)       # member values at the nodes
-    C = np.zeros((D, D), dtype=dtype)               # monomial coefficients
-    U[0] = C[0, 0] = 1 / np.sqrt(mass)
-    # shift[i, c]: column of x_i * monomial c, for monomials below degree K
-    low = int(offsets[K])
-    shift = np.array([[mono_index[e[:i] + (e[i] + 1,) + e[i + 1:]] for e in monos[:low]]
-                      for i in range(n)], dtype=np.int64).reshape(n, low)
-    steps = []
-    for k in range(1, K + 1):
-        s, e, prev = int(offsets[k]), int(offsets[k + 1]), int(offsets[k - 1])
-        d, m = e - s, n * (s - prev)
-        axes = np.repeat(np.arange(n), s - prev)
-        parents = np.tile(np.arange(prev, s), n)
-        Q = (coords[:, None] * U[prev:s]).reshape(m, -1)    # rows x_i P_(k-1, j)
-        orig_norm = np.sqrt(np.einsum("ij,j,ij->i", Q, w, Q))
-        R = np.zeros((s, m), dtype=dtype)
-        buf = np.empty_like(Q)
-        for _ in range(2):
-            P = U[:s] @ np.multiply(Q, w, out=buf).T
-            Q -= np.matmul(P.T, U[:s], out=buf)
-            R += P
-        del buf
-
-        # pivoted MGS on the rows of Q; rows [j:] are the surviving candidates
-        order = np.arange(m)
-        T = np.zeros((d, m), dtype=dtype)   # in-level coefficients, by row of Q
-        for j in range(d):
-            b = j + int(np.argmax(np.einsum("ij,j,ij->i", Q[j:], w, Q[j:])))
-            Q[[j, b]], T[:, [j, b]], order[[j, b]] = Q[[b, j]], T[:, [b, j]], order[[b, j]]
-            q = Q[j]
-            if j:   # second pass against the level's accepted members
-                t = U[s:s + j] @ (w * q)
-                q -= t @ U[s:s + j]
-                T[:j, j] += t
-            nrm = np.sqrt(q @ (w * q))
-            if nrm < 1e-8 * orig_norm[order[j]]:
-                raise PrecisionError(
-                    f"orthogonalization lost level {k} of {spec.label()} "
-                    f"(residual {float(nrm):.2e} of {float(orig_norm[order[j]]):.2e}); "
-                    "raise the precision mode or lower the degree"
-                )
-            U[s + j] = q / nrm
-            T[j, j] = nrm
-            t = Q[j + 1:] @ (w * U[s + j])
-            Q[j + 1:] -= t[:, None] * U[s + j]
-            T[j, j + 1:] += t
-        del Q, q    # the next level's block is allocated after this one is freed
-        sel = order[:d]
-        T = T[:, :d]
-        R = R[:, sel]
-
-        # L = T^-T by forward substitution; C_k = L (shift(C[parents]) - R^T C[:s])
-        L = np.zeros((d, d), dtype=dtype)
-        for j in range(d):
-            L[j] = -(T[:j, j] @ L[:j])
-            L[j, j] += 1
-            L[j] /= T[j, j]
-        rhs = np.zeros((d, e), dtype=dtype)
-        rhs[np.arange(d)[:, None], shift[axes[sel], :s]] = C[parents[sel], :s]
-        rhs -= R.T @ C[:s, :e]
-        C[s:e, :e] = L @ rhs
-        lo = int(offsets[max(k - 2, 0)])
-        steps.append((axes[sel], parents[sel], lo, np.asarray(R[lo:], dtype=float),
-                      np.asarray(L, dtype=float)))
-
-    plan = _ReplayPlan(float(mass), offsets, steps)
-    return OrthonormalBasis(spec, K, quad, precision_mode, np.asarray(C, dtype=float), monos,
-                            np.asarray(U, dtype=float).T, plan.evaluate)
-
-
-class _ReplayPlan:
-    """Replays the level-blocked orthogonalization at arbitrary points.
-
-    Level k needs its pivots' axes and parents, its coefficients R against
-    levels k-2 and k-1 (by the three-term relation, those against lower
-    levels vanish up to rounding) and L = T^-T: two matrix products per
-    level, U_k = L (x_axes U_parents - R^T U_(k-2..k-1)), on member-major
-    rows.
+    ``levels[t]`` builds level t of the family of dimension d on this axis:
+    its first rows (inner degree j < t, m = t - j) from levels t-1 and, for
+    the ``head`` with m >= 2, t-2, with per-row columns a_(m-1) (None for a
+    symmetric weight), b_(m-1) and b_m; its last rows (j = t) as the inner
+    family's level t times p_0.  One-dimensional families keep plain rows and
+    scalar columns.
     """
 
-    def __init__(self, mass, offsets, steps):
-        self.mass = mass
-        self.offsets = offsets
-        self.steps = steps
+    def __init__(self, spec, d, K):
+        # inner[t]: rows of inner degree < t, which is also the size of level t - 1
+        inner = _offsets(d - 1, K) if d > 1 else np.array([0] + [1] * (K + 1))
+        deg = np.repeat(np.arange(K + 1), np.diff(inner))
+        A, B, p0 = np.zeros((K + 1, K + 1)), np.zeros((K + 1, K + 1)), np.zeros(K + 1)
+        for j in range(int(deg[-1]) + 1):
+            alpha, beta, c = _jacobi_parameters(spec, d, j)
+            a, sqb, mass = jacobi_recurrence(K - j, alpha, beta)
+            A[j, : K - j + 1], B[j, : K - j + 1], p0[j] = a, sqb, c / sqrt(mass)
+        symmetric = not A.any()
+        o = [int(v) for v in _offsets(d, K)]
+        self.size, self.levels = o[-1], []
+        if d == 1:
+            self.head = 1
+            for t in range(K + 1):
+                self.levels.append((t - 2, t - 1 if t else None, t, ... if t >= 2 else None, 0,
+                                    None if symmetric or not t else A[0, t - 1], B[0, t - 1],
+                                    B[0, t], None if t else 0, 0, p0[t]))
+            return
+        self.head = max(int(inner[K - 1]), 1)
+        for t in range(K + 1):
+            hi, lo = int(inner[t]), int(inner[t - 1]) if t else 0
+            g, m = deg[:hi], t - deg[:hi]
+            self.levels.append((
+                slice(o[t - 2], o[t - 1]) if lo else None, slice(o[t - 1], o[t]) if hi else None,
+                slice(o[t], o[t] + hi), slice(0, lo) if lo else None, slice(0, lo),
+                None if symmetric else A[g, m - 1][:, None], B[g[:lo], m[:lo] - 1][:, None],
+                B[g, m][:, None], slice(o[t] + hi, o[t + 1]), slice(inner[t], inner[t + 1]),
+                p0[t]))
 
-    def evaluate(self, pts):
-        U = np.empty((int(self.offsets[-1]), pts.shape[0]))
-        U[0] = 1.0 / sqrt(self.mass)
-        coords = pts.T
-        for s, e, (axes, parents, lo, R, L) in zip(self.offsets[1:], self.offsets[2:],
-                                                   self.steps):
-            rhs = coords[axes] * U[parents]
-            rhs -= R.T @ U[lo:s]
-            U[s:e] = L @ rhs
-        return U.T
+
+def _scales(kind, coords):
+    """(u, s, s2) of each axis, outermost first; None stands for the scale 1."""
+    s = s2 = None
+    out = []
+    for x in coords:
+        if kind == SIMPLEX:
+            one = 1.0 if s is None else s
+            out.append((2 * x - one, s, None if s is None else s * s))
+            s = one - x
+        elif kind == BALL:
+            out.append((x, None, s2))
+            s2 = (1.0 if s2 is None else s2) - x * x
+        else:
+            out.append((x, None, None))
+    return out
+
+
+def _members(alg, kind, axes, out):
+    """Every member as rows of ``out``: level t of every axis, innermost first."""
+    elements = [[alg.prepare(e) for e in axis] for axis in _scales(kind, alg.coords)]
+    width = alg.one.shape[1]
+    family = [out] + [np.empty((ax.size, width)) for ax in axes[1:]] + [alg.one]
+    tmp = np.empty((max(ax.head for ax in axes), width))
+    work = list(zip(elements, family, family[1:]))[::-1]
+    lin, mul = alg.lin, alg.mul
+    # q_m = ((u - a_(m-1) s) q_(m-1) - b_(m-1) s^2 q_(m-2)) / b_m on each level's rows
+    for levels in zip(*[axis.levels for axis in reversed(axes)]):
+        for ((u, s, s2), rows, inner), level in zip(work, levels):
+            prev2, prev, cur, head, th, a, b, bn, new, inner_t, p0 = level
+            if prev is not None:
+                z = lin(u, s, a, rows[prev], rows[cur])
+                if head is not None:
+                    w = tmp[th]
+                    z[head] -= np.multiply(b, mul(s2, rows[prev2], w), out=w)
+                z /= bn
+            if new is not None:
+                np.multiply(p0, inner[inner_t], out=rows[new])
+    return out
+
+
+class _Values:
+    """Rows of values at points; the coordinates are arrays over the points."""
+
+    def __init__(self, pts):
+        self.coords = [np.ascontiguousarray(x) for x in pts.T]
+        self.one = np.ones((1, pts.shape[0]))
+
+    @staticmethod
+    def prepare(e):
+        return e
+
+    @staticmethod
+    def mul(e, Z, out):
+        return Z if e is None else np.multiply(e, Z, out=out)
+
+    @staticmethod
+    def lin(u, s, a, Z, out):
+        """(u - a s) Z, with u - a s formed first (bit for bit the interval recurrence)."""
+        if a is None:
+            return np.multiply(u, Z, out=out)
+        np.subtract(u, a if s is None else np.multiply(a, s, out=out), out=out)
+        return np.multiply(out, Z, out=out)
+
+
+class _Coefficients:
+    """Rows of coefficients over the graded monomials, where x_i shifts columns."""
+
+    def __init__(self, n, K, monomials):
+        self.coords = [MultiPoly.variable(n, i) for i in range(n)]
+        self.one = np.zeros((1, len(monomials)))
+        self.one[0, 0] = 1.0
+        index = {e: c for c, e in enumerate(monomials)}
+        low = len(monomials) - level_dimension(n, K)
+        # _unit[i][c]: column of x_i times monomial c, for c below degree K
+        self._unit = [np.array([index[e[:i] + (e[i] + 1,) + e[i + 1:]] for e in monomials[:low]],
+                               dtype=np.int64) for i in range(n)]
+        self._offsets = _offsets(n, K)
+
+    def prepare(self, e):
+        """Terms (c, dst) of a polynomial: dst takes the monomials of degree
+        <= K - |e| to their products with x^e."""
+        if e is None:
+            return None
+        terms = []
+        for exps, c in e.items():
+            dst = np.arange(int(self._offsets[max(len(self._offsets) - 1 - sum(exps), 0)]))
+            for i, p in enumerate(exps):
+                for _ in range(p):
+                    dst = self._unit[i][dst]
+            terms.append((c, dst))
+        return terms
+
+    @staticmethod
+    def mul(e, Z, out):
+        if e is None:
+            return Z
+        out[...] = 0.0
+        for c, dst in e:
+            out[..., dst] += c * Z[..., : dst.size]
+        return out
+
+    def lin(self, u, s, a, Z, out):
+        """(u - a s) Z = u Z - a (s Z)."""
+        z = self.mul(u, Z, out)
+        if a is not None:
+            z -= a * self.mul(s, Z, np.empty_like(Z))
+        return z

@@ -11,6 +11,7 @@ config) plus CSV data tables; the exit code is nonzero iff a verdict fails.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -56,7 +57,7 @@ def _parse_point(text):
 
 
 def _evaluator(cfg):
-    basis = build_basis(cfg.spec, cfg.max_degree, precision_mode=cfg.precision)
+    basis = build_basis(cfg.spec, cfg.max_degree)
     policy = TruncationPolicy(
         cfg.epsilon,
         cfg.t_min if cfg.t_min is not None else default_t_min(cfg.spec, basis.max_degree),
@@ -82,6 +83,11 @@ def _np_default(o):
     raise TypeError(f"not JSON serializable: {type(o).__name__}")
 
 
+def _report(rep):
+    """The JSON object of a validation report dataclass: its fields by name."""
+    return dataclasses.asdict(rep)
+
+
 def _emit_json(obj, out, name):
     text = json.dumps(obj, sort_keys=True, indent=1, default=_np_default)
     if out:
@@ -101,8 +107,8 @@ def cmd_config_show(args):
 
 
 def cmd_basis_build(args):
-    cfg = load_config(args.config, max_degree=args.max_degree, precision=args.precision)
-    basis = build_basis(cfg.spec, cfg.max_degree, precision_mode=cfg.precision)
+    cfg = load_config(args.config, max_degree=args.max_degree)
+    basis = build_basis(cfg.spec, cfg.max_degree)
     print(f"built {cfg.spec.label()} basis to degree {basis.max_degree}; "
           f"gram residual {basis.gram_residual():.3e}")
     if args.out:
@@ -114,8 +120,8 @@ def cmd_basis_build(args):
 
 
 def cmd_basis_verify(args):
-    cfg = load_config(args.config, max_degree=args.max_degree, precision=args.precision)
-    basis = build_basis(cfg.spec, cfg.max_degree, precision_mode=cfg.precision)
+    cfg = load_config(args.config, max_degree=args.max_degree)
+    basis = build_basis(cfg.spec, cfg.max_degree)
     res = verify_eigenrelation(basis)
     tol = 1e-9 if cfg.spec.kind == INTERVAL else 1e-8
     print(f"# {cfg.spec.label()}  max_degree={cfg.max_degree}")
@@ -270,7 +276,7 @@ def suite_gauss(cfg, ev, vol, rng):
     rep = val.gauss_ratio_scan(ev, vol, pts, times)
     ok = (rep.verdict and rep.e_max / rep.e_min <= 25.0
           and rep.n_hi / rep.n_lo <= 20.0)
-    return rep.to_json_obj(), ok
+    return _report(rep), ok
 
 
 def suite_doubling(cfg, ev, vol, rng):
@@ -278,7 +284,7 @@ def suite_doubling(cfg, ev, vol, rng):
     radii = [r for r in cfg.radii if r <= np.pi / 2]
     rep = val.doubling_scan(cfg.spec, vol, pts, radii)
     ok = rep.verdict and rep.comp_hi / rep.comp_lo <= 30.0
-    return rep.to_json_obj(), ok
+    return _report(rep), ok
 
 
 def suite_green(cfg, ev, vol, rng, pairs=20):
@@ -321,7 +327,7 @@ def suite_flux(cfg, ev, vol, rng):
         and abs(rep.fitted_slope - rep.expected_slope) <= 0.1
         and rep.r2 >= 0.98
     )
-    return rep.to_json_obj(), ok
+    return _report(rep), ok
 
 
 def suite_chart(cfg, ev, vol, rng):
@@ -370,7 +376,7 @@ def suite_localize(cfg, ev, vol, rng):
     cms = []
     for d in cfg.deltas:
         rep = val.localization_check(ev, d, m, vol)
-        out[f"delta={d:g}"] = rep.to_json_obj()
+        out[f"delta={d:g}"] = _report(rep)
         cms.append(rep.c_m_hat)
         ok = ok and rep.verdict
     if len(cms) >= 2:
@@ -389,7 +395,7 @@ def suite_fsp(cfg, ev, vol, rng):
     cs = []
     for d in cfg.deltas:
         rep = val.finite_speed_scan(ev, d, 8, 2.0)
-        out[f"delta={d:g}"] = rep.to_json_obj()
+        out[f"delta={d:g}"] = _report(rep)
         if rep.degenerate:
             return out, False
         cs.append(rep.c_star_hat)
@@ -461,11 +467,9 @@ def main(argv=None):
     psub = p.add_subparsers(dest="basis_op", required=True)
     pb = psub.add_parser("build")
     pb.add_argument("--max-degree", type=int, default=None)
-    pb.add_argument("--precision", default=None, choices=["double", "longdouble"])
     pb.add_argument("--out", default=None)
     pv = psub.add_parser("verify")
     pv.add_argument("--max-degree", type=int, default=None)
-    pv.add_argument("--precision", default=None, choices=["double", "longdouble"])
 
     p = sub.add_parser("geom", help="geometric queries (CSV rows)")
     psub = p.add_subparsers(dest="geom_op", required=True)

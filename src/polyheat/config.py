@@ -13,7 +13,7 @@ from .domains import BALL, INTERVAL, SIMPLEX, DomainSpec
 from .errors import ParameterError
 from .volumes import RADIAL_STRATA
 
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 
 
 def _parse_floats(text):
@@ -24,7 +24,6 @@ def _parse_floats(text):
 class RunConfig:
     spec: DomainSpec
     max_degree: int = 20
-    precision: str = "double"
     epsilon: float = 1e-10
     t_min: float | None = None
     points: int = 10
@@ -40,7 +39,7 @@ class RunConfig:
         return {
             "schema_version": SCHEMA_VERSION,
             "domain": self.spec.to_json_obj(),
-            "basis": {"max_degree": self.max_degree, "precision": self.precision},
+            "basis": {"max_degree": self.max_degree},
             "kernel": {"epsilon": self.epsilon, "t_min": self.t_min},
             "grids": {
                 "points": self.points,
@@ -66,7 +65,6 @@ class RunConfig:
             "",
             "[basis]",
             f"max_degree = {self.max_degree}",
-            f"precision = {self.precision}",
             "",
             "[kernel]",
             f"epsilon = {self.epsilon}",
@@ -99,7 +97,7 @@ def default_config():
 # Every key the INI file may set, by section.
 KNOWN_KEYS = {
     "domain": ("kind", "n", "alpha", "beta", "gamma", "kappa"),
-    "basis": ("max_degree", "precision"),
+    "basis": ("max_degree",),
     "kernel": ("epsilon", "t_min"),
     "grids": ("points", "times", "radii", "epsilons", "deltas"),
     "mc": ("samples",),
@@ -157,12 +155,8 @@ def load_config(path=None, **overrides):
         if parser.has_section("domain"):
             cfg = replace(cfg, spec=_spec_from_section(parser["domain"]))
         if parser.has_section("basis"):
-            sec = parser["basis"]
-            cfg = replace(
-                cfg,
-                max_degree=_read(sec, "max_degree", int, cfg.max_degree),
-                precision=sec.get("precision", cfg.precision).strip(),
-            )
+            cfg = replace(cfg, max_degree=_read(parser["basis"], "max_degree", int,
+                                                cfg.max_degree))
         if parser.has_section("kernel"):
             sec = parser["kernel"]
             cfg = replace(cfg, epsilon=_read(sec, "epsilon", float, cfg.epsilon),

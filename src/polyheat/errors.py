@@ -16,13 +16,13 @@ class BoundarySingularityError(ValueError):
 class CapacityError(RuntimeError):
     """The request exceeds a built-in resource or degree cap.
 
-    The message carries a remediation hint (lower the degree, raise the
-    precision mode, or enlarge the basis cap).
+    The message carries a remediation hint (lower the degree, or raise delta
+    or the basis cap).
     """
 
 
 class PrecisionError(RuntimeError):
-    """A numerical quality gate failed (orthogonality, truncation, MC noise).
+    """A numerical quality gate failed (truncation, MC noise, export integrity).
 
     Raised instead of silently returning an under-resolved result.
     """

@@ -260,7 +260,7 @@ def random_poly(n, degree, rng, scale=1.0):
 
 @dataclass
 class GaussBoundReport:
-    spec_label: str
+    spec: str
     threshold: float
     rows: list
     e_min: float
@@ -273,23 +273,6 @@ class GaussBoundReport:
     admissible: int
     diagonal: int
     verdict: bool
-
-    def to_json_obj(self):
-        return {
-            "spec": self.spec_label,
-            "threshold": self.threshold,
-            "e_min": self.e_min,
-            "e_max": self.e_max,
-            "c2_hat": self.c2_hat,
-            "c4_hat": self.c4_hat,
-            "n_lo": self.n_lo,
-            "n_hi": self.n_hi,
-            "excluded": self.excluded,
-            "admissible": self.admissible,
-            "diagonal": self.diagonal,
-            "verdict": self.verdict,
-            "rows": self.rows,
-        }
 
 
 def gauss_ratio_scan(ev: HeatKernelEvaluator, vol, points, times,
@@ -370,18 +353,13 @@ def doubling_cap(spec):
 
 @dataclass
 class DoublingReport:
-    spec_label: str
+    spec: str
     max_ratio: float
     cap: float
     comp_lo: float
     comp_hi: float
     rows: list
     verdict: bool
-
-    def to_json_obj(self):
-        return {"spec": self.spec_label, "max_ratio": self.max_ratio,
-                "cap": self.cap, "comp_lo": self.comp_lo, "comp_hi": self.comp_hi,
-                "verdict": self.verdict, "rows": self.rows}
 
 
 def surrogate_comparability_range(spec):
@@ -466,19 +444,13 @@ def green_identity_check(spec, f, h, quad=None):
 
 @dataclass
 class FluxReport:
-    spec_label: str
+    spec: str
     epsilons: list
     faces: dict           # name -> {"J": [...], "slope", "r2", "expected"}
     fitted_slope: float | None
     expected_slope: float | None
     r2: float | None
     zero_flux: bool
-
-    def to_json_obj(self):
-        return {"spec": self.spec_label, "epsilons": list(self.epsilons),
-                "faces": self.faces, "fitted_slope": self.fitted_slope,
-                "expected_slope": self.expected_slope, "r2": self.r2,
-                "zero_flux": self.zero_flux}
 
 
 def _ball_flux(spec, f, h, eps):
@@ -724,7 +696,7 @@ def jacobi_simplex_correspondence(alpha, beta, max_k, grid_size=20,
 
 @dataclass
 class LocalizationReport:
-    spec_label: str
+    spec: str
     delta: float
     order: int
     c_m_hat: float
@@ -733,11 +705,6 @@ class LocalizationReport:
     excluded: int
     used: int
     verdict: bool
-
-    def to_json_obj(self):
-        return {"spec": self.spec_label, "delta": self.delta, "order": self.order,
-                "c_m_hat": self.c_m_hat, "exponent": self.exponent, "r2": self.r2,
-                "excluded": self.excluded, "used": self.used, "verdict": self.verdict}
 
 
 def localization_check(ev, delta, m, vol, anchors=None, window=(2.0, 20.0),
@@ -812,7 +779,7 @@ def localization_check(ev, delta, m, vol, anchors=None, window=(2.0, 20.0),
 
 @dataclass
 class FiniteSpeedReport:
-    spec_label: str
+    spec: str
     delta: float
     order: int
     band: float
@@ -820,12 +787,6 @@ class FiniteSpeedReport:
     c_star_hat: float | None
     max_beyond: float | None
     degenerate: bool
-
-    def to_json_obj(self):
-        return {"spec": self.spec_label, "delta": self.delta, "order": self.order,
-                "band": self.band, "r_star": self.r_star,
-                "c_star_hat": self.c_star_hat, "max_beyond": self.max_beyond,
-                "degenerate": self.degenerate}
 
 
 def finite_speed_scan(ev, delta, m, A, anchors=None, threshold=1e-8,

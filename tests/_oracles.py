@@ -3,7 +3,8 @@
 Everything here is computed through a different route than the library code
 it checks: sympy symbolic calculus for the operators, closed-form Gamma
 integrals for monomial moments, the classical cosine series for the
-equilibrium-weight heat kernel, LAPACK determinants, a member-by-member
+equilibrium-weight heat kernel, LAPACK determinants, the interval basis
+from hand-written value and coefficient recurrences, a member-by-member
 Gram-Schmidt build of the ball and simplex bases, the interval/simplex
 correspondence through sparse polynomial arithmetic and scalar distances,
 and the Green, chart and flux checks through ``MultiPoly`` arithmetic (the
@@ -33,7 +34,7 @@ from polyheat.polynomials import (
     apply_simplex_operator,
     poly_partial,
 )
-from polyheat.quadrature import _angular_rule
+from polyheat.quadrature import _angular_rule, jacobi_recurrence
 from polyheat.validation import loglog_fit, random_poly
 
 
@@ -150,6 +151,36 @@ def arc_volume_chebyshev(x, r):
     """Arc-length volume on the interval at alpha = beta = -1/2."""
     th = np.arccos(np.clip(x, -1, 1))
     return float(min(pi, th + r) - max(0.0, th - r))
+
+
+def reference_interval_basis(spec, K):
+    """The interval basis from two hand-written three-term recurrences.
+
+    Returns ``(values, C)``: ``values(points)`` gives (npoints, K + 1), and C
+    holds the ascending monomial coefficients of p_0..p_K, one row a member.
+    """
+    a, sqb, mass = jacobi_recurrence(K + 1, spec.alpha, spec.beta)
+
+    def values(pts):
+        x = np.asarray(pts, dtype=float).reshape(-1)
+        U = np.empty((K + 1, x.size))
+        U[0] = 1.0 / sqrt(mass)
+        if K >= 1:
+            U[1] = (x - a[0]) * U[0] / sqb[1]
+        for k in range(1, K):
+            U[k + 1] = ((x - a[k]) * U[k] - sqb[k] * U[k - 1]) / sqb[k + 1]
+        return U.T
+
+    C = np.zeros((K + 1, K + 1))
+    C[0, 0] = 1.0 / sqrt(mass)
+    if K >= 1:
+        C[1, 1] = C[0, 0] / sqb[1]
+        C[1, 0] = -a[0] * C[0, 0] / sqb[1]
+    for k in range(1, K):
+        shifted = np.roll(C[k], 1)
+        shifted[0] = 0.0
+        C[k + 1] = (shifted - a[k] * C[k] - sqb[k] * C[k - 1]) / sqb[k + 1]
+    return values, C
 
 
 def member_gram_schmidt(spec, K, quad):

@@ -39,10 +39,10 @@ _BASES = {}
 _VOLS = {}
 
 
-def get_basis(spec, degree, precision="double"):
-    key = (spec, degree, precision)
+def get_basis(spec, degree):
+    key = (spec, degree)
     if key not in _BASES:
-        _BASES[key] = build_basis(spec, degree, precision_mode=precision)
+        _BASES[key] = build_basis(spec, degree)
     return _BASES[key]
 
 

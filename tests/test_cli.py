@@ -63,6 +63,7 @@ class TestConfig:
         ("[basis]\nmax_degree = 12\n[montecarlo]\nsamples = 10\n", "[montecarlo]"),
         ("[domain]\nkind = ball\nn = 2\n[mc]\nsamples = 4\n", "[mc] samples = 4"),
         ("[run]\nthreads = 1\n", "[run] threads"),
+        ("[basis]\nprecision = double\n", "[basis] precision"),
     ])
     def test_bad_config_is_one_line_error(self, tmp_path, capsys, body, named):
         cfgfile = write_config(tmp_path, body)
@@ -201,7 +202,7 @@ class TestValidate:
         cfgfile = write_config(tmp_path, INTERVAL_INI.format(out=tmp_path))
         assert main(["--config", cfgfile, "validate", "ops"]) == 0
         report = json.loads((tmp_path / "validate_ops.json").read_text())
-        assert report["schema_version"] == 4
+        assert report["schema_version"] == 5
         assert report["pass"] is True
         assert report["config"]["domain"]["kind"] == "interval"
         assert report["suites"]["ops"]["results"]["max"] <= 1e-9
