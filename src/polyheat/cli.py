@@ -43,6 +43,10 @@ from .volumes import VolumeSource, ball_volume
 SUITES = ("ops", "basis", "kernel", "gauss", "doubling", "green", "flux",
           "chart", "correspondence", "localize", "fsp", "all")
 
+# (eigen-residual, Gram-residual) tolerances per domain kind, read by the ops
+# and basis suites and by ``basis verify``
+GATES = {INTERVAL: (1e-9, 1e-10), BALL: (1e-8, 1e-8), SIMPLEX: (1e-8, 1e-8)}
+
 
 def _fmt(x):
     return f"{x:.12g}"
@@ -123,14 +127,14 @@ def cmd_basis_verify(args):
     cfg = load_config(args.config, max_degree=args.max_degree)
     basis = build_basis(cfg.spec, cfg.max_degree)
     res = verify_eigenrelation(basis)
-    tol = 1e-9 if cfg.spec.kind == INTERVAL else 1e-8
+    eigen_tol, gram_tol = GATES[cfg.spec.kind]
     print(f"# {cfg.spec.label()}  max_degree={cfg.max_degree}")
     print("level,eigen_residual")
     for k, r in enumerate(res):
         print(f"{k},{_fmt(r)}")
     worst = float(res.max())
     gram = basis.gram_residual()
-    ok = worst <= tol and gram <= (1e-10 if cfg.spec.kind == INTERVAL else 1e-8)
+    ok = worst <= eigen_tol and gram <= gram_tol
     print(f"# max residual {worst:.3e}  gram {gram:.3e}  -> {'PASS' if ok else 'FAIL'}")
     return 0 if ok else 1
 
@@ -235,7 +239,7 @@ def _interval_as_simplex(spec):
 
 def suite_ops(cfg, ev, vol, rng):
     res = verify_eigenrelation(ev.basis)
-    tol = 1e-9 if cfg.spec.kind == INTERVAL else 1e-8
+    tol = GATES[cfg.spec.kind][0]
     worst = float(res.max())
     return {"eigen_residuals": [float(r) for r in res], "max": worst,
             "tolerance": tol}, worst <= tol
@@ -245,7 +249,7 @@ def suite_basis(cfg, ev, vol, rng):
     from .basis import level_dimension
 
     gram = ev.basis.gram_residual()
-    tol = 1e-10 if cfg.spec.kind == INTERVAL else 1e-8
+    tol = GATES[cfg.spec.kind][1]
     dims_ok = all(int(d) == level_dimension(cfg.spec.n, k)
                   for k, d in enumerate(np.diff(ev.basis.offsets)))
     return {"gram_residual": gram, "tolerance": tol, "dimensions_ok": dims_ok}, (

@@ -21,7 +21,7 @@ distance of the lifted points.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lgamma, log, pi, exp, sqrt, acos, asin
+from math import lgamma, log, pi, exp, sqrt, acos
 
 import numpy as np
 
@@ -131,40 +131,76 @@ class DomainSpec:
 
 
 # ---------------------------------------------------------------------------
-# containment
+# points as rows: the point functions below take one point of shape (n,) (a
+# scalar on the interval), the one-row case, or an (m, n) array of rows
 
 
-def _as_point(spec, x):
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if x.shape != (spec.n,):
-        raise DomainError(f"point has shape {x.shape}, expected ({spec.n},)")
-    return x
+def _shape(spec, x):
+    """(``x`` as (m, n) float rows, whether it was one point)."""
+    a = np.asarray(x, dtype=float)
+    one = a.ndim <= 1
+    X = a.reshape(1, -1) if one else a
+    if X.ndim != 2 or X.shape[1] != spec.n:
+        raise DomainError(f"point has shape {a.shape}, expected ({spec.n},) or (m, {spec.n})")
+    return X, one
 
 
-def contains(spec, x, tol=CONTAINMENT_TOL):
-    x = _as_point(spec, x)
+def _answer(values, one):
+    """Per-row values, or one point's row (a Python scalar when 0-d)."""
+    if not one:
+        return values
+    return values[0].item() if values.ndim == 1 else values[0]
+
+
+def _sqnorm(X):
+    """|x|^2 of each row, summed as ``x @ x`` sums one point, to the last bit."""
+    return np.matmul(X[:, None, :], X[:, :, None])[:, 0, 0]
+
+
+def _gap(spec, X):
+    """Smallest defining coordinate of each row, >= 0 on the closed domain:
+    of (1 - x, 1 + x), 1 - |x|^2 or (x_1, ..., x_n, 1 - sum x)."""
     if spec.kind == INTERVAL:
-        return bool(-1 - tol <= x[0] <= 1 + tol)
+        return 1 - np.abs(X[:, 0])
     if spec.kind == BALL:
-        return bool(x @ x <= 1 + tol)
-    return bool(np.all(x >= -tol) and x.sum() <= 1 + tol)
+        return 1 - _sqnorm(X)
+    return np.minimum(X.min(axis=1), 1 - X.sum(axis=1))
+
+
+def _rows(spec, x, interior=False):
+    """``x`` as (m, n) rows of the closed domain, and whether it was one point.
+
+    A row outside the domain (NaN counts as outside) raises DomainError;
+    with ``interior``, a row within BOUNDARY_TOL of the boundary raises
+    BoundarySingularityError.
+    """
+    X, one = _shape(spec, x)
+    gap = _gap(spec, X)
+    least = gap.min(initial=np.inf)
+    if not least >= -CONTAINMENT_TOL:
+        bad = X[~(gap >= -CONTAINMENT_TOL)][0]
+        raise DomainError(f"point {bad.tolist()} lies outside the closed {spec.kind}")
+    if interior and least < BOUNDARY_TOL:
+        raise BoundarySingularityError(
+            f"evaluation within {BOUNDARY_TOL:g} of the {spec.kind} boundary"
+        )
+    return X, one
 
 
 def _require_inside(spec, x):
-    x = _as_point(spec, x)
-    if not contains(spec, x):
-        raise DomainError(f"point {x.tolist()} lies outside the closed {spec.kind}")
-    return x
+    """One point of the closed domain as an (n,) array."""
+    return _rows(spec, np.reshape(x, -1))[0][0]
+
+
+def contains(spec, x, tol=CONTAINMENT_TOL):
+    X, one = _shape(spec, x)
+    return _answer(_gap(spec, X) >= -tol, one)
 
 
 def boundary_gap(spec, x):
     """Smallest defining coordinate margin to the boundary (Euclidean scale)."""
-    x = _as_point(spec, x)
-    if spec.kind == INTERVAL:
-        return min(1 - x[0], 1 + x[0])
-    if spec.kind == BALL:
-        return 1 - float(x @ x)
-    return float(min(x.min(), 1 - x.sum()))
+    X, one = _shape(spec, x)
+    return _answer(_gap(spec, X), one)
 
 
 # ---------------------------------------------------------------------------
@@ -193,43 +229,34 @@ def distance(spec, x, y):
 
 
 def distance_many(spec, x, points):
-    """Vectorized rho(x, p) for an (m, n) array of points."""
-    x = _require_inside(spec, x)
-    pts = np.asarray(points, dtype=float)
-    if spec.kind == INTERVAL:
-        out = np.abs(np.arccos(np.clip(pts[:, 0], -1, 1)) - _clamped_arccos(x[0]))
-    elif spec.kind == BALL:
-        c = pts @ x + np.sqrt(np.clip(1 - (pts * pts).sum(axis=1), 0, None)) * sqrt(
-            max(0.0, 1 - float(x @ x))
-        )
-        out = np.arccos(np.clip(c, -1, 1))
-    else:
-        c = np.sqrt(np.clip(pts, 0, None) * np.clip(x, 0, None)[None, :]).sum(axis=1)
-        c = c + np.sqrt(np.clip(1 - pts.sum(axis=1), 0, None)) * sqrt(max(0.0, 1 - x.sum()))
-        out = np.arccos(np.clip(c, -1, 1))
-    out[np.all(pts == x[None, :], axis=1)] = 0.0
-    return out
+    """rho(x, p) for each row p of an (m, n) array: row 0 of ``distance_matrix``."""
+    return distance_matrix(spec, np.reshape(x, (1, -1)), points)[0]
 
 
 def distance_matrix(spec, X, Y):
-    """Pairwise rho for an (p, n) and a (q, n) array: one product of lifted rows."""
-    X = np.array([_require_inside(spec, x) for x in X])
-    Y = np.array([_require_inside(spec, y) for y in Y])
-    out = np.arccos(np.clip(lift_rows(spec, X) @ lift_rows(spec, Y).T, -1, 1))
+    """Pairwise rho for a (p, n) and a (q, n) array of domain points: on the
+    interval |arccos x - arccos y|, elsewhere arccos of the lifted product."""
+    X, _ = _rows(spec, X)
+    Y, _ = _rows(spec, Y)
+    if spec.kind == INTERVAL:
+        out = np.abs(np.subtract.outer(np.arccos(np.clip(X[:, 0], -1, 1)),
+                                       np.arccos(np.clip(Y[:, 0], -1, 1))))
+    else:
+        out = np.arccos(np.clip(lift_rows(spec, X) @ lift_rows(spec, Y).T, -1, 1))
     out[np.all(X[:, None, :] == Y[None, :, :], axis=2)] = 0.0
     return out
 
 
 def rho_to_boundary(spec, x):
     """Intrinsic distance from x to the domain boundary."""
-    x = _require_inside(spec, x)
+    X, one = _rows(spec, x)
     if spec.kind == INTERVAL:
-        th = _clamped_arccos(x[0])
-        return min(th, pi - th)
-    if spec.kind == BALL:
-        return asin(sqrt(max(0.0, 1 - float(x @ x))))
-    vals = [sqrt(max(0.0, v)) for v in x] + [sqrt(max(0.0, 1 - x.sum()))]
-    return asin(min(1.0, min(vals)))
+        th = np.arccos(np.clip(X[:, 0], -1, 1))
+        out = np.minimum(th, pi - th)
+    else:
+        # the smallest lifted coordinate of a face, sqrt of the smallest gap
+        out = np.arcsin(np.minimum(np.sqrt(np.maximum(_gap(spec, X), 0.0)), 1.0))
+    return _answer(out, one)
 
 
 # ---------------------------------------------------------------------------
@@ -238,39 +265,31 @@ def rho_to_boundary(spec, x):
 
 def weight_density(spec, x):
     """Density of the weighted measure at x (strictly positive inside)."""
-    x = _require_inside(spec, x)
+    X, one = _rows(spec, x)
+    # the defining coordinates of _gap, each to its weight exponent
     if spec.kind == INTERVAL:
-        factors = [(1 - x[0], spec.alpha), (1 + x[0], spec.beta)]
+        b, e = np.hstack([1 - X, 1 + X]), np.array([spec.alpha, spec.beta])
     elif spec.kind == BALL:
-        factors = [(1 - float(x @ x), spec.gamma - 0.5)]
+        b, e = _gap(spec, X)[:, None], np.array([spec.gamma - 0.5])
     else:
-        factors = [(float(x[i]), spec.kappa[i] - 0.5) for i in range(spec.n)]
-        factors.append((1 - float(x.sum()), spec.kappa[spec.n] - 0.5))
-    out = 1.0
-    for base, expo in factors:
-        if base <= 0.0:
-            if expo < 0.0:
-                raise BoundarySingularityError(
-                    f"weight density singular at the boundary of the {spec.kind}"
-                )
-            out *= 0.0 if expo > 0.0 else 1.0
-        else:
-            out *= base ** expo
-    return out
+        b, e = np.hstack([X, 1 - X.sum(axis=1, keepdims=True)]), np.asarray(spec.kappa) - 0.5
+    if np.any((b <= 0.0) & (e < 0.0)):
+        raise BoundarySingularityError(f"weight density singular at the boundary of the {spec.kind}")
+    # a margin at or just below zero is zero: the factor is 0, or 1 for exponent 0
+    return _answer(np.prod(np.maximum(b, 0.0) ** e, axis=1), one)
 
 
 def weight_log_gradient(spec, x):
     """Gradient of log(weight density) at an interior point."""
-    x = _require_inside(spec, x)
-    if boundary_gap(spec, x) < BOUNDARY_TOL:
-        raise BoundarySingularityError("log-weight gradient requested too close to the boundary")
+    X, one = _rows(spec, x, interior=True)
     if spec.kind == INTERVAL:
-        return np.array([-spec.alpha / (1 - x[0]) + spec.beta / (1 + x[0])])
-    if spec.kind == BALL:
-        return (1.0 - 2.0 * spec.gamma) * x / (1 - float(x @ x))
-    head = (np.asarray(spec.kappa[: spec.n]) - 0.5) / x
-    tail = (spec.kappa[spec.n] - 0.5) / (1 - float(x.sum()))
-    return head - tail
+        out = (-spec.alpha / (1 - X[:, 0]) + spec.beta / (1 + X[:, 0]))[:, None]
+    elif spec.kind == BALL:
+        out = (1.0 - 2.0 * spec.gamma) * X / (1 - _sqnorm(X))[:, None]
+    else:
+        head = (np.asarray(spec.kappa[: spec.n]) - 0.5) / X
+        out = head - ((spec.kappa[spec.n] - 0.5) / (1 - X.sum(axis=1)))[:, None]
+    return _answer(out, one)
 
 
 # ---------------------------------------------------------------------------
@@ -302,42 +321,37 @@ def chart_lift(spec, x):
     return y / np.linalg.norm(y)
 
 
-def _require_interior(spec, x):
-    x = _require_inside(spec, x)
-    if boundary_gap(spec, x) < BOUNDARY_TOL:
-        raise BoundarySingularityError(
-            f"metric evaluation within {BOUNDARY_TOL:g} of the {spec.kind} boundary"
-        )
-    return x
-
-
 def metric_tensor(spec, x):
     """Chart metric g(x); symmetric positive definite at interior points."""
-    x = _require_interior(spec, x)
-    n = spec.n
+    X, one = _rows(spec, x, interior=True)
+    i = np.arange(spec.n)
     if spec.kind == SIMPLEX:
-        g = np.full((n, n), 0.25 / (1 - x.sum()))
-        g[np.diag_indices(n)] += 0.25 / x
-        return g
-    denom = 1 - float(x @ x)
-    return np.eye(n) + np.outer(x, x) / denom
+        g = np.zeros((len(X), spec.n, spec.n)) + (0.25 / (1 - X.sum(axis=1)))[:, None, None]
+        g[:, i, i] += 0.25 / X
+    else:
+        g = X[:, :, None] * X[:, None, :] / (1 - _sqnorm(X))[:, None, None]
+        g[:, i, i] += 1.0
+    return _answer(g, one)
 
 
 def inverse_metric(spec, x):
-    """Closed-form inverse of the chart metric."""
-    x = _require_interior(spec, x)
-    n = spec.n
-    if spec.kind == SIMPLEX:
-        return 4.0 * (np.diag(x) - np.outer(x, x))
-    return np.eye(n) - np.outer(x, x)
+    """Closed-form inverse of the chart metric: I - x x^T, 4 (diag x - x x^T)."""
+    X, one = _rows(spec, x, interior=True)
+    G = np.zeros((len(X), spec.n, spec.n))
+    i = np.arange(spec.n)
+    G[:, i, i] = X if spec.kind == SIMPLEX else 1.0
+    G -= X[:, :, None] * X[:, None, :]
+    return _answer(4.0 * G if spec.kind == SIMPLEX else G, one)
 
 
 def metric_det(spec, x):
     """Closed-form determinant of the chart metric."""
-    x = _require_interior(spec, x)
+    X, one = _rows(spec, x, interior=True)
     if spec.kind == SIMPLEX:
-        return 4.0 ** (-spec.n) / ((1 - float(x.sum())) * float(np.prod(x)))
-    return 1.0 / (1 - float(x @ x))
+        out = 4.0 ** (-spec.n) / ((1 - X.sum(axis=1)) * np.prod(X, axis=1))
+    else:
+        out = 1.0 / (1 - _sqnorm(X))
+    return _answer(out, one)
 
 
 def inverse_metric_polys(spec):

@@ -156,10 +156,9 @@ class HeatKernelEvaluator:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         return self.basis.evaluate(pts)[:, : self._members]
 
-    def _node_values(self, quad):
-        if quad is None:
-            return self.basis.quad, self.basis.node_values[:, : self._members]
-        return quad, self._values(quad.nodes)
+    def _node_values(self):
+        """Values of the basis members up to the cap at the quadrature nodes."""
+        return self.basis.node_values[:, : self._members]
 
     def _sum(self, g, tail_factor, Vx, Vy):
         """sum_k g_k K_k(x, y) over every built level, with the post-cap tail.
@@ -247,24 +246,23 @@ class HeatKernelEvaluator:
 
     # -- semigroup-level checks ----------------------------------------------
 
-    def mass_check(self, t, x, quad=None):
+    def mass_check(self, t, x):
         """integral of e^(tL)(x, .) d(mu); contract: equals 1."""
-        return float(self.mass_grid(t, x, quad)[0])
+        return float(self.mass_grid(t, x)[0])
 
-    def mass_grid(self, t, X, quad=None):
+    def mass_grid(self, t, X):
         """mass_check at each point of X in one kernel sum: (p,)."""
-        quad, nodes = self._node_values(quad)
-        rows, _ = self._heat(t, self._values(X), nodes)
-        return rows @ quad.weights
+        rows, _ = self._heat(t, self._values(X), self._node_values())
+        return rows @ self.basis.quad.weights
 
-    def semigroup_check(self, s, t, x, z, quad=None):
+    def semigroup_check(self, s, t, x, z):
         """|e^((s+t)L)(x,z) - integral e^(sL)(x,y) e^(tL)(y,z) dmu(y)|."""
-        quad, nodes = self._node_values(quad)
+        nodes = self._node_values()
         Vx, Vz = self._values(x), self._values(z)
         row_s, _ = self._heat(s, Vx, nodes)
         row_t, _ = self._heat(t, Vz, nodes)
         lhs, _ = self._heat(s + t, Vx, Vz)
-        return abs(float(lhs[0, 0]) - float((row_s[0] * row_t[0]) @ quad.weights))
+        return abs(float(lhs[0, 0]) - float((row_s[0] * row_t[0]) @ self.basis.quad.weights))
 
     # -- spectral multipliers -------------------------------------------------
 

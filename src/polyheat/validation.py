@@ -20,8 +20,11 @@ from .domains import (
     INTERVAL,
     SIMPLEX,
     DomainSpec,
+    chart_lift,
     distance_matrix,
+    inverse_metric,
     rho_to_boundary,
+    weight_density,
     weight_log_gradient,
 )
 from .errors import CapacityError, DomainError, PrecisionError
@@ -52,9 +55,7 @@ def interior_points(spec, count, margin=BOUNDARY_MARGIN):
     """Deterministic interior sample clipped to rho-distance >= margin."""
     d = max(8, int(2 * np.ceil(np.sqrt(count))) + 6)
     rule = build_quadrature(spec, d)
-    pts = rule.nodes
-    keep = np.array([rho_to_boundary(spec, p) >= margin for p in pts])
-    pts = pts[keep]
+    pts = rule.nodes[rho_to_boundary(spec, rule.nodes) >= margin]
     if len(pts) == 0:
         raise DomainError("no interior points survive the boundary margin")
     order = np.lexsort(pts.T[::-1])
@@ -71,8 +72,6 @@ def geodesic_ray(spec, anchor, s_values, aim=None):
     rho(anchor, point) = s exactly.  Targets that leave the chart are
     dropped; returns (distances, points).
     """
-    from .domains import chart_lift
-
     anchor = np.atleast_1d(np.asarray(anchor, float))
     y0 = chart_lift(spec, anchor)
     if aim is None:
@@ -90,22 +89,16 @@ def geodesic_ray(spec, anchor, s_values, aim=None):
         u = u - (u @ y0) * y0
         nu = np.linalg.norm(u)
     u = u / nu
-    dists, pts = [], []
-    for s in s_values:
-        y = np.cos(s) * y0 + np.sin(s) * u
-        if spec.kind == SIMPLEX:
-            if np.any(y <= 1e-9):
-                continue
-            x = y[: spec.n] ** 2
-        else:
-            if y[spec.n] <= 1e-9:
-                continue
-            x = y[: spec.n]
-        dists.append(float(s))
-        pts.append(x)
-    if not pts:
+    s = np.asarray(s_values, dtype=float)
+    Y = np.outer(np.cos(s), y0) + np.outer(np.sin(s), u)
+    if spec.kind == SIMPLEX:
+        keep = np.all(Y > 1e-9, axis=1)
+    else:
+        keep = Y[:, spec.n] > 1e-9
+    if not keep.any():
         raise DomainError("no ray targets stay inside the chart")
-    return np.array(dists), np.array(pts)
+    X = Y[keep, : spec.n]
+    return s[keep], X ** 2 if spec.kind == SIMPLEX else X
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +146,7 @@ class _MonomialFrame:
         self.VL = self.V @ operator_matrix(spec, monomials).T
         self.partials = [partial_matrix(monomials, i) for i in range(spec.n)]
         self.VD = np.stack([self.V @ D.T for D in self.partials])
-        self.G = _inverse_metric_at(spec, self.points)
+        self.G = inverse_metric(spec, self.points)
 
     def pad(self, coef):
         """``coef`` over the frame's monomials (graded order: zeros appended)."""
@@ -177,14 +170,6 @@ def _frame(spec, points, degree):
     if _last_frame is None or not _last_frame.covers(spec, points, degree):
         _last_frame = _MonomialFrame(spec, points, degree)
     return _last_frame
-
-
-def _inverse_metric_at(spec, pts):
-    """Chart inverse metric at each point, (m, n, n): I - x x^T, 4 (diag x - x x^T)."""
-    G = -pts[:, :, None] * pts[:, None, :]
-    i = np.arange(spec.n)
-    G[:, i, i] += pts if spec.kind == SIMPLEX else 1.0
-    return 4.0 * G if spec.kind == SIMPLEX else G
 
 
 def _metric_divergence(spec, pts):
@@ -514,8 +499,7 @@ def _simplex_face_flux(spec, f, h, eps, face):
     # the field 4 x_i (d_i f - sum_j x_j d_j f); every node is interior
     g = f.gradients(x)
     field = 4.0 * x * (g - np.einsum("mi,mi->m", x, g)[:, None])
-    kappa = np.asarray(spec.kappa) - 0.5
-    density = np.prod(x ** kappa[:n], axis=1) * (1.0 - x.sum(axis=1)) ** kappa[n]
+    density = weight_density(spec, x)
     if face < n:
         return -float(w @ (h.values(x) * density * field[:, face]))
     return float(w @ (h.values(x) * density * field.sum(axis=1)))
@@ -596,7 +580,7 @@ def chart_laplacian_check(spec, f, points):
     first = [c @ D for D in fr.partials]        # coefficients of d_i f
     chart = sum(fr.G[:, i, j] * (fr.V @ (first[i] @ D))
                 for i in range(spec.n) for j, D in enumerate(fr.partials))
-    logw = np.stack([weight_log_gradient(spec, p) for p in pts], axis=0)
+    logw = weight_log_gradient(spec, pts)
     drift = _metric_divergence(spec, pts) + np.einsum("mij,mi->mj", fr.G, logw)
     chart = chart + np.einsum("mj,jm->m", drift, fr.VD @ c)
     op = _chart_factor(spec) * (fr.VL @ c)
@@ -858,17 +842,14 @@ def operator_symmetry_residual(spec, quad, f, h):
     return gap, dirichlet
 
 
-def kernel_selfadjointness_residual(ev, t, f, h, quad=None):
+def kernel_selfadjointness_residual(ev, t, f, h):
     """Relative gap of int (e^{tL} f) h dmu against int f (e^{tL} h) dmu.
 
-    ``f`` and ``h`` are MultiPolys or coefficient vectors over graded monomials.
+    ``f`` and ``h`` are MultiPolys or coefficient vectors over graded monomials;
+    the integrals run over the basis quadrature.
     """
     basis = ev.basis
-    if quad is None:
-        quad = basis.quad
-        V = basis.node_values
-    else:
-        V = basis.evaluate(quad.nodes)
+    quad, V = basis.quad, basis.node_values
     w = quad.weights
     n = basis.spec.n
     (df, cf), (dh, ch) = _coefficients(n, f), _coefficients(n, h)

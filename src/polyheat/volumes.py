@@ -19,17 +19,19 @@ exactly, since every hit within r is a hit within 2r.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import acos, cos, pi, sqrt
+from math import cos, pi, sqrt
 
 import numpy as np
 
 from .domains import (
     BALL,
-    CONTAINMENT_TOL,
     INTERVAL,
     SIMPLEX,
     DomainSpec,
+    _clamped_arccos,
     _require_inside,
+    _rows,
+    _shape,
     chart_lift,
     log_beta,
     total_mass,
@@ -90,7 +92,7 @@ def _interval_volumes(spec, xs, r):
 
     # math.acos, not np.arccos, whose SIMD loop differs in the last bit on
     # some points; the betainc differences below cancel and magnify it
-    theta = np.array([acos(v) for v in np.clip(xs, -1.0, 1.0).tolist()])
+    theta = np.array([_clamped_arccos(v) for v in xs.tolist()])
     lo, hi = np.maximum(0.0, theta - r), np.minimum(pi, theta + r)
     # y runs over (cos(hi), cos(lo)); substitute u = (1+y)/2
     a, b = spec.alpha, spec.beta
@@ -186,8 +188,10 @@ def ball_volume(spec, x, r, samples=DEFAULT_SAMPLES, seed=0, strata=RADIAL_STRAT
 class VolumeSource:
     """Caching front-end used by the validation scans.
 
-    Each distinct (x, r) query is answered once by :func:`ball_volume` on
-    the sample of ``seed``, so results do not depend on evaluation order.
+    Each distinct (x, r) query is answered once on the sample of ``seed``,
+    so results do not depend on evaluation order.  With ``max_rel_stderr``
+    set, an estimate whose standard error exceeds that fraction of its value
+    raises PrecisionError.
     """
 
     def __init__(self, spec: DomainSpec, samples=DEFAULT_SAMPLES, seed=0, max_rel_stderr=None):
@@ -198,49 +202,44 @@ class VolumeSource:
         self._cache = {}
 
     def __call__(self, x, r) -> VolumeEstimate:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        key = (tuple(np.round(x, 15)), round(float(r), 15))
-        if key not in self._cache:
-            est = ball_volume(self.spec, x, r, samples=self.samples, seed=self.seed)
-            if (
-                self.max_rel_stderr is not None
-                and est.value > 0
-                and est.stderr > self.max_rel_stderr * est.value
-            ):
-                raise PrecisionError(
-                    f"volume stderr {est.stderr:.3g} exceeds "
-                    f"{self.max_rel_stderr:.0%} of V={est.value:.3g}; raise the sample budget"
-                )
-            self._cache[key] = est
-        return self._cache[key]
+        """V(x, r) at one point: the one-row case of ``values``."""
+        return self._estimates(np.asarray(x, dtype=float).reshape(1, -1), r)[0]
 
     def values(self, points, r):
-        """V(x, r).value for each row of ``points``, through the same cache.
+        """V(x, r).value for each row of an (m, n) array of points."""
+        return np.array([est.value for est in self._estimates(points, r)])
 
-        On the interval the misses are one vectorized incomplete-Beta
-        evaluation; on the ball and simplex each point is one query as
-        through ``__call__``.
+    def _estimates(self, points, r):
+        """The estimate of each row; each (x, r) missing from the cache is computed once.
+
+        A row is checked for containment when it is computed: a cached key's
+        point was checked then.  The interval's misses are one incomplete-Beta
+        evaluation; on the ball and simplex each miss is one ``ball_volume``.
         """
-        pts = np.asarray(points, dtype=float).reshape(-1, self.spec.n)
-        if self.spec.kind != INTERVAL:
-            return np.array([self(x, r).value for x in pts])
+        X, _ = _shape(self.spec, points)
         if r <= 0:
             raise DomainError("radius must be positive")
-        outside = ~(np.abs(pts[:, 0]) <= 1 + CONTAINMENT_TOL)     # NaN is outside too
-        if outside.any():
-            raise DomainError(f"point {pts[outside][0].tolist()} lies outside the closed interval")
         rr = round(float(r), 15)
-        keys = [(x, rr) for x in map(tuple, np.round(pts, 15).tolist())]
+        keys = [(x, rr) for x in map(tuple, np.round(X, 15).tolist())]
         # first row of each missing key, as a run of single queries would take
         miss = {}
         for i, key in enumerate(keys):
             if key not in self._cache:
                 miss.setdefault(key, i)
         if miss:
-            if r >= pi:
-                vals = np.full(len(miss), total_mass(self.spec))
+            rows, _ = _rows(self.spec, X if len(miss) == len(X) else X[list(miss.values())])
+            if self.spec.kind == INTERVAL and r < pi:
+                new = [VolumeEstimate(v, 0.0, "exact1d", 0)
+                       for v in _interval_volumes(self.spec, rows[:, 0], r).tolist()]
             else:
-                vals = _interval_volumes(self.spec, pts[list(miss.values()), 0], r)
-            for key, v in zip(miss, vals.tolist()):
-                self._cache[key] = VolumeEstimate(v, 0.0, "exact1d", 0)
-        return np.array([self._cache[key].value for key in keys])
+                new = [ball_volume(self.spec, x, r, samples=self.samples, seed=self.seed)
+                       for x in rows]
+            gate = self.max_rel_stderr
+            for key, est in zip(miss, new):
+                if gate is not None and est.value > 0 and est.stderr > gate * est.value:
+                    raise PrecisionError(
+                        f"volume stderr {est.stderr:.3g} exceeds "
+                        f"{gate:.0%} of V={est.value:.3g}; raise the sample budget"
+                    )
+                self._cache[key] = est
+        return [self._cache[key] for key in keys]

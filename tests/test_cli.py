@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -124,6 +125,51 @@ class TestGeom:
         assert err == ("error: malformed point 'abc': expected numbers separated "
                        "by commas or spaces\n")
         assert out == ""
+
+
+class TestBasisCommands:
+    def test_build_out_loads_back(self, tmp_path, capsys):
+        from polyheat.basis import basis_from_json_obj
+
+        cfgfile = write_config(tmp_path, INTERVAL_INI.format(out=tmp_path))
+        out = tmp_path / "basis.json"
+        assert main(["--config", cfgfile, "basis", "build", "--max-degree", "12",
+                     "--out", str(out)]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == f"wrote {out}"
+        obj = json.loads(out.read_text())
+        assert obj["schema_version"] == 5
+        loaded = basis_from_json_obj(obj)
+        assert loaded.spec.kind == "interval" and loaded.max_degree == 12
+
+    @pytest.mark.parametrize("domain", ["kind = interval\nalpha = -0.5\nbeta = -0.5",
+                                        "kind = simplex\nn = 2\nkappa = 0.5, 1.5, 0.5"])
+    def test_verify_passes(self, tmp_path, capsys, domain):
+        cfgfile = write_config(tmp_path, f"[domain]\n{domain}\n")
+        assert main(["--config", cfgfile, "basis", "verify", "--max-degree", "10"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1] == "level,eigen_residual" and len(lines) == 2 + 11 + 1
+        assert lines[-1].startswith("# max residual ") and lines[-1].endswith("-> PASS")
+
+
+class TestGeomRows:
+    def rows(self, tmp_path, capsys, query):
+        cfgfile = write_config(tmp_path, "[domain]\nkind = ball\nn = 2\ngamma = 0.5\n")
+        assert main(["--config", cfgfile, "geom"] + query) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == "x,y,value,stderr"
+        return list(csv.reader(out[1:]))
+
+    def test_lift(self, tmp_path, capsys):
+        (row,) = self.rows(tmp_path, capsys, ["lift", "--x", "0.6,0"])
+        assert row[0] == "[0.6, 0.0]" and row[2:] == ["0", "0"]
+        assert json.loads(row[1]) == pytest.approx([0.6, 0.0, 0.8], abs=1e-15)
+
+    def test_metric(self, tmp_path, capsys):
+        g, ginv = self.rows(tmp_path, capsys, ["metric", "--x", "0.6,0"])
+        assert g[1].startswith("g=") and ginv[1].startswith("ginv=")
+        np.testing.assert_allclose(json.loads(g[1][2:]), [[1.5625, 0.0], [0.0, 1.0]], atol=1e-14)
+        assert float(g[2]) == pytest.approx(1.5625, rel=1e-12)
+        np.testing.assert_allclose(json.loads(ginv[1][5:]), [[0.64, 0.0], [0.0, 1.0]], atol=1e-15)
 
 
 class TestKernelExport:

@@ -135,6 +135,37 @@ class TestDistance:
         assert np.all(np.diag(distance_matrix(spec, X, X)) == 0.0)
 
 
+    def test_interval_matrix_is_the_arccos_difference_near_the_diagonal(self):
+        spec = DomainSpec.interval(0.7, -0.3)
+        X = np.linspace(-0.99, 0.99, 15)[:, None]
+        D = distance_matrix(spec, X, X + 1e-9)
+        ref = np.array([[distance(spec, x, y) for y in X + 1e-9] for x in X])
+        assert np.abs(D - ref).max() <= 1e-15
+
+
+class TestRows:
+    @pytest.mark.parametrize("fn", [contains, boundary_gap, rho_to_boundary, weight_density,
+                                    weight_log_gradient, metric_tensor, inverse_metric,
+                                    metric_det], ids=lambda fn: fn.__name__)
+    def test_rows_answer_each_point(self, fn):
+        rng = np.random.default_rng(13)
+        for spec in SPECS:
+            X = np.array(random_interior(spec, rng))
+            rows = fn(spec, X)
+            assert len(rows) == len(X)
+            for x, row in zip(X, rows):
+                one = fn(spec, x)
+                assert np.ndim(one) == np.ndim(row) and np.array_equal(one, row)
+            assert type(fn(spec, X[0])) in (bool, float, np.ndarray)
+
+    @pytest.mark.parametrize("rows", [np.full((2, 3), 0.1), [[0.1, 0.2], [np.nan, 0.0]],
+                                      [[0.1, 0.2], [1.2, 0.0]]])
+    def test_bad_rows_raise_one_line(self, rows):
+        with pytest.raises(DomainError) as err:
+            rho_to_boundary(DomainSpec.ball(2, 0.5), rows)
+        assert "\n" not in str(err.value)
+
+
 class TestChart:
     def test_examples(self):
         b2 = DomainSpec.ball(2, 0.5)

@@ -199,6 +199,18 @@ class TestVolumeSource:
         with pytest.raises(DomainError):
             src.values([[0.2]], 0.0)
 
+    @pytest.mark.parametrize("spec, points", [
+        (DomainSpec.ball(2, 0.5), np.full((2, 3), 0.1)),
+        (DomainSpec.interval(0.0, 0.0), [[0.1, 0.2]]),
+        (DomainSpec.ball(2, 0.5), [[0.1, 0.2], [np.nan, 0.0]]),
+    ])
+    def test_rows_of_another_width_or_nan_refuse(self, spec, points):
+        src = VolumeSource(spec, samples=1_000, seed=1)
+        with pytest.raises(DomainError) as err:
+            src.values(points, 0.3)
+        assert "\n" not in str(err.value)
+        assert src._cache == {}
+
     def test_monte_carlo_many_points_are_single_queries(self):
         spec = DomainSpec.simplex(2, (0.5, 0.5, 0.5))
         xs = np.array([(0.1, 0.2), (0.3, 0.3), (0.6, 0.1)])
