@@ -43,8 +43,7 @@ from .volumes import VolumeSource, ball_volume
 SUITES = ("ops", "basis", "kernel", "gauss", "doubling", "green", "flux",
           "chart", "correspondence", "localize", "fsp", "all")
 
-# (eigen-residual, Gram-residual) tolerances per domain kind, read by the ops
-# and basis suites and by ``basis verify``
+# (eigen, Gram) residual tolerances per kind: the ops and basis suites, basis verify
 GATES = {INTERVAL: (1e-9, 1e-10), BALL: (1e-8, 1e-8), SIMPLEX: (1e-8, 1e-8)}
 
 

@@ -170,13 +170,12 @@ def _gap(spec, X):
 def _rows(spec, x, interior=False):
     """``x`` as (m, n) rows of the closed domain, and whether it was one point.
 
-    A row outside the domain (NaN counts as outside) raises DomainError;
-    with ``interior``, a row within BOUNDARY_TOL of the boundary raises
-    BoundarySingularityError.
-    """
+    A row outside (NaN counts as outside) raises DomainError; with ``interior``,
+    a row within BOUNDARY_TOL of the boundary raises BoundarySingularityError."""
     X, one = _shape(spec, x)
     gap = _gap(spec, X)
-    least = gap.min(initial=np.inf)
+    # one point, the common call, skips the reduction: a microsecond a call
+    least = float(gap[0]) if len(gap) == 1 else gap.min(initial=np.inf)
     if not least >= -CONTAINMENT_TOL:
         bad = X[~(gap >= -CONTAINMENT_TOL)][0]
         raise DomainError(f"point {bad.tolist()} lies outside the closed {spec.kind}")
@@ -188,8 +187,11 @@ def _rows(spec, x, interior=False):
 
 
 def _require_inside(spec, x):
-    """One point of the closed domain as an (n,) array."""
-    return _rows(spec, np.reshape(x, -1))[0][0]
+    """One point of the closed domain as an (n,) array; rows or other shapes raise."""
+    X, one = _rows(spec, x)
+    if not one:
+        raise DomainError(f"point has shape {np.shape(x)}, expected ({spec.n},)")
+    return X[0]
 
 
 def contains(spec, x, tol=CONTAINMENT_TOL):
@@ -230,7 +232,7 @@ def distance(spec, x, y):
 
 def distance_many(spec, x, points):
     """rho(x, p) for each row p of an (m, n) array: row 0 of ``distance_matrix``."""
-    return distance_matrix(spec, np.reshape(x, (1, -1)), points)[0]
+    return distance_matrix(spec, _require_inside(spec, x)[None, :], points)[0]
 
 
 def distance_matrix(spec, X, Y):

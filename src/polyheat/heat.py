@@ -156,10 +156,6 @@ class HeatKernelEvaluator:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         return self.basis.evaluate(pts)[:, : self._members]
 
-    def _node_values(self):
-        """Values of the basis members up to the cap at the quadrature nodes."""
-        return self.basis.node_values[:, : self._members]
-
     def _sum(self, g, tail_factor, Vx, Vy):
         """sum_k g_k K_k(x, y) over every built level, with the post-cap tail.
 
@@ -252,12 +248,12 @@ class HeatKernelEvaluator:
 
     def mass_grid(self, t, X):
         """mass_check at each point of X in one kernel sum: (p,)."""
-        rows, _ = self._heat(t, self._values(X), self._node_values())
+        rows, _ = self._heat(t, self._values(X), self.basis.node_values[:, : self._members])
         return rows @ self.basis.quad.weights
 
     def semigroup_check(self, s, t, x, z):
         """|e^((s+t)L)(x,z) - integral e^(sL)(x,y) e^(tL)(y,z) dmu(y)|."""
-        nodes = self._node_values()
+        nodes = self.basis.node_values[:, : self._members]
         Vx, Vz = self._values(x), self._values(z)
         row_s, _ = self._heat(s, Vx, nodes)
         row_t, _ = self._heat(t, Vz, nodes)

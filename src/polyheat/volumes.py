@@ -31,7 +31,6 @@ from .domains import (
     _clamped_arccos,
     _require_inside,
     _rows,
-    _shape,
     chart_lift,
     log_beta,
     total_mass,
@@ -188,10 +187,10 @@ def ball_volume(spec, x, r, samples=DEFAULT_SAMPLES, seed=0, strata=RADIAL_STRAT
 class VolumeSource:
     """Caching front-end used by the validation scans.
 
-    Each distinct (x, r) query is answered once on the sample of ``seed``,
-    so results do not depend on evaluation order.  With ``max_rel_stderr``
-    set, an estimate whose standard error exceeds that fraction of its value
-    raises PrecisionError.
+    Each distinct (x, r) query is answered once by :func:`ball_volume` on
+    the sample of ``seed``, so results do not depend on evaluation order.
+    With ``max_rel_stderr`` set, an estimate whose standard error exceeds
+    that fraction of its value raises PrecisionError.
     """
 
     def __init__(self, spec: DomainSpec, samples=DEFAULT_SAMPLES, seed=0, max_rel_stderr=None):
@@ -202,21 +201,33 @@ class VolumeSource:
         self._cache = {}
 
     def __call__(self, x, r) -> VolumeEstimate:
-        """V(x, r) at one point: the one-row case of ``values``."""
-        return self._estimates(np.asarray(x, dtype=float).reshape(1, -1), r)[0]
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        if x.ndim != 1:
+            raise DomainError(f"point has shape {x.shape}, expected ({self.spec.n},)")
+        # a miss is checked by ball_volume; only a checked point is ever cached
+        key = (tuple(np.round(x, 15)), round(float(r), 15))
+        if key not in self._cache:
+            est = ball_volume(self.spec, x, r, samples=self.samples, seed=self.seed)
+            gate = self.max_rel_stderr
+            if gate is not None and est.value > 0 and est.stderr > gate * est.value:
+                raise PrecisionError(
+                    f"volume stderr {est.stderr:.3g} exceeds "
+                    f"{gate:.0%} of V={est.value:.3g}; raise the sample budget"
+                )
+            self._cache[key] = est
+        return self._cache[key]
 
     def values(self, points, r):
-        """V(x, r).value for each row of an (m, n) array of points."""
-        return np.array([est.value for est in self._estimates(points, r)])
+        """V(x, r).value for each row of an (m, n) array of points, through the same cache.
 
-    def _estimates(self, points, r):
-        """The estimate of each row; each (x, r) missing from the cache is computed once.
-
-        A row is checked for containment when it is computed: a cached key's
-        point was checked then.  The interval's misses are one incomplete-Beta
-        evaluation; on the ball and simplex each miss is one ``ball_volume``.
+        The rows are checked once.  On the interval the misses are one
+        vectorized incomplete-Beta evaluation (exact, so the stderr gate
+        cannot fire); on the ball and simplex each row is one query as
+        through ``__call__``.
         """
-        X, _ = _shape(self.spec, points)
+        X, _ = _rows(self.spec, points)
+        if self.spec.kind != INTERVAL:
+            return np.array([self(x, r).value for x in X])
         if r <= 0:
             raise DomainError("radius must be positive")
         rr = round(float(r), 15)
@@ -227,19 +238,10 @@ class VolumeSource:
             if key not in self._cache:
                 miss.setdefault(key, i)
         if miss:
-            rows, _ = _rows(self.spec, X if len(miss) == len(X) else X[list(miss.values())])
-            if self.spec.kind == INTERVAL and r < pi:
-                new = [VolumeEstimate(v, 0.0, "exact1d", 0)
-                       for v in _interval_volumes(self.spec, rows[:, 0], r).tolist()]
+            if r >= pi:
+                vals = np.full(len(miss), total_mass(self.spec))
             else:
-                new = [ball_volume(self.spec, x, r, samples=self.samples, seed=self.seed)
-                       for x in rows]
-            gate = self.max_rel_stderr
-            for key, est in zip(miss, new):
-                if gate is not None and est.value > 0 and est.stderr > gate * est.value:
-                    raise PrecisionError(
-                        f"volume stderr {est.stderr:.3g} exceeds "
-                        f"{gate:.0%} of V={est.value:.3g}; raise the sample budget"
-                    )
-                self._cache[key] = est
-        return [self._cache[key] for key in keys]
+                vals = _interval_volumes(self.spec, X[list(miss.values()), 0], r)
+            for key, v in zip(miss, vals.tolist()):
+                self._cache[key] = VolumeEstimate(v, 0.0, "exact1d", 0)
+        return np.array([self._cache[key].value for key in keys])

@@ -23,6 +23,7 @@ from polyheat.domains import (
 )
 from polyheat.errors import BoundarySingularityError, DomainError, ParameterError
 from polyheat.quadrature import build_quadrature
+from polyheat.volumes import VolumeSource, ball_volume
 
 from _oracles import dense_perturbed_det
 
@@ -158,12 +159,23 @@ class TestRows:
                 assert np.ndim(one) == np.ndim(row) and np.array_equal(one, row)
             assert type(fn(spec, X[0])) in (bool, float, np.ndarray)
 
-    @pytest.mark.parametrize("rows", [np.full((2, 3), 0.1), [[0.1, 0.2], [np.nan, 0.0]],
-                                      [[0.1, 0.2], [1.2, 0.0]]])
+    @pytest.mark.parametrize("rows", [np.full((2, 3), 0.1), np.full((2, 1), 0.1),
+                                      [[0.1, 0.2], [np.nan, 0.0]], [[0.1, 0.2], [1.2, 0.0]]])
     def test_bad_rows_raise_one_line(self, rows):
         with pytest.raises(DomainError) as err:
             rho_to_boundary(DomainSpec.ball(2, 0.5), rows)
         assert "\n" not in str(err.value)
+
+    @pytest.mark.parametrize("x", [np.full((2, 1), 0.1), np.full((1, 2), 0.1), 0.1])
+    def test_one_point_functions_refuse_other_shapes(self, x):
+        b2 = DomainSpec.ball(2, 0.5)
+        for call in (lambda: distance(b2, x, (0.0, 0.0)), lambda: chart_lift(b2, x),
+                     lambda: distance_many(b2, x, [[0.0, 0.0]]),
+                     lambda: ball_volume(b2, x, 0.3, samples=1_000),
+                     lambda: VolumeSource(b2, samples=1_000)(x, 0.3)):
+            with pytest.raises(DomainError) as err:
+                call()
+            assert "\n" not in str(err.value)
 
 
 class TestChart:
