@@ -72,7 +72,7 @@ from .validation import (
     kernel_selfadjointness_residual,
     localization_check,
     operator_symmetry_residual,
-    random_poly,
+    random_coefficients,
 )
 from .volumes import VolumeEstimate, VolumeSource, ball_volume, sample_measure, volume_surrogate
 

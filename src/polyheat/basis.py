@@ -37,6 +37,7 @@ from math import comb, sqrt
 
 import numpy as np
 
+from .config import SCHEMA_VERSION
 from .domains import BALL, INTERVAL, SIMPLEX, DomainSpec
 from .errors import CapacityError, DomainError, ParameterError, PrecisionError
 from .polynomials import MultiPoly, monomial_operator
@@ -153,10 +154,15 @@ class OrthonormalBasis:
     # -- serialization ------------------------------------------------------
 
     def to_json_obj(self):
+        """The export: spec, degree and the nonzero entries of ``coefficients``
+        as three lists (member row, graded-monomial column, value)."""
+        rows, cols = np.nonzero(self._coeff)
         return {
+            "schema_version": SCHEMA_VERSION,
             "spec": self.spec.to_json_obj(),
             "max_degree": self.max_degree,
-            "levels": [[p.to_json_obj() for p in lev] for lev in self.levels],
+            "entries": {"member": rows.tolist(), "monomial": cols.tolist(),
+                        "value": self._coeff[rows, cols].tolist()},
         }
 
 
@@ -164,21 +170,42 @@ def basis_from_json_obj(obj, coeff_tol=1e-8):
     """Import a basis exported by ``to_json_obj``.
 
     Construction is deterministic, so the basis is rebuilt from its spec and
-    degree and the stored levels serve as an integrity check (relative max
-    coefficient distance per member must stay below ``coeff_tol``).
+    degree and the stored entries serve as an integrity check: per member,
+    the max coefficient distance to the rebuild, relative to the larger max
+    |coefficient|, must stay below ``coeff_tol`` (PrecisionError naming the
+    first bad member).  An export of another schema version, one missing a
+    key, or entries that do not fit the basis raise ParameterError.
     """
-    spec = DomainSpec.from_json_obj(obj["spec"])
-    basis = build_basis(spec, obj["max_degree"])
-    for k, stored_level in enumerate(obj["levels"]):
-        for j, stored in enumerate(stored_level):
-            p = MultiPoly.from_json_obj(stored)
-            q = basis.levels[k][j]
-            scale = max(p.max_abs_coeff(), q.max_abs_coeff(), 1e-300)
-            if p.coeff_distance(q) > coeff_tol * scale:
-                raise PrecisionError(
-                    f"stored basis member ({k},{j}) disagrees with the rebuild; "
-                    "the export may come from an incompatible version"
-                )
+    version = obj.get("schema_version") if isinstance(obj, dict) else None
+    if version != SCHEMA_VERSION:
+        raise ParameterError(f"basis export has schema_version {version!r}, "
+                             f"expected {SCHEMA_VERSION}; build and export the basis again")
+    try:
+        spec, max_degree = DomainSpec.from_json_obj(obj["spec"]), obj["max_degree"]
+        rows, cols, vals = (np.asarray(obj["entries"][key], dtype=float)
+                            for key in ("member", "monomial", "value"))
+    except KeyError as e:
+        raise ParameterError(f"basis export lacks the key {e}") from None
+    basis = build_basis(spec, max_degree)
+    C = basis._coeff
+    same_length = rows.ndim == 1 and rows.shape == cols.shape == vals.shape
+    indices = all(np.array_equal(a, a.round()) and np.all((0 <= a) & (a < len(C)))
+                  for a in (rows, cols))
+    if not (same_length and indices):
+        raise ParameterError("basis export entries are not three equal-length lists of "
+                             f"member and monomial indices in [0, {len(C)}) and values")
+    stored = np.zeros_like(C)
+    stored[rows.astype(np.int64), cols.astype(np.int64)] = vals
+    scale = np.maximum(np.abs(stored).max(axis=1), np.abs(C).max(axis=1))
+    stored -= C
+    gap = np.abs(stored, out=stored).max(axis=1)
+    bad = np.flatnonzero(gap > coeff_tol * np.maximum(scale, 1e-300))
+    if bad.size:
+        k = int(np.searchsorted(basis.offsets, bad[0], side="right")) - 1
+        raise PrecisionError(
+            f"stored basis member ({k},{bad[0] - basis.offsets[k]}) disagrees with the "
+            "rebuild; the export may come from an incompatible version"
+        )
     return basis
 
 

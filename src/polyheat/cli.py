@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import validation as val
-from .basis import build_basis, verify_eigenrelation
+from .basis import build_basis, graded_monomials, verify_eigenrelation
 from .config import SCHEMA_VERSION, load_config
 from .domains import (
     BALL,
@@ -35,8 +35,8 @@ from .domains import (
 )
 from .errors import (BoundarySingularityError, CapacityError, DomainError, ParameterError,
                      PrecisionError)
-from .heat import HeatKernelEvaluator, MultiplierSpec, TruncationPolicy, default_t_min
-from .polynomials import MultiPoly
+from .heat import (DEFAULT_EPSILON, HeatKernelEvaluator, MultiplierSpec, TruncationPolicy,
+                   default_t_min)
 from .quadrature import build_quadrature
 from .volumes import VolumeSource, ball_volume
 
@@ -62,7 +62,7 @@ def _parse_point(text):
 def _evaluator(cfg):
     basis = build_basis(cfg.spec, cfg.max_degree)
     policy = TruncationPolicy(
-        cfg.epsilon,
+        DEFAULT_EPSILON,
         cfg.t_min if cfg.t_min is not None else default_t_min(cfg.spec, basis.max_degree),
         basis.max_degree,
     )
@@ -115,9 +115,7 @@ def cmd_basis_build(args):
     print(f"built {cfg.spec.label()} basis to degree {basis.max_degree}; "
           f"gram residual {basis.gram_residual():.3e}")
     if args.out:
-        obj = basis.to_json_obj()
-        obj["schema_version"] = SCHEMA_VERSION
-        _write(args.out, json.dumps(obj, sort_keys=True))
+        _write(args.out, json.dumps(basis.to_json_obj(), sort_keys=True))
         print(f"wrote {args.out}")
     return 0
 
@@ -307,15 +305,18 @@ def suite_flux(cfg, ev, vol, rng):
     spec = cfg.spec
     if spec.kind == INTERVAL:
         spec = _interval_as_simplex(spec)
-    h = val.PolyField(MultiPoly.constant(spec.n, 1.0))
+    # f is a coefficient vector over graded_monomials(n, 2), h the constant 1
+    monomials = graded_monomials(spec.n, 2)
+    x1, x1sq = (monomials.index((d,) + (0,) * (spec.n - 1)) for d in (1, 2))
+    f = np.zeros(len(monomials))
+    h = val.PolyField([1.0], spec.n)
     if spec.kind == BALL:
-        f = MultiPoly.monomial((2,) + (0,) * (spec.n - 1))
+        f[x1sq] = 1.0
     else:
         # f = x1 + x1^2/2 makes the face flux factor 1 - x1^2, flat in
         # epsilon; in n >= 2 a ridge bump keeps the probe away from the
         # shrinking face ends
-        f = MultiPoly.variable(spec.n, 0) + 0.5 * MultiPoly.monomial(
-            (2,) + (0,) * (spec.n - 1))
+        f[x1], f[x1sq] = 1.0, 0.5
         if spec.n >= 2:
             center = np.full(spec.n, 0.0)
             center[1] = 0.45

@@ -13,7 +13,7 @@ from .domains import BALL, INTERVAL, SIMPLEX, DomainSpec
 from .errors import ParameterError
 from .volumes import RADIAL_STRATA
 
-SCHEMA_VERSION = 5
+SCHEMA_VERSION = 6
 
 
 def _parse_floats(text):
@@ -24,7 +24,6 @@ def _parse_floats(text):
 class RunConfig:
     spec: DomainSpec
     max_degree: int = 20
-    epsilon: float = 1e-10
     t_min: float | None = None
     points: int = 10
     times: tuple = (0.05, 0.2, 1.0)
@@ -40,7 +39,7 @@ class RunConfig:
             "schema_version": SCHEMA_VERSION,
             "domain": self.spec.to_json_obj(),
             "basis": {"max_degree": self.max_degree},
-            "kernel": {"epsilon": self.epsilon, "t_min": self.t_min},
+            "kernel": {"t_min": self.t_min},
             "grids": {
                 "points": self.points,
                 "times": list(self.times),
@@ -65,12 +64,9 @@ class RunConfig:
             "",
             "[basis]",
             f"max_degree = {self.max_degree}",
-            "",
-            "[kernel]",
-            f"epsilon = {self.epsilon}",
         ]
         if self.t_min is not None:
-            lines.append(f"t_min = {self.t_min}")
+            lines += ["", "[kernel]", f"t_min = {self.t_min}"]
         lines += [
             "",
             "[grids]",
@@ -98,7 +94,7 @@ def default_config():
 KNOWN_KEYS = {
     "domain": ("kind", "n", "alpha", "beta", "gamma", "kappa"),
     "basis": ("max_degree",),
-    "kernel": ("epsilon", "t_min"),
+    "kernel": ("t_min",),
     "grids": ("points", "times", "radii", "epsilons", "deltas"),
     "mc": ("samples",),
     "run": ("seed", "output"),
@@ -158,9 +154,7 @@ def load_config(path=None, **overrides):
             cfg = replace(cfg, max_degree=_read(parser["basis"], "max_degree", int,
                                                 cfg.max_degree))
         if parser.has_section("kernel"):
-            sec = parser["kernel"]
-            cfg = replace(cfg, epsilon=_read(sec, "epsilon", float, cfg.epsilon),
-                          t_min=_read(sec, "t_min", float, cfg.t_min))
+            cfg = replace(cfg, t_min=_read(parser["kernel"], "t_min", float, cfg.t_min))
         if parser.has_section("grids"):
             sec = parser["grids"]
             cfg = replace(

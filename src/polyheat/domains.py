@@ -26,12 +26,6 @@ from math import lgamma, log, pi, exp, sqrt, acos
 import numpy as np
 
 from .errors import BoundarySingularityError, DomainError, ParameterError
-from .polynomials import (
-    MultiPoly,
-    apply_ball_operator,
-    apply_jacobi_operator,
-    apply_simplex_operator,
-)
 
 INTERVAL = "interval"
 BALL = "ball"
@@ -120,14 +114,6 @@ class DomainSpec:
     @classmethod
     def from_json_obj(cls, obj):
         return cls(obj["kind"], obj["n"], tuple(obj["params"]))
-
-    def apply_operator(self, p):
-        """Apply this domain's second-order operator to a polynomial."""
-        if self.kind == INTERVAL:
-            return apply_jacobi_operator(p, self.alpha, self.beta)
-        if self.kind == BALL:
-            return apply_ball_operator(p, self.gamma)
-        return apply_simplex_operator(p, self.kappa)
 
 
 # ---------------------------------------------------------------------------
@@ -354,35 +340,6 @@ def metric_det(spec, x):
     else:
         out = 1.0 / (1 - _sqnorm(X))
     return _answer(out, one)
-
-
-def inverse_metric_polys(spec):
-    """Entries of the inverse metric as exact polynomials (n x n nested list)."""
-    n = spec.n
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            if spec.kind == SIMPLEX:
-                e_ij = [0] * n
-                e_ij[i] += 1
-                e_ij[j] += 1
-                terms = {tuple(e_ij): -4.0}
-                if i == j:
-                    e_i = [0] * n
-                    e_i[i] = 1
-                    terms[tuple(e_i)] = terms.get(tuple(e_i), 0.0) + 4.0
-                row.append(MultiPoly(n, terms))
-            else:
-                e_ij = [0] * n
-                e_ij[i] += 1
-                e_ij[j] += 1
-                terms = {tuple(e_ij): -1.0}
-                if i == j:
-                    terms[(0,) * n] = 1.0
-                row.append(MultiPoly(n, terms))
-        out.append(row)
-    return out
 
 
 def perturbed_identity_det(a):

@@ -29,7 +29,7 @@ from .domains import (
 )
 from .errors import CapacityError, DomainError, PrecisionError
 from .heat import HeatKernelEvaluator, MultiplierSpec
-from .polynomials import MultiPoly, monomial_vandermonde, operator_matrix, partial_matrix
+from .polynomials import monomial_vandermonde, operator_matrix, partial_matrix
 from .quadrature import _angular_rule, build_quadrature, gauss_jacobi
 
 BOUNDARY_MARGIN = 0.05
@@ -106,23 +106,15 @@ def geodesic_ray(spec, anchor, s_values, aim=None):
 
 
 def _coefficients(n, f):
-    """(degree, coefficient vector over graded_monomials(n, degree)) of ``f``.
-
-    ``f`` is a MultiPoly (read in one pass over its terms) or a coefficient
-    vector, whose length fixes its degree.
-    """
-    if isinstance(f, MultiPoly):
-        if f.dimension != n:
-            raise DomainError(f"polynomial in {f.dimension} variables on a domain of dimension {n}")
-        degree = max(f.degree(), 0)
-        index = {e: j for j, e in enumerate(graded_monomials(n, degree))}
-        coef = np.zeros(len(index))
-        for e, c in f.items():
-            coef[index[e]] = c
-        return degree, coef
-    coef = np.asarray(f, dtype=float)
+    """(degree, ``f`` as a float vector): the length of the coefficient vector
+    ``f`` over graded_monomials(n, degree) fixes its degree."""
+    try:
+        coef = np.asarray(f, dtype=float)
+    except (TypeError, ValueError):
+        raise DomainError(f"a test polynomial is a coefficient vector over graded monomials, "
+                          f"not a {type(f).__name__}") from None
     degree = 0
-    while comb(n + degree, n) < len(coef):
+    while coef.ndim == 1 and comb(n + degree, n) < len(coef):
         degree += 1
     if coef.ndim != 1 or comb(n + degree, n) != len(coef):
         raise DomainError(f"{coef.shape} coefficients are not a full graded basis in {n} variables")
@@ -180,15 +172,12 @@ def _metric_divergence(spec, pts):
 
 
 class PolyField:
-    """Polynomial test function with exact value and gradient.
+    """Polynomial test function with exact value and gradient, from its
+    coefficient vector ``coef`` over graded_monomials(n, degree)."""
 
-    Kept as a coefficient vector ``coef`` over graded_monomials(n, degree);
-    built from a MultiPoly, or from such a vector with its dimension ``n``.
-    """
-
-    def __init__(self, poly, n=None):
-        self.n = poly.dimension if isinstance(poly, MultiPoly) else int(n)
-        self.degree, self.coef = _coefficients(self.n, poly)
+    def __init__(self, coef, n):
+        self.n = int(n)
+        self.degree, self.coef = _coefficients(self.n, coef)
         self.monomials = graded_monomials(self.n, self.degree)
         # row i: the coefficients of d_i of the field
         self._grad = np.stack([self.coef @ partial_matrix(self.monomials, i)
@@ -231,12 +220,6 @@ class GaussianBump:
 def random_coefficients(n, degree, rng, scale=1.0):
     """Uniform coefficients over graded_monomials(n, degree), drawn in that order."""
     return rng.uniform(-scale, scale, comb(n + degree, n))
-
-
-def random_poly(n, degree, rng, scale=1.0):
-    """The MultiPoly of ``random_coefficients``, from the same draws."""
-    coef = random_coefficients(n, degree, rng, scale)
-    return MultiPoly(n, dict(zip(graded_monomials(n, degree), coef)))
 
 
 # ---------------------------------------------------------------------------
@@ -402,8 +385,8 @@ def _chart_factor(spec):
 def green_identity_check(spec, f, h, quad=None):
     """|int h Lw f dmu + int <grad f, grad h>_g dmu| / max(|lhs|, |rhs|, 1).
 
-    ``f`` is a MultiPoly or a coefficient vector over graded monomials;
-    ``h`` provides vectorized values and gradients (PolyField, GaussianBump).
+    ``f`` is a coefficient vector over graded monomials; ``h`` provides
+    vectorized values and gradients (PolyField, GaussianBump).
     The weighted Laplacian on the chart equals the polynomial operator up to
     the fixed chart factor (4 on the simplex).  Checks on one quadrature
     share its monomial Vandermonde.
@@ -511,8 +494,8 @@ def boundary_flux_decay(spec, f, h, epsilons):
     The ball has a single spherical face with expected rate gamma + 1/2; the
     simplex is decomposed into its n + 1 faces with per-face rates
     kappa_i + 1/2, the smallest kappa dominating the total.  ``f`` is a
-    MultiPoly or a coefficient vector over graded monomials, ``h`` provides
-    vectorized values (PolyField, GaussianBump).
+    coefficient vector over graded monomials, ``h`` provides vectorized
+    values (PolyField, GaussianBump).
     """
     eps = sorted(set(float(e) for e in epsilons), reverse=True)
     if len(eps) < 4 or not all(0 < e < 0.5 for e in eps):
@@ -828,7 +811,7 @@ def finite_speed_scan(ev, delta, m, A, anchors=None, threshold=1e-8,
 def operator_symmetry_residual(spec, quad, f, h):
     """(relative symmetry gap of the bilinear form, -int f Lf dmu).
 
-    ``f`` and ``h`` are MultiPolys or coefficient vectors over graded monomials.
+    ``f`` and ``h`` are coefficient vectors over graded monomials.
     """
     pts, w = quad.nodes, quad.weights
     (df, cf), (dh, ch) = _coefficients(spec.n, f), _coefficients(spec.n, h)
@@ -845,8 +828,8 @@ def operator_symmetry_residual(spec, quad, f, h):
 def kernel_selfadjointness_residual(ev, t, f, h):
     """Relative gap of int (e^{tL} f) h dmu against int f (e^{tL} h) dmu.
 
-    ``f`` and ``h`` are MultiPolys or coefficient vectors over graded monomials;
-    the integrals run over the basis quadrature.
+    ``f`` and ``h`` are coefficient vectors over graded monomials; the
+    integrals run over the basis quadrature.
     """
     basis = ev.basis
     quad, V = basis.quad, basis.node_values

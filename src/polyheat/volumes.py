@@ -185,12 +185,12 @@ def ball_volume(spec, x, r, samples=DEFAULT_SAMPLES, seed=0, strata=RADIAL_STRAT
 
 
 class VolumeSource:
-    """Caching front-end used by the validation scans.
+    """Volume front-end used by the validation scans.
 
-    Each distinct (x, r) query is answered once by :func:`ball_volume` on
-    the sample of ``seed``, so results do not depend on evaluation order.
-    With ``max_rel_stderr`` set, an estimate whose standard error exceeds
-    that fraction of its value raises PrecisionError.
+    Every query is answered by :func:`ball_volume` on the sample of
+    ``seed``, so results do not depend on evaluation order.  With
+    ``max_rel_stderr`` set, an estimate whose standard error exceeds that
+    fraction of its value raises PrecisionError.
     """
 
     def __init__(self, spec: DomainSpec, samples=DEFAULT_SAMPLES, seed=0, max_rel_stderr=None):
@@ -198,50 +198,29 @@ class VolumeSource:
         self.samples = samples
         self.seed = seed
         self.max_rel_stderr = max_rel_stderr
-        self._cache = {}
 
     def __call__(self, x, r) -> VolumeEstimate:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        if x.ndim != 1:
-            raise DomainError(f"point has shape {x.shape}, expected ({self.spec.n},)")
-        # a miss is checked by ball_volume; only a checked point is ever cached
-        key = (tuple(np.round(x, 15)), round(float(r), 15))
-        if key not in self._cache:
-            est = ball_volume(self.spec, x, r, samples=self.samples, seed=self.seed)
-            gate = self.max_rel_stderr
-            if gate is not None and est.value > 0 and est.stderr > gate * est.value:
-                raise PrecisionError(
-                    f"volume stderr {est.stderr:.3g} exceeds "
-                    f"{gate:.0%} of V={est.value:.3g}; raise the sample budget"
-                )
-            self._cache[key] = est
-        return self._cache[key]
+        est = ball_volume(self.spec, x, r, samples=self.samples, seed=self.seed)
+        gate = self.max_rel_stderr
+        if gate is not None and est.value > 0 and est.stderr > gate * est.value:
+            raise PrecisionError(
+                f"volume stderr {est.stderr:.3g} exceeds "
+                f"{gate:.0%} of V={est.value:.3g}; raise the sample budget"
+            )
+        return est
 
     def values(self, points, r):
-        """V(x, r).value for each row of an (m, n) array of points, through the same cache.
+        """V(x, r).value for each row of an (m, n) array of points.
 
-        The rows are checked once.  On the interval the misses are one
-        vectorized incomplete-Beta evaluation (exact, so the stderr gate
-        cannot fire); on the ball and simplex each row is one query as
-        through ``__call__``.
+        The rows are checked once.  On the interval they are one vectorized
+        incomplete-Beta evaluation (exact, so the stderr gate cannot fire);
+        on the ball and simplex each row is one query through ``__call__``.
         """
         X, _ = _rows(self.spec, points)
         if self.spec.kind != INTERVAL:
             return np.array([self(x, r).value for x in X])
         if r <= 0:
             raise DomainError("radius must be positive")
-        rr = round(float(r), 15)
-        keys = [(x, rr) for x in map(tuple, np.round(X, 15).tolist())]
-        # first row of each missing key, as a run of single queries would take
-        miss = {}
-        for i, key in enumerate(keys):
-            if key not in self._cache:
-                miss.setdefault(key, i)
-        if miss:
-            if r >= pi:
-                vals = np.full(len(miss), total_mass(self.spec))
-            else:
-                vals = _interval_volumes(self.spec, X[list(miss.values()), 0], r)
-            for key, v in zip(miss, vals.tolist()):
-                self._cache[key] = VolumeEstimate(v, 0.0, "exact1d", 0)
-        return np.array([self._cache[key].value for key in keys])
+        if r >= pi:
+            return np.full(len(X), total_mass(self.spec))
+        return _interval_volumes(self.spec, X[:, 0], r)

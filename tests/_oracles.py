@@ -10,6 +10,10 @@ correspondence through sparse polynomial arithmetic and scalar distances,
 and the Green, chart and flux checks through ``MultiPoly`` arithmetic (the
 operator applied term by term, the inverse metric as exact polynomials,
 every evaluation through ``eval_many``).
+
+The package takes test polynomials as coefficient vectors over
+``graded_monomials``; ``as_coefficients`` and ``poly_of`` convert between
+those and ``MultiPoly``.
 """
 
 from math import exp, lgamma, pi, sqrt
@@ -18,24 +22,89 @@ import numpy as np
 import sympy as sp
 from scipy.integrate import quad as scipy_quad
 
-from polyheat.basis import build_basis, level_dimension
+from polyheat.basis import build_basis, graded_monomials, level_dimension
 from polyheat.domains import (
     BALL,
+    INTERVAL,
+    SIMPLEX,
     DomainSpec,
     distance,
-    inverse_metric_polys,
     weight_density,
     weight_log_gradient,
 )
 from polyheat.errors import DomainError, PrecisionError
 from polyheat.polynomials import (
     MultiPoly,
+    apply_ball_operator,
     apply_jacobi_operator,
     apply_simplex_operator,
     poly_partial,
 )
 from polyheat.quadrature import _angular_rule, jacobi_recurrence
-from polyheat.validation import loglog_fit, random_poly
+from polyheat.validation import loglog_fit, random_coefficients
+
+
+# ---------------------------------------------------------------------------
+# MultiPoly and coefficient vectors over graded monomials
+
+
+def as_coefficients(p, monomials=None):
+    """The coefficients of ``p`` over ``monomials``, by default
+    graded_monomials(n, degree of p): the vector the package takes."""
+    if monomials is None:
+        monomials = graded_monomials(p.dimension, max(p.degree(), 0))
+    return np.array([p.coeff(e) for e in monomials])
+
+
+def poly_of(n, coef):
+    """The MultiPoly of a coefficient vector over graded monomials."""
+    degree = 0
+    while len(graded_monomials(n, degree)) < len(coef):
+        degree += 1
+    return MultiPoly(n, dict(zip(graded_monomials(n, degree), coef)))
+
+
+def random_poly(n, degree, rng, scale=1.0):
+    """The MultiPoly of ``random_coefficients``, from the same draws."""
+    return poly_of(n, random_coefficients(n, degree, rng, scale))
+
+
+def apply_operator(spec, p):
+    """The second-order operator of ``spec`` applied to a MultiPoly."""
+    if spec.kind == INTERVAL:
+        return apply_jacobi_operator(p, spec.alpha, spec.beta)
+    if spec.kind == BALL:
+        return apply_ball_operator(p, spec.gamma)
+    return apply_simplex_operator(p, spec.kappa)
+
+
+def inverse_metric_polys(spec):
+    """Entries of the inverse metric as exact polynomials (n x n nested list)."""
+    n = spec.n
+    out = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            if spec.kind == SIMPLEX:
+                e_ij = [0] * n
+                e_ij[i] += 1
+                e_ij[j] += 1
+                terms = {tuple(e_ij): -4.0}
+                if i == j:
+                    e_i = [0] * n
+                    e_i[i] = 1
+                    terms[tuple(e_i)] = terms.get(tuple(e_i), 0.0) + 4.0
+                row.append(MultiPoly(n, terms))
+            else:
+                e_ij = [0] * n
+                e_ij[i] += 1
+                e_ij[j] += 1
+                terms = {tuple(e_ij): -1.0}
+                if i == j:
+                    terms[(0,) * n] = 1.0
+                row.append(MultiPoly(n, terms))
+        out.append(row)
+    return out
 
 
 def poly_to_sympy(p, symbols):
@@ -297,7 +366,7 @@ def _chart_factor(spec):
 def reference_green(spec, f, h, quad):
     """``green_identity_check`` through MultiPoly; ``h`` a ReferenceField or bump."""
     pts, w = quad.nodes, quad.weights
-    lf = _chart_factor(spec) * spec.apply_operator(f).eval_many(pts)
+    lf = _chart_factor(spec) * apply_operator(spec, f).eval_many(pts)
     lhs = float(w @ (h.values(pts) * lf))
     ginv = inverse_metric_polys(spec)
     gf = np.stack([poly_partial(f, i).eval_many(pts) for i in range(spec.n)], axis=1)
@@ -335,7 +404,7 @@ def reference_chart(spec, f, points):
         for i in range(n):
             coef += ginv[i][j].eval_many(pts) * logw[:, i]
         chart += coef * f_i[j].eval_many(pts)
-    op = _chart_factor(spec) * spec.apply_operator(f).eval_many(pts)
+    op = _chart_factor(spec) * apply_operator(spec, f).eval_many(pts)
     num = float(np.max(np.abs(chart - op)))
     den = float(np.max(np.maximum(np.abs(chart), np.abs(op))))
     return num / den if den > 0 else num

@@ -29,11 +29,11 @@ from polyheat.validation import (
     jacobi_simplex_correspondence,
     kernel_selfadjointness_residual,
     localization_check,
-    random_poly,
+    random_coefficients,
 )
 from polyheat.volumes import VolumeSource
 
-from _oracles import chebyshev_heat_kernel, dense_perturbed_det
+from _oracles import as_coefficients, chebyshev_heat_kernel, dense_perturbed_det
 
 _BASES = {}
 _VOLS = {}
@@ -151,8 +151,8 @@ def test_06_symmetry_selfadjointness():
         vals, _ = ev.heat_kernel_grid(0.3, pts, pts)
         worst_sym = max(worst_sym, float(np.abs(vals - vals.T).max()))
         for _ in range(5):
-            f = random_poly(ev.spec.n, 10, rng)
-            h = random_poly(ev.spec.n, 10, rng)
+            f = random_coefficients(ev.spec.n, 10, rng)
+            h = random_coefficients(ev.spec.n, 10, rng)
             worst_adj = max(worst_adj, kernel_selfadjointness_residual(ev, 0.5, f, h))
     ok = worst_sym <= 1e-13 and worst_adj <= 1e-8
     report(6, "symmetry/self-adjointness", ok,
@@ -166,7 +166,7 @@ def test_07_chart_correspondence():
              DomainSpec.simplex(1, (0.5, 1.5)), DomainSpec.simplex(2, (-0.3, 0.8, 1.7))]
     for spec in specs:
         pts = interior_points(spec, 100, margin=0.02)
-        f = random_poly(spec.n, 5, rng)
+        f = random_coefficients(spec.n, 5, rng)
         worst = max(worst, chart_laplacian_check(spec, f, pts))
     report(7, "chart correspondence", worst <= 1e-8,
            f"max relative residual = {worst:.2e} at 100 samples")
@@ -179,8 +179,8 @@ def test_08_green_identity():
                  DomainSpec.simplex(2, (0.5, 1.0, -0.2))):
         quad = build_quadrature(spec, 20)
         for _ in range(20):
-            f = random_poly(spec.n, 6, rng)
-            h = PolyField(random_poly(spec.n, 4, rng))
+            f = random_coefficients(spec.n, 6, rng)
+            h = PolyField(random_coefficients(spec.n, 4, rng), spec.n)
             worst = max(worst, green_identity_check(spec, f, h, quad))
     report(8, "green identity", worst <= 1e-8, f"max residual {worst:.2e} over 20 pairs x 3 domains")
 
@@ -193,8 +193,8 @@ def test_09_boundary_flux_rates():
     ok = True
     for g in (0.25, 1.0):
         spec = DomainSpec.ball(2, g)
-        f = MultiPoly.monomial((2, 0))
-        rep = boundary_flux_decay(spec, f, PolyField(MultiPoly.constant(2, 1.0)), eps)
+        f = as_coefficients(MultiPoly.monomial((2, 0)))
+        rep = boundary_flux_decay(spec, f, PolyField([1.0], 2), eps)
         good = abs(rep.fitted_slope - (g + 0.5)) <= 0.1 and rep.r2 >= 0.98
         ok = ok and good
         rows.append(f"ball g={g}: slope {rep.fitted_slope:.3f} vs {g + 0.5} r2={rep.r2:.4f}")
@@ -208,10 +208,10 @@ def test_09_boundary_flux_rates():
          GaussianBump([0.0, 0.45], [np.inf, 0.15])),
     ]
     for spec, h in cases:
-        f = MultiPoly.variable(spec.n, 0) + 0.5 * MultiPoly.monomial(
-            (2,) + (0,) * (spec.n - 1))
+        f = as_coefficients(MultiPoly.variable(spec.n, 0) + 0.5 * MultiPoly.monomial(
+            (2,) + (0,) * (spec.n - 1)))
         if h is None:
-            h = PolyField(MultiPoly.constant(spec.n, 1.0))
+            h = PolyField([1.0], spec.n)
         rep = boundary_flux_decay(spec, f, h, eps)
         expected = min(spec.kappa) + 0.5
         good = abs(rep.fitted_slope - expected) <= 0.1 and rep.r2 >= 0.98

@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 from math import comb, pi, sqrt
 
@@ -20,9 +21,9 @@ from polyheat.domains import DomainSpec, total_mass
 from polyheat.errors import CapacityError, DomainError, ParameterError, PrecisionError
 from polyheat.polynomials import MultiPoly, monomial_operator, monomial_vandermonde
 from polyheat.quadrature import build_quadrature
-from polyheat.validation import operator_symmetry_residual, random_poly
+from polyheat.validation import operator_symmetry_residual, random_coefficients
 
-from _oracles import member_gram_schmidt, reference_interval_basis
+from _oracles import apply_operator, member_gram_schmidt, reference_interval_basis
 
 
 class TestEigenvalues:
@@ -239,7 +240,7 @@ def reference_eigen_residuals(basis):
     for k in range(basis.max_degree + 1):
         lam = basis.lambdas[k]
         for p in basis.levels[k]:
-            r = basis.spec.apply_operator(p) + lam * p
+            r = apply_operator(basis.spec, p) + lam * p
             scale = 1.0 if k == 0 else lam * p.max_abs_coeff()
             out[k] = max(out[k], r.max_abs_coeff() / scale)
     return out
@@ -255,7 +256,7 @@ class TestVectorizedVerification:
             assert np.unique(dst).size == dst.size
             L[dst, src] += coef
         for j, e in enumerate(monos):
-            ref = spec.apply_operator(MultiPoly.monomial(e))
+            ref = apply_operator(spec, MultiPoly.monomial(e))
             col = np.array([ref.coeff(f) for f in monos])
             assert np.abs(L[:, j] - col).max() <= 1e-12 * max(1.0, np.abs(col).max())
 
@@ -374,8 +375,8 @@ class TestOperatorSymmetry:
         rng = np.random.default_rng(21)
         quad = build_quadrature(spec, 26)
         for _ in range(5):
-            f = random_poly(spec.n, 10, rng)
-            h = random_poly(spec.n, 10, rng)
+            f = random_coefficients(spec.n, 10, rng)
+            h = random_coefficients(spec.n, 10, rng)
             gap, dirichlet = operator_symmetry_residual(spec, quad, f, h)
             assert gap <= 1e-8
             assert dirichlet >= -1e-10
@@ -391,30 +392,47 @@ class TestCapsAndModes:
     def test_serialization(self):
         from polyheat.basis import basis_from_json_obj
 
-        basis = build_basis(DomainSpec.simplex(1, (0.5, 1.5)), 5)
-        obj = basis.to_json_obj()
-        assert obj["max_degree"] == 5
-        assert len(obj["levels"]) == 6
-        assert obj["spec"]["kind"] == "simplex"
-        loaded = basis_from_json_obj(obj)
-        assert loaded.max_degree == 5
-        assert loaded.spec == basis.spec
-        # tampered export is rejected
-        obj["levels"][2][0]["terms"][0][1] *= 1.5
-        import pytest as _pytest
-        from polyheat.errors import PrecisionError
-
-        with _pytest.raises(PrecisionError):
-            basis_from_json_obj(obj)
-        # the product bases of the ball and simplex, and a tampered member
-        for spec in (DomainSpec.ball(2, 0.5), DomainSpec.simplex(2, (0.5, 0.5, 0.5))):
-            basis = build_basis(spec, 8)
-            obj = basis.to_json_obj()
-            assert [len(lev) for lev in obj["levels"]] == [level_dimension(2, k)
-                                                           for k in range(9)]
+        for spec, K in ((DomainSpec.interval(0.7, -0.3), 12), (DomainSpec.ball(2, 0.5), 8),
+                        (DomainSpec.simplex(2, (0.5, 0.5, 0.5)), 8),
+                        (DomainSpec.ball(3, 0.0), 5)):
+            basis = build_basis(spec, K)
+            obj = json.loads(json.dumps(basis.to_json_obj()))
+            assert obj["schema_version"] == 6 and obj["max_degree"] == K
+            # the nonzero entries of the coefficient matrix
+            entries = obj["entries"]
+            C = np.zeros_like(basis.coefficients)
+            C[entries["member"], entries["monomial"]] = entries["value"]
+            assert np.array_equal(C, basis.coefficients)
+            assert len(entries["value"]) == np.count_nonzero(basis.coefficients)
             loaded = basis_from_json_obj(obj)
-            assert loaded.spec == spec
+            assert loaded.spec == spec and loaded.max_degree == K
             assert np.array_equal(loaded.coefficients, basis.coefficients)
-            obj["levels"][5][2]["terms"][-1][1] *= 1 + 1e-6
-            with _pytest.raises(PrecisionError, match=r"\(5,2\)"):
+            # a tampered export is rejected, naming the member (k, j)
+            k = K // 2
+            j = level_dimension(spec.n, k) - 1
+            row = basis.level_slice(k).start + j
+            at = [i for i, m in enumerate(entries["member"]) if m == row]
+            entries["value"][max(at, key=lambda i: abs(entries["value"][i]))] *= 1 + 1e-6
+            with pytest.raises(PrecisionError, match=rf"\({k},{j}\)"):
                 basis_from_json_obj(obj)
+
+    def test_bad_exports_are_one_line_errors(self):
+        from polyheat.basis import basis_from_json_obj
+
+        good = build_basis(DomainSpec.ball(2, 0.5), 4).to_json_obj()
+        entries = good["entries"]
+        schema5 = {"schema_version": 5, "spec": good["spec"], "max_degree": 4,
+                   "levels": [[{"dimension": 2, "terms": [[[0, 0], 0.56]]}]]}
+        bad = [
+            (schema5, "schema_version 5"),
+            ({k: v for k, v in good.items() if k != "schema_version"}, "schema_version None"),
+            ({k: v for k, v in good.items() if k != "entries"}, "'entries'"),
+            (dict(good, entries={k: v for k, v in entries.items() if k != "value"}), "'value'"),
+            (dict(good, entries=dict(entries, member=entries["member"][:-1])), "equal-length"),
+            (dict(good, entries=dict(entries, monomial=[15] + entries["monomial"][1:])),
+             r"\[0, 15\)"),
+        ]
+        for obj, named in bad:
+            with pytest.raises(ParameterError, match=named) as err:
+                basis_from_json_obj(obj)
+            assert "\n" not in str(err.value)

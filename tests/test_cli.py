@@ -55,7 +55,8 @@ class TestConfig:
     def test_defaults(self):
         cfg = default_config()
         assert cfg.spec.kind == "interval"
-        assert cfg.epsilon == 1e-10
+        # the tail target is heat.DEFAULT_EPSILON, not a config key
+        assert cfg.to_json_obj()["kernel"] == {"t_min": None}
 
     @pytest.mark.parametrize("body, named", [
         ("[mc]\nsamples = abc\n", "[mc] samples"),
@@ -65,6 +66,7 @@ class TestConfig:
         ("[domain]\nkind = ball\nn = 2\n[mc]\nsamples = 4\n", "[mc] samples = 4"),
         ("[run]\nthreads = 1\n", "[run] threads"),
         ("[basis]\nprecision = double\n", "[basis] precision"),
+        ("[kernel]\nepsilon = 1e-10\n", "[kernel] epsilon"),
     ])
     def test_bad_config_is_one_line_error(self, tmp_path, capsys, body, named):
         cfgfile = write_config(tmp_path, body)
@@ -137,7 +139,7 @@ class TestBasisCommands:
                      "--out", str(out)]) == 0
         assert capsys.readouterr().out.splitlines()[-1] == f"wrote {out}"
         obj = json.loads(out.read_text())
-        assert obj["schema_version"] == 5
+        assert obj["schema_version"] == 6
         loaded = basis_from_json_obj(obj)
         assert loaded.spec.kind == "interval" and loaded.max_degree == 12
 
@@ -248,7 +250,7 @@ class TestValidate:
         cfgfile = write_config(tmp_path, INTERVAL_INI.format(out=tmp_path))
         assert main(["--config", cfgfile, "validate", "ops"]) == 0
         report = json.loads((tmp_path / "validate_ops.json").read_text())
-        assert report["schema_version"] == 5
+        assert report["schema_version"] == 6
         assert report["pass"] is True
         assert report["config"]["domain"]["kind"] == "interval"
         assert report["suites"]["ops"]["results"]["max"] <= 1e-9
@@ -293,16 +295,13 @@ class TestValidate:
     @pytest.mark.parametrize("suite", ["green", "chart", "flux"])
     def test_array_suites_apply_no_multipoly_operator(self, tmp_path, capsys, monkeypatch,
                                                        suite):
-        import polyheat.domains
         import polyheat.polynomials
 
         def refuse(*args, **kwargs):
             raise AssertionError("a MultiPoly operator was applied")
 
-        for module in (polyheat.polynomials, polyheat.domains):
-            for name in ("apply_ball_operator", "apply_simplex_operator",
-                         "apply_jacobi_operator"):
-                monkeypatch.setattr(module, name, refuse)
+        for name in ("apply_ball_operator", "apply_simplex_operator", "apply_jacobi_operator"):
+            monkeypatch.setattr(polyheat.polynomials, name, refuse)
         cfgfile = write_config(tmp_path, (
             "[domain]\nkind = ball\nn = 2\ngamma = 0.5\n[basis]\nmax_degree = 12\n"
             f"[run]\noutput = {tmp_path}\n"))
@@ -323,8 +322,8 @@ FOOTPRINT_SCRIPT = """
 import json, sys
 import numpy as np
 import polyheat, polyheat.cli
-from polyheat import (DomainSpec, HeatKernelEvaluator, MultiPoly, PolyField,
-                      ball_volume, boundary_flux_decay, build_basis)
+from polyheat import (DomainSpec, HeatKernelEvaluator, PolyField, ball_volume,
+                      boundary_flux_decay, build_basis)
 
 def scipy_modules():
     return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
@@ -335,8 +334,8 @@ ev.heat_kernel_grid(1.0, pts, pts)
 ev = HeatKernelEvaluator(build_basis(DomainSpec.interval(-0.5, 1.5), 20))
 ev.heat_kernel_grid(1.0, pts[:, :1], pts[:, :1])
 spec = DomainSpec.simplex(2, (0.5, 0.5, 0.5))
-boundary_flux_decay(spec, MultiPoly.variable(2, 0), PolyField(MultiPoly.constant(2, 1.0)),
-                    [0.2, 0.1, 0.05, 0.02])
+# f = x1 over the graded monomials 1, x2, x1; h = 1
+boundary_flux_decay(spec, [0.0, 0.0, 1.0], PolyField([1.0], 2), [0.2, 0.1, 0.05, 0.02])
 kernel = scipy_modules()
 ball_volume(DomainSpec.ball(2, 0.5), np.array([0.1, 0.1]), 0.3, samples=1000, seed=1)
 print(json.dumps({"kernel": kernel, "volume": scipy_modules()}))

@@ -12,7 +12,6 @@ from polyheat.domains import (
     distance_many,
     distance_matrix,
     inverse_metric,
-    inverse_metric_polys,
     metric_det,
     metric_tensor,
     perturbed_identity_det,
@@ -25,7 +24,7 @@ from polyheat.errors import BoundarySingularityError, DomainError, ParameterErro
 from polyheat.quadrature import build_quadrature
 from polyheat.volumes import VolumeSource, ball_volume
 
-from _oracles import dense_perturbed_det
+from _oracles import dense_perturbed_det, inverse_metric_polys
 
 SPECS = [
     DomainSpec.interval(-0.5, -0.5),

@@ -196,12 +196,12 @@ class TestMultipliers:
 
 class TestSelfAdjointness:
     def test_kernel_bilinear_symmetry(self, ball_ev):
-        from polyheat.validation import kernel_selfadjointness_residual, random_poly
+        from polyheat.validation import kernel_selfadjointness_residual, random_coefficients
 
         rng = np.random.default_rng(31)
         for _ in range(5):
-            f = random_poly(2, 10, rng)
-            h = random_poly(2, 10, rng)
+            f = random_coefficients(2, 10, rng)
+            h = random_coefficients(2, 10, rng)
             assert kernel_selfadjointness_residual(ball_ev, 0.5, f, h) <= 1e-8
 
 
