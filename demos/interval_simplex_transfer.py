@@ -9,8 +9,8 @@ distances halve, and heat kernels rescale by 2^(-(a+b+1)).
 from polyheat import jacobi_simplex_correspondence
 
 for a, b in [(-0.5, -0.5), (0.0, 0.0), (0.7, -0.3)]:
-    rep = jacobi_simplex_correspondence(a, b, max_k=30, times=(0.2, 1.0))
+    rep = jacobi_simplex_correspondence(a, b, max_k=30)
     print(f"(alpha, beta) = ({a}, {b})")
-    for name, res, tol, ok in rep.checks:
-        print(f"   {name:24s} residual {res:.2e}  {'ok' if ok else 'FAIL'}")
+    for c in rep.checks:
+        print(f"   {c['name']:24s} residual {c['residual']:.2e}  {'ok' if c['pass'] else 'FAIL'}")
     print()

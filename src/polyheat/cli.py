@@ -4,22 +4,23 @@ Subcommands: ``config show``, ``basis build|verify``,
 ``geom dist|lift|metric|volume``, ``kernel eval|multiplier|export``, and
 ``validate <suite>`` where suite is one of ops, basis, kernel, gauss,
 doubling, green, flux, chart, correspondence, localize, fsp, all.
-Validation writes a JSON report (schema-versioned, embedding the resolved
-config) plus CSV data tables; the exit code is nonzero iff a verdict fails.
+Validation writes one JSON report (schema-versioned, embedding the resolved
+config); the exit code is nonzero iff a verdict fails.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import validation as val
-from .basis import build_basis, graded_monomials, verify_eigenrelation
+from .basis import (build_basis, eigenvalue, graded_monomials, level_dimension,
+                    verify_eigenrelation)
 from .config import SCHEMA_VERSION, load_config
 from .domains import (
     BALL,
@@ -84,11 +85,6 @@ def _np_default(o):
     if isinstance(o, np.ndarray):
         return o.tolist()
     raise TypeError(f"not JSON serializable: {type(o).__name__}")
-
-
-def _report(rep):
-    """The JSON object of a validation report dataclass: its fields by name."""
-    return dataclasses.asdict(rep)
 
 
 def _emit_json(obj, out, name):
@@ -243,8 +239,6 @@ def suite_ops(cfg, ev, vol, rng):
 
 
 def suite_basis(cfg, ev, vol, rng):
-    from .basis import level_dimension
-
     gram = ev.basis.gram_residual()
     tol = GATES[cfg.spec.kind][1]
     dims_ok = all(int(d) == level_dimension(cfg.spec.n, k)
@@ -277,7 +271,7 @@ def suite_gauss(cfg, ev, vol, rng):
     rep = val.gauss_ratio_scan(ev, vol, pts, times)
     ok = (rep.verdict and rep.e_max / rep.e_min <= 25.0
           and rep.n_hi / rep.n_lo <= 20.0)
-    return _report(rep), ok
+    return vars(rep), ok
 
 
 def suite_doubling(cfg, ev, vol, rng):
@@ -285,7 +279,7 @@ def suite_doubling(cfg, ev, vol, rng):
     radii = [r for r in cfg.radii if r <= np.pi / 2]
     rep = val.doubling_scan(cfg.spec, vol, pts, radii)
     ok = rep.verdict and rep.comp_hi / rep.comp_lo <= 30.0
-    return _report(rep), ok
+    return vars(rep), ok
 
 
 def suite_green(cfg, ev, vol, rng, pairs=20):
@@ -331,7 +325,7 @@ def suite_flux(cfg, ev, vol, rng):
         and abs(rep.fitted_slope - rep.expected_slope) <= 0.1
         and rep.r2 >= 0.98
     )
-    return _report(rep), ok
+    return vars(rep), ok
 
 
 def suite_chart(cfg, ev, vol, rng):
@@ -354,22 +348,15 @@ def suite_correspondence(cfg, ev, vol, rng):
         return {"skipped": "correspondence needs a one-dimensional domain"}, True
     rep = val.jacobi_simplex_correspondence(alpha, beta, min(cfg.max_degree, 30),
                                             seed=cfg.seed)
-    return rep.to_json_obj(), rep.verdict
+    return vars(rep), rep.verdict
 
 
 def _evaluator_with_band(cfg, ev, min_sqrt_lambda):
     """Re-build the evaluator at a higher cap when a suite needs more band."""
-    from .basis import eigenvalue
-
-    K = ev.basis.max_degree
-    if eigenvalue(cfg.spec, K) >= min_sqrt_lambda ** 2:
-        return ev
-    need = K
+    need = ev.basis.max_degree
     while eigenvalue(cfg.spec, need) < min_sqrt_lambda ** 2:
         need += 1
-    from dataclasses import replace
-
-    return _evaluator(replace(cfg, max_degree=need))
+    return ev if need == ev.basis.max_degree else _evaluator(replace(cfg, max_degree=need))
 
 
 def suite_localize(cfg, ev, vol, rng):
@@ -380,7 +367,7 @@ def suite_localize(cfg, ev, vol, rng):
     cms = []
     for d in cfg.deltas:
         rep = val.localization_check(ev, d, m, vol)
-        out[f"delta={d:g}"] = _report(rep)
+        out[f"delta={d:g}"] = vars(rep)
         cms.append(rep.c_m_hat)
         ok = ok and rep.verdict
     if len(cms) >= 2:
@@ -399,7 +386,7 @@ def suite_fsp(cfg, ev, vol, rng):
     cs = []
     for d in cfg.deltas:
         rep = val.finite_speed_scan(ev, d, 8, 2.0)
-        out[f"delta={d:g}"] = _report(rep)
+        out[f"delta={d:g}"] = vars(rep)
         if rep.degenerate:
             return out, False
         cs.append(rep.c_star_hat)

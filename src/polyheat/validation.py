@@ -31,6 +31,7 @@ from .errors import CapacityError, DomainError, PrecisionError
 from .heat import HeatKernelEvaluator, MultiplierSpec
 from .polynomials import monomial_vandermonde, operator_matrix, partial_matrix
 from .quadrature import _angular_rule, build_quadrature, gauss_jacobi
+from .volumes import volume_surrogate
 
 BOUNDARY_MARGIN = 0.05
 
@@ -64,26 +65,21 @@ def interior_points(spec, count, margin=BOUNDARY_MARGIN):
     return pts[idx]
 
 
-def geodesic_ray(spec, anchor, s_values, aim=None):
+def geodesic_ray(spec, anchor, s_values):
     """Points at exact intrinsic distances ``s_values`` from ``anchor``.
 
     Walks the great circle through the lifted anchor on the chart sphere
-    (toward the lifted ``aim`` point, default the domain center), so that
-    rho(anchor, point) = s exactly.  Targets that leave the chart are
-    dropped; returns (distances, points).
+    toward the lifted domain center, so that rho(anchor, point) = s exactly.
+    Targets that leave the chart are dropped; returns (distances, points).
     """
     anchor = np.atleast_1d(np.asarray(anchor, float))
     y0 = chart_lift(spec, anchor)
-    if aim is None:
-        if spec.kind == SIMPLEX:
-            aim = np.full(spec.n, 1.0 / (spec.n + 1))
-        else:
-            aim = np.zeros(spec.n)
-    ya = chart_lift(spec, np.asarray(aim, float))
+    center = np.full(spec.n, 1.0 / (spec.n + 1)) if spec.kind == SIMPLEX else np.zeros(spec.n)
+    ya = chart_lift(spec, center)
     u = ya - (ya @ y0) * y0
     nu = np.linalg.norm(u)
     if nu < 1e-12:
-        # anchor coincides with the aim: fall back to a coordinate direction
+        # anchor coincides with the center: fall back to a coordinate direction
         u = np.zeros_like(y0)
         u[0] = 1.0
         u = u - (u @ y0) * y0
@@ -99,6 +95,26 @@ def geodesic_ray(spec, anchor, s_values, aim=None):
         raise DomainError("no ray targets stay inside the chart")
     X = Y[keep, : spec.n]
     return s[keep], X ** 2 if spec.kind == SIMPLEX else X
+
+
+def _ray_pairs(ev, phi, delta, anchors, s_values):
+    """The multiplier kernel from each anchor along its geodesic ray.
+
+    One ``multiplier_grid`` call pairs every anchor with the targets of all
+    rays, and each anchor reads its own block.  Returns flat arrays in
+    anchor-major order: anchor index, distance, target, value and tail.
+    """
+    rays = [geodesic_ray(ev.spec, a, s_values) for a in anchors]
+    dists, targets = (np.concatenate(parts) for parts in zip(*rays))
+    vals, tails = ev.multiplier_grid(phi, delta, anchors, targets)
+    idx = np.repeat(np.arange(len(anchors)), [len(d) for d, _ in rays])
+    cols = np.arange(len(dists))
+    return idx, dists, targets, vals[idx, cols], tails[idx, cols]
+
+
+def _suffix_max(a):
+    """max(a[i:]) at each i: the right-to-left upper envelope."""
+    return np.maximum.accumulate(a[::-1])[::-1]
 
 
 # ---------------------------------------------------------------------------
@@ -217,6 +233,13 @@ class GaussianBump:
         return -2.0 * (pts - self.center) * self._inv2 * v[:, None]
 
 
+def _require_field(h):
+    """Refuse a test field ``h`` without vectorized values and gradients."""
+    if not (callable(getattr(h, "values", None)) and callable(getattr(h, "gradients", None))):
+        raise DomainError(f"a test field has values and gradients (PolyField, GaussianBump), "
+                          f"not a {type(h).__name__}")
+
+
 def random_coefficients(n, degree, rng, scale=1.0):
     """Uniform coefficients over graded_monomials(n, degree), drawn in that order."""
     return rng.uniform(-scale, scale, comb(n + degree, n))
@@ -243,54 +266,56 @@ class GaussBoundReport:
     verdict: bool
 
 
-def gauss_ratio_scan(ev: HeatKernelEvaluator, vol, points, times,
-                     threshold=4.0, band_hi=25.0, diag_band=0.25):
+# far-field band [GAUSS_THRESHOLD, GAUSS_BAND_HI] and near-diagonal band
+# [0, GAUSS_DIAG_BAND] of rho^2/t; a threshold of 4 suppresses the constants
+GAUSS_THRESHOLD = 4.0
+GAUSS_BAND_HI = 25.0
+GAUSS_DIAG_BAND = 0.25
+GAUSS_ROW_KEYS = ("x", "y", "rho", "V_x", "V_y", "kernel", "tail", "N")
+
+
+def gauss_ratio_scan(ev: HeatKernelEvaluator, vol, points, times):
     """Scan N = kernel * sqrt(V(x, sqrt t) V(y, sqrt t)) over a grid.
 
-    Far-field points (rho^2/t in [threshold, band_hi]) contribute exponent
-    statistics E = -t log(N) / rho^2; near-diagonal points (rho^2/t <=
-    diag_band) contribute the on-diagonal comparability interval [n_lo, n_hi].
-    A point whose kernel value plus its truncation bound is non-positive
-    contradicts the lower bound and raises PrecisionError.
+    Far-field pairs (rho^2/t in [GAUSS_THRESHOLD, GAUSS_BAND_HI]) contribute
+    exponent statistics E = -t log(N) / rho^2; near-diagonal pairs
+    (rho^2/t <= GAUSS_DIAG_BAND) contribute the on-diagonal comparability
+    interval [n_lo, n_hi].  The pairs are i <= j of the points, in row-major
+    order.  A far pair whose kernel value plus its truncation bound is
+    non-positive contradicts the lower bound and raises PrecisionError.
     """
     spec = ev.spec
-    if threshold < 4.0:
-        raise DomainError("threshold must be >= 4 to suppress the constants")
     pts = np.atleast_2d(np.asarray(points, float))
-    rows = []
-    e_vals, n_diag = [], []
+    I, J = np.triu_indices(len(pts))
+    rho = distance_matrix(spec, pts, pts)[I, J]
+    rows, e_vals, n_diag = [], [], []
     excluded = violations = 0
-    rhos = distance_matrix(spec, pts, pts)
     grid = ev.point_set(pts)
     for t in times:
         vals, tails = ev.heat_kernel_grid(t, grid, grid)
         vols = vol.values(pts, sqrt(t))
-        for i in range(len(pts)):
-            for j in range(i, len(pts)):
-                rho = float(rhos[i, j])
-                ratio = rho * rho / t
-                far = threshold <= ratio <= band_hi
-                near = ratio <= diag_band
-                if not (far or near):
-                    continue
-                k, b = float(vals[i, j]), float(tails[i, j])
-                if k + b <= 0.0 and far:
-                    violations += 1
-                    continue
-                if k <= b:
-                    excluded += 1
-                    continue
-                N = k * sqrt(vols[i] * vols[j])
-                row = {"x": pts[i].tolist(), "y": pts[j].tolist(), "t": t,
-                       "rho": rho, "V_x": vols[i], "V_y": vols[j],
-                       "kernel": k, "tail": b, "N": N}
-                if far:
-                    E = -t * np.log(N) / (rho * rho)
-                    row["E"] = E
-                    e_vals.append(E)
-                else:
-                    n_diag.append(N)
-                rows.append(row)
+        k, b = vals[I, J], tails[I, J]
+        ratio = rho * rho / t
+        far = (GAUSS_THRESHOLD <= ratio) & (ratio <= GAUSS_BAND_HI)
+        violating = far & (k + b <= 0.0)
+        violations += int(np.count_nonzero(violating))
+        scanned = (far | (ratio <= GAUSS_DIAG_BAND)) & ~violating
+        short = scanned & (k <= b)
+        excluded += int(np.count_nonzero(short))
+        kept = np.flatnonzero(scanned & ~short)
+        i, j, r, far = I[kept], J[kept], rho[kept], far[kept]
+        N = k[kept] * np.sqrt(vols[i] * vols[j])
+        E = np.full(len(kept), np.nan)
+        E[far] = -t * np.log(N[far]) / (r[far] * r[far])
+        e_vals += E[far].tolist()
+        n_diag += N[~far].tolist()
+        columns = zip(pts[i].tolist(), pts[j].tolist(), r.tolist(), vols[i].tolist(),
+                      vols[j].tolist(), k[kept].tolist(), b[kept].tolist(), N.tolist())
+        for values, is_far, e in zip(columns, far, E.tolist()):
+            row = dict(zip(GAUSS_ROW_KEYS, values), t=t)
+            if is_far:
+                row["E"] = e
+            rows.append(row)
     if violations:
         raise PrecisionError(
             f"{violations} admissible grid points have kernel + tail <= 0, "
@@ -301,7 +326,7 @@ def gauss_ratio_scan(ev: HeatKernelEvaluator, vol, points, times,
     e_min, e_max = float(min(e_vals)), float(max(e_vals))
     n_lo, n_hi = float(min(n_diag)), float(max(n_diag))
     verdict = 0.0 < e_min <= e_max < np.inf and 0.0 < n_lo <= n_hi < np.inf
-    return GaussBoundReport(spec.label(), threshold, rows, e_min, e_max,
+    return GaussBoundReport(spec.label(), GAUSS_THRESHOLD, rows, e_min, e_max,
                             1.0 / e_max, 1.0 / e_min, n_lo, n_hi,
                             excluded, len(e_vals), len(n_diag), verdict)
 
@@ -342,8 +367,6 @@ def doubling_scan(spec, vol, points, radii):
     (r <= 1 on the simplex, r <= pi otherwise); the doubling ratio itself is
     taken over all requested radii in (0, pi/2].
     """
-    from .volumes import volume_surrogate
-
     rows = []
     max_ratio = 0.0
     comp_lo, comp_hi = np.inf, 0.0
@@ -392,6 +415,7 @@ def green_identity_check(spec, f, h, quad=None):
     share its monomial Vandermonde.
     """
     deg, cf = _coefficients(spec.n, f)
+    _require_field(h)
     poly_h = isinstance(h, PolyField)
     if quad is None:
         quad = build_quadrature(spec, deg + (h.degree if poly_h else 0) + 4)
@@ -505,6 +529,7 @@ def boundary_flux_decay(spec, f, h, epsilons):
             "boundary flux is defined on the ball and simplex; map the interval "
             "to the n=1 simplex first"
         )
+    _require_field(h)
     faces = {}
     f = PolyField(f, spec.n)
     if spec.kind == BALL:
@@ -581,16 +606,11 @@ class CorrespondenceReport:
     alpha: float
     beta: float
     max_k: int
-    checks: list  # (name, residual, tolerance, passed)
-
-    def to_json_obj(self):
-        return {"alpha": self.alpha, "beta": self.beta, "max_k": self.max_k,
-                "checks": [{"name": n, "residual": r, "tolerance": tol,
-                            "pass": ok} for n, r, tol, ok in self.checks]}
+    checks: list  # {"name", "residual", "tolerance", "pass"} per check
 
     @property
     def verdict(self):
-        return all(ok for *_, ok in self.checks)
+        return all(c["pass"] for c in self.checks)
 
 
 def _substitution_matrix(max_k):
@@ -602,8 +622,13 @@ def _substitution_matrix(max_k):
                      for r in range(max_k + 1)])
 
 
-def jacobi_simplex_correspondence(alpha, beta, max_k, grid_size=20,
-                                  times=(0.2, 1.0), tol=1e-9, seed=0):
+# grid points of (iii) and (iv), heat times of (iv), tolerance of every residual
+CORRESPONDENCE_GRID = 20
+CORRESPONDENCE_TIMES = (0.2, 1.0)
+CORRESPONDENCE_TOL = 1e-9
+
+
+def jacobi_simplex_correspondence(alpha, beta, max_k, seed=0):
     """Four residuals tying the interval operator to the n=1 simplex:
 
     (i) operator conjugation under x -> (x+1)/2 on a random polynomial,
@@ -637,7 +662,7 @@ def jacobi_simplex_correspondence(alpha, beta, max_k, grid_size=20,
     scale = np.maximum(np.abs(Q).max(axis=1), np.abs(S).max(axis=1))
     checks.append(("eigenfunction_match", (np.abs(Q - S).max(axis=1) / scale).max()))
 
-    X = np.cos(np.linspace(0.15, pi - 0.15, grid_size))[:, None]
+    X = np.cos(np.linspace(0.15, pi - 0.15, CORRESPONDENCE_GRID))[:, None]
     X1 = (X + 1) / 2
     gap = distance_matrix(sspec, X1, X1) - distance_matrix(ispec, X, X) / 2.0
     checks.append(("distance_halving", np.abs(gap).max()))
@@ -646,15 +671,16 @@ def jacobi_simplex_correspondence(alpha, beta, max_k, grid_size=20,
     evs = HeatKernelEvaluator(sb)
     kscale = 2.0 ** (-(alpha + beta + 1))
     worst = 0.0
-    for t in times:
+    for t in CORRESPONDENCE_TIMES:
         ki, _ = evi.heat_kernel_grid(t, X, X)
         ks, _ = evs.heat_kernel_grid(t, X1, X1)
         gap = np.abs(ki - kscale * ks).max()
         worst = max(worst, gap / np.abs(ki).max())
     checks.append(("kernel_scaling", worst))
 
-    rows = [(name, float(res), tol, bool(res <= tol)) for name, res in checks]
-    return CorrespondenceReport(alpha, beta, max_k, rows)
+    return CorrespondenceReport(alpha, beta, max_k, [
+        {"name": name, "residual": float(res), "tolerance": CORRESPONDENCE_TOL,
+         "pass": bool(res <= CORRESPONDENCE_TOL)} for name, res in checks])
 
 
 # ---------------------------------------------------------------------------
@@ -674,15 +700,21 @@ class LocalizationReport:
     verdict: bool
 
 
-def localization_check(ev, delta, m, vol, anchors=None, window=(2.0, 20.0),
-                       n_radii=40, support=2.0):
+# anchors, fit window in rho/delta, radii in the window, spectral support
+LOCALIZE_ANCHORS = 5
+LOCALIZE_WINDOW = (2.0, 20.0)
+LOCALIZE_RADII = 40
+LOCALIZE_SUPPORT = 2.0
+
+
+def localization_check(ev, delta, m, vol):
     """Decay of the smooth-bump multiplier kernel in units of rho/delta.
 
     D = |kernel| * sqrt(V(x, delta) V(y, delta)) * (1 + rho/delta)^m must stay
     bounded; the fitted exponent of |kernel| * sqrt(VV) against (1 + rho/delta)
     over the window certifies at least order-m localization.  Pairs are laid
     out along chart geodesics so rho/delta covers the window densely.  The
-    default spectral support 2 pushes the flat head of the profile transform
+    spectral support 2 pushes the flat head of the profile transform
     (scale ~ 1/support) out of the fit window; the fit itself runs on the
     upper envelope (right-to-left record maxima), because the transform of a
     compactly supported profile oscillates through zeros that carry no rate
@@ -691,49 +723,33 @@ def localization_check(ev, delta, m, vol, anchors=None, window=(2.0, 20.0),
     spec = ev.spec
     if m < spec.n + 1:
         raise DomainError("smoothness order must be at least n + 1")
-    phi = MultiplierSpec("smooth_bump", support=support, order=m)
-    if anchors is None:
-        anchors = interior_points(spec, 5, margin=0.1)
-    anchors = np.atleast_2d(np.asarray(anchors, float))
-    xis = np.concatenate([[0.0, 0.5, 1.0, 2.0, 3.0],
-                          np.geomspace(0.9 * window[0], window[1], n_radii)])
-    rays = [geodesic_ray(spec, a, delta * xis) for a in anchors]
-    # one grid per delta: every anchor against all rays, each reads its block
-    vals, tails = ev.multiplier_grid(phi, delta, anchors,
-                                     np.concatenate([targets for _, targets in rays]))
-    rows_x, rows_y = [], []
-    excluded = used = 0
-    cm = 0.0
-    va = vol.values(anchors, delta)
-    for i, (dists, targets) in enumerate(rays):
-        cols = slice(used, used + len(targets))
-        used += len(targets)
-        k, b = np.abs(vals[i, cols]), tails[i, cols]
-        keep = ~((k > 0) & (b > 0.1 * k))
-        excluded += int(np.count_nonzero(~keep))
-        if not keep.any():
-            continue
-        xi = dists[keep] / delta
-        base = k[keep] * np.sqrt(va[i] * vol.values(targets[keep], delta))
-        cm = max(cm, float(np.max(base * (1.0 + xi) ** m)))
-        fit = (window[0] <= xi) & (xi <= window[1]) & (base > 0)
-        rows_x.extend((1.0 + xi[fit]).tolist())
-        rows_y.extend(base[fit].tolist())
+    phi = MultiplierSpec("smooth_bump", support=LOCALIZE_SUPPORT, order=m)
+    anchors = interior_points(spec, LOCALIZE_ANCHORS, margin=0.1)
+    lo, hi = LOCALIZE_WINDOW
+    xis = np.concatenate([[0.0, 0.5, 1.0, 2.0, 3.0], np.geomspace(0.9 * lo, hi, LOCALIZE_RADII)])
+    idx, dists, targets, vals, tails = _ray_pairs(ev, phi, delta, anchors, delta * xis)
+    k = np.abs(vals)
+    keep = ~((k > 0) & (tails > 0.1 * k))
+    excluded, used = int(np.count_nonzero(~keep)), len(k)
     if excluded > 0.2 * used:
         raise PrecisionError(
             f"{excluded}/{used} grid points dominated by truncation; "
             "raise the basis cap or delta"
         )
-    if len(rows_x) < 4:
+    xi = dists[keep] / delta
+    va = vol.values(anchors, delta)[idx[keep]]
+    base = k[keep] * np.sqrt(va * vol.values(targets[keep], delta))
+    cm = float(np.max(base * (1.0 + xi) ** m))
+    fit = (lo <= xi) & (xi <= hi) & (base > 0)
+    if np.count_nonzero(fit) < 4:
         raise DomainError("localization window needs more grid coverage")
+    rows_x = 1.0 + xi[fit]
     order = np.argsort(rows_x)
-    rows_x = np.asarray(rows_x)[order]
-    rows_y = np.asarray(rows_y)[order]
+    rows_x, rows_y = rows_x[order], base[fit][order]
     # fit the decay envelope: right-to-left record maxima keep the
     # oscillation peaks and the monotone shoulder, dropping the transform's
     # zero dips, which carry no rate information
-    suffix = np.maximum.accumulate(rows_y[::-1])[::-1]
-    records = rows_y >= suffix
+    records = rows_y >= _suffix_max(rows_y)
     bx, by = rows_x[records], rows_y[records]
     if len(bx) < 4:
         raise DomainError("need at least 4 envelope points for the fit")
@@ -756,11 +772,18 @@ class FiniteSpeedReport:
     degenerate: bool
 
 
-def finite_speed_scan(ev, delta, m, A, anchors=None, threshold=1e-8,
-                      tail_cap=1e-12, n_radii=80):
+# anchors, the |kernel| level that bounds the support, the largest tail
+# accepted, radii per ray
+FSP_ANCHORS = 4
+FSP_THRESHOLD = 1e-8
+FSP_TAIL_CAP = 1e-12
+FSP_RADII = 80
+
+
+def finite_speed_scan(ev, delta, m, A):
     """Empirical support radius of the band-limited sinc-power multiplier.
 
-    Finds the smallest r* with max |kernel| <= threshold over pairs with
+    Finds the smallest r* with max |kernel| <= FSP_THRESHOLD over pairs with
     rho > r*, and reports c*_hat = r* / (delta * m * A).  Degenerate when the
     band passes only level zero (kernel nearly constant).
     """
@@ -769,32 +792,21 @@ def finite_speed_scan(ev, delta, m, A, anchors=None, threshold=1e-8,
     lam1 = eigenvalue(spec, 1)
     if phi.phi(np.array([delta * sqrt(lam1)]))[0] < 1e-12:
         return FiniteSpeedReport(spec.label(), delta, m, A, None, None, None, True)
-    if anchors is None:
-        anchors = interior_points(spec, 4, margin=0.1)
-    anchors = np.atleast_2d(np.asarray(anchors, float))
-    smax = min(pi, 3.0 * delta * m * A)
-    targets_s = np.linspace(0.02 * delta * m * A, smax, n_radii)
-    rays = [geodesic_ray(spec, a, targets_s) for a in anchors]
-    rhos = np.concatenate([dists for dists, _ in rays])
-    # one grid per delta: every anchor against all rays, each reads its block
-    vals, tails = ev.multiplier_grid(phi, delta, anchors,
-                                     np.concatenate([targets for _, targets in rays]))
-    block = np.repeat(np.arange(len(anchors)), [len(dists) for dists, _ in rays])
-    cols = np.arange(len(rhos))
-    mags = np.abs(vals[block, cols])
-    worst_tail = float(tails[block, cols].max())
-    if worst_tail > tail_cap:
+    anchors = interior_points(spec, FSP_ANCHORS, margin=0.1)
+    s_values = np.linspace(0.02 * delta * m * A, min(pi, 3.0 * delta * m * A), FSP_RADII)
+    _, rhos, _, vals, tails = _ray_pairs(ev, phi, delta, anchors, s_values)
+    worst_tail = float(tails.max())
+    if worst_tail > FSP_TAIL_CAP:
         raise PrecisionError(
-            f"multiplier truncation tail {worst_tail:.2e} exceeds {tail_cap:g}; "
+            f"multiplier truncation tail {worst_tail:.2e} exceeds {FSP_TAIL_CAP:g}; "
             "raise the basis cap"
         )
     order = np.argsort(rhos)
-    rhos = rhos[order]
-    mags = mags[order]
+    rhos, mags = rhos[order], np.abs(vals)[order]
     if rhos[-1] < delta * m * A:
         raise DomainError("rays too short to bracket the expected support radius")
-    suffix = np.maximum.accumulate(mags[::-1])[::-1]
-    ok = np.concatenate([suffix[1:] <= threshold, [True]])
+    suffix = _suffix_max(mags)
+    ok = np.concatenate([suffix[1:] <= FSP_THRESHOLD, [True]])
     if not ok.any():
         raise PrecisionError("no radius inside the domain bounds the kernel below threshold")
     idx = int(np.argmax(ok))

@@ -7,9 +7,10 @@ equilibrium-weight heat kernel, LAPACK determinants, the interval basis
 from hand-written value and coefficient recurrences, a member-by-member
 Gram-Schmidt build of the ball and simplex bases, the interval/simplex
 correspondence through sparse polynomial arithmetic and scalar distances,
-and the Green, chart and flux checks through ``MultiPoly`` arithmetic (the
+the Green, chart and flux checks through ``MultiPoly`` arithmetic (the
 operator applied term by term, the inverse metric as exact polynomials,
-every evaluation through ``eval_many``).
+every evaluation through ``eval_many``), and the Gaussian and localization
+scans as per-pair and per-anchor loops.
 
 The package takes test polynomials as coefficient vectors over
 ``graded_monomials``; ``as_coefficients`` and ``poly_of`` convert between
@@ -29,6 +30,7 @@ from polyheat.domains import (
     SIMPLEX,
     DomainSpec,
     distance,
+    distance_matrix,
     weight_density,
     weight_log_gradient,
 )
@@ -41,7 +43,22 @@ from polyheat.polynomials import (
     poly_partial,
 )
 from polyheat.quadrature import _angular_rule, jacobi_recurrence
-from polyheat.validation import loglog_fit, random_coefficients
+from polyheat.heat import MultiplierSpec
+from polyheat.validation import (
+    GAUSS_BAND_HI,
+    GAUSS_DIAG_BAND,
+    GAUSS_THRESHOLD,
+    LOCALIZE_ANCHORS,
+    LOCALIZE_RADII,
+    LOCALIZE_SUPPORT,
+    LOCALIZE_WINDOW,
+    GaussBoundReport,
+    LocalizationReport,
+    geodesic_ray,
+    interior_points,
+    loglog_fit,
+    random_coefficients,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -478,3 +495,92 @@ def reference_flux(spec, f, h, epsilons):
         slope = None if np.all(vals < 1e-14) else loglog_fit(eps, vals)[0]
         out[nm] = (J, slope)
     return out
+
+
+# ---------------------------------------------------------------------------
+# Gaussian and localization scans, one pair and one anchor at a time
+
+
+def reference_gauss_ratio_scan(ev, vol, points, times):
+    """``gauss_ratio_scan`` as a loop over the pairs i <= j of each time."""
+    spec = ev.spec
+    pts = np.atleast_2d(np.asarray(points, float))
+    rows, e_vals, n_diag = [], [], []
+    excluded = violations = 0
+    rhos = distance_matrix(spec, pts, pts)
+    grid = ev.point_set(pts)
+    for t in times:
+        vals, tails = ev.heat_kernel_grid(t, grid, grid)
+        vols = vol.values(pts, sqrt(t))
+        for i in range(len(pts)):
+            for j in range(i, len(pts)):
+                rho = float(rhos[i, j])
+                ratio = rho * rho / t
+                far = GAUSS_THRESHOLD <= ratio <= GAUSS_BAND_HI
+                if not (far or ratio <= GAUSS_DIAG_BAND):
+                    continue
+                k, b = float(vals[i, j]), float(tails[i, j])
+                if k + b <= 0.0 and far:
+                    violations += 1
+                    continue
+                if k <= b:
+                    excluded += 1
+                    continue
+                N = k * sqrt(vols[i] * vols[j])
+                row = {"x": pts[i].tolist(), "y": pts[j].tolist(), "t": t, "rho": rho,
+                       "V_x": vols[i], "V_y": vols[j], "kernel": k, "tail": b, "N": N}
+                if far:
+                    row["E"] = -t * np.log(N) / (rho * rho)
+                    e_vals.append(row["E"])
+                else:
+                    n_diag.append(N)
+                rows.append(row)
+    if violations:
+        raise PrecisionError(f"{violations} violations")
+    e_min, e_max = float(min(e_vals)), float(max(e_vals))
+    n_lo, n_hi = float(min(n_diag)), float(max(n_diag))
+    verdict = 0.0 < e_min <= e_max < np.inf and 0.0 < n_lo <= n_hi < np.inf
+    return GaussBoundReport(spec.label(), GAUSS_THRESHOLD, rows, e_min, e_max,
+                            1.0 / e_max, 1.0 / e_min, n_lo, n_hi,
+                            excluded, len(e_vals), len(n_diag), verdict)
+
+
+def reference_localization_check(ev, delta, m, vol):
+    """``localization_check`` reading one block and making one volume call per anchor."""
+    spec = ev.spec
+    phi = MultiplierSpec("smooth_bump", support=LOCALIZE_SUPPORT, order=m)
+    anchors = interior_points(spec, LOCALIZE_ANCHORS, margin=0.1)
+    lo, hi = LOCALIZE_WINDOW
+    xis = np.concatenate([[0.0, 0.5, 1.0, 2.0, 3.0], np.geomspace(0.9 * lo, hi, LOCALIZE_RADII)])
+    rays = [geodesic_ray(spec, a, delta * xis) for a in anchors]
+    vals, tails = ev.multiplier_grid(phi, delta, anchors,
+                                     np.concatenate([targets for _, targets in rays]))
+    rows_x, rows_y = [], []
+    excluded = used = 0
+    cm = 0.0
+    va = vol.values(anchors, delta)
+    for i, (dists, targets) in enumerate(rays):
+        cols = slice(used, used + len(targets))
+        used += len(targets)
+        k, b = np.abs(vals[i, cols]), tails[i, cols]
+        keep = ~((k > 0) & (b > 0.1 * k))
+        excluded += int(np.count_nonzero(~keep))
+        if not keep.any():
+            continue
+        xi = dists[keep] / delta
+        base = k[keep] * np.sqrt(va[i] * vol.values(targets[keep], delta))
+        cm = max(cm, float(np.max(base * (1.0 + xi) ** m)))
+        fit = (lo <= xi) & (xi <= hi) & (base > 0)
+        rows_x.extend((1.0 + xi[fit]).tolist())
+        rows_y.extend(base[fit].tolist())
+    if excluded > 0.2 * used:
+        raise PrecisionError(f"{excluded}/{used} excluded")
+    order = np.argsort(rows_x)
+    rows_x = np.asarray(rows_x)[order]
+    rows_y = np.asarray(rows_y)[order]
+    records = rows_y >= np.maximum.accumulate(rows_y[::-1])[::-1]
+    bx, by = rows_x[records], rows_y[records]
+    slope, _, r2 = loglog_fit(bx, by)
+    verdict = -slope >= m - 0.5 and r2 >= 0.98 and np.isfinite(cm)
+    return LocalizationReport(spec.label(), delta, m, cm, -slope, r2,
+                              excluded, len(bx), verdict)

@@ -262,6 +262,19 @@ class TestValidate:
         main(["--config", cfgfile, "validate", "basis"])
         assert (tmp_path / "validate_basis.json").read_bytes() == first
 
+    def test_validate_all_does_not_depend_on_earlier_runs(self, tmp_path, capsys):
+        # the Monte Carlo sample, monomial frame and Gauss-Jacobi caches of a
+        # simplex run in between leave the ball report unchanged
+        common = ("[basis]\nmax_degree = 12\n[grids]\ndeltas = 0.2\n[mc]\nsamples = 20000\n"
+                  f"[run]\noutput = {tmp_path}\n")
+        ball, simplex = tmp_path / "ball.ini", tmp_path / "simplex.ini"
+        ball.write_text("[domain]\nkind = ball\nn = 2\ngamma = 0.5\n" + common)
+        simplex.write_text("[domain]\nkind = simplex\nn = 2\nkappa = 0.5, 0.5, 0.5\n" + common)
+        for i, cfg in enumerate((ball, simplex, ball)):
+            main(["--config", str(cfg), "validate", "all", "--out", str(tmp_path / str(i))])
+        first, last = ((tmp_path / i / "validate_all.json").read_bytes() for i in "02")
+        assert first == last
+
     def test_suite_domain_error_fails_that_suite_only(self, tmp_path, capsys):
         # one grid point leaves the Gaussian scan without an admissible pair
         cfgfile = write_config(tmp_path, (

@@ -4,7 +4,7 @@ import pytest
 from polyheat.basis import build_basis
 from polyheat.domains import DomainSpec, distance
 from polyheat.errors import DomainError
-from polyheat.heat import HeatKernelEvaluator
+from polyheat.heat import DEFAULT_EPSILON, HeatKernelEvaluator, TruncationPolicy
 from polyheat.polynomials import MultiPoly
 from polyheat.quadrature import build_quadrature
 from polyheat import validation
@@ -37,7 +37,9 @@ from _oracles import (
     reference_chart,
     reference_correspondence,
     reference_flux,
+    reference_gauss_ratio_scan,
     reference_green,
+    reference_localization_check,
 )
 
 ORACLE_SPECS = [DomainSpec.ball(2, 0.5), DomainSpec.ball(3, 0.0),
@@ -200,6 +202,18 @@ class TestCoefficientVectorsOnly:
         assert "\n" not in str(err.value)
 
 
+class TestTestFields:
+    @pytest.mark.parametrize("h", [[1.0], MultiPoly.constant(2, 1.0)], ids=["list", "MultiPoly"])
+    @pytest.mark.parametrize("call", [
+        lambda h: green_identity_check(BALL2, [1.0], h),
+        lambda h: boundary_flux_decay(BALL2, [0.0, 0.0, 1.0], h, [0.2, 0.1, 0.05, 0.02]),
+    ], ids=["green", "flux"])
+    def test_field_without_values_is_one_line_domain_error(self, call, h):
+        with pytest.raises(DomainError, match="values and gradients") as err:
+            call(h)
+        assert "\n" not in str(err.value)
+
+
 class TestArraysMatchMultiPoly:
     """Green, chart and flux on coefficient arrays against the MultiPoly route."""
 
@@ -279,17 +293,17 @@ class TestCorrespondence:
     def test_all_four_checks(self):
         rep = jacobi_simplex_correspondence(0.0, 0.0, 12)
         assert rep.verdict
-        names = [c[0] for c in rep.checks]
+        names = [c["name"] for c in rep.checks]
         assert names == ["operator_conjugation", "eigenfunction_match",
                          "distance_halving", "kernel_scaling"]
-        for _, res, tol, ok in rep.checks:
-            assert ok and res <= tol
+        for c in rep.checks:
+            assert c["pass"] and c["residual"] <= c["tolerance"] == 1e-9
 
     @pytest.mark.parametrize("alpha, beta", [(-0.5, -0.5), (0.0, -0.9), (0.7, -0.3)])
     def test_matches_multipoly_reference(self, alpha, beta):
         rep = jacobi_simplex_correspondence(alpha, beta, 30, seed=3)
         ref = reference_correspondence(alpha, beta, 30, seed=3)
-        got = {name: res for name, res, _, _ in rep.checks}
+        got = {c["name"]: c["residual"] for c in rep.checks}
         for name, want in ref.items():
             assert abs(got[name] - want) <= 1e-13, name
 
@@ -306,7 +320,7 @@ class TestCorrespondence:
 
         monkeypatch.setattr(validation, "build_basis", perturbed)
         rep = jacobi_simplex_correspondence(0.7, -0.3, 30)
-        failed = [name for name, _, _, ok in rep.checks if not ok]
+        failed = [c["name"] for c in rep.checks if not c["pass"]]
         assert failed == ["eigenfunction_match"]
 
 
@@ -320,11 +334,6 @@ class TestGaussDoubling:
         assert rep.n_hi / rep.n_lo <= 20
         assert rep.c2_hat == pytest.approx(1 / rep.e_max)
         assert rep.c4_hat == pytest.approx(1 / rep.e_min)
-
-    def test_threshold_validation(self, cheb_ev, cheb_vol):
-        with pytest.raises(DomainError):
-            gauss_ratio_scan(cheb_ev, cheb_vol, interior_points(cheb_ev.spec, 6),
-                             [0.05], threshold=2.0)
 
     def test_interval_doubling_is_two(self, cheb_vol):
         spec = DomainSpec.interval(-0.5, -0.5)
@@ -351,6 +360,34 @@ class TestLocalization:
     def test_order_validation(self, cheb_ev, cheb_vol):
         with pytest.raises(DomainError):
             localization_check(cheb_ev, 0.1, 1, cheb_vol)
+
+
+class TestScansMatchLoops:
+    """The array scans equal the per-pair and per-anchor loops they replace."""
+
+    @pytest.mark.parametrize("spec, times", [
+        (DomainSpec.interval(-0.5, -0.5), (0.03, 0.08, 0.2)),
+        (DomainSpec.ball(2, 0.5), (0.02, 0.05, 0.2)),
+    ], ids=["interval", "ball"])
+    def test_gauss_scan(self, spec, times):
+        # below the default t_min the first time leaves pairs whose tail
+        # dominates the kernel, which the scan excludes
+        ev = HeatKernelEvaluator(build_basis(spec, 12), TruncationPolicy(DEFAULT_EPSILON, 1e-3, 12))
+        vol = VolumeSource(spec, samples=20_000, seed=3)
+        pts = interior_points(spec, 12)
+        rep = gauss_ratio_scan(ev, vol, pts, times)
+        assert rep.excluded > 0
+        assert vars(rep) == vars(reference_gauss_ratio_scan(ev, vol, pts, times))
+
+    @pytest.mark.parametrize("spec, K", [(DomainSpec.interval(-0.5, -0.5), 200),
+                                         (DomainSpec.ball(2, 0.5), 20)],
+                             ids=["interval", "ball"])
+    def test_localization(self, spec, K):
+        ev = HeatKernelEvaluator(build_basis(spec, K))
+        vol = VolumeSource(spec, samples=20_000, seed=3)
+        for delta in (0.1, 0.2):
+            rep = localization_check(ev, delta, spec.n + 2, vol)
+            assert vars(rep) == vars(reference_localization_check(ev, delta, spec.n + 2, vol))
 
 
 class TestFiniteSpeed:
