@@ -39,7 +39,7 @@ from .errors import (BoundarySingularityError, CapacityError, DomainError, Param
 from .heat import (DEFAULT_EPSILON, HeatKernelEvaluator, MultiplierSpec, TruncationPolicy,
                    default_t_min)
 from .quadrature import build_quadrature
-from .volumes import VolumeSource, ball_volume
+from .volumes import MAX_REL_STDERR, VolumeSource, ball_volume
 
 SUITES = ("ops", "basis", "kernel", "gauss", "doubling", "green", "flux",
           "chart", "correspondence", "localize", "fsp", "all")
@@ -422,7 +422,8 @@ def cmd_validate(args):
     except (ParameterError, CapacityError) as e:
         print(f"cannot build the evaluator: {e}", file=sys.stderr)
         return 2
-    vol = VolumeSource(cfg.spec, samples=cfg.mc_samples, seed=cfg.seed)
+    vol = VolumeSource(cfg.spec, samples=cfg.mc_samples, seed=cfg.seed,
+                       max_rel_stderr=MAX_REL_STDERR)
     rng = np.random.default_rng(cfg.seed)
     overall = True
     report = {"schema_version": SCHEMA_VERSION, "config": cfg.to_json_obj(),

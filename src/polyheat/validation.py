@@ -31,7 +31,7 @@ from .errors import CapacityError, DomainError, PrecisionError
 from .heat import HeatKernelEvaluator, MultiplierSpec
 from .polynomials import monomial_vandermonde, operator_matrix, partial_matrix
 from .quadrature import _angular_rule, build_quadrature, gauss_jacobi
-from .volumes import volume_surrogate
+from .volumes import MAX_REL_STDERR, refuse_imprecise, volume_surrogate
 
 BOUNDARY_MARGIN = 0.05
 
@@ -365,30 +365,30 @@ def doubling_scan(spec, vol, points, radii):
 
     The comparability rows are restricted to the surrogate's validity range
     (r <= 1 on the simplex, r <= pi otherwise); the doubling ratio itself is
-    taken over all requested radii in (0, pi/2].
+    taken over all requested radii in (0, pi/2].  Each distinct radius of r
+    and 2r is one ``vol.estimates`` query over all points, and an estimate
+    whose stderr exceeds MAX_REL_STDERR of its value raises PrecisionError.
     """
+    pts = np.atleast_2d(np.asarray(points, float))
+    if not all(0 < r <= pi / 2 for r in radii):
+        raise DomainError("doubling radii must lie in (0, pi/2]")
+    vols = {}
+    for s in sorted(set(radii) | {2 * r for r in radii}):
+        values, stderrs = vol.estimates(pts, s)
+        refuse_imprecise(spec, values, stderrs, MAX_REL_STDERR)
+        vols[s] = values.tolist()
     rows = []
     max_ratio = 0.0
     comp_lo, comp_hi = np.inf, 0.0
     comp_max_r = surrogate_comparability_range(spec)
-    for x in np.atleast_2d(np.asarray(points, float)):
+    for i, x in enumerate(pts):
         for r in radii:
-            if not 0 < r <= pi / 2:
-                raise DomainError("doubling radii must lie in (0, pi/2]")
-            v1 = vol(x, r)
-            v2 = vol(x, 2 * r)
-            for est in (v1, v2):
-                if est.value > 0 and est.stderr > 0.05 * est.value:
-                    raise PrecisionError(
-                        f"MC stderr {est.stderr:.2e} exceeds 5% of V={est.value:.2e}; "
-                        "raise the sample budget"
-                    )
-            ratio = v2.value / v1.value
+            v1, v2 = vols[r][i], vols[2 * r][i]
+            ratio = v2 / v1
             max_ratio = max(max_ratio, ratio)
-            row = {"x": x.tolist(), "r": r, "V_r": v1.value, "V_2r": v2.value,
-                   "ratio": ratio}
+            row = {"x": x.tolist(), "r": r, "V_r": v1, "V_2r": v2, "ratio": ratio}
             if r <= comp_max_r:
-                comp = v1.value / volume_surrogate(spec, x, r)
+                comp = v1 / volume_surrogate(spec, x, r)
                 comp_lo, comp_hi = min(comp_lo, comp), max(comp_hi, comp)
                 row["surrogate_comp"] = comp
             rows.append(row)

@@ -1,25 +1,28 @@
 """Metric-ball volumes V(x, r) and their closed-form comparability surrogates.
 
-On the interval the volume is exact through regularized incomplete Beta
-integrals.  On the ball and simplex it is estimated by Monte Carlo.  The
-chart maps the ball onto the upper hemisphere of S^n and the simplex onto
-the positive orthant (x_i = y_i^2), so rho(x, y) < r exactly when
-lift(x) . lift(y) > cos r.  One exact sample of the normalized weighted
-measure (Beta radial profile on the ball, Dirichlet on the simplex) is drawn
-per (spec, samples, seed, strata) from a counter-based Philox generator keyed
-by the seed, stored lifted to the sphere, and every query is one mat-vec on
-it.
+The chart maps the ball onto the upper hemisphere of S^n and the simplex
+onto the positive orthant (x_i = y_i^2), so rho(x, y) < r exactly when
+lift(x) . lift(y) > cos r, and the metric ball is a spherical cap cut by the
+faces.  On the sphere the weighted measure has the density y_(n+1)^(2 gamma)
+(ball) or 2^n prod y_i^(2 kappa_i) (simplex) against surface measure.
 
-All queries of a seed share that sample, so their errors are correlated.
-Each estimate is still unbiased and carries its own standard error, results
-do not depend on the order of the queries, and V(x, 2r) >= V(x, r) holds
-exactly, since every hit within r is a hit within 2r.
+* Interval: exact, through regularized incomplete Beta integrals.
+* Ball(2) and simplex(2): deterministic quadrature in geodesic polar
+  coordinates (theta, phi) about lift(x); see ``_cap_volumes``.  The
+  reported stderr is the difference between two rule orders.
+* Dimension 3: Monte Carlo.  One exact sample of the normalized weighted
+  measure (Beta radial profile on the ball, Dirichlet on the simplex) is
+  drawn per (spec, samples, seed, strata) from a counter-based Philox
+  generator keyed by the seed, stored lifted to the sphere, and every query
+  is one mat-vec on it.  All queries of a seed share that sample, so their
+  errors are correlated; each estimate is unbiased with its own standard
+  error, and V(x, 2r) >= V(x, r) holds exactly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import cos, pi, sqrt
+from math import cos, pi, sin, sqrt, tan
 
 import numpy as np
 
@@ -32,20 +35,31 @@ from .domains import (
     _require_inside,
     _rows,
     chart_lift,
+    lift_rows,
     log_beta,
     total_mass,
 )
 from .errors import DomainError, ParameterError, PrecisionError
+from .quadrature import gauss_jacobi
 
 DEFAULT_SAMPLES = 1_000_000
 RADIAL_STRATA = 8
+# the largest stderr, as a fraction of V, that the validation scans accept
+MAX_REL_STDERR = 0.05
+# cap quadrature, (low, high) orders: (trapezoid nodes in phi around a
+# periodic panel, Gauss nodes in theta, digits asked of a face panel in phi,
+# least Gauss nodes in phi on a panel); at most CAP_PHI_MAX nodes in phi
+CAP_ORDERS = ((24, 8, 10, 8), (32, 12, 15, 16))
+CAP_PHI_MAX = 64
+# integrand values per array pass of the cap quadrature (1 MB of float64)
+CAP_CHUNK = 1 << 17
 
 
 @dataclass(frozen=True)
 class VolumeEstimate:
     value: float
     stderr: float
-    method: str  # "exact1d" | "montecarlo"
+    method: str  # "exact1d" | "cap_quadrature" | "montecarlo"
     samples: int
 
 
@@ -83,10 +97,21 @@ def sample_measure(spec, count, rng):
     raise DomainError("direct sampling implemented for ball and simplex")
 
 
+def _method(spec):
+    if spec.kind == INTERVAL:
+        return "exact1d"
+    return "cap_quadrature" if spec.n == 2 else "montecarlo"
+
+
+def _diameter(spec):
+    """The largest distance between two points: pi/2 on the orthant, else pi."""
+    return pi / 2 if spec.kind == SIMPLEX else pi
+
+
 def _interval_volumes(spec, xs, r):
     """Exact V(x, r) on the interval for an array of points x, 0 < r < pi."""
     # the incomplete Beta is the package's only scipy use: imported here and
-    # in _draw_lifted, so that kernel work never loads scipy
+    # in _draw_lifted, so that kernel work and 2-D volumes never load scipy
     from scipy.special import betainc
 
     # math.acos, not np.arccos, whose SIMD loop differs in the last bit on
@@ -98,6 +123,240 @@ def _interval_volumes(spec, xs, r):
     u_lo, u_hi = (1 + np.cos(hi)) / 2, (1 + np.cos(lo)) / 2
     scale = 2.0 ** (a + b + 1) * np.exp(log_beta(b + 1, a + 1))
     return scale * (betainc(b + 1, a + 1, u_hi) - betainc(b + 1, a + 1, u_lo))
+
+
+# ---------------------------------------------------------------------------
+# cap quadrature on ball(2) and simplex(2)
+
+
+def _cap_faces(spec):
+    """(lifted coordinates that vanish on a face, their density exponents,
+    the density's constant): y_3^(2 gamma) on the upper hemisphere, or
+    4 y_1^(2 kappa_1) y_2^(2 kappa_2) y_3^(2 kappa_3) on the positive orthant."""
+    if spec.kind == BALL:
+        return [spec.n], [2.0 * spec.gamma], 1.0
+    return list(range(spec.n + 1)), [2.0 * k for k in spec.kappa], 2.0 ** spec.n
+
+
+def _tangent_frames(Y):
+    """Orthonormal (E1, E2) spanning the tangent plane at each unit row of Y."""
+    axis = np.zeros_like(Y)
+    axis[np.arange(len(Y)), np.argmin(np.abs(Y), axis=1)] = 1.0
+    E1 = np.cross(Y, axis)
+    E1 /= np.linalg.norm(E1, axis=1, keepdims=True)
+    return E1, np.cross(Y, E1)
+
+
+def _exit_angles(Yf, Uf):
+    """(theta_i, A_i) with y_i = A_i sin(theta_i - theta) along the geodesic
+    cos(theta) y + sin(theta) u, for face coordinates Yf of y and Uf of u."""
+    return np.arctan2(Yf, -Uf), np.hypot(Yf, Uf)
+
+
+def _cap_panels(spec, Y, E1, E2, r):
+    """The phi-panels of every cap: arrays (query, start, end, exit face,
+    periodic, rho).
+
+    A cap clear of every face, or one whose every ray leaves the domain
+    before r, is one periodic panel.  Otherwise phi is split where the
+    exit face changes (the direction of a vertex) and where the exit angle
+    theta_i(phi) of face i crosses r; the exit face is -1 on a panel whose
+    rays all reach r inside the domain.  Panels are ordered by query, then
+    by start.  ``rho`` sets the Gauss order of a panel out to a face.
+    """
+    faces, _, _ = _cap_faces(spec)
+    Yf = Y[:, faces]
+    # u_i(phi) = B_i cos(phi - psi_i): psi_i is also the direction of vertex e_i
+    psi = np.arctan2(E2[:, faces], E1[:, faces])
+    B = np.hypot(E1[:, faces], E2[:, faces])
+    clear = (r < pi / 2) & (Yf.min(axis=1) > sin(r))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        c = -Yf / (tan(r) * B)
+    half = np.where(np.abs(c) < 1.0, np.arccos(np.clip(c, -1.0, 1.0)), np.nan)
+    breaks = [psi - half, psi + half] + ([psi] if spec.kind == SIMPLEX else [])
+    S = np.sort(np.mod(np.hstack(breaks), 2 * pi), axis=1)
+    count = np.count_nonzero(np.isfinite(S), axis=1)
+    periodic = clear | (count == 0)
+
+    # GL panels: consecutive breaks, the last one wrapping around to the
+    # first; a repeated break (a point on a face) makes no panel
+    rows, slot = np.nonzero(~periodic[:, None] & (np.arange(S.shape[1]) < count[:, None]))
+    last = slot + 1 == count[rows]
+    start = S[rows, slot]
+    end = np.where(last, S[rows, 0] + 2 * pi, S[rows, np.where(last, 0, slot + 1)])
+    keep = end > start
+    rows, start, end = rows[keep], start[keep], end[keep]
+    # a periodic panel, [0, 2 pi), is its query's only panel
+    prow = np.flatnonzero(periodic)
+    query = np.concatenate([prow, rows])
+    start = np.concatenate([np.zeros(len(prow)), start])
+    end = np.concatenate([np.full(len(prow), 2 * pi), end])
+    is_periodic = np.concatenate([np.ones(len(prow), bool), np.zeros(len(rows), bool)])
+    order = np.argsort(query, kind="stable")
+    query, start, end, is_periodic = query[order], start[order], end[order], is_periodic[order]
+
+    # the exit face at each panel's middle; -1 where it lies beyond r
+    mid = 0.5 * (start + end)
+    U = np.cos(mid)[:, None] * E1[query] + np.sin(mid)[:, None] * E2[query]
+    exit_theta, _ = _exit_angles(Yf[query], U[:, faces])
+    face = np.argmin(exit_theta, axis=1)
+    face[exit_theta[np.arange(len(face)), face] >= r] = -1
+    face[clear[query]] = -1
+
+    # on a Gauss panel out to face j the exit angle is analytic in phi but
+    # for branch points at psi_j + pi/2 + k pi +- i asinh(y_j / B_j), where
+    # u_j = +-i y_j; rho is the Bernstein ellipse of the panel through the
+    # nearest one, and Gauss-Legendre with n nodes errs by about rho^(-2n)
+    rho = np.full(len(query), np.inf)
+    sel = np.flatnonzero(~is_periodic & (face >= 0))
+    q, j = query[sel], face[sel]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        eta = np.arcsinh(Yf[q, j] / B[q, j])
+        half = (end[sel] - start[sel]) / 2
+        k = np.round((mid[sel] - psi[q, j] - pi / 2) / pi)
+        for dk in (-1, 0, 1):
+            w = (psi[q, j] + pi / 2 + (k + dk) * pi + 1j * eta - mid[sel]) / half
+            root = np.sqrt(w * w - 1)
+            rho[sel] = np.fmin(rho[sel], np.maximum(np.abs(w + root), np.abs(w - root)))
+    return query, start, end, face, is_periodic, rho
+
+
+def _phi_rule(start, end, n, periodic):
+    """Nodes and weights in phi of panels [start, end) with n nodes each, one
+    panel after another: the trapezoid rule around a periodic panel,
+    Gauss-Legendre on the others."""
+    first = np.cumsum(n) - n
+    phi, w = np.empty(n.sum()), np.empty(n.sum())
+    for is_periodic, k in set(zip(periodic.tolist(), n.tolist())):
+        sel = np.flatnonzero((periodic == is_periodic) & (n == k))
+        if is_periodic:
+            t, wt = np.arange(k) / k, np.full(k, 1.0 / k)
+        else:
+            x, wx = gauss_jacobi(k, 0.0, 0.0)
+            t, wt = (1 + x) / 2, wx / 2
+        at = first[sel, None] + np.arange(k)
+        width = (end - start)[sel, None]
+        phi[at] = start[sel, None] + width * t
+        w[at] = width * wt
+    return phi, w
+
+
+def _theta_integrals(spec, Yq, E1q, E2q, phi, face, r, n_theta):
+    """Integral over theta in [0, T] of density * sin(theta) along each phi;
+    entry i belongs to query Yq[i] and leaves the domain through face[i],
+    or reaches T = r where face[i] is -1 (then for every i).
+
+    T = r takes Gauss-Legendre on shared nodes, with the face coordinates
+    cos(theta) y_i + sin(theta) u_i.  T = theta_j, the exit angle of face j,
+    takes Gauss-Jacobi: the factor (T - theta)^(2 kappa_j) of the density
+    goes into the weight, and the face coordinates are A_i sin(theta_i -
+    theta), exact near the exit.
+    """
+    faces, expo, _ = _cap_faces(spec)
+    U = np.cos(phi)[:, None] * E1q + np.sin(phi)[:, None] * E2q
+    Yf, Uf = Yq[:, faces], U[:, faces]
+    if face[0] < 0:
+        x, w = gauss_jacobi(n_theta, 0.0, 0.0)
+        theta = r * ((1 + x) / 2)
+        c, s = np.cos(theta), np.sin(theta)
+        coords = (Yf[:, i, None] * c + Uf[:, i, None] * s for i in range(len(faces)))
+        f = np.sin(theta) * w
+        exit_power, scale = None, r / 2
+    else:
+        exit_theta, A = _exit_angles(Yf, Uf)
+        rules = [gauss_jacobi(n_theta, e, 0.0) for e in expo]
+        x = np.array([x for x, _ in rules])[face]
+        w = np.array([w for _, w in rules])[face]
+        e_exit = np.array(expo)[face][:, None]
+        T = exit_theta[np.arange(len(face)), face][:, None]
+        theta = T * ((1 + x) / 2)
+        coords = (A[:, i, None] * np.sin(exit_theta[:, i, None] - theta)
+                  for i in range(len(faces)))
+        f = np.sin(theta) * w
+        # the exit face's (T - theta)^e is the rule's weight: divide it out
+        exit_power = (T * ((1 - x) / 2), e_exit)
+        scale = ((T / 2) ** (1.0 + e_exit))[:, 0]
+    log_f = 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for e, y in zip(expo, coords):
+            # exponent 1 (kappa = 1/2) multiplies; 0 leaves the density alone
+            if e == 1.0:
+                f = f * y
+            elif e != 0.0:
+                log_f = log_f + e * np.log(y)
+        if exit_power is not None:
+            # row by row, so that a row's bits do not depend on the others
+            d, e = exit_power
+            f = f / np.where(e == 1.0, d, 1.0)
+            other = (e != 0.0) & (e != 1.0)
+            if other.any():
+                log_f = log_f - np.where(other, e * np.log(d), 0.0)
+        if not np.isscalar(log_f):
+            f = f * np.exp(log_f)
+        # rows of a density without a face factor (gamma = 0) share f
+        g = np.broadcast_to(f, (len(phi), n_theta)).sum(axis=1)
+        # T = 0 (a point on a face) has weight 0 and a 0/0 integrand
+        return np.where(scale > 0, g * scale, 0.0)
+
+
+def _cap_sums(spec, Y, E1, E2, r, panels, order):
+    """The cap integral of every query under one rule order.
+
+    The panels out to r and the panels out to a face each go through one
+    array pass (in chunks of CAP_CHUNK integrand values) over all their
+    phi nodes; np.add.reduceat sums each panel and np.bincount each query,
+    both in a fixed order, so a query's sum does not depend on the others.
+    """
+    n_trap, n_theta, digits, least = order
+    query, start, end, face, periodic, rho = panels
+    # Gauss nodes in phi: enough for ``digits`` on a panel out to a face, a
+    # multiple of 8 in [least, CAP_PHI_MAX]
+    with np.errstate(divide="ignore"):
+        need = 8 * np.ceil(digits * np.log(10) / (16 * np.log(rho)))
+    n = np.where(periodic, n_trap, np.fmin(np.fmax(need, least), CAP_PHI_MAX)).astype(int)
+    sums = np.empty(len(query))
+    step = CAP_CHUNK // (n_theta * len(_cap_faces(spec)[0]))
+    for reach in (face < 0, face >= 0):
+        sel = np.flatnonzero(reach)
+        if len(sel) == 0:
+            continue
+        phi, w = _phi_rule(start[sel], end[sel], n[sel], periodic[sel])
+        node = np.repeat(sel, n[sel])
+        g = np.empty(len(phi))
+        for lo in range(0, len(phi), step):
+            part = slice(lo, lo + step)
+            q = query[node[part]]
+            g[part] = _theta_integrals(spec, Y[q], E1[q], E2[q], phi[part], face[node[part]],
+                                       r, n_theta)
+        sums[sel] = np.add.reduceat(w * g, np.cumsum(n[sel]) - n[sel])
+    return np.bincount(query, sums, minlength=len(Y))
+
+
+def _cap_volumes(spec, X, r):
+    """(V, stderr) for the rows X (m, 2) of ball(2) or simplex(2) points.
+
+    In geodesic polar coordinates (theta, phi) about y = Y[q], the geodesic
+    cos(theta) y + sin(theta) u(phi) meets face i (y_i = 0) at theta_i(phi),
+    where y_i = A_i sin(theta_i - theta), both in closed form.  V is the
+    integral over phi of the density integrated over theta in
+    [0, min(r, exit angle)]: a periodic trapezoid rule in phi times
+    Gauss-Legendre on [0, r] for a cap clear of the faces, and otherwise per
+    phi-panel (``_cap_panels``) Gauss-Legendre in phi times Gauss-Legendre up
+    to r or Gauss-Jacobi up to the exit face.  Every query's sum runs in the
+    same order whatever the other rows, so a row's value does not depend on
+    the batch.  The stderr is |V_high - V_low| over ``CAP_ORDERS``.
+    """
+    Y = lift_rows(spec, X)
+    Y /= np.linalg.norm(Y, axis=1, keepdims=True)
+    E1, E2 = _tangent_frames(Y)
+    panels = _cap_panels(spec, Y, E1, E2, r)
+    low, high = (_cap_sums(spec, Y, E1, E2, r, panels, order) for order in CAP_ORDERS)
+    const = _cap_faces(spec)[2]
+    return const * high, const * np.abs(high - low)
+
+
+# ---------------------------------------------------------------------------
+# Monte Carlo in dimension 3
 
 
 # (key, lifted sample) of the last Monte Carlo query: one sample is kept
@@ -155,23 +414,7 @@ def _draw_lifted(spec, samples, seed, strata):
     return cloud
 
 
-def ball_volume(spec, x, r, samples=DEFAULT_SAMPLES, seed=0, strata=RADIAL_STRATA):
-    """Weighted volume of the metric ball of radius r around x.
-
-    Interval: deterministic (incomplete Beta), stderr 0.  Ball and simplex:
-    the fraction of the seed's lifted sample with lift(x) . y > cos r; on the
-    ball the sample is stratified over equal-probability radial shells of
-    the Beta(n/2, gamma+1/2) profile of r^2.
-    """
-    x = _require_inside(spec, x)
-    if r <= 0:
-        raise DomainError("radius must be positive")
-    mass = total_mass(spec)
-    if r >= pi:
-        return VolumeEstimate(mass, 0.0, "exact1d" if spec.kind == INTERVAL else "montecarlo", 0)
-    if spec.kind == INTERVAL:
-        return VolumeEstimate(float(_interval_volumes(spec, x, r)[0]), 0.0, "exact1d", 0)
-
+def _monte_carlo(spec, x, r, samples, seed, strata):
     strata = strata if spec.kind == BALL else 1
     if samples < strata:
         raise ParameterError(f"Monte Carlo needs at least {strata} samples, got {samples}")
@@ -181,16 +424,53 @@ def ball_volume(spec, x, r, samples=DEFAULT_SAMPLES, seed=0, strata=RADIAL_STRAT
     per = len(cloud) // strata
     p = p_hats.mean()
     var = np.sum(p_hats * (1 - p_hats) / per) / strata ** 2
+    mass = total_mass(spec)
     return VolumeEstimate(mass * p, mass * sqrt(max(var, 0.0)), "montecarlo", len(cloud))
+
+
+def ball_volume(spec, x, r, samples=DEFAULT_SAMPLES, seed=0, strata=RADIAL_STRATA):
+    """Weighted volume of the metric ball of radius r around x.
+
+    Interval: deterministic (incomplete Beta), stderr 0.  Ball(2) and
+    simplex(2): cap quadrature, stderr the difference of two rule orders;
+    ``samples``, ``seed`` and ``strata`` are not used.  Dimension 3: the
+    fraction of the seed's lifted sample with lift(x) . y > cos r; on the
+    ball the sample is stratified over equal-probability radial shells of
+    the Beta(n/2, gamma+1/2) profile of r^2.
+    """
+    x = _require_inside(spec, x)
+    if r <= 0:
+        raise DomainError("radius must be positive")
+    if r >= _diameter(spec):
+        return VolumeEstimate(total_mass(spec), 0.0, _method(spec), 0)
+    if spec.kind == INTERVAL:
+        return VolumeEstimate(float(_interval_volumes(spec, x, r)[0]), 0.0, "exact1d", 0)
+    if spec.n == 2:
+        value, err = _cap_volumes(spec, x[None, :], r)
+        return VolumeEstimate(float(value[0]), float(err[0]), "cap_quadrature", 0)
+    return _monte_carlo(spec, x, r, samples, seed, strata)
+
+
+def refuse_imprecise(spec, values, stderrs, gate):
+    """Raise PrecisionError at the first estimate whose stderr exceeds
+    ``gate`` times its value; a gate of None accepts every estimate."""
+    if gate is None:
+        return
+    values, stderrs = np.asarray(values), np.asarray(stderrs)
+    bad = np.flatnonzero((values > 0) & (stderrs > gate * values))
+    if len(bad):
+        v, e = values[bad[0]], stderrs[bad[0]]
+        hint = ("raise the sample budget" if _method(spec) == "montecarlo"
+                else "the cap quadrature is unresolved")
+        raise PrecisionError(f"volume stderr {e:.3g} exceeds {gate:.0%} of V={v:.3g}; {hint}")
 
 
 class VolumeSource:
     """Volume front-end used by the validation scans.
 
-    Every query is answered by :func:`ball_volume` on the sample of
-    ``seed``, so results do not depend on evaluation order.  With
-    ``max_rel_stderr`` set, an estimate whose standard error exceeds that
-    fraction of its value raises PrecisionError.
+    Monte Carlo queries use the sample of ``seed``, so results do not depend
+    on evaluation order.  With ``max_rel_stderr`` set, an estimate whose
+    standard error exceeds that fraction of its value raises PrecisionError.
     """
 
     def __init__(self, spec: DomainSpec, samples=DEFAULT_SAMPLES, seed=0, max_rel_stderr=None):
@@ -201,26 +481,31 @@ class VolumeSource:
 
     def __call__(self, x, r) -> VolumeEstimate:
         est = ball_volume(self.spec, x, r, samples=self.samples, seed=self.seed)
-        gate = self.max_rel_stderr
-        if gate is not None and est.value > 0 and est.stderr > gate * est.value:
-            raise PrecisionError(
-                f"volume stderr {est.stderr:.3g} exceeds "
-                f"{gate:.0%} of V={est.value:.3g}; raise the sample budget"
-            )
+        refuse_imprecise(self.spec, [est.value], [est.stderr], self.max_rel_stderr)
         return est
 
-    def values(self, points, r):
-        """V(x, r).value for each row of an (m, n) array of points.
+    def estimates(self, points, r):
+        """(V(x, r), stderr) arrays for the rows of an (m, n) array of points.
 
         The rows are checked once.  On the interval they are one vectorized
-        incomplete-Beta evaluation (exact, so the stderr gate cannot fire);
-        on the ball and simplex each row is one query through ``__call__``.
+        incomplete-Beta evaluation (stderr 0), on ball(2) and simplex(2) one
+        cap-quadrature pass, and in dimension 3 each row is one Monte Carlo
+        query through ``__call__``.
         """
         X, _ = _rows(self.spec, points)
-        if self.spec.kind != INTERVAL:
-            return np.array([self(x, r).value for x in X])
         if r <= 0:
             raise DomainError("radius must be positive")
-        if r >= pi:
-            return np.full(len(X), total_mass(self.spec))
-        return _interval_volumes(self.spec, X[:, 0], r)
+        if _method(self.spec) == "montecarlo":
+            ests = [self(x, r) for x in X]
+            return (np.array([e.value for e in ests]), np.array([e.stderr for e in ests]))
+        if r >= _diameter(self.spec):
+            return np.full(len(X), total_mass(self.spec)), np.zeros(len(X))
+        if self.spec.kind == INTERVAL:
+            return _interval_volumes(self.spec, X[:, 0], r), np.zeros(len(X))
+        values, stderrs = _cap_volumes(self.spec, X, r)
+        refuse_imprecise(self.spec, values, stderrs, self.max_rel_stderr)
+        return values, stderrs
+
+    def values(self, points, r):
+        """V(x, r).value for each row of an (m, n) array of points."""
+        return self.estimates(points, r)[0]

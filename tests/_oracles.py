@@ -3,10 +3,11 @@
 Everything here is computed through a different route than the library code
 it checks: sympy symbolic calculus for the operators, closed-form Gamma
 integrals for monomial moments, the classical cosine series for the
-equilibrium-weight heat kernel, LAPACK determinants, the interval basis
-from hand-written value and coefficient recurrences, a member-by-member
-Gram-Schmidt build of the ball and simplex bases, the interval/simplex
-correspondence through sparse polynomial arithmetic and scalar distances,
+equilibrium-weight heat kernel, LAPACK determinants, plain Monte Carlo for
+the metric-ball volumes, the interval basis from hand-written value and
+coefficient recurrences, a member-by-member Gram-Schmidt build of the ball
+and simplex bases, the interval/simplex correspondence through sparse
+polynomial arithmetic and scalar distances,
 the Green, chart and flux checks through ``MultiPoly`` arithmetic (the
 operator applied term by term, the inverse metric as exact polynomials,
 every evaluation through ``eval_many``), and the Gaussian and localization
@@ -31,6 +32,7 @@ from polyheat.domains import (
     DomainSpec,
     distance,
     distance_matrix,
+    total_mass,
     weight_density,
     weight_log_gradient,
 )
@@ -237,6 +239,33 @@ def arc_volume_chebyshev(x, r):
     """Arc-length volume on the interval at alpha = beta = -1/2."""
     th = np.arccos(np.clip(x, -1, 1))
     return float(min(pi, th + r) - max(0.0, th - r))
+
+
+def monte_carlo_volumes(spec, points, radii, samples=1_000_000, seed=0):
+    """V(x, r) and its standard error for each point and radius, by plain Monte Carlo.
+
+    One sample of the normalized measure (Beta radial law on the ball,
+    Dirichlet on the simplex, drawn here), lifted to the chart sphere,
+    where rho(x, y) < r means lift(x) . lift(y) > cos r.  Returns two
+    (len(points), len(radii)) arrays.
+    """
+    rng = np.random.default_rng(seed)
+    if spec.kind == BALL:
+        dirs = rng.standard_normal((samples, spec.n))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        v = rng.beta(spec.n / 2.0, spec.gamma + 0.5, size=samples)
+        cloud = np.hstack([np.sqrt(v)[:, None] * dirs, np.sqrt(1 - v)[:, None]])
+        pts = np.asarray(points, float)
+        lifts = np.hstack([pts, np.sqrt(np.clip(1 - (pts ** 2).sum(axis=1), 0, None))[:, None]])
+    else:
+        cloud = np.sqrt(rng.dirichlet(np.asarray(spec.kappa) + 0.5, size=samples))
+        pts = np.asarray(points, float)
+        lifts = np.sqrt(np.clip(np.hstack([pts, 1 - pts.sum(axis=1, keepdims=True)]), 0, None))
+    lifts /= np.linalg.norm(lifts, axis=1, keepdims=True)
+    mass = total_mass(spec)
+    cosines = cloud @ lifts.T
+    p = np.stack([(cosines > np.cos(r)).mean(axis=0) for r in radii], axis=1)
+    return mass * p, mass * np.sqrt(p * (1 - p) / samples)
 
 
 def reference_interval_basis(spec, K):

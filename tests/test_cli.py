@@ -104,8 +104,9 @@ class TestGeom:
         assert out == ""
 
     def test_volume_below_strata_is_one_line_error(self, tmp_path, capsys):
-        cfgfile = write_config(tmp_path, "[domain]\nkind = ball\nn = 2\ngamma = 0.5\n")
-        assert main(["--config", cfgfile, "geom", "volume", "--x", "0,0", "--r", "0.3",
+        # Monte Carlo volumes are those of dimension 3
+        cfgfile = write_config(tmp_path, "[domain]\nkind = ball\nn = 3\ngamma = 0.5\n")
+        assert main(["--config", cfgfile, "geom", "volume", "--x", "0,0,0", "--r", "0.3",
                      "--samples", "4"]) == 2
         out, err = capsys.readouterr()
         assert err == "error: Monte Carlo needs at least 8 samples, got 4\n"
@@ -275,6 +276,19 @@ class TestValidate:
         first, last = ((tmp_path / i / "validate_all.json").read_bytes() for i in "02")
         assert first == last
 
+    @pytest.mark.parametrize("suite", ["gauss", "localize"])
+    def test_imprecise_monte_carlo_volumes_are_refused(self, tmp_path, capsys, suite):
+        # 100 samples leave ball(3) volumes with 20-100 % stderr; the suites
+        # take volumes within the doubling gate of 5 % only
+        cfgfile = write_config(tmp_path, (
+            "[domain]\nkind = ball\nn = 3\ngamma = 0.5\n[basis]\nmax_degree = 10\n"
+            "[grids]\npoints = 10\ntimes = 0.2, 1.0\ndeltas = 0.2\n[mc]\nsamples = 100\n"
+            f"[run]\noutput = {tmp_path}\n"))
+        assert main(["--config", cfgfile, "validate", suite]) == 1
+        entry = json.loads((tmp_path / f"validate_{suite}.json").read_text())["suites"][suite]
+        assert entry["pass"] is False
+        assert "exceeds 5% of V" in entry["results"]["error"]
+
     def test_suite_domain_error_fails_that_suite_only(self, tmp_path, capsys):
         # one grid point leaves the Gaussian scan without an admissible pair
         cfgfile = write_config(tmp_path, (
@@ -351,7 +365,10 @@ spec = DomainSpec.simplex(2, (0.5, 0.5, 0.5))
 boundary_flux_decay(spec, [0.0, 0.0, 1.0], PolyField([1.0], 2), [0.2, 0.1, 0.05, 0.02])
 kernel = scipy_modules()
 ball_volume(DomainSpec.ball(2, 0.5), np.array([0.1, 0.1]), 0.3, samples=1000, seed=1)
-print(json.dumps({"kernel": kernel, "volume": scipy_modules()}))
+ball_volume(spec, np.array([0.1, 0.1]), 0.3)
+volume2d = scipy_modules()
+ball_volume(DomainSpec.interval(0.5, -0.5), np.array([0.1]), 0.3)
+print(json.dumps({"kernel": kernel, "volume2d": volume2d, "volume": scipy_modules()}))
 """
 
 
@@ -365,8 +382,52 @@ def test_kernel_path_imports_no_scipy():
     assert run.returncode == 0, run.stderr
     loaded = json.loads(run.stdout)
     assert loaded["kernel"] == []
-    # the incomplete Beta of the volumes loads scipy.special (and the scipy
-    # internals it needs), and no other public scipy subpackage
+    # the cap quadrature of 2-D volumes needs no scipy; the incomplete Beta
+    # of interval volumes loads scipy.special (and the scipy internals it
+    # needs), and no other public scipy subpackage
+    assert loaded["volume2d"] == []
     public = {m.split(".")[1] for m in loaded["volume"]
               if "." in m and not m.split(".")[1].startswith("_")}
     assert public - {"version"} == {"special"}
+
+
+VALIDATE_2D_SCRIPT = """
+import io, json, sys
+from contextlib import redirect_stdout
+from pathlib import Path
+from polyheat.cli import main
+
+out = Path(sys.argv[1])
+codes = {}
+for kind in ("kind = ball\\nn = 2\\ngamma = 0.5", "kind = simplex\\nn = 2\\nkappa = 0.5, 0.5, 0.5"):
+    for samples in (1000, 50000):
+        label = f"{kind.split()[2]}_{samples}"
+        cfg = out / f"{label}.ini"
+        cfg.write_text(f"[domain]\\n{kind}\\n[basis]\\nmax_degree = 12\\n[grids]\\n"
+                       f"deltas = 0.2\\n[mc]\\nsamples = {samples}\\n")
+        with redirect_stdout(io.StringIO()):
+            codes[label] = main(["--config", str(cfg), "validate", "all", "--out", str(out / label)])
+print(json.dumps({"codes": codes,
+                  "scipy": sorted(m for m in sys.modules if m.startswith("scipy"))}))
+"""
+
+
+def test_validate_2d_loads_no_scipy_and_ignores_monte_carlo_samples(tmp_path):
+    # a fresh interpreter, as `polyheat validate all` runs
+    src = str(Path(polyheat.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    run = subprocess.run([sys.executable, "-c", VALIDATE_2D_SCRIPT, str(tmp_path)], env=env,
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    result = json.loads(run.stdout.splitlines()[-1])
+    assert result["scipy"] == [] and set(result["codes"].values()) <= {0, 1}
+    for kind in ("ball", "simplex"):
+        few, many = (tmp_path / f"{kind}_{n}" / "validate_all.json" for n in (1000, 50000))
+        a, b = json.loads(few.read_text()), json.loads(many.read_text())
+        # the report names the sample count in its config and nowhere else
+        assert (a["config"]["mc"], b["config"]["mc"]) == ({"samples": 1000}, {"samples": 50000})
+        b["config"]["mc"]["samples"] = 1000
+        assert json.dumps(a) == json.dumps(b)
+        assert few.read_bytes().replace(b'"samples": 1000', b'"samples": 50000') == many.read_bytes()
+        assert a["suites"]["doubling"]["pass"] is True

@@ -3,7 +3,7 @@ import pytest
 
 from polyheat.basis import build_basis
 from polyheat.domains import DomainSpec, distance
-from polyheat.errors import DomainError
+from polyheat.errors import DomainError, PrecisionError
 from polyheat.heat import DEFAULT_EPSILON, HeatKernelEvaluator, TruncationPolicy
 from polyheat.polynomials import MultiPoly
 from polyheat.quadrature import build_quadrature
@@ -342,6 +342,30 @@ class TestGaussDoubling:
         assert rep.max_ratio == pytest.approx(2.0, abs=1e-9)
         assert rep.verdict
         assert rep.comp_hi / rep.comp_lo <= 30
+
+    def test_one_query_per_distinct_radius(self):
+        spec = DomainSpec.simplex(2, (0.5, 0.5, 0.5))
+        calls = []
+
+        class Counting(VolumeSource):
+            def estimates(self, points, r):
+                calls.append((len(points), r))
+                return super().estimates(points, r)
+
+        pts = interior_points(spec, 10)
+        rep = doubling_scan(spec, Counting(spec), pts, [0.1, 0.2, 0.35])
+        assert calls == [(len(pts), r) for r in (0.1, 0.2, 0.35, 0.4, 0.7)]
+        assert len(rep.rows) == 3 * len(pts) and rep.verdict
+        for row in rep.rows:
+            assert row["ratio"] == row["V_2r"] / row["V_r"]
+            assert row["V_r"] == VolumeSource(spec)(row["x"], row["r"]).value
+
+    def test_imprecise_monte_carlo_is_refused(self):
+        # an ungated source: the scan applies the 5 % gate itself
+        spec = DomainSpec.ball(3, 0.5)
+        with pytest.raises(PrecisionError, match="exceeds 5% of V"):
+            doubling_scan(spec, VolumeSource(spec, samples=2_000, seed=1),
+                          interior_points(spec, 4), [0.1])
 
     def test_radius_validation(self, cheb_vol):
         spec = DomainSpec.interval(-0.5, -0.5)

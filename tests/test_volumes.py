@@ -1,12 +1,14 @@
 import tracemalloc
-from math import pi, sin, sqrt
+from math import acos, pi, sin, sqrt
 
 import numpy as np
 import pytest
 
+from polyheat import volumes
 from polyheat.cli import main
-from polyheat.domains import DomainSpec, distance_many, total_mass
+from polyheat.domains import DomainSpec, chart_lift, distance_many, total_mass
 from polyheat.errors import DomainError, ParameterError, PrecisionError
+from polyheat.validation import interior_points
 from polyheat.volumes import (
     VolumeSource,
     ball_volume,
@@ -14,7 +16,10 @@ from polyheat.volumes import (
     volume_surrogate,
 )
 
-from _oracles import arc_volume_chebyshev
+from _oracles import arc_volume_chebyshev, monte_carlo_volumes
+
+BALL3 = DomainSpec.ball(3, 0.5)
+SIMPLEX3 = DomainSpec.simplex(3, (0.5, 0.5, 0.5, 0.5))
 
 
 class TestSurrogate:
@@ -62,9 +67,10 @@ class TestMonteCarlo:
         assert est.stderr < 0.05 * est.value
 
     def test_deterministic_given_seed(self):
-        spec = DomainSpec.simplex(2, (0.5, 0.5, 0.5))
-        x = np.array([0.3, 0.3])
+        spec = SIMPLEX3
+        x = np.array([0.2, 0.2, 0.2])
         a = ball_volume(spec, x, 0.4, samples=50_000, seed=42)
+        assert a.method == "montecarlo" and a.samples == 50_000
         b = ball_volume(spec, x, 0.4, samples=50_000, seed=42)
         assert a.value == b.value and a.stderr == b.stderr
         c = ball_volume(spec, x, 0.4, samples=50_000, seed=43)
@@ -72,14 +78,14 @@ class TestMonteCarlo:
 
     def test_fewer_samples_than_strata_refused(self):
         with pytest.raises(ParameterError, match="at least 8 samples, got 4") as info:
-            ball_volume(DomainSpec.ball(2, 0.5), (0, 0), 0.3, samples=4)
+            ball_volume(BALL3, (0, 0, 0), 0.3, samples=4)
         assert "\n" not in str(info.value)
         with pytest.raises(ParameterError, match="at least 1 samples, got 0"):
-            ball_volume(DomainSpec.simplex(2, (0.5, 0.5, 0.5)), (0.2, 0.2), 0.3, samples=0)
+            ball_volume(SIMPLEX3, (0.2, 0.2, 0.2), 0.3, samples=0)
 
     def test_stratified_agrees_with_plain(self):
-        spec = DomainSpec.ball(2, 0.25)
-        x = np.array([0.2, 0.1])
+        spec = DomainSpec.ball(3, 0.25)
+        x = np.array([0.2, 0.1, -0.3])
         a = ball_volume(spec, x, 0.5, samples=200_000, seed=1, strata=8)
         b = ball_volume(spec, x, 0.5, samples=200_000, seed=2, strata=1)
         assert a.value == pytest.approx(b.value, abs=4 * (a.stderr + b.stderr))
@@ -104,24 +110,25 @@ class TestMonteCarlo:
 
 class TestVolumeSource:
     def test_cache_and_refusal(self):
-        spec = DomainSpec.ball(2, 0.5)
-        src = VolumeSource(spec, samples=50_000, seed=3)
+        src = VolumeSource(BALL3, samples=50_000, seed=3)
         # a repeated query reads the same cached sample
-        a = src((0.1, 0.1), 0.4)
-        b = src((0.1, 0.1), 0.4)
+        a = src((0.1, 0.1, 0.1), 0.4)
+        b = src((0.1, 0.1, 0.1), 0.4)
         assert a == b
-        strict = VolumeSource(spec, samples=2_000, seed=3, max_rel_stderr=0.001)
+        strict = VolumeSource(BALL3, samples=2_000, seed=3, max_rel_stderr=0.001)
+        with pytest.raises(PrecisionError, match="raise the sample budget"):
+            strict((0.1, 0.1, 0.1), 0.2)
         with pytest.raises(PrecisionError):
-            strict((0.1, 0.1), 0.05)
+            strict.values([[0.1, 0.1, 0.1]], 0.2)
 
     def test_flat_disc_at_center_is_exact_within_stderr(self):
         # gamma = 1/2 is Lebesgue measure and rho(0, y) = arcsin|y|, so
         # V(0, r) = pi sin^2 r
         src = VolumeSource(DomainSpec.ball(2, 0.5), samples=200_000, seed=9)
-        for r in (0.1, 0.4, 1.0):
+        for r in (0.05, 0.1, 0.45, 1.0, 1.4):
             est = src((0.0, 0.0), r)
-            assert est.method == "montecarlo" and est.samples == 200_000
-            assert abs(est.value - pi * sin(r) ** 2) <= 4 * est.stderr
+            assert est.method == "cap_quadrature" and est.samples == 0
+            assert abs(est.value - pi * sin(r) ** 2) <= est.stderr + 1e-14 * est.value
 
     @pytest.mark.parametrize("spec, x", [
         (DomainSpec.ball(2, 0.25), (0.2, -0.3)),
@@ -138,19 +145,19 @@ class TestVolumeSource:
             assert abs(est.value - ref) <= 4 * sqrt(est.stderr ** 2 + ref_err ** 2)
 
     def test_doubling_is_monotone_on_one_source(self):
-        for spec in (DomainSpec.ball(2, 0.0), DomainSpec.simplex(2, (0.5, 0.5, 0.5))):
+        for spec in (DomainSpec.ball(3, 0.0), SIMPLEX3):
             src = VolumeSource(spec, samples=50_000, seed=6)
-            for x in ((0.1, 0.2), (0.3, 0.05), (0.45, 0.45)):
+            for x in ((0.1, 0.2, 0.1), (0.3, 0.05, 0.2), (0.3, 0.3, 0.3)):
                 for r in (0.01, 0.05, 0.2, 0.7, 1.4):
                     assert src(x, 2 * r).value >= src(x, r).value
 
     def test_query_order_does_not_matter(self):
-        spec = DomainSpec.simplex(2, (0.5, 0.5, 0.5))
-        queries = [((0.1, 0.2), 0.1), ((0.3, 0.3), 0.4), ((0.6, 0.1), 0.05)]
+        spec = SIMPLEX3
+        queries = [((0.1, 0.2, 0.1), 0.1), ((0.3, 0.3, 0.2), 0.4), ((0.6, 0.1, 0.1), 0.05)]
         forward = VolumeSource(spec, samples=50_000, seed=8)
         a = [forward(x, r) for x, r in queries]
         # a query on another domain between the two runs evicts the cached sample
-        ball_volume(DomainSpec.ball(2, 0.5), (0.0, 0.0), 0.3, samples=1_000, seed=8)
+        ball_volume(BALL3, (0.0, 0.0, 0.0), 0.3, samples=1_000, seed=8)
         backward = VolumeSource(spec, samples=50_000, seed=8)
         b = [backward(x, r) for x, r in reversed(queries)][::-1]
         assert a == b
@@ -201,21 +208,21 @@ class TestVolumeSource:
         assert "\n" not in str(err.value)
 
     def test_monte_carlo_many_points_are_single_queries(self):
-        spec = DomainSpec.simplex(2, (0.5, 0.5, 0.5))
-        xs = np.array([(0.1, 0.2), (0.3, 0.3), (0.6, 0.1)])
+        spec = SIMPLEX3
+        xs = np.array([(0.1, 0.2, 0.1), (0.3, 0.3, 0.2), (0.6, 0.1, 0.1)])
         got = VolumeSource(spec, samples=50_000, seed=8).values(xs, 0.3)
         single = VolumeSource(spec, samples=50_000, seed=8)
         assert got.tolist() == [single(x, 0.3).value for x in xs]
 
     def test_memory_is_one_lifted_sample(self):
-        spec, N = DomainSpec.ball(2, 0.5), 200_000
+        spec, N = BALL3, 200_000
         rng = np.random.default_rng(3)
         xs = sample_measure(spec, 20, rng)
         tracemalloc.start()
         try:
             # the sample of another seed is held on entry and must be
             # released before the new one is drawn
-            ball_volume(spec, (0.0, 0.0), 0.3, samples=N, seed=11)
+            ball_volume(spec, (0.0, 0.0, 0.0), 0.3, samples=N, seed=11)
             tracemalloc.reset_peak()
             src = VolumeSource(spec, samples=N, seed=12)
             for x, r in zip(xs, np.linspace(0.05, 1.5, 20)):
@@ -224,3 +231,93 @@ class TestVolumeSource:
         finally:
             tracemalloc.stop()
         assert peak <= 1.5 * (spec.n + 1) * N * 8
+
+
+ORACLE_RADII = (0.05, 0.1, 0.45, 1.0, 1.4)
+# a center, an inner point, points near a face, and (simplex) near a vertex
+ORACLE_CASES = [
+    *[(DomainSpec.ball(2, g), [(0.0, 0.0), (0.3, -0.5), (0.97, 0.1), (0.0, -0.999)])
+      for g in (-0.4, 0.0, 0.5, 1.0)],
+    *[(DomainSpec.simplex(2, k), [(0.3, 0.3), (0.5, 0.001), (0.01, 0.02), (0.98, 0.01)])
+      for k in ((0.5, 0.5, 0.5), (-0.3, 0.8, 1.7), (-0.4, 0.0, 1.0))],
+]
+ORACLE_IDS = [spec.label() for spec, _ in ORACLE_CASES]
+
+
+class TestCapQuadrature:
+    @pytest.mark.parametrize("spec, points", ORACLE_CASES, ids=ORACLE_IDS)
+    def test_matches_monte_carlo_oracle(self, spec, points):
+        samples = 1_000_000
+        ref, ref_err = monte_carlo_volumes(spec, points, ORACLE_RADII, samples, seed=2024)
+        src = VolumeSource(spec)
+        for k, r in enumerate(ORACLE_RADII):
+            values, stderrs = src.estimates(points, r)
+            # one sample's mass keeps a query the sample never hits comparable
+            tol = 4 * np.sqrt(ref_err[:, k] ** 2 + stderrs ** 2) + total_mass(spec) / samples
+            assert np.all(np.abs(values - ref[:, k]) <= tol), (r, values, ref[:, k], tol)
+
+    @pytest.mark.parametrize("spec, points", ORACLE_CASES, ids=ORACLE_IDS)
+    def test_stderr_bounds_the_error_of_a_finer_rule(self, spec, points, monkeypatch):
+        src = VolumeSource(spec)
+        got = [src.estimates(points, r) for r in ORACLE_RADII]
+        monkeypatch.setattr(volumes, "CAP_ORDERS", ((64, 24, 15, 32), (96, 32, 15, 64)))
+        monkeypatch.setattr(volumes, "CAP_PHI_MAX", 128)
+        for (values, stderrs), r in zip(got, ORACLE_RADII):
+            fine = src.values(points, r)
+            assert np.all(np.abs(values - fine) <= stderrs + 1e-13 * fine), (r, values, fine)
+
+    @pytest.mark.parametrize("spec, points", ORACLE_CASES + [
+        (DomainSpec.simplex(2, (0.5, -0.3, 1.2)), [(0.3, 0.3), (0.5, 0.001), (0.001, 0.5)])],
+        ids=ORACLE_IDS + ["simplex-half-and-others"])
+    def test_rows_equal_one_point_queries_bit_for_bit(self, spec, points, monkeypatch):
+        src = VolumeSource(spec)
+        for r in ORACLE_RADII:
+            rows = src.values(points, r)
+            assert rows.tolist() == [src(x, r).value for x in points]
+            assert src.values(points[::-1], r).tolist() == rows[::-1].tolist()
+            est = src(points[1], r)
+            assert est.method == "cap_quadrature" and est.samples == 0
+        # array passes of a few phi nodes each split panels between passes
+        monkeypatch.setattr(volumes, "CAP_CHUNK", 100)
+        assert src.values(points, ORACLE_RADII[-1]).tolist() == rows.tolist()
+
+    def test_total_mass_once_r_reaches_the_farthest_point(self):
+        # from y = lift(x) the farthest point of the hemisphere lies
+        # pi/2 + arccos(y_3) away, and the farthest of the orthant is the
+        # vertex e_i of the smallest y_i, arccos(y_i) away
+        cases = [(DomainSpec.ball(2, 0.5), (0.0, 0.0)), (DomainSpec.ball(2, -0.4), (0.3, -0.5)),
+                 (DomainSpec.ball(2, 1.0), (0.6, 0.2)),
+                 (DomainSpec.simplex(2, (0.5, 0.5, 0.5)), (0.3, 0.3)),
+                 (DomainSpec.simplex(2, (-0.3, 0.8, 1.7)), (0.2, 0.5))]
+        for spec, x in cases:
+            y = chart_lift(spec, x)
+            far = pi / 2 + acos(y[2]) if spec.kind == "ball" else max(acos(v) for v in y)
+            mass = total_mass(spec)
+            est = ball_volume(spec, x, far + 1e-9)
+            assert abs(est.value - mass) <= est.stderr + 1e-12 * mass, (spec, est, mass)
+        # at the diameter (pi/2 on the simplex) every point answers the mass
+        spec = DomainSpec.simplex(2, (0.5, 0.5, 0.5))
+        assert ball_volume(spec, (0.98, 0.01), pi / 2).value == total_mass(spec)
+
+    @pytest.mark.parametrize("spec, points", [
+        (DomainSpec.ball(2, 0.5), [(1.0, 0.0), (0.6, -0.8)]),
+        (DomainSpec.ball(2, -0.4), [(0.0, 1.0)]),
+        (DomainSpec.simplex(2, (0.5, 0.5, 0.5)), [(0.0, 0.0), (1.0, 0.0), (0.5, 0.0), (0.5, 0.5)]),
+        (DomainSpec.simplex(2, (-0.3, 0.8, 1.7)), [(0.0, 0.3), (0.0, 1.0), (0.4, 0.6)]),
+    ], ids=["ball-half", "ball-negative", "simplex-half", "simplex-mixed"])
+    def test_points_on_faces_and_vertices(self, spec, points):
+        mass = total_mass(spec)
+        for r in ORACLE_RADII:
+            values, stderrs = VolumeSource(spec).estimates(points, r)
+            assert np.all(np.isfinite(values)) and np.all(np.isfinite(stderrs))
+            assert np.all(values > 0) and np.all(values <= mass * (1 + 1e-12))
+
+    @pytest.mark.parametrize("spec", [DomainSpec.ball(2, 0.5), DomainSpec.simplex(2, (0.5, 0.5, 0.5))],
+                             ids=["ball", "simplex"])
+    def test_validation_radii_are_resolved(self, spec):
+        # the points and radii of `validate all` at the default config:
+        # doubling radii and their doubles, sqrt of the heat times, deltas
+        pts = interior_points(spec, 10)
+        for r in (0.1, 0.2, 0.3, 0.6, 0.7, 1.4, sqrt(0.05), sqrt(0.2), 1.0):
+            values, stderrs = VolumeSource(spec).estimates(pts, r)
+            assert np.all(stderrs <= 1e-6 * values), r
