@@ -439,7 +439,7 @@ def ball_volume(spec, x, r, samples=DEFAULT_SAMPLES, seed=0, strata=RADIAL_STRAT
     the Beta(n/2, gamma+1/2) profile of r^2.
     """
     x = _require_inside(spec, x)
-    if r <= 0:
+    if not r > 0:
         raise DomainError("radius must be positive")
     if r >= _diameter(spec):
         return VolumeEstimate(total_mass(spec), 0.0, _method(spec), 0)
@@ -493,7 +493,7 @@ class VolumeSource:
         query through ``__call__``.
         """
         X, _ = _rows(self.spec, points)
-        if r <= 0:
+        if not r > 0:
             raise DomainError("radius must be positive")
         if _method(self.spec) == "montecarlo":
             ests = [self(x, r) for x in X]

@@ -56,6 +56,12 @@ class TestIntervalExact:
     def test_radius_error(self):
         with pytest.raises(DomainError):
             ball_volume(DomainSpec.interval(-0.5, -0.5), (0.0,), -0.1)
+        # NaN is no radius either, on the one-point and on the row path
+        for spec, x in ((DomainSpec.ball(2, 0.5), (0.1, 0.2)), (BALL3, (0.1, 0.2, 0.0))):
+            with pytest.raises(DomainError, match="radius must be positive"):
+                ball_volume(spec, x, float("nan"))
+            with pytest.raises(DomainError, match="radius must be positive"):
+                VolumeSource(spec).values([x], float("nan"))
 
 
 class TestMonteCarlo:
