@@ -14,6 +14,7 @@ import argparse
 import json
 import sys
 from dataclasses import replace
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -442,7 +443,9 @@ def cmd_validate(args):
     return 0 if overall else 1
 
 
-def main(argv=None):
+@cache
+def _parser():
+    """The command-line parser, built once per process."""
     ap = argparse.ArgumentParser(
         prog="polyheat",
         description="Polynomial eigensystems, heat kernels, and validation suites "
@@ -497,8 +500,11 @@ def main(argv=None):
     p = sub.add_parser("validate", help="run a validation suite")
     p.add_argument("suite", choices=SUITES)
     p.add_argument("--out", default=None)
+    return ap
 
-    args = ap.parse_args(argv)
+
+def main(argv=None):
+    args = _parser().parse_args(argv)
     try:
         if args.command == "config":
             return cmd_config_show(args)

@@ -21,13 +21,15 @@ import numpy as np
 
 from .basis import OrthonormalBasis, eigenvalue
 from .domains import INTERVAL
-from .errors import CapacityError, ParameterError, PrecisionError
+from .errors import CapacityError, DomainError, ParameterError, PrecisionError
 
 DEFAULT_EPSILON = 1e-10
 # Extrapolation beyond the cap trusts a measured geometric decay ratio only
 # below this threshold; otherwise the evaluation refuses.
 MAX_DECAY_RATIO = 0.9
 _RATIO_WINDOW = 5
+# Side of the square blocks in which the tail envelope fills a grid.
+_BLOCK = 128
 
 
 def default_t_min(spec, cap=None):
@@ -136,6 +138,7 @@ class HeatKernelEvaluator:
         self.policy = policy
         self.lambdas = basis.lambdas[: policy.hard_cap + 1]
         self._members = int(basis.offsets[policy.hard_cap + 1])  # up to the cap
+        self._level_sizes = np.diff(basis.offsets[: policy.hard_cap + 2])
 
     @property
     def spec(self):
@@ -153,8 +156,33 @@ class HeatKernelEvaluator:
             if points.owner is not self:
                 raise ParameterError("the point set was evaluated by another evaluator")
             return points.values
+        return self.basis.evaluate(self._points(points))[:, : self._members]
+
+    def _points(self, points):
+        """A raw point array as (npoints, n), refused if its dimension is wrong."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        return self.basis.evaluate(pts)[:, : self._members]
+        if pts.ndim != 2 or pts.shape[1] != self.spec.n:
+            raise DomainError("points have the wrong dimension")
+        return pts
+
+    def _pair(self, X, Y):
+        """Basis values at X and at Y, one recurrence sweep for two raw arrays.
+
+        The same object twice gives the same array twice (the square-grid
+        path); a ``PointSet`` on either side keeps its own values.
+        """
+        if Y is X:
+            V = self._values(X)
+            return V, V
+        if isinstance(X, PointSet) or isinstance(Y, PointSet):
+            return self._values(X), self._values(Y)
+        px, py = self._points(X), self._points(Y)
+        V = self.basis.evaluate(np.concatenate([px, py]))[:, : self._members]
+        return V[: len(px)], V[len(px):]
+
+    def _per_member(self, g):
+        """Level weights (K+1,) repeated over the members of each level."""
+        return np.repeat(g, self._level_sizes)
 
     def _sum(self, g, tail_factor, Vx, Vy):
         """sum_k g_k K_k(x, y) over every built level, with the post-cap tail.
@@ -163,14 +191,13 @@ class HeatKernelEvaluator:
         array for a square grid).  The tail is tail_factor times the window
         maximum of sqrt(C_k(x) C_k(y)).  Returns (value, tail) of shape (p, q).
         """
-        K = self.policy.hard_cap
         # g >= 0 for the heat kernel and for all three multiplier profiles,
         # so sqrt(g) splits over both factors; with one factor array numpy
         # sends W @ W.T to syrk, exactly symmetric at half the flops.
-        sg = np.repeat(np.sqrt(g), np.diff(self.basis.offsets[: K + 2]))
+        sg = self._per_member(np.sqrt(g))
         Wx = Vx * sg
         value = Wx @ (Wx if Vy is Vx else Vy * sg).T
-        del Wx  # freed before the two tail buffers are allocated
+        del Wx  # freed before the tail buffer is allocated
         if tail_factor == 0.0:
             return value, np.zeros_like(value)
         tail = self._window_max(Vx, Vy)
@@ -178,18 +205,32 @@ class HeatKernelEvaluator:
         return value, tail
 
     def _window_max(self, Vx, Vy):
-        """max of sqrt(C_k(x) C_k(y)) over the last levels, in one (p, q) buffer."""
+        """max of sqrt(C_k(x) C_k(y)) over the last levels, in one (p, q) buffer.
+
+        The grid is filled in _BLOCK x _BLOCK blocks, each the running
+        maximum of the level outer products, with one block of scratch.  On
+        a square grid (Vy is Vx) only the blocks on and above the diagonal
+        are computed; each is mirrored below it.
+        """
         K = self.policy.hard_cap
-        out = tmp = None
-        for k in range(max(K - _RATIO_WINDOW, 0), K + 1):
-            sl = self.basis.level_slice(k)
-            sx = np.sqrt(np.sum(Vx[:, sl] ** 2, axis=1))
-            sy = sx if Vy is Vx else np.sqrt(np.sum(Vy[:, sl] ** 2, axis=1))
-            if out is None:
-                out = np.multiply.outer(sx, sy)
-                tmp = np.empty_like(out)
-            else:
-                np.maximum(out, np.multiply.outer(sx, sy, out=tmp), out=out)
+        window = [self.basis.level_slice(k) for k in range(max(K - _RATIO_WINDOW, 0), K + 1)]
+        sx = [np.sqrt(np.sum(Vx[:, sl] ** 2, axis=1)) for sl in window]
+        square = Vy is Vx
+        sy = sx if square else [np.sqrt(np.sum(Vy[:, sl] ** 2, axis=1)) for sl in window]
+        p, q = len(sx[0]), len(sy[0])
+        out = np.empty((p, q))
+        scratch = np.empty((min(p, _BLOCK), min(q, _BLOCK)))
+        for i in range(0, p, _BLOCK):
+            rows = slice(i, i + _BLOCK)
+            for j in range(i if square else 0, q, _BLOCK):
+                cols = slice(j, j + _BLOCK)
+                block = out[rows, cols]
+                tmp = scratch[: block.shape[0], : block.shape[1]]
+                np.multiply.outer(sx[0][rows], sy[0][cols], out=block)
+                for a, b in zip(sx[1:], sy[1:]):
+                    np.maximum(block, np.multiply.outer(a[rows], b[cols], out=tmp), out=block)
+                if square and j > i:
+                    out[cols, rows] = block.T
         return out
 
     def _heat_tail_factor(self, t, Vx, Vy):
@@ -222,18 +263,25 @@ class HeatKernelEvaluator:
 
     # -- heat kernel --------------------------------------------------------
 
-    def _heat(self, t, Vx, Vy):
+    def _heat_weights(self, t, Vx, Vy):
+        """Level weights exp(-lambda_k t) and the post-cap tail factor at t.
+
+        Refuses below t_min and when t is under-resolved for the cap; Vx and
+        Vy only enter the achievable time that the second refusal names.
+        """
         if t < self.policy.t_min:
             raise PrecisionError(
                 f"t={t:g} below t_min={self.policy.t_min:g}; the basis cap "
                 f"{self.policy.hard_cap} cannot certify this regime"
             )
-        return self._sum(np.exp(-self.lambdas * t), self._heat_tail_factor(t, Vx, Vy), Vx, Vy)
+        return np.exp(-self.lambdas * t), self._heat_tail_factor(t, Vx, Vy)
+
+    def _heat(self, t, Vx, Vy):
+        return self._sum(*self._heat_weights(t, Vx, Vy), Vx, Vy)
 
     def heat_kernel_grid(self, t, X, Y):
         """Kernel values and tail bounds on a grid: (p, q) arrays."""
-        Vx = self._values(X)
-        return self._heat(t, Vx, Vx if Y is X else self._values(Y))
+        return self._heat(t, *self._pair(X, Y))
 
     def heat_kernel(self, t, x, y):
         """Heat kernel value at one pair; returns (value, tail_bound)."""
@@ -241,24 +289,39 @@ class HeatKernelEvaluator:
         return float(v[0, 0]), float(b[0, 0])
 
     # -- semigroup-level checks ----------------------------------------------
+    #
+    # Both checks integrate kernel rows against the quadrature, which is
+    # exact for them, and sum the same finite sums member by member: with
+    # V the node values and w the weights, the integral over y of
+    # sum_m g_m v_m(x) v_m(y) f(y) is (g * v(x)) @ (V.T @ (w * f)).  No
+    # (points x nodes) row is built, and no tail: none is read.
+
+    def _nodes(self):
+        return self.basis.node_values[:, : self._members]
 
     def mass_check(self, t, x):
         """integral of e^(tL)(x, .) d(mu); contract: equals 1."""
         return float(self.mass_grid(t, x)[0])
 
     def mass_grid(self, t, X):
-        """mass_check at each point of X in one kernel sum: (p,)."""
-        rows, _ = self._heat(t, self._values(X), self.basis.node_values[:, : self._members])
-        return rows @ self.basis.quad.weights
+        """mass_check at each point of X: (g * V_x) @ (w @ V_nodes), shape (p,)."""
+        Vx, nodes = self._values(X), self._nodes()
+        g, _ = self._heat_weights(t, Vx, nodes)
+        return (Vx * self._per_member(g)) @ (self.basis.quad.weights @ nodes)
 
     def semigroup_check(self, s, t, x, z):
-        """|e^((s+t)L)(x,z) - integral e^(sL)(x,y) e^(tL)(y,z) dmu(y)|."""
-        nodes = self.basis.node_values[:, : self._members]
-        Vx, Vz = self._values(x), self._values(z)
-        row_s, _ = self._heat(s, Vx, nodes)
-        row_t, _ = self._heat(t, Vz, nodes)
+        """|e^((s+t)L)(x,z) - integral e^(sL)(x,y) e^(tL)(y,z) dmu(y)|.
+
+        The integral is sum_n w_n (V_nodes (g_s * v(x)))_n (V_nodes (g_t * v(z)))_n.
+        """
+        nodes = self._nodes()
+        Vx, Vz = self._pair(x, z)
+        gs, _ = self._heat_weights(s, Vx, nodes)
+        gt, _ = self._heat_weights(t, Vz, nodes)
         lhs, _ = self._heat(s + t, Vx, Vz)
-        return abs(float(lhs[0, 0]) - float((row_s[0] * row_t[0]) @ self.basis.quad.weights))
+        row_s = nodes @ (Vx[0] * self._per_member(gs))
+        row_t = nodes @ (Vz[0] * self._per_member(gt))
+        return abs(float(lhs[0, 0]) - float((row_s * row_t) @ self.basis.quad.weights))
 
     # -- spectral multipliers -------------------------------------------------
 
@@ -268,8 +331,7 @@ class HeatKernelEvaluator:
             raise ParameterError("delta must be positive")
         K = self.policy.hard_cap
         u = delta * np.sqrt(self.lambdas)
-        Vx = self._values(X)
-        Vy = Vx if Y is X else self._values(Y)
+        Vx, Vy = self._pair(X, Y)
 
         if phi.spectral_cutoff is not None:
             if u[K] < phi.spectral_cutoff:

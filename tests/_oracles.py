@@ -4,7 +4,9 @@ Everything here is computed through a different route than the library code
 it checks: sympy symbolic calculus for the operators, closed-form Gamma
 integrals for monomial moments, the classical cosine series for the
 equilibrium-weight heat kernel, LAPACK determinants, plain Monte Carlo for
-the metric-ball volumes, the interval basis from hand-written value and
+the metric-ball volumes, the kernel tails as a level-by-level maximum over
+the whole grid and the mass and semigroup checks through kernel rows to
+every quadrature node, the interval basis from hand-written value and
 coefficient recurrences, a member-by-member Gram-Schmidt build of the ball
 and simplex bases, the interval/simplex correspondence through sparse
 polynomial arithmetic and scalar distances,
@@ -24,7 +26,7 @@ import numpy as np
 import sympy as sp
 from scipy.integrate import quad as scipy_quad
 
-from polyheat.basis import build_basis, graded_monomials, level_dimension
+from polyheat.basis import build_basis, eigenvalue, graded_monomials, level_dimension
 from polyheat.domains import (
     BALL,
     INTERVAL,
@@ -227,6 +229,44 @@ def chebyshev_heat_kernel(t, x, y, terms=600):
     th, ph = np.arccos(np.clip(x, -1, 1)), np.arccos(np.clip(y, -1, 1))
     k = np.arange(1, terms + 1)
     return float((1.0 + 2.0 * np.sum(np.exp(-k * k * t) * np.cos(k * th) * np.cos(k * ph))) / pi)
+
+
+def reference_heat_tail(ev, t, X, Y):
+    """Heat-kernel tails on the grid X x Y: the post-cap factor times the
+    maximum of sqrt(C_k(x) C_k(y)) over the last six levels, taken level by
+    level over the whole grid, with no block and no mirror."""
+    basis, K = ev.basis, ev.policy.hard_cap
+    Vx, Vy = basis.evaluate(X), basis.evaluate(Y)
+    window = None
+    for k in range(max(K - 5, 0), K + 1):
+        sl = basis.level_slice(k)
+        level = np.multiply.outer(np.sqrt(np.sum(Vx[:, sl] ** 2, axis=1)),
+                                  np.sqrt(np.sum(Vy[:, sl] ** 2, axis=1)))
+        window = level if window is None else np.maximum(window, level)
+    gap = eigenvalue(ev.spec, K + 1) - ev.lambdas[K]
+    q = np.exp(-gap * t)
+    return window * (2.0 * np.exp(-(ev.lambdas[K] + gap) * t) / (1.0 - q))
+
+
+def _kernel(ev, t, X, Y):
+    """Heat-kernel values sum_k exp(-lambda_k t) K_k(x, y) on X x Y, no tail."""
+    basis, K = ev.basis, ev.policy.hard_cap
+    members = int(basis.offsets[K + 1])
+    g = np.repeat(np.exp(-ev.lambdas * t), np.diff(basis.offsets[: K + 2]))
+    return (basis.evaluate(X)[:, :members] * g) @ basis.evaluate(Y)[:, :members].T
+
+
+def reference_mass_grid(ev, t, X):
+    """``mass_grid`` as the quadrature of whole kernel rows over the nodes."""
+    return _kernel(ev, t, X, ev.basis.quad.nodes) @ ev.basis.quad.weights
+
+
+def reference_semigroup_gap(ev, s, t, x, z):
+    """``semigroup_check`` through the kernel rows of x at s and of z at t."""
+    nodes = ev.basis.quad.nodes
+    row_s, row_t = _kernel(ev, s, x, nodes)[0], _kernel(ev, t, z, nodes)[0]
+    return abs(float(_kernel(ev, s + t, x, z)[0, 0])
+               - float((row_s * row_t) @ ev.basis.quad.weights))
 
 
 def dense_perturbed_det(a):

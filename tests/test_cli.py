@@ -345,6 +345,37 @@ class TestValidate:
         assert all(c["pass"] for c in checks)
 
 
+def test_reused_parser_parses_as_in_a_fresh_process(tmp_path, capsys):
+    # main builds its parser once per process: after config show, a validate
+    # call, and a malformed argv, each prints, writes and exits as it does
+    # as the first call of a fresh interpreter
+    from polyheat import cli
+    cfgfile = write_config(tmp_path, INTERVAL_INI.format(out=tmp_path))
+    report = tmp_path / "validate_ops.json"
+    calls = [["--config", cfgfile, "config", "show"],
+             ["--config", cfgfile, "validate", "ops"],
+             ["--config", cfgfile, "validate", "nosuch"]]
+    src = str(Path(polyheat.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    fresh = []
+    for argv in calls:
+        run = subprocess.run([sys.executable, "-m", "polyheat.cli", *argv], env=env,
+                             capture_output=True, text=True)
+        fresh.append((run.returncode, run.stdout, run.stderr,
+                      report.read_bytes() if report.exists() else None))
+    assert [f[0] for f in fresh] == [0, 0, 2]
+    report.unlink()
+    for argv, want in zip(calls, fresh):
+        try:
+            code = main(argv)
+        except SystemExit as e:
+            code = e.code
+        out, err = capsys.readouterr()
+        assert (code, out, err, report.read_bytes() if report.exists() else None) == want
+    assert cli._parser() is cli._parser()
+
+
 FOOTPRINT_SCRIPT = """
 import json, sys
 import numpy as np

@@ -6,15 +6,22 @@ import pytest
 
 from polyheat.basis import build_basis, eigenvalue
 from polyheat.domains import DomainSpec, total_mass
-from polyheat.errors import CapacityError, ParameterError, PrecisionError
+from polyheat.errors import CapacityError, DomainError, ParameterError, PrecisionError
 from polyheat.heat import (
     HeatKernelEvaluator,
     MultiplierSpec,
     TruncationPolicy,
     default_t_min,
 )
+from polyheat.validation import localization_check
+from polyheat.volumes import VolumeSource
 
-from _oracles import chebyshev_heat_kernel
+from _oracles import (
+    chebyshev_heat_kernel,
+    reference_heat_tail,
+    reference_mass_grid,
+    reference_semigroup_gap,
+)
 
 
 @pytest.fixture(scope="module")
@@ -293,4 +300,112 @@ class TestLevelSum:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 8 * X.shape[0] ** 2 * 8
+        assert peak <= 4 * X.shape[0] ** 2 * 8
+
+
+def _sample(spec, count, rng):
+    """Interior points of the interval, or of a 2-D ball or simplex."""
+    if spec.n == 1:
+        return np.cos(rng.uniform(0.1, 3.0, (count, 1)))
+    return _points(spec, count, rng)
+
+
+class TestTailEnvelope:
+    """The blocked, mirrored envelope against the whole-grid level maximum."""
+
+    @pytest.mark.parametrize("fixture", ["cheb_ev", "ball_ev", "simplex_ev"])
+    def test_tails_equal_level_maximum(self, fixture, request):
+        ev = request.getfixturevalue(fixture)
+        rng = np.random.default_rng(11)
+        sets = {p: _sample(ev.spec, p, rng) for p in (1, 7, 127, 128, 129, 300)}
+        grids = [(sets[p], sets[p]) for p in (1, 127, 128, 129, 300)]
+        grids += [(sets[1], sets[300]), (sets[129], sets[7]), (sets[300], sets[128])]
+        t = ev.policy.t_min  # the tails underflow to zero at larger t on the interval
+        for X, Y in grids:
+            _, tail = ev.heat_kernel_grid(t, X, Y)
+            assert tail.min() > 0
+            assert np.array_equal(tail, reference_heat_tail(ev, t, X, Y)), (len(X), len(Y))
+
+
+def _refusal(fn, *args):
+    with pytest.raises(PrecisionError) as info:
+        fn(*args)
+    return str(info.value)
+
+
+class TestProjectedChecks:
+    """Mass and semigroup checks against whole kernel rows to the nodes."""
+
+    @pytest.mark.parametrize("fixture", ["cheb_ev", "ball_ev", "simplex_ev"])
+    def test_match_node_rows(self, fixture, request):
+        ev = request.getfixturevalue(fixture)
+        X = _sample(ev.spec, 5, np.random.default_rng(13))
+        for t in (ev.policy.t_min, 0.2, 1.0):
+            np.testing.assert_allclose(ev.mass_grid(t, X), reference_mass_grid(ev, t, X),
+                                       rtol=0, atol=1e-14)
+        for s, t in ((0.1, 0.2), (0.2, 0.1), (0.5, 0.5)):
+            for x, z in ((X[0], X[1]), (X[2], X[2])):
+                gap = ev.semigroup_check(s, t, x, z)
+                assert abs(gap - reference_semigroup_gap(ev, s, t, x, z)) <= 1e-14
+
+    @pytest.mark.parametrize("spec, cap", [(DomainSpec.interval(-0.5, -0.5), 30),
+                                           (DomainSpec.ball(2, 0.25), 10)])
+    def test_refusals_name_the_node_row_figures(self, spec, cap):
+        # the refusal of a check is the one of its kernel rows to the nodes,
+        # achievable-t figure included
+        ev = HeatKernelEvaluator(build_basis(spec, cap), TruncationPolicy(1e-10, 1e-4, cap))
+        X = _sample(spec, 2, np.random.default_rng(17))
+        nodes = ev.basis.quad.nodes
+        for t, words in ((1e-5, "below t_min"), (2e-4, "is achievable for t >=")):
+            want = _refusal(ev.heat_kernel_grid, t, X[:1], nodes)
+            assert words in want
+            assert _refusal(ev.mass_grid, t, X[:1]) == want
+            assert _refusal(ev.mass_check, t, X[0]) == want
+            assert _refusal(ev.semigroup_check, t, 0.5, X[0], X[1]) == want
+            assert _refusal(ev.semigroup_check, 0.5, t, X[1], X[0]) == want
+
+
+class TestOneSweep:
+    """A raw pair of point arrays costs one basis evaluation."""
+
+    @pytest.fixture
+    def sweeps(self, monkeypatch):
+        def count(ev):
+            calls = []
+            evaluate = ev.basis.evaluate
+            monkeypatch.setattr(ev.basis, "evaluate",
+                                lambda points: calls.append(len(points)) or evaluate(points))
+            return calls
+        return count
+
+    @pytest.mark.parametrize("fixture", ["cheb_ev", "ball_ev"])
+    def test_raw_pair_is_one_sweep(self, fixture, request, sweeps):
+        ev = request.getfixturevalue(fixture)
+        rng = np.random.default_rng(19)
+        X, Y = _sample(ev.spec, 5, rng), _sample(ev.spec, 3, rng)
+        calls = sweeps(ev)
+        for name, call in [
+                ("heat_kernel_grid", lambda: ev.heat_kernel_grid(0.2, X, Y)),
+                ("multiplier_grid",
+                 lambda: ev.multiplier_grid(MultiplierSpec("sinc_power"), 0.1, X, Y)),
+                ("heat_kernel", lambda: ev.heat_kernel(0.2, X[0], Y[0])),
+                ("semigroup_check", lambda: ev.semigroup_check(0.1, 0.2, X[0], Y[0]))]:
+            calls.clear()
+            call()
+            assert calls == [len(X) + len(Y) if name.endswith("grid") else 2], name
+
+    def test_localization_one_sweep_per_delta(self, cheb_ev, sweeps):
+        vol = VolumeSource(cheb_ev.spec)
+        calls = sweeps(cheb_ev)
+        for delta in (0.1, 0.05):
+            localization_check(cheb_ev, delta, 3, vol)
+        assert len(calls) == 2
+
+    def test_mismatched_pair_is_a_domain_error(self, ball_ev):
+        X = _points(ball_ev.spec, 3, np.random.default_rng(23))
+        for A, B in ((X, X[:, :1]), (X[:, :1], X), ([[0.1, 0.2, 0.3]], X)):
+            for call in (lambda: ball_ev.heat_kernel_grid(0.2, A, B),
+                         lambda: ball_ev.multiplier_grid(MultiplierSpec("heat_exp"), 0.2, A, B),
+                         lambda: ball_ev.semigroup_check(0.1, 0.2, A[0], B[0])):
+                with pytest.raises(DomainError, match="^points have the wrong dimension$"):
+                    call()
