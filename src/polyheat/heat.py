@@ -15,6 +15,7 @@ the basis cap.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import log, sqrt
 
 import numpy as np
@@ -303,11 +304,16 @@ class HeatKernelEvaluator:
         """integral of e^(tL)(x, .) d(mu); contract: equals 1."""
         return float(self.mass_grid(t, x)[0])
 
+    @cached_property
+    def _member_masses(self):
+        """w @ V_nodes: the integral of each basis member up to the cap."""
+        return self.basis.quad.weights @ self._nodes()
+
     def mass_grid(self, t, X):
         """mass_check at each point of X: (g * V_x) @ (w @ V_nodes), shape (p,)."""
-        Vx, nodes = self._values(X), self._nodes()
-        g, _ = self._heat_weights(t, Vx, nodes)
-        return (Vx * self._per_member(g)) @ (self.basis.quad.weights @ nodes)
+        Vx = self._values(X)
+        g, _ = self._heat_weights(t, Vx, self._nodes())
+        return (Vx * self._per_member(g)) @ self._member_masses
 
     def semigroup_check(self, s, t, x, z):
         """|e^((s+t)L)(x,z) - integral e^(sL)(x,y) e^(tL)(y,z) dmu(y)|.

@@ -4,7 +4,7 @@ Everything here is computed through a different route than the library code
 it checks: sympy symbolic calculus for the operators, closed-form Gamma
 integrals for monomial moments, the classical cosine series for the
 equilibrium-weight heat kernel, LAPACK determinants, plain Monte Carlo for
-the metric-ball volumes, the kernel tails as a level-by-level maximum over
+the metric-ball volumes and mpmath's incomplete Beta for the interval ones, the kernel tails as a level-by-level maximum over
 the whole grid and the mass and semigroup checks through kernel rows to
 every quadrature node, the interval basis from hand-written value and
 coefficient recurrences, a member-by-member Gram-Schmidt build of the ball
@@ -279,6 +279,32 @@ def arc_volume_chebyshev(x, r):
     """Arc-length volume on the interval at alpha = beta = -1/2."""
     th = np.arccos(np.clip(x, -1, 1))
     return float(min(pi, th + r) - max(0.0, th - r))
+
+
+def interval_volume_mp(alpha, beta, x, r, dps=50):
+    """V(x, r) on interval(alpha, beta) as mpmath's incomplete Beta between the arc ends.
+
+    The arc is [theta - r, theta + r] within [0, pi], theta = acos x.  In
+    v = sin^2(t/2) = (1 - cos t)/2 its mass is 2^(alpha+beta+1)
+    B(v_lo, v_hi; alpha+1, beta+1); for theta > pi/2 the mirrored form in
+    u = cos^2(t/2) = 1 - v is taken, so that the small end of the Beta sits
+    at the nearer end of the interval and a short arc there does not cancel.
+    An arc end at 0 or pi is exactly 0 or 1.
+    """
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        a, b, r = mp.mpf(alpha), mp.mpf(beta), mp.mpf(r)
+        theta = mp.acos(mp.mpf(x))
+        if theta <= mp.pi / 2:
+            ends = [0 if theta <= r else mp.sin((theta - r) / 2) ** 2,
+                    1 if theta + r >= mp.pi else mp.sin((theta + r) / 2) ** 2]
+            p, q = a + 1, b + 1
+        else:
+            ends = [0 if theta + r >= mp.pi else mp.cos((theta + r) / 2) ** 2,
+                    1 if theta <= r else mp.cos((theta - r) / 2) ** 2]
+            p, q = b + 1, a + 1
+        return float(2 ** (a + b + 1) * mp.betainc(p, q, *ends))
 
 
 def monte_carlo_volumes(spec, points, radii, samples=1_000_000, seed=0):

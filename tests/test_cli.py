@@ -20,6 +20,14 @@ def write_config(tmp_path, text):
     return str(p)
 
 
+def fresh_python(*args):
+    """Run ``python *args`` in a fresh interpreter that imports this polyheat."""
+    src = str(Path(polyheat.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+
+
 INTERVAL_INI = """
 [domain]
 kind = interval
@@ -355,13 +363,9 @@ def test_reused_parser_parses_as_in_a_fresh_process(tmp_path, capsys):
     calls = [["--config", cfgfile, "config", "show"],
              ["--config", cfgfile, "validate", "ops"],
              ["--config", cfgfile, "validate", "nosuch"]]
-    src = str(Path(polyheat.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
     fresh = []
     for argv in calls:
-        run = subprocess.run([sys.executable, "-m", "polyheat.cli", *argv], env=env,
-                             capture_output=True, text=True)
+        run = fresh_python("-m", "polyheat.cli", *argv)
         fresh.append((run.returncode, run.stdout, run.stderr,
                       report.read_bytes() if report.exists() else None))
     assert [f[0] for f in fresh] == [0, 0, 2]
@@ -405,21 +409,12 @@ print(json.dumps({"kernel": kernel, "volume2d": volume2d, "volume": scipy_module
 
 def test_kernel_path_imports_no_scipy():
     # a fresh interpreter: this test process has scipy loaded by the oracles
-    src = str(Path(polyheat.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    run = subprocess.run([sys.executable, "-c", FOOTPRINT_SCRIPT], env=env,
-                         capture_output=True, text=True)
+    run = fresh_python("-c", FOOTPRINT_SCRIPT)
     assert run.returncode == 0, run.stderr
     loaded = json.loads(run.stdout)
-    assert loaded["kernel"] == []
-    # the cap quadrature of 2-D volumes needs no scipy; the incomplete Beta
-    # of interval volumes loads scipy.special (and the scipy internals it
-    # needs), and no other public scipy subpackage
-    assert loaded["volume2d"] == []
-    public = {m.split(".")[1] for m in loaded["volume"]
-              if "." in m and not m.split(".")[1].startswith("_")}
-    assert public - {"version"} == {"special"}
+    # neither the cap quadrature of 2-D volumes nor the Gauss-Jacobi arc
+    # integrals of interval volumes need scipy
+    assert loaded == {"kernel": [], "volume2d": [], "volume": []}
 
 
 VALIDATE_2D_SCRIPT = """
@@ -445,11 +440,7 @@ print(json.dumps({"codes": codes,
 
 def test_validate_2d_loads_no_scipy_and_ignores_monte_carlo_samples(tmp_path):
     # a fresh interpreter, as `polyheat validate all` runs
-    src = str(Path(polyheat.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    run = subprocess.run([sys.executable, "-c", VALIDATE_2D_SCRIPT, str(tmp_path)], env=env,
-                         capture_output=True, text=True)
+    run = fresh_python("-c", VALIDATE_2D_SCRIPT, str(tmp_path))
     assert run.returncode == 0, run.stderr
     result = json.loads(run.stdout.splitlines()[-1])
     assert result["scipy"] == [] and set(result["codes"].values()) <= {0, 1}
@@ -462,3 +453,27 @@ def test_validate_2d_loads_no_scipy_and_ignores_monte_carlo_samples(tmp_path):
         assert json.dumps(a) == json.dumps(b)
         assert few.read_bytes().replace(b'"samples": 1000', b'"samples": 50000') == many.read_bytes()
         assert a["suites"]["doubling"]["pass"] is True
+
+
+VALIDATE_INTERVAL_SCRIPT = """
+import io, json, sys
+from contextlib import redirect_stdout
+from polyheat.cli import main
+
+with redirect_stdout(io.StringIO()):
+    code = main(["--config", sys.argv[1], "validate", "all", "--out", sys.argv[2]])
+print(json.dumps({"code": code, "scipy": sorted(m for m in sys.modules if m.startswith("scipy"))}))
+"""
+
+
+def test_validate_interval_loads_no_scipy(tmp_path):
+    # a fresh interpreter, as `polyheat validate all` runs; the gauss,
+    # doubling and localize scans take interval volumes
+    cfg = write_config(tmp_path, "[domain]\nkind = interval\nalpha = -0.9\nbeta = 1.5\n"
+                                 "[basis]\nmax_degree = 60\n")
+    run = fresh_python("-c", VALIDATE_INTERVAL_SCRIPT, cfg, str(tmp_path / "out"))
+    assert run.returncode == 0, run.stderr
+    result = json.loads(run.stdout.splitlines()[-1])
+    assert result["scipy"] == [] and result["code"] in (0, 1)
+    suites = json.loads((tmp_path / "out" / "validate_all.json").read_text())["suites"]
+    assert all(suites[name]["pass"] for name in ("gauss", "doubling", "localize"))

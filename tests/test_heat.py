@@ -348,6 +348,20 @@ class TestProjectedChecks:
                 gap = ev.semigroup_check(s, t, x, z)
                 assert abs(gap - reference_semigroup_gap(ev, s, t, x, z)) <= 1e-14
 
+    @pytest.mark.parametrize("fixture", ["cheb_ev", "ball_ev", "simplex_ev"])
+    def test_member_masses_are_kept_and_change_no_bit(self, fixture, request):
+        # w @ V_nodes is taken once per evaluator; every mass is the product
+        # that took it afresh on each call
+        # (the evaluator's cap is its basis degree: every member counts)
+        basis = request.getfixturevalue(fixture).basis
+        ev = HeatKernelEvaluator(basis)
+        X = _sample(ev.spec, 5, np.random.default_rng(19))
+        for t in (ev.policy.t_min, 0.2, 1.0):
+            g = ev._per_member(np.exp(-ev.lambdas * t))
+            fresh = (basis.evaluate(X) * g) @ (basis.quad.weights @ basis.node_values)
+            assert np.array_equal(ev.mass_grid(t, X), fresh)
+        assert ev.__dict__["_member_masses"] is ev._member_masses
+
     @pytest.mark.parametrize("spec, cap", [(DomainSpec.interval(-0.5, -0.5), 30),
                                            (DomainSpec.ball(2, 0.25), 10)])
     def test_refusals_name_the_node_row_figures(self, spec, cap):

@@ -1,4 +1,5 @@
 import tracemalloc
+from itertools import product
 from math import acos, pi, sin, sqrt
 
 import numpy as np
@@ -16,7 +17,7 @@ from polyheat.volumes import (
     volume_surrogate,
 )
 
-from _oracles import arc_volume_chebyshev, monte_carlo_volumes
+from _oracles import arc_volume_chebyshev, interval_volume_mp, monte_carlo_volumes
 
 BALL3 = DomainSpec.ball(3, 0.5)
 SIMPLEX3 = DomainSpec.simplex(3, (0.5, 0.5, 0.5, 0.5))
@@ -52,6 +53,30 @@ class TestIntervalExact:
             est = ball_volume(spec, np.zeros(spec.n) if spec.kind != "simplex"
                               else np.full(spec.n, 0.2), pi)
             assert est.value == pytest.approx(total_mass(spec), rel=1e-12)
+
+    @pytest.mark.parametrize("alpha, beta", list(product((-0.9, -0.5, 0.0, 1.5), repeat=2))
+                             + [(-0.99, 4.0), (7.0, -0.7)])
+    def test_matches_incomplete_beta_oracle(self, alpha, beta):
+        # the acceptance pairs and two beyond them, at interior points and
+        # next to both ends, from arcs of 2e-4 to ones covering [0, pi]
+        spec = DomainSpec.interval(alpha, beta)
+        xs = np.array([-1.0, -0.999999, -0.999, -0.6, -0.1, 0.3, 0.8, 0.999, 0.999999, 1.0])
+        for r in (1e-4, 1e-3, 1e-2, 0.1, 0.5, 1.0, 2.0, 3.0):
+            got = VolumeSource(spec).values(xs[:, None], r)
+            want = np.array([interval_volume_mp(alpha, beta, x, r) for x in xs])
+            assert np.all(np.abs(got - want) <= 1e-11 * want), (r, got, want)
+
+    @pytest.mark.parametrize("alpha, beta, x, r, want", [
+        (1.5, -0.5, 0.999999, 1e-4, 2.0200e-16),
+        (3.0, 1.5, 0.999999, 0.01, 1.2732e-17),
+        (3.0, 0.0, 0.999, 0.01, 1.222656e-12),
+    ])
+    def test_short_arcs_near_the_end(self, alpha, beta, x, r, want):
+        # a difference of two incomplete Betas cancels here: it read
+        # 5.2318e-16, 0.0 and 1.22302e-12
+        got = ball_volume(DomainSpec.interval(alpha, beta), (x,), r).value
+        assert got == pytest.approx(interval_volume_mp(alpha, beta, x, r), rel=1e-11)
+        assert got == pytest.approx(want, rel=1e-4)
 
     def test_radius_error(self):
         with pytest.raises(DomainError):
