@@ -283,6 +283,8 @@ def gauss_ratio_scan(ev: HeatKernelEvaluator, vol, points, times):
     interval [n_lo, n_hi].  The pairs are i <= j of the points, in row-major
     order.  A far pair whose kernel value plus its truncation bound is
     non-positive contradicts the lower bound and raises PrecisionError.
+    The volumes V(x, sqrt t) of every point and time are one ``vol.values``
+    call, made before the first kernel grid.
     """
     spec = ev.spec
     pts = np.atleast_2d(np.asarray(points, float))
@@ -291,9 +293,9 @@ def gauss_ratio_scan(ev: HeatKernelEvaluator, vol, points, times):
     rows, e_vals, n_diag = [], [], []
     excluded = violations = 0
     grid = ev.point_set(pts)
-    for t in times:
+    V = vol.values(np.tile(pts, (len(times), 1)), np.repeat([sqrt(t) for t in times], len(pts)))
+    for t, vols in zip(times, V.reshape(len(times), len(pts))):
         vals, tails = ev.heat_kernel_grid(t, grid, grid)
-        vols = vol.values(pts, sqrt(t))
         k, b = vals[I, J], tails[I, J]
         ratio = rho * rho / t
         far = (GAUSS_THRESHOLD <= ratio) & (ratio <= GAUSS_BAND_HI)
@@ -365,18 +367,19 @@ def doubling_scan(spec, vol, points, radii):
 
     The comparability rows are restricted to the surrogate's validity range
     (r <= 1 on the simplex, r <= pi otherwise); the doubling ratio itself is
-    taken over all requested radii in (0, pi/2].  Each distinct radius of r
-    and 2r is one ``vol.estimates`` query over all points, and an estimate
-    whose stderr exceeds MAX_REL_STDERR of its value raises PrecisionError.
+    taken over all requested radii in (0, pi/2].  Every point at every
+    distinct radius of r and 2r is one row of a single ``vol.estimates``
+    call, the rows ordered by radius, then by point; an estimate whose
+    stderr exceeds MAX_REL_STDERR of its value raises PrecisionError.
     """
     pts = np.atleast_2d(np.asarray(points, float))
     if not all(0 < r <= pi / 2 for r in radii):
         raise DomainError("doubling radii must lie in (0, pi/2]")
-    vols = {}
-    for s in sorted(set(radii) | {2 * r for r in radii}):
-        values, stderrs = vol.estimates(pts, s)
-        refuse_imprecise(spec, values, stderrs, MAX_REL_STDERR)
-        vols[s] = values.tolist()
+    distinct = sorted(set(radii) | {2 * r for r in radii})
+    X, R = np.tile(pts, (len(distinct), 1)), np.repeat(distinct, len(pts))
+    values, stderrs = vol.estimates(X, R)
+    refuse_imprecise(spec, X, R, values, stderrs, MAX_REL_STDERR)
+    vols = dict(zip(distinct, values.reshape(len(distinct), len(pts)).tolist()))
     rows = []
     max_ratio = 0.0
     comp_lo, comp_hi = np.inf, 0.0
@@ -737,8 +740,9 @@ def localization_check(ev, delta, m, vol):
             "raise the basis cap or delta"
         )
     xi = dists[keep] / delta
-    va = vol.values(anchors, delta)[idx[keep]]
-    base = k[keep] * np.sqrt(va * vol.values(targets[keep], delta))
+    # one volume call: the anchors' rows, then the kept targets'
+    V = vol.values(np.concatenate([anchors, targets[keep]]), delta)
+    base = k[keep] * np.sqrt(V[:len(anchors)][idx[keep]] * V[len(anchors):])
     cm = float(np.max(base * (1.0 + xi) ** m))
     fit = (lo <= xi) & (xi <= hi) & (base > 0)
     if np.count_nonzero(fit) < 4:

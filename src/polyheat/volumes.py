@@ -51,8 +51,8 @@ MAX_REL_STDERR = 0.05
 # least Gauss nodes in phi on a panel); at most CAP_PHI_MAX nodes in phi
 CAP_ORDERS = ((24, 8, 10, 8), (32, 12, 15, 16))
 CAP_PHI_MAX = 64
-# integrand values per array pass of the cap quadrature (1 MB of float64)
-CAP_CHUNK = 1 << 17
+# integrand values per array pass of the cap quadrature (256 kB of float64)
+CAP_CHUNK = 1 << 15
 # Gauss nodes per piece of an interval arc; a piece's nearest singularity
 # lies at least its own length away (Bernstein ellipse 3 + sqrt 8), so the
 # rule errs by about (3 + sqrt 8)^(-2 ARC_NODES) = 4e-19
@@ -137,8 +137,21 @@ def _arc_rules(alpha, beta):
     return tables
 
 
+def _by_radius(fn, r):
+    """fn of each row's radius in the array r, called once per distinct radius.
+
+    math.sin of a float and numpy's array loops can differ in the last bit,
+    so sin r and tan r are taken by math, and the theta-node tables of one
+    radius as one (n_theta,) array, exactly as for a one-point query; the
+    rows then index them, at one fn call per radius.
+    """
+    radii, which = np.unique(r, return_inverse=True)
+    return np.array([fn(s) for s in radii.tolist()])[which]
+
+
 def _interval_volumes(spec, xs, r):
-    """Exact V(x, r) on the interval for an array of points x, 0 < r < pi.
+    """Exact V(x, r) on the interval for points xs (m,) and their radii
+    r (m,), one a row, 0 < r < pi.
 
     V = 2^(a+b+1) times the integral of sin^(2a+1)(t/2) cos^(2b+1)(t/2) over
     the arc [max(0, theta - r), min(pi, theta + r)], theta = acos x.  The arc
@@ -158,6 +171,7 @@ def _interval_volumes(spec, xs, r):
     # loop differs from it in the last bit on some points
     near = np.fromiter(map(acos, np.minimum(np.abs(xs), 1.0).tolist()), float, len(xs))
     c = np.concatenate([near, pi - near])
+    r = np.concatenate([r, r])
     # x < 0 puts pi - theta near: that part has the exponents (b, a)
     flip = xs < 0
     side = np.concatenate([flip, ~flip])
@@ -208,8 +222,8 @@ def _exit_angles(Yf, Uf):
 
 
 def _cap_panels(spec, Y, E1, E2, r):
-    """The phi-panels of every cap: arrays (query, start, end, exit face,
-    periodic, rho).
+    """The phi-panels of every cap, r the radius of each query: arrays
+    (query, start, end, exit face, periodic, rho).
 
     A cap clear of every face, or one whose every ray leaves the domain
     before r, is one periodic panel.  Otherwise phi is split where the
@@ -223,9 +237,9 @@ def _cap_panels(spec, Y, E1, E2, r):
     # u_i(phi) = B_i cos(phi - psi_i): psi_i is also the direction of vertex e_i
     psi = np.arctan2(E2[:, faces], E1[:, faces])
     B = np.hypot(E1[:, faces], E2[:, faces])
-    clear = (r < pi / 2) & (Yf.min(axis=1) > sin(r))
+    clear = (r < pi / 2) & (Yf.min(axis=1) > _by_radius(sin, r))
     with np.errstate(divide="ignore", invalid="ignore"):
-        c = -Yf / (tan(r) * B)
+        c = -Yf / (_by_radius(tan, r)[:, None] * B)
     half = np.where(np.abs(c) < 1.0, np.arccos(np.clip(c, -1.0, 1.0)), np.nan)
     breaks = [psi - half, psi + half] + ([psi] if spec.kind == SIMPLEX else [])
     S = np.sort(np.mod(np.hstack(breaks), 2 * pi), axis=1)
@@ -254,7 +268,7 @@ def _cap_panels(spec, Y, E1, E2, r):
     U = np.cos(mid)[:, None] * E1[query] + np.sin(mid)[:, None] * E2[query]
     exit_theta, _ = _exit_angles(Yf[query], U[:, faces])
     face = np.argmin(exit_theta, axis=1)
-    face[exit_theta[np.arange(len(face)), face] >= r] = -1
+    face[exit_theta[np.arange(len(face)), face] >= r[query]] = -1
     face[clear[query]] = -1
 
     # on a Gauss panel out to face j the exit angle is analytic in phi but
@@ -298,23 +312,24 @@ def _phi_rule(start, end, n, periodic):
 def _theta_integrals(spec, Yq, E1q, E2q, phi, face, r, n_theta):
     """Integral over theta in [0, T] of density * sin(theta) along each phi;
     entry i belongs to query Yq[i] and leaves the domain through face[i],
-    or reaches T = r where face[i] is -1 (then for every i).
+    or reaches T = r[i] where face[i] is -1 (then for every i).
 
-    T = r takes Gauss-Legendre on shared nodes, with the face coordinates
-    cos(theta) y_i + sin(theta) u_i.  T = theta_j, the exit angle of face j,
-    takes Gauss-Jacobi: the factor (T - theta)^(2 kappa_j) of the density
-    goes into the weight, and the face coordinates are A_i sin(theta_i -
-    theta), exact near the exit.
+    T = r takes Gauss-Legendre on nodes shared by the entries of one radius,
+    with the face coordinates cos(theta) y_i + sin(theta) u_i.  T = theta_j,
+    the exit angle of face j, takes Gauss-Jacobi: the factor
+    (T - theta)^(2 kappa_j) of the density goes into the weight, and the
+    face coordinates are A_i sin(theta_i - theta), exact near the exit.
     """
     faces, expo, _ = _cap_faces(spec)
     U = np.cos(phi)[:, None] * E1q + np.sin(phi)[:, None] * E2q
     Yf, Uf = Yq[:, faces], U[:, faces]
     if face[0] < 0:
         x, w = gauss_jacobi(n_theta, 0.0, 0.0)
-        theta = r * ((1 + x) / 2)
-        c, s = np.cos(theta), np.sin(theta)
+        t = (1 + x) / 2
+        table = _by_radius(lambda rad: (np.cos(rad * t), np.sin(rad * t)), r)
+        c, s = table[:, 0], table[:, 1]
         coords = (Yf[:, i, None] * c + Uf[:, i, None] * s for i in range(len(faces)))
-        f = np.sin(theta) * w
+        f = s * w
         exit_power, scale = None, r / 2
     else:
         exit_theta, A = _exit_angles(Yf, Uf)
@@ -347,14 +362,13 @@ def _theta_integrals(spec, Yq, E1q, E2q, phi, face, r, n_theta):
                 log_f = log_f - np.where(other, e * np.log(d), 0.0)
         if not np.isscalar(log_f):
             f = f * np.exp(log_f)
-        # rows of a density without a face factor (gamma = 0) share f
-        g = np.broadcast_to(f, (len(phi), n_theta)).sum(axis=1)
+        g = f.sum(axis=1)
         # T = 0 (a point on a face) has weight 0 and a 0/0 integrand
         return np.where(scale > 0, g * scale, 0.0)
 
 
 def _cap_sums(spec, Y, E1, E2, r, panels, order):
-    """The cap integral of every query under one rule order.
+    """The cap integral of every query, r its radius, under one rule order.
 
     The panels out to r and the panels out to a face each go through one
     array pass (in chunks of CAP_CHUNK integrand values) over all their
@@ -381,13 +395,14 @@ def _cap_sums(spec, Y, E1, E2, r, panels, order):
             part = slice(lo, lo + step)
             q = query[node[part]]
             g[part] = _theta_integrals(spec, Y[q], E1[q], E2[q], phi[part], face[node[part]],
-                                       r, n_theta)
+                                       r[q], n_theta)
         sums[sel] = np.add.reduceat(w * g, np.cumsum(n[sel]) - n[sel])
     return np.bincount(query, sums, minlength=len(Y))
 
 
 def _cap_volumes(spec, X, r):
-    """(V, stderr) for the rows X (m, 2) of ball(2) or simplex(2) points.
+    """(V, stderr) for the rows X (m, 2) of ball(2) or simplex(2) points and
+    their radii r (m,), one a row.
 
     In geodesic polar coordinates (theta, phi) about y = Y[q], the geodesic
     cos(theta) y + sin(theta) u(phi) meets face i (y_i = 0) at theta_i(phi),
@@ -398,7 +413,8 @@ def _cap_volumes(spec, X, r):
     phi-panel (``_cap_panels``) Gauss-Legendre in phi times Gauss-Legendre up
     to r or Gauss-Jacobi up to the exit face.  Every query's sum runs in the
     same order whatever the other rows, so a row's value does not depend on
-    the batch.  The stderr is |V_high - V_low| over ``CAP_ORDERS``.
+    the batch or on the radii of the other rows.  The stderr is
+    |V_high - V_low| over ``CAP_ORDERS``.
     """
     Y = lift_rows(spec, X)
     Y /= np.linalg.norm(Y, axis=1, keepdims=True)
@@ -499,25 +515,41 @@ def ball_volume(spec, x, r, samples=DEFAULT_SAMPLES, seed=0, strata=RADIAL_STRAT
     if r >= _diameter(spec):
         return VolumeEstimate(total_mass(spec), 0.0, _method(spec), 0)
     if spec.kind == INTERVAL:
-        return VolumeEstimate(float(_interval_volumes(spec, x, r)[0]), 0.0, "exact1d", 0)
+        return VolumeEstimate(float(_interval_volumes(spec, x, np.array([r]))[0]), 0.0,
+                              "exact1d", 0)
     if spec.n == 2:
-        value, err = _cap_volumes(spec, x[None, :], r)
+        value, err = _cap_volumes(spec, x[None, :], np.array([r]))
         return VolumeEstimate(float(value[0]), float(err[0]), "cap_quadrature", 0)
     return _monte_carlo(spec, x, r, samples, seed, strata)
 
 
-def refuse_imprecise(spec, values, stderrs, gate):
+def refuse_imprecise(spec, points, radii, values, stderrs, gate):
     """Raise PrecisionError at the first estimate whose stderr exceeds
-    ``gate`` times its value; a gate of None accepts every estimate."""
+    ``gate`` times its value, naming its point and radius; a gate of None
+    accepts every estimate.  ``points`` are the (m, n) rows of the estimates
+    and ``radii`` their (m,) radii."""
     if gate is None:
         return
     values, stderrs = np.asarray(values), np.asarray(stderrs)
     bad = np.flatnonzero((values > 0) & (stderrs > gate * values))
     if len(bad):
-        v, e = values[bad[0]], stderrs[bad[0]]
+        i = bad[0]
+        x = ", ".join(f"{c:.6g}" for c in np.ravel(np.asarray(points, float)[i]).tolist())
         hint = ("raise the sample budget" if _method(spec) == "montecarlo"
                 else "the cap quadrature is unresolved")
-        raise PrecisionError(f"volume stderr {e:.3g} exceeds {gate:.0%} of V={v:.3g}; {hint}")
+        raise PrecisionError(f"volume stderr {stderrs[i]:.3g} exceeds {gate:.0%} of "
+                             f"V={values[i]:.3g} at x=({x}), r={radii[i]:.6g}; {hint}")
+
+
+def _radii(r, m):
+    """The radius of each of m rows, from one radius or an (m,) array of them."""
+    r = np.asarray(r, dtype=float)
+    if r.ndim and r.shape != (m,):
+        raise DomainError(f"radii have shape {r.shape}, expected one radius or ({m},)")
+    # NaN fails the comparison too
+    if not np.all(r > 0):
+        raise DomainError("radius must be positive")
+    return np.full(m, float(r)) if r.ndim == 0 else r
 
 
 class VolumeSource:
@@ -536,31 +568,35 @@ class VolumeSource:
 
     def __call__(self, x, r) -> VolumeEstimate:
         est = ball_volume(self.spec, x, r, samples=self.samples, seed=self.seed)
-        refuse_imprecise(self.spec, [est.value], [est.stderr], self.max_rel_stderr)
+        refuse_imprecise(self.spec, [x], [r], [est.value], [est.stderr], self.max_rel_stderr)
         return est
 
     def estimates(self, points, r):
-        """(V(x, r), stderr) arrays for the rows of an (m, n) array of points.
+        """(V(x, r), stderr) arrays for the rows of an (m, n) array of points,
+        r one radius for every row or an (m,) array of one radius a row.
 
-        The rows are checked once.  On the interval they are one array pass
-        of the arc rules (stderr 0), on ball(2) and simplex(2) one
-        cap-quadrature pass, and in dimension 3 each row is one Monte Carlo
-        query through ``__call__``.
+        The rows and radii are checked once, and each row answers as a
+        one-point query would.  A row whose r reaches the diameter reads the
+        total mass with stderr 0.  The others are, on the interval, one array
+        pass of the arc rules (stderr 0), on ball(2) and simplex(2) one
+        cap-quadrature pass, whatever their radii; in dimension 3 each row
+        is one Monte Carlo query through ``__call__``.
         """
         X, _ = _rows(self.spec, points)
-        if not r > 0:
-            raise DomainError("radius must be positive")
+        r = _radii(r, len(X))
         if _method(self.spec) == "montecarlo":
-            ests = [self(x, r) for x in X]
+            ests = [self(x, s) for x, s in zip(X, r.tolist())]
             return (np.array([e.value for e in ests]), np.array([e.stderr for e in ests]))
-        if r >= _diameter(self.spec):
-            return np.full(len(X), total_mass(self.spec)), np.zeros(len(X))
+        values, stderrs = np.full(len(X), total_mass(self.spec)), np.zeros(len(X))
+        inside = np.flatnonzero(r < _diameter(self.spec))
         if self.spec.kind == INTERVAL:
-            return _interval_volumes(self.spec, X[:, 0], r), np.zeros(len(X))
-        values, stderrs = _cap_volumes(self.spec, X, r)
-        refuse_imprecise(self.spec, values, stderrs, self.max_rel_stderr)
+            values[inside] = _interval_volumes(self.spec, X[inside, 0], r[inside])
+        else:
+            values[inside], stderrs[inside] = _cap_volumes(self.spec, X[inside], r[inside])
+            refuse_imprecise(self.spec, X, r, values, stderrs, self.max_rel_stderr)
         return values, stderrs
 
     def values(self, points, r):
-        """V(x, r).value for each row of an (m, n) array of points."""
+        """V(x, r).value for each row of an (m, n) array of points, r one
+        radius or one a row, as in ``estimates``."""
         return self.estimates(points, r)[0]

@@ -48,6 +48,19 @@ ORACLE_SPECS = [DomainSpec.ball(2, 0.5), DomainSpec.ball(3, 0.0),
                 DomainSpec.interval(0.7, -0.3)]
 
 
+class CountingSource(VolumeSource):
+    """A VolumeSource that records the (rows, radii) of each estimates call."""
+
+    def __init__(self, spec):
+        super().__init__(spec)
+        self.calls = []
+
+    def estimates(self, points, r):
+        X = np.atleast_2d(np.asarray(points, float))
+        self.calls.append((X, np.broadcast_to(np.asarray(r, float), len(X))))
+        return super().estimates(points, r)
+
+
 @pytest.fixture(scope="module")
 def cheb_ev():
     return HeatKernelEvaluator(build_basis(DomainSpec.interval(-0.5, -0.5), 200))
@@ -343,22 +356,50 @@ class TestGaussDoubling:
         assert rep.verdict
         assert rep.comp_hi / rep.comp_lo <= 30
 
-    def test_one_query_per_distinct_radius(self):
+    def test_doubling_scan_makes_one_query_over_every_row(self):
         spec = DomainSpec.simplex(2, (0.5, 0.5, 0.5))
-        calls = []
-
-        class Counting(VolumeSource):
-            def estimates(self, points, r):
-                calls.append((len(points), r))
-                return super().estimates(points, r)
-
+        src = CountingSource(spec)
         pts = interior_points(spec, 10)
-        rep = doubling_scan(spec, Counting(spec), pts, [0.1, 0.2, 0.35])
-        assert calls == [(len(pts), r) for r in (0.1, 0.2, 0.35, 0.4, 0.7)]
+        rep = doubling_scan(spec, src, pts, [0.1, 0.2, 0.35])
+        # one call: every point at each distinct radius of r and 2r, radius-major
+        [(X, R)] = src.calls
+        radii = (0.1, 0.2, 0.35, 0.4, 0.7)
+        assert X.tolist() == np.tile(pts, (len(radii), 1)).tolist()
+        assert R.tolist() == np.repeat(radii, len(pts)).tolist()
         assert len(rep.rows) == 3 * len(pts) and rep.verdict
         for row in rep.rows:
             assert row["ratio"] == row["V_2r"] / row["V_r"]
             assert row["V_r"] == VolumeSource(spec)(row["x"], row["r"]).value
+            assert row["V_2r"] == VolumeSource(spec)(row["x"], 2 * row["r"]).value
+
+    def test_gauss_scan_makes_one_query_over_points_and_times(self, cheb_ev):
+        src = CountingSource(cheb_ev.spec)
+        pts = interior_points(cheb_ev.spec, 10)
+        times = [0.01, 0.05, 0.2]
+        rep = gauss_ratio_scan(cheb_ev, src, pts, times)
+        [(X, R)] = src.calls
+        assert X.tolist() == np.tile(pts, (len(times), 1)).tolist()
+        assert R.tolist() == np.repeat([np.sqrt(t) for t in times], len(pts)).tolist()
+        for row in rep.rows:
+            r = np.sqrt(row["t"])
+            assert row["V_x"] == VolumeSource(cheb_ev.spec)(row["x"], r).value
+            assert row["V_y"] == VolumeSource(cheb_ev.spec)(row["y"], r).value
+
+    def test_localization_makes_one_query_per_delta(self):
+        spec = DomainSpec.ball(2, 0.5)
+        ev = HeatKernelEvaluator(build_basis(spec, 20))
+        src = CountingSource(spec)
+        for delta in (0.1, 0.2):
+            rep = localization_check(ev, delta, spec.n + 2, src)
+            # anchors first, then the targets: one call, radius delta
+            X, R = src.calls.pop()
+            assert not src.calls
+            anchors = interior_points(spec, validation.LOCALIZE_ANCHORS, margin=0.1)
+            assert X[:len(anchors)].tolist() == anchors.tolist()
+            assert len(X) > len(anchors) and R.tolist() == [delta] * len(X)
+            assert rep == localization_check(ev, delta, spec.n + 2, VolumeSource(spec))
+            V = VolumeSource(spec).values(X, delta)
+            assert V.tolist() == [VolumeSource(spec)(x, delta).value for x in X]
 
     def test_imprecise_monte_carlo_is_refused(self):
         # an ungated source: the scan applies the 5 % gate itself

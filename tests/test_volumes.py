@@ -352,3 +352,87 @@ class TestCapQuadrature:
         for r in (0.1, 0.2, 0.3, 0.6, 0.7, 1.4, sqrt(0.05), sqrt(0.2), 1.0):
             values, stderrs = VolumeSource(spec).estimates(pts, r)
             assert np.all(stderrs <= 1e-6 * values), r
+
+
+# the ends, points next to them and inner points of three interval weights
+INTERVAL_CASES = [
+    (DomainSpec.interval(a, b), [(-1.0,), (-0.999,), (-0.3,), (0.4,), (0.9999,), (1.0,)])
+    for a, b in ((-0.5, -0.5), (-0.9, 1.5), (1.5, 0.0))]
+# the oracle radii, and radii at and past the diameter (pi/2 on the simplex)
+MIXED_RADII = ORACLE_RADII + (pi / 2, 2.0, pi, 4.0)
+
+
+class TestPerRowRadii:
+    @pytest.mark.parametrize("spec, points", ORACLE_CASES + INTERVAL_CASES,
+                             ids=ORACLE_IDS + [s.label() for s, _ in INTERVAL_CASES])
+    def test_mixed_radii_equal_one_radius_calls_bit_for_bit(self, spec, points, monkeypatch):
+        src = VolumeSource(spec)
+        scalar = [src.estimates(points, r) for r in MIXED_RADII]
+        want_v = np.concatenate([v for v, _ in scalar])
+        want_e = np.concatenate([e for _, e in scalar])
+        X = np.tile(points, (len(MIXED_RADII), 1))
+        R = np.repeat(MIXED_RADII, len(points))
+        shuffle = np.random.default_rng(5).permutation(len(X))
+        for chunk in (volumes.CAP_CHUNK, 100):
+            # array passes of a few phi nodes each split panels between passes
+            monkeypatch.setattr(volumes, "CAP_CHUNK", chunk)
+            values, stderrs = src.estimates(X, R)
+            assert values.tolist() == want_v.tolist() and stderrs.tolist() == want_e.tolist()
+            values, stderrs = src.estimates(X[shuffle], R[shuffle])
+            assert values.tolist() == want_v[shuffle].tolist()
+            assert stderrs.tolist() == want_e[shuffle].tolist()
+        # at and past the diameter a row reads the total mass, stderr 0
+        far = R >= (pi / 2 if spec.kind == "simplex" else pi)
+        assert np.all(want_v[far] == total_mass(spec)) and np.all(want_e[far] == 0.0)
+
+    def test_dimension_three_rows_are_one_point_queries(self):
+        for spec in (BALL3, SIMPLEX3):
+            xs = np.array([(0.1, 0.2, 0.1), (0.3, 0.3, 0.2), (0.2, 0.1, 0.1)])
+            radii = np.array([0.3, 0.05, 4.0])
+            got = VolumeSource(spec, samples=20_000, seed=8).estimates(xs, radii)
+            single = VolumeSource(spec, samples=20_000, seed=8)
+            want = [single(x, r) for x, r in zip(xs, radii)]
+            assert got[0].tolist() == [e.value for e in want]
+            assert got[1].tolist() == [e.stderr for e in want]
+
+    @pytest.mark.parametrize("spec", [DomainSpec.interval(0.0, 0.5), DomainSpec.ball(2, 0.5),
+                                      DomainSpec.simplex(2, (0.5, 0.5, 0.5)), BALL3],
+                             ids=["interval", "ball", "simplex", "ball3"])
+    def test_bad_radii_refuse_in_one_line(self, spec):
+        src = VolumeSource(spec, samples=1_000, seed=1)
+        points = np.full((3, spec.n), 0.2)
+        for r, match in (([0.1, float("nan"), 0.2], "radius must be positive"),
+                         ([0.1, 0.0, 0.2], "radius must be positive"),
+                         ([0.1, 0.2, -0.3], "radius must be positive"),
+                         ([0.1, 0.2], r"radii have shape \(2,\)"),
+                         ([[0.1, 0.2, 0.3]], r"radii have shape \(1, 3\)")):
+            with pytest.raises(DomainError, match=match) as err:
+                src.estimates(points, r)
+            assert "\n" not in str(err.value)
+
+    @pytest.mark.parametrize("spec", [DomainSpec.interval(0.0, 0.5), DomainSpec.ball(2, 0.5),
+                                      DomainSpec.simplex(2, (0.5, 0.5, 0.5)), SIMPLEX3],
+                             ids=["interval", "ball", "simplex", "simplex3"])
+    def test_no_rows_give_empty_arrays(self, spec):
+        src = VolumeSource(spec, samples=1_000, seed=1)
+        for r in (0.3, np.empty(0)):
+            values, stderrs = src.estimates(np.empty((0, spec.n)), r)
+            assert values.shape == stderrs.shape == (0,)
+        # a radius is still checked when there is no row
+        with pytest.raises(DomainError, match="radius must be positive"):
+            src.estimates(np.empty((0, spec.n)), float("nan"))
+
+    def test_refusal_names_the_point_and_radius(self):
+        spec = DomainSpec.ball(2, -0.4)
+        strict = VolumeSource(spec, max_rel_stderr=0.01)
+        points = np.array([(0.0, 0.0), (0.3, -0.5), (0.0, -0.999), (0.0, -0.999)])
+        with pytest.raises(PrecisionError) as err:
+            strict.estimates(points, np.array([pi, 0.3, 1.0, 1.4]))
+        message = str(err.value)
+        # the whole domain is exact and a cap clear of the face resolved; the
+        # two caps next to the face, where the exponent is -0.8, are not
+        assert "exceeds 1% of V=" in message and "at x=(0, -0.999), r=1;" in message
+        assert "cap quadrature is unresolved" in message and "\n" not in message
+        mc = VolumeSource(BALL3, samples=2_000, seed=3, max_rel_stderr=0.001)
+        with pytest.raises(PrecisionError, match=r"at x=\(0.1, 0.1, 0.1\), r=0.2; raise the"):
+            mc.estimates([(0.1, 0.1, 0.1)], [0.2])
