@@ -33,6 +33,7 @@ j ascends across a level.  On the interval level k is p_k.
 
 from __future__ import annotations
 
+from itertools import islice
 from math import comb, sqrt
 
 import numpy as np
@@ -90,7 +91,7 @@ class OrthonormalBasis:
         self._axes = [_Axis(spec, spec.n - i, K) for i in range(spec.n)]
         self._monomials = graded_monomials(spec.n, K)
         self._coeff = _members(_Coefficients(spec.n, K, self._monomials), spec.kind,
-                               self._axes, np.empty((self.size, self.size)))
+                               self._axes, np.zeros((self.size, self.size)), K)
         self._node_values = self._values(quad.nodes)
         self._levels = None
         self._gram = None
@@ -135,9 +136,14 @@ class OrthonormalBasis:
             raise DomainError("points have the wrong dimension")
         return self._values(pts)
 
-    def _values(self, pts):     # the checked points of evaluate, or the nodes
+    def _values(self, pts, last=None):
+        """Values at the checked points of evaluate, or at the nodes, of the
+        members through level ``last`` (default max_degree); the columns of
+        later levels are zero."""
+        last = self.max_degree if last is None else last
         out = np.empty((self.size, pts.shape[0]))
-        return _members(_Values(pts), self.spec.kind, self._axes, out).T
+        out[self.offsets[last + 1]:] = 0.0
+        return _members(_Values(pts), self.spec.kind, self._axes, out, last).T
 
     @property
     def node_values(self):
@@ -290,7 +296,9 @@ class _Axis:
     the ``head`` with m >= 2, t-2, with per-row columns a_(m-1) (None for a
     symmetric weight), b_(m-1) and b_m; its last rows (j = t) as the inner
     family's level t times p_0.  One-dimensional families keep plain rows and
-    scalar columns.
+    scalar columns.  ``offsets`` holds the start of each level, and ``a``,
+    for a one-dimensional family with a non-symmetric weight, a_(t-1) of
+    each row t (None otherwise).
     """
 
     def __init__(self, spec, d, K):
@@ -303,10 +311,13 @@ class _Axis:
             a, sqb, mass = jacobi_recurrence(K - j, alpha, beta)
             A[j, : K - j + 1], B[j, : K - j + 1], p0[j] = a, sqb, c / sqrt(mass)
         symmetric = not A.any()
-        o = [int(v) for v in _offsets(d, K)]
+        self.offsets = o = [int(v) for v in _offsets(d, K)]
         self.size, self.levels = o[-1], []
+        self.a = None
         if d == 1:
             self.head = 1
+            if not symmetric:
+                self.a = np.concatenate([[0.0], A[0, :K]])
             for t in range(K + 1):
                 self.levels.append((t - 2, t - 1 if t else None, t, ... if t >= 2 else None, 0,
                                     None if symmetric or not t else A[0, t - 1], B[0, t - 1],
@@ -341,23 +352,29 @@ def _scales(kind, coords):
     return out
 
 
-def _members(alg, kind, axes, out):
-    """Every member as rows of ``out``: level t of every axis, innermost first."""
-    elements = [[alg.prepare(e) for e in axis] for axis in _scales(kind, alg.coords)]
+def _members(alg, kind, axes, out, last):
+    """Every member through level ``last`` as rows of ``out``: level t of
+    every axis, innermost first.  ``alg.lin`` and ``alg.sub`` take t, for
+    the columns that levels t, t-1 and t-2 fill."""
     width = alg.one.shape[1]
-    family = [out] + [np.empty((ax.size, width)) for ax in axes[1:]] + [alg.one]
+    family = [out] + [alg.new_rows((ax.size, width)) for ax in axes[1:]] + [alg.one]
     tmp = np.empty((max(ax.head for ax in axes), width))
-    work = list(zip(elements, family, family[1:]))[::-1]
-    lin, mul = alg.lin, alg.mul
+    work = []
+    for axis, ax, rows, inner in zip(_scales(kind, alg.coords), axes, family, family[1:]):
+        u, s, s2 = (alg.prepare(e) for e in axis)
+        u = alg.prefill(u, s, ax.a, rows[: ax.offsets[last + 1]])
+        work.append(((u, s, s2), rows, inner))
+    work.reverse()
+    lin, sub = alg.lin, alg.sub
+    levels = islice(zip(*[axis.levels for axis in reversed(axes)]), last + 1)
     # q_m = ((u - a_(m-1) s) q_(m-1) - b_(m-1) s^2 q_(m-2)) / b_m on each level's rows
-    for levels in zip(*[axis.levels for axis in reversed(axes)]):
-        for ((u, s, s2), rows, inner), level in zip(work, levels):
+    for t, level_t in enumerate(levels):
+        for ((u, s, s2), rows, inner), level in zip(work, level_t):
             prev2, prev, cur, head, th, a, b, bn, new, inner_t, p0 = level
             if prev is not None:
-                z = lin(u, s, a, rows[prev], rows[cur])
+                z = lin(u, s, a, rows[prev], rows[cur], t)
                 if head is not None:
-                    w = tmp[th]
-                    z[head] -= np.multiply(b, mul(s2, rows[prev2], w), out=w)
+                    sub(z[head], b, s2, rows[prev2], tmp[th], t)
                 z /= bn
             if new is not None:
                 np.multiply(p0, inner[inner_t], out=rows[new])
@@ -366,6 +383,9 @@ def _members(alg, kind, axes, out):
 
 class _Values:
     """Rows of values at points; the coordinates are arrays over the points."""
+
+    # every level fills every row it is given: the values at every point
+    new_rows = staticmethod(np.empty)
 
     def __init__(self, pts):
         self.coords = [np.ascontiguousarray(x) for x in pts.T]
@@ -376,20 +396,46 @@ class _Values:
         return e
 
     @staticmethod
-    def mul(e, Z, out):
-        return Z if e is None else np.multiply(e, Z, out=out)
+    def prefill(u, s, a, rows):
+        """The u that ``lin`` takes.  Given the a of each row (``_Axis.a``,
+        a one-dimensional family), rows = u - a s, the first factor of every
+        level, in one pass before the sweep, a s formed first as ``lin``
+        forms it, and None: the rows hold it.  Otherwise u, and each level
+        forms its own: on a larger family, rows filled before the sweep have
+        left the cache when their level reads them, which costs node sweeps
+        more than the calls it saves."""
+        if a is None:
+            return u
+        a = a[: len(rows), None]
+        np.subtract(u, a if s is None else np.multiply(a, s, out=rows), out=rows)
+        return None
 
     @staticmethod
-    def lin(u, s, a, Z, out):
-        """(u - a s) Z, with u - a s formed first (bit for bit the interval recurrence)."""
+    def lin(u, s, a, Z, out, t):
+        """(u - a s) Z into out, which holds u - a s already where u is None."""
+        if u is None:
+            out *= Z
+            return out
         if a is None:
             return np.multiply(u, Z, out=out)
         np.subtract(u, a if s is None else np.multiply(a, s, out=out), out=out)
-        return np.multiply(out, Z, out=out)
+        out *= Z
+        return out
+
+    @staticmethod
+    def sub(zh, b, s2, Z, w, t):
+        """zh -= b s^2 Z, with w as scratch."""
+        zh -= np.multiply(b, Z if s2 is None else np.multiply(s2, Z, out=w), out=w)
 
 
 class _Coefficients:
-    """Rows of coefficients over the graded monomials, where x_i shifts columns."""
+    """Rows of coefficients over the graded monomials, where x_i shifts columns.
+
+    A member of degree t fills only the monomials of degree <= t, so level t
+    works on the first ``offsets[t + 1]`` columns of rows that start at zero
+    (``new_rows``), and ``lin`` adds into them."""
+
+    new_rows = staticmethod(np.zeros)
 
     def __init__(self, n, K, monomials):
         self.coords = [MultiPoly.variable(n, i) for i in range(n)]
@@ -400,34 +446,61 @@ class _Coefficients:
         # _unit[i][c]: column of x_i times monomial c, for c below degree K
         self._unit = [np.array([index[e[:i] + (e[i] + 1,) + e[i + 1:]] for e in monomials[:low]],
                                dtype=np.int64) for i in range(n)]
-        self._offsets = _offsets(n, K)
+        self._offsets = [int(v) for v in _offsets(n, K)]
 
     def prepare(self, e):
         """Terms (c, dst) of a polynomial: dst takes the monomials of degree
-        <= K - |e| to their products with x^e."""
+        <= K - |e| to their products with x^e, as an index array, or as the
+        first column where the products are consecutive columns."""
         if e is None:
             return None
         terms = []
         for exps, c in e.items():
-            dst = np.arange(int(self._offsets[max(len(self._offsets) - 1 - sum(exps), 0)]))
+            dst = np.arange(self._offsets[max(len(self._offsets) - 1 - sum(exps), 0)])
             for i, p in enumerate(exps):
                 for _ in range(p):
                     dst = self._unit[i][dst]
-            terms.append((c, dst))
+            consecutive = len(dst) and dst[-1] - dst[0] == len(dst) - 1
+            terms.append((c, int(dst[0]) if consecutive else dst))
         return terms
 
     @staticmethod
+    def prefill(u, s, a, rows):
+        """u: the rows start at zero, and ``lin`` forms u - a s."""
+        return u
+
+    @staticmethod
     def mul(e, Z, out):
-        if e is None:
-            return Z
-        out[...] = 0.0
+        """Add x^e Z to out, which has the columns of the product; Z may
+        have fewer."""
+        n = Z.shape[-1]
         for c, dst in e:
-            out[..., dst] += c * Z[..., : dst.size]
+            cZ = Z if c == 1.0 else c * Z    # 1.0 Z is Z, bit for bit
+            if type(dst) is int:
+                o = out[..., dst: dst + n]
+                o += cZ
+            else:
+                out[..., dst[:n]] += cZ
         return out
 
-    def lin(self, u, s, a, Z, out):
-        """(u - a s) Z = u Z - a (s Z)."""
-        z = self.mul(u, Z, out)
+    def lin(self, u, s, a, Z, out, t):
+        """(u - a s) Z = u Z - a (s Z) into the columns of level t of out, rows
+        not yet written (zero); Z, of level t - 1, is read on its own."""
+        Z, out = Z[..., : self._offsets[t]], out[..., : self._offsets[t + 1]]
+        self.mul(u, Z, out)
         if a is not None:
-            z -= a * self.mul(s, Z, np.empty_like(Z))
-        return z
+            sZ = Z if s is None else self.mul(s, Z, np.zeros_like(out))
+            z = out[..., : sZ.shape[-1]]
+            z -= a * sZ
+        return out
+
+    def sub(self, zh, b, s2, Z, w, t):
+        """zh -= b s^2 Z over the columns of s^2 Z, Z of level t - 2 read on
+        its own columns, with w as scratch."""
+        Z, w = Z[..., : self._offsets[t - 1]], w[..., : zh.shape[-1]]
+        if s2 is not None:
+            w[...] = 0.0
+            Z = self.mul(s2, Z, w)
+        n = Z.shape[-1]
+        zh = zh[..., :n]
+        zh -= np.multiply(b, Z, out=w[..., :n])

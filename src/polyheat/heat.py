@@ -2,14 +2,22 @@
 
 The kernel at time t is the level sum  sum_k exp(-lambda_k t) * K_k(x, y)
 where K_k is the reproducing kernel of level k; a multiplier kernel weights
-level k by Phi(delta sqrt(lambda_k)) instead.  Every value sums all built
-levels in one matrix product.  Its tail is the certified bound on the
-levels past the cap: geometric for the heat kernel and heat_exp, the
+level k by Phi(delta sqrt(lambda_k)) instead.  Every value sums the levels
+up to the cap in one matrix product.  Its tail is the certified bound on
+the levels past the cap: geometric for the heat kernel and heat_exp, the
 Fourier envelope for sinc_power, zero for the compactly supported
 smooth_bump.  Both bounds use |K_k(x, y)| <= sqrt(C_k(x) C_k(y)) with C_k
 the level diagonal.  Evaluations either return an honest (value,
 tail_bound) pair or refuse when the requested time is under-resolved for
 the basis cap.
+
+The weights and the tail factor are known before any point is evaluated.
+Where the tail factor is exactly 0 (smooth_bump, and the heat kernel once
+exp(-lambda_(K+1) t) underflows), no later level is read, so raw points
+are evaluated only through the last level of nonzero weight; the product
+keeps its width, with zero columns, so each value has the bits of the
+full sweep.  The under-resolved refusal evaluates through the cap, for the
+achievable time it names.
 """
 
 from __future__ import annotations
@@ -149,37 +157,63 @@ class HeatKernelEvaluator:
 
     def point_set(self, points):
         """Evaluate the basis at ``points`` once, for reuse across kernel calls."""
-        return PointSet(self, self._values(points))
+        return PointSet(self, self._values(self._operand(points)))
 
-    def _values(self, points):
-        """Values of the basis members up to the cap: (npoints, members)."""
+    def _operand(self, points):
+        """A ``PointSet`` of this evaluator, or a raw point array as (npoints, n),
+        refused if its dimension is wrong."""
         if isinstance(points, PointSet):
             if points.owner is not self:
                 raise ParameterError("the point set was evaluated by another evaluator")
-            return points.values
-        return self.basis.evaluate(self._points(points))[:, : self._members]
-
-    def _points(self, points):
-        """A raw point array as (npoints, n), refused if its dimension is wrong."""
+            return points
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if pts.ndim != 2 or pts.shape[1] != self.spec.n:
             raise DomainError("points have the wrong dimension")
         return pts
 
-    def _pair(self, X, Y):
-        """Basis values at X and at Y, one recurrence sweep for two raw arrays.
+    def _operands(self, X, Y):
+        """``_operand`` of X and of Y; the same object twice stays one object."""
+        X2 = self._operand(X)
+        return X2, X2 if Y is X else self._operand(Y)
+
+    def _values(self, operand, last=None):
+        """Values of the basis members up to the cap: (npoints, members).
+
+        A raw array is evaluated through level ``last`` (default: the cap),
+        its later columns zero; a ``PointSet`` keeps its own values.
+        """
+        if isinstance(operand, PointSet):
+            return operand.values
+        last = self.policy.hard_cap if last is None else last
+        return self.basis._values(operand, last)[:, : self._members]
+
+    def _pair(self, X, Y, last=None):
+        """Basis values at the operands X and Y, one recurrence sweep for two
+        raw arrays, each through level ``last`` as in ``_values``.
 
         The same object twice gives the same array twice (the square-grid
         path); a ``PointSet`` on either side keeps its own values.
         """
         if Y is X:
-            V = self._values(X)
+            V = self._values(X, last)
             return V, V
         if isinstance(X, PointSet) or isinstance(Y, PointSet):
-            return self._values(X), self._values(Y)
-        px, py = self._points(X), self._points(Y)
-        V = self.basis.evaluate(np.concatenate([px, py]))[:, : self._members]
-        return V[: len(px)], V[len(px):]
+            return self._values(X, last), self._values(Y, last)
+        V = self._values(np.concatenate([X, Y]), last)
+        return V[: len(X)], V[len(X):]
+
+    def _last_read(self, g, tail_factor):
+        """The last level a sum with weights g reads: the cap where a tail is
+        bounded (the window reads the last levels), else the last level of
+        nonzero weight."""
+        if tail_factor != 0.0:
+            return self.policy.hard_cap
+        nonzero = np.flatnonzero(g)
+        return int(nonzero[-1]) if len(nonzero) else 0
+
+    def _grid(self, X, Y, g, tail_factor):
+        """``_sum`` on the operands X and Y, evaluated only through ``_last_read``."""
+        return self._sum(g, tail_factor, *self._pair(X, Y, self._last_read(g, tail_factor)))
 
     def _per_member(self, g):
         """Level weights (K+1,) repeated over the members of each level."""
@@ -234,14 +268,15 @@ class HeatKernelEvaluator:
                     out[cols, rows] = block.T
         return out
 
-    def _heat_tail_factor(self, t, Vx, Vy):
+    def _heat_tail_factor(self, t, pair):
         """Geometric bound on the post-cap tail; refuses if decay is too flat.
 
         Eigenvalue increments lambda_(k+1) - lambda_k increase with k, so the
         first post-cap increment gives a rigorous geometric ratio for the
         exponential factor; the level diagonals are majorized by twice their
         maximum over the last levels (slow polynomial growth against
-        super-exponential damping).
+        super-exponential damping).  ``pair()`` gives the values (Vx, Vy)
+        through the cap; only the refusal calls it, to name the achievable t.
         """
         K = self.policy.hard_cap
         gap = eigenvalue(self.spec, K + 1) - self.lambdas[K]
@@ -250,7 +285,7 @@ class HeatKernelEvaluator:
             raise PrecisionError(
                 f"t={t:g} is under-resolved for the basis cap {K}: post-cap decay "
                 f"ratio {q:.3f} > {MAX_DECAY_RATIO}; epsilon={self.policy.epsilon:g} "
-                f"is achievable for t >= {self._achievable_t(Vx, Vy):.4g}"
+                f"is achievable for t >= {self._achievable_t(*pair()):.4g}"
             )
         return 2.0 * np.exp(-(self.lambdas[K] + gap) * t) / (1.0 - q)
 
@@ -264,25 +299,24 @@ class HeatKernelEvaluator:
 
     # -- heat kernel --------------------------------------------------------
 
-    def _heat_weights(self, t, Vx, Vy):
+    def _heat_weights(self, t, pair):
         """Level weights exp(-lambda_k t) and the post-cap tail factor at t.
 
-        Refuses below t_min and when t is under-resolved for the cap; Vx and
-        Vy only enter the achievable time that the second refusal names.
+        Refuses below t_min and when t is under-resolved for the cap; the
+        values (Vx, Vy) that ``pair()`` gives only enter the achievable time
+        that the second refusal names.
         """
         if t < self.policy.t_min:
             raise PrecisionError(
                 f"t={t:g} below t_min={self.policy.t_min:g}; the basis cap "
                 f"{self.policy.hard_cap} cannot certify this regime"
             )
-        return np.exp(-self.lambdas * t), self._heat_tail_factor(t, Vx, Vy)
-
-    def _heat(self, t, Vx, Vy):
-        return self._sum(*self._heat_weights(t, Vx, Vy), Vx, Vy)
+        return np.exp(-self.lambdas * t), self._heat_tail_factor(t, pair)
 
     def heat_kernel_grid(self, t, X, Y):
         """Kernel values and tail bounds on a grid: (p, q) arrays."""
-        return self._heat(t, *self._pair(X, Y))
+        X, Y = self._operands(X, Y)
+        return self._grid(X, Y, *self._heat_weights(t, lambda: self._pair(X, Y)))
 
     def heat_kernel(self, t, x, y):
         """Heat kernel value at one pair; returns (value, tail_bound)."""
@@ -310,9 +344,14 @@ class HeatKernelEvaluator:
         return self.basis.quad.weights @ self._nodes()
 
     def mass_grid(self, t, X):
-        """mass_check at each point of X: (g * V_x) @ (w @ V_nodes), shape (p,)."""
-        Vx = self._values(X)
-        g, _ = self._heat_weights(t, Vx, self._nodes())
+        """mass_check at each point of X: (g * V_x) @ (w @ V_nodes), shape (p,).
+
+        No tail is read, so a raw X is evaluated only through the last level
+        of nonzero weight.
+        """
+        X = self._operand(X)
+        g, _ = self._heat_weights(t, lambda: (self._values(X), self._nodes()))
+        Vx = self._values(X, self._last_read(g, 0.0))
         return (Vx * self._per_member(g)) @ self._member_masses
 
     def semigroup_check(self, s, t, x, z):
@@ -321,10 +360,10 @@ class HeatKernelEvaluator:
         The integral is sum_n w_n (V_nodes (g_s * v(x)))_n (V_nodes (g_t * v(z)))_n.
         """
         nodes = self._nodes()
-        Vx, Vz = self._pair(x, z)
-        gs, _ = self._heat_weights(s, Vx, nodes)
-        gt, _ = self._heat_weights(t, Vz, nodes)
-        lhs, _ = self._heat(s + t, Vx, Vz)
+        Vx, Vz = self._pair(*self._operands(x, z))
+        gs, _ = self._heat_weights(s, lambda: (Vx, nodes))
+        gt, _ = self._heat_weights(t, lambda: (Vz, nodes))
+        lhs, _ = self._sum(*self._heat_weights(s + t, lambda: (Vx, Vz)), Vx, Vz)
         row_s = nodes @ (Vx[0] * self._per_member(gs))
         row_t = nodes @ (Vz[0] * self._per_member(gt))
         return abs(float(lhs[0, 0]) - float((row_s * row_t) @ self.basis.quad.weights))
@@ -337,7 +376,7 @@ class HeatKernelEvaluator:
             raise ParameterError("delta must be positive")
         K = self.policy.hard_cap
         u = delta * np.sqrt(self.lambdas)
-        Vx, Vy = self._pair(X, Y)
+        X, Y = self._operands(X, Y)
 
         if phi.spectral_cutoff is not None:
             if u[K] < phi.spectral_cutoff:
@@ -355,8 +394,8 @@ class HeatKernelEvaluator:
             tail_factor = 2.0 * env * (K - 1.0) ** (1 - 2 * m) / (2 * m - 1)
         else:
             # heat_exp: the heat kernel's post-cap bound at t = delta^2
-            tail_factor = self._heat_tail_factor(delta * delta, Vx, Vy)
-        return self._sum(phi.phi(u), tail_factor, Vx, Vy)
+            tail_factor = self._heat_tail_factor(delta * delta, lambda: self._pair(X, Y))
+        return self._grid(X, Y, phi.phi(u), tail_factor)
 
     def multiplier_kernel(self, phi, delta, x, y):
         v, b = self.multiplier_grid(phi, delta, x, y)

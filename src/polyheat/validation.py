@@ -283,8 +283,9 @@ def gauss_ratio_scan(ev: HeatKernelEvaluator, vol, points, times):
     interval [n_lo, n_hi].  The pairs are i <= j of the points, in row-major
     order.  A far pair whose kernel value plus its truncation bound is
     non-positive contradicts the lower bound and raises PrecisionError.
-    The volumes V(x, sqrt t) of every point and time are one ``vol.values``
-    call, made before the first kernel grid.
+    The volumes V(x, sqrt t) of every point and time are one
+    ``vol.estimates`` call, made before the first kernel grid; an estimate
+    whose stderr exceeds MAX_REL_STDERR of its value raises PrecisionError.
     """
     spec = ev.spec
     pts = np.atleast_2d(np.asarray(points, float))
@@ -293,7 +294,9 @@ def gauss_ratio_scan(ev: HeatKernelEvaluator, vol, points, times):
     rows, e_vals, n_diag = [], [], []
     excluded = violations = 0
     grid = ev.point_set(pts)
-    V = vol.values(np.tile(pts, (len(times), 1)), np.repeat([sqrt(t) for t in times], len(pts)))
+    X, R = np.tile(pts, (len(times), 1)), np.repeat([sqrt(t) for t in times], len(pts))
+    V, stderrs = vol.estimates(X, R)
+    refuse_imprecise(spec, X, R, V, stderrs, MAX_REL_STDERR)
     for t, vols in zip(times, V.reshape(len(times), len(pts))):
         vals, tails = ev.heat_kernel_grid(t, grid, grid)
         k, b = vals[I, J], tails[I, J]
@@ -616,13 +619,23 @@ class CorrespondenceReport:
         return all(c["pass"] for c in self.checks)
 
 
+# the largest max_k whose binomials C(r, j) are exact in doubles (below 2^53)
+SUBSTITUTION_MAX_K = 56
+
+
 def _substitution_matrix(max_k):
     """A[r, j] = C(r, j) 2^j (-1)^(r-j): the coefficients of p(2x - 1) are c @ A.
 
-    Binomials times powers of two are exact in doubles through r = 56.
+    The binomials are Pascal's rows in int64, exact integers; below 2^53
+    (r <= SUBSTITUTION_MAX_K) they are exact in doubles, and so are their
+    products with powers of two.
     """
-    return np.array([[float(comb(r, j) * 2 ** j * (-1) ** (r - j)) for j in range(max_k + 1)]
-                     for r in range(max_k + 1)])
+    C = np.zeros((max_k + 1, max_k + 1), dtype=np.int64)
+    C[:, 0] = 1
+    for r in range(1, max_k + 1):
+        C[r, 1:] = C[r - 1, 1:] + C[r - 1, :-1]
+    r, j = np.indices(C.shape)
+    return C * np.ldexp(np.where((r - j) % 2, -1.0, 1.0), j)
 
 
 # grid points of (iii) and (iv), heat times of (iv), tolerance of every residual
@@ -644,6 +657,9 @@ def jacobi_simplex_correspondence(alpha, beta, max_k, seed=0):
     ``_substitution_matrix`` and each operator one product with its dense
     matrix from ``operator_matrix``.
     """
+    if not 0 <= max_k <= SUBSTITUTION_MAX_K:
+        raise DomainError(f"max_k {max_k} outside [0, {SUBSTITUTION_MAX_K}], where the "
+                          "substitution matrix is exact in doubles")
     kappa = (beta + 0.5, alpha + 0.5)
     ispec = DomainSpec.interval(alpha, beta)
     sspec = DomainSpec.simplex(1, kappa)
@@ -672,11 +688,13 @@ def jacobi_simplex_correspondence(alpha, beta, max_k, seed=0):
 
     evi = HeatKernelEvaluator(ib)
     evs = HeatKernelEvaluator(sb)
+    # one basis evaluation of the grid per basis serves every time
+    Pi, Ps = evi.point_set(X), evs.point_set(X1)
     kscale = 2.0 ** (-(alpha + beta + 1))
     worst = 0.0
     for t in CORRESPONDENCE_TIMES:
-        ki, _ = evi.heat_kernel_grid(t, X, X)
-        ks, _ = evs.heat_kernel_grid(t, X1, X1)
+        ki, _ = evi.heat_kernel_grid(t, Pi, Pi)
+        ks, _ = evs.heat_kernel_grid(t, Ps, Ps)
         gap = np.abs(ki - kscale * ks).max()
         worst = max(worst, gap / np.abs(ki).max())
     checks.append(("kernel_scaling", worst))
@@ -722,6 +740,13 @@ def localization_check(ev, delta, m, vol):
     upper envelope (right-to-left record maxima), because the transform of a
     compactly supported profile oscillates through zeros that carry no rate
     information.
+
+    ``smooth_bump`` has compact spectral support, so its kernel has no
+    truncation tail (a support past the cap is a CapacityError instead): no
+    pair is dominated by truncation, and ``excluded`` is always 0.  The
+    volumes are one ``vol.estimates`` call, the anchors' rows, then the
+    targets'; an estimate whose stderr exceeds MAX_REL_STDERR of its value
+    raises PrecisionError.
     """
     spec = ev.spec
     if m < spec.n + 1:
@@ -730,19 +755,13 @@ def localization_check(ev, delta, m, vol):
     anchors = interior_points(spec, LOCALIZE_ANCHORS, margin=0.1)
     lo, hi = LOCALIZE_WINDOW
     xis = np.concatenate([[0.0, 0.5, 1.0, 2.0, 3.0], np.geomspace(0.9 * lo, hi, LOCALIZE_RADII)])
-    idx, dists, targets, vals, tails = _ray_pairs(ev, phi, delta, anchors, delta * xis)
+    idx, dists, targets, vals, _ = _ray_pairs(ev, phi, delta, anchors, delta * xis)
     k = np.abs(vals)
-    keep = ~((k > 0) & (tails > 0.1 * k))
-    excluded, used = int(np.count_nonzero(~keep)), len(k)
-    if excluded > 0.2 * used:
-        raise PrecisionError(
-            f"{excluded}/{used} grid points dominated by truncation; "
-            "raise the basis cap or delta"
-        )
-    xi = dists[keep] / delta
-    # one volume call: the anchors' rows, then the kept targets'
-    V = vol.values(np.concatenate([anchors, targets[keep]]), delta)
-    base = k[keep] * np.sqrt(V[:len(anchors)][idx[keep]] * V[len(anchors):])
+    xi = dists / delta
+    X = np.concatenate([anchors, targets])
+    V, stderrs = vol.estimates(X, delta)
+    refuse_imprecise(spec, X, np.full(len(X), delta), V, stderrs, MAX_REL_STDERR)
+    base = k * np.sqrt(V[:len(anchors)][idx] * V[len(anchors):])
     cm = float(np.max(base * (1.0 + xi) ** m))
     fit = (lo <= xi) & (xi <= hi) & (base > 0)
     if np.count_nonzero(fit) < 4:
@@ -760,8 +779,7 @@ def localization_check(ev, delta, m, vol):
     slope, _, r2 = loglog_fit(bx, by)
     exponent = -slope
     verdict = exponent >= m - 0.5 and r2 >= 0.98 and np.isfinite(cm)
-    return LocalizationReport(spec.label(), delta, m, cm, exponent, r2,
-                              excluded, len(bx), verdict)
+    return LocalizationReport(spec.label(), delta, m, cm, exponent, r2, 0, len(bx), verdict)
 
 
 @dataclass

@@ -7,7 +7,8 @@ equilibrium-weight heat kernel, LAPACK determinants, plain Monte Carlo for
 the metric-ball volumes and mpmath's incomplete Beta for the interval ones, the kernel tails as a level-by-level maximum over
 the whole grid and the mass and semigroup checks through kernel rows to
 every quadrature node, the interval basis from hand-written value and
-coefficient recurrences, a member-by-member Gram-Schmidt build of the ball
+coefficient recurrences, the coefficient rows by the level recurrence over
+every column, a member-by-member Gram-Schmidt build of the ball
 and simplex bases, the interval/simplex correspondence through sparse
 polynomial arithmetic and scalar distances,
 the Green, chart and flux checks through ``MultiPoly`` arithmetic (the
@@ -26,7 +27,7 @@ import numpy as np
 import sympy as sp
 from scipy.integrate import quad as scipy_quad
 
-from polyheat.basis import build_basis, eigenvalue, graded_monomials, level_dimension
+from polyheat.basis import _scales, build_basis, eigenvalue, graded_monomials, level_dimension
 from polyheat.domains import (
     BALL,
     INTERVAL,
@@ -362,6 +363,64 @@ def reference_interval_basis(spec, K):
         shifted[0] = 0.0
         C[k + 1] = (shifted - a[k] * C[k] - sqb[k] * C[k - 1]) / sqb[k + 1]
     return values, C
+
+
+def untrimmed_coefficient_rows(basis):
+    """The coefficient rows of ``basis`` by its level recurrence over every
+    graded-monomial column at every level.
+
+    The same axes, scales and operations as ``basis._members``, but every
+    row is updated over the whole width, products by x^e go through index
+    arrays built from the exponents, and a scale of 1 returns its row
+    unpadded.
+    """
+    n, K, kind = basis.spec.n, basis.max_degree, basis.spec.kind
+    monomials = basis._monomials
+    index = {e: c for c, e in enumerate(monomials)}
+    width = len(monomials)
+
+    def terms(p):
+        if p is None:
+            return None
+        return [(c, np.array([index[tuple(a + b for a, b in zip(e, exps))]
+                              for e in monomials if sum(e) <= K - sum(exps)], dtype=np.int64))
+                for exps, c in p.items()]
+
+    def mul(e, Z, out):
+        if e is None:
+            return Z
+        out[...] = 0.0
+        for c, dst in e:
+            out[..., dst] += c * Z[..., : dst.size]
+        return out
+
+    def lin(u, s, a, Z, out):
+        z = mul(u, Z, out)
+        if a is not None:
+            z -= a * mul(s, Z, np.empty_like(Z))
+        return z
+
+    axes = basis._axes
+    one = np.zeros((1, width))
+    one[0, 0] = 1.0
+    out = np.empty((basis.size, width))
+    family = [out] + [np.empty((ax.size, width)) for ax in axes[1:]] + [one]
+    tmp = np.empty((max(ax.head for ax in axes), width))
+    scales = [[terms(e) for e in axis]
+              for axis in _scales(kind, [MultiPoly.variable(n, i) for i in range(n)])]
+    work = list(zip(scales, family, family[1:]))[::-1]
+    for levels in zip(*[axis.levels for axis in reversed(axes)]):
+        for ((u, s, s2), rows, inner), level in zip(work, levels):
+            prev2, prev, cur, head, th, a, b, bn, new, inner_t, p0 = level
+            if prev is not None:
+                z = lin(u, s, a, rows[prev], rows[cur])
+                if head is not None:
+                    w = tmp[th]
+                    z[head] -= np.multiply(b, mul(s2, rows[prev2], w), out=w)
+                z /= bn
+            if new is not None:
+                np.multiply(p0, inner[inner_t], out=rows[new])
+    return out
 
 
 def member_gram_schmidt(spec, K, quad):

@@ -23,7 +23,8 @@ from polyheat.polynomials import MultiPoly, monomial_operator, monomial_vandermo
 from polyheat.quadrature import build_quadrature
 from polyheat.validation import operator_symmetry_residual, random_coefficients
 
-from _oracles import apply_operator, member_gram_schmidt, reference_interval_basis
+from _oracles import (apply_operator, member_gram_schmidt, reference_interval_basis,
+                      untrimmed_coefficient_rows)
 
 
 class TestEigenvalues:
@@ -220,6 +221,40 @@ class TestProductBasis:
             gram, verify = _quality(build_basis(spec, 10))
             assert gram <= 1e-12
             assert verify <= 1e-12
+
+
+class TestLevelTrimmedSweeps:
+    """Each level works on the columns and levels its caller reads, bit for bit."""
+
+    @pytest.mark.parametrize("spec, K", [
+        (DomainSpec.interval(-0.5, -0.5), 200),
+        (DomainSpec.interval(1.5, -0.5), 200),
+        (DomainSpec.interval(-0.9, 0.0), 200),
+        (DomainSpec.interval(0.0, 1.5), 200),
+        (DomainSpec.ball(2, 0.5), 20),
+        (DomainSpec.simplex(2, (-0.3, 0.8, 1.7)), 20),
+        (DomainSpec.ball(3, 0.5), 8),
+        (DomainSpec.simplex(3, (0.2, 0.5, 1.0, -0.4)), 8),
+    ], ids=lambda s: s.label() if isinstance(s, DomainSpec) else f"K={s}")
+    def test_coefficient_rows_equal_the_untrimmed_recurrence(self, spec, K):
+        basis = build_basis(spec, K)
+        assert np.array_equal(basis.coefficients, untrimmed_coefficient_rows(basis))
+
+    @pytest.mark.parametrize("spec, K", [
+        (DomainSpec.interval(1.5, -0.5), 60),
+        (DomainSpec.ball(2, 0.5), 12),
+        (DomainSpec.simplex(2, (-0.3, 0.8, 1.7)), 12),
+        (DomainSpec.simplex(3, (0.2, 0.5, 1.0, -0.4)), 6),
+    ], ids=lambda s: s.label() if isinstance(s, DomainSpec) else f"K={s}")
+    def test_values_through_a_level(self, spec, K):
+        basis = build_basis(spec, K)
+        pts = basis.quad.nodes[::3]
+        full = basis.evaluate(pts)
+        for last in (0, 1, 2, K // 2, K - 1, K):
+            got = basis._values(pts, last)
+            end = basis.level_slice(last).stop
+            assert np.array_equal(got[:, :end], full[:, :end]), last
+            assert not got[:, end:].any(), last
 
 
 OPERATOR_CASES = [

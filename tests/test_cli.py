@@ -314,13 +314,14 @@ class TestValidate:
     def test_interval_validate_all_evaluates_each_point_set_once(self, tmp_path, capsys,
                                                                   monkeypatch):
         calls = []
-        evaluate = OrthonormalBasis.evaluate
+        values = OrthonormalBasis._values
 
-        def counted(basis, points):
-            calls.append(len(points))
-            return evaluate(basis, points)
+        def counted(basis, pts, last=None):
+            if pts is not basis.quad.nodes:
+                calls.append(len(pts))
+            return values(basis, pts, last)
 
-        monkeypatch.setattr(OrthonormalBasis, "evaluate", counted)
+        monkeypatch.setattr(OrthonormalBasis, "_values", counted)
         cfgfile = write_config(tmp_path, (
             "[domain]\nkind = interval\nalpha = -0.5\nbeta = -0.5\n"
             f"[basis]\nmax_degree = 200\n[run]\noutput = {tmp_path}\n"))

@@ -1,5 +1,5 @@
 import tracemalloc
-from math import pi, sqrt
+from math import log, pi, sqrt
 
 import numpy as np
 import pytest
@@ -379,6 +379,102 @@ class TestProjectedChecks:
             assert _refusal(ev.semigroup_check, 0.5, t, X[1], X[0]) == want
 
 
+@pytest.fixture
+def sweep_levels(monkeypatch):
+    """The ``last`` level of each basis evaluation an evaluator makes."""
+    def record(ev):
+        seen = []
+        values = ev.basis._values
+        monkeypatch.setattr(ev.basis, "_values",
+                            lambda pts, last=None: seen.append(last) or values(pts, last))
+        return seen
+    return record
+
+
+@pytest.fixture(scope="module")
+def capped_ev():
+    """An evaluator whose policy cap lies below its basis degree."""
+    spec = DomainSpec.interval(1.5, -0.5)
+    return HeatKernelEvaluator(build_basis(spec, 80), TruncationPolicy(1e-10, 1e-5, 50))
+
+
+def _full_product(ev, g, X, Y):
+    """(V sqrt g) @ (V sqrt g).T from a full ``basis.evaluate`` of each side."""
+    sg = ev._per_member(np.sqrt(g))
+    Wx = ev.basis.evaluate(X)[:, : len(sg)] * sg
+    return Wx @ (Wx if Y is X else ev.basis.evaluate(Y)[:, : len(sg)] * sg).T
+
+
+class TestLevelTrimmedSums:
+    """Where no tail is read, a raw array is evaluated only through the last
+    level of nonzero weight; every value keeps the bits of the full sweep."""
+
+    @pytest.mark.parametrize("fixture", ["cheb_ev", "ball_ev", "simplex_ev", "capped_ev"])
+    def test_zero_tail_sums_equal_the_full_product(self, fixture, request, sweep_levels):
+        ev = request.getfixturevalue(fixture)
+        K = ev.policy.hard_cap
+        rng = np.random.default_rng(29)
+        X, Y = _sample(ev.spec, 9, rng), _sample(ev.spec, 5, rng)
+        # exp(-2000) underflows to 0, so the heat tail factor is exactly 0
+        t = 2000.0 / eigenvalue(ev.spec, K + 1)
+        cases = [(lambda A, B: ev.heat_kernel_grid(t, A, B), np.exp(-ev.lambdas * t)),
+                 (lambda A, B: ev.multiplier_grid(MultiplierSpec("heat_exp"), sqrt(t), A, B),
+                  MultiplierSpec("heat_exp").phi(sqrt(t) * np.sqrt(ev.lambdas)))]
+        for delta in (0.1, 0.3):
+            phi = MultiplierSpec("smooth_bump")
+            cases.append((lambda A, B, phi=phi, delta=delta: ev.multiplier_grid(phi, delta, A, B),
+                          phi.phi(delta * np.sqrt(ev.lambdas))))
+        levels = sweep_levels(ev)
+        for call, g in cases:
+            last = int(np.flatnonzero(g)[-1])
+            assert last < K
+            for A, B in ((X, X), (X, Y)):
+                levels.clear()
+                value, tail = call(A, B)
+                assert levels == [last]
+                assert np.array_equal(value, _full_product(ev, g, A, B))
+                assert not tail.any()
+
+    def test_policy_cap_below_the_basis_degree(self, capped_ev, sweep_levels):
+        # a tail is read: the sweep runs to the cap, not to the basis degree
+        ev, K = capped_ev, capped_ev.policy.hard_cap
+        assert K < ev.basis.max_degree
+        rng = np.random.default_rng(31)
+        X, Y = _sample(ev.spec, 7, rng), _sample(ev.spec, 4, rng)
+        levels = sweep_levels(ev)
+        for t in (0.002, 0.01):
+            for A, B in ((X, X), (X, Y)):
+                levels.clear()
+                value, tail = ev.heat_kernel_grid(t, A, B)
+                assert levels == [K] and tail.min() > 0
+                assert np.array_equal(value, _full_product(ev, np.exp(-ev.lambdas * t), A, B))
+        levels.clear()
+        P = ev.point_set(X)
+        assert levels == [K] and P.values.shape == (len(X), ev.basis.level_slice(K).stop)
+
+    @pytest.mark.parametrize("fixture", ["cheb_ev", "ball_ev", "capped_ev"])
+    def test_under_resolved_refusal_names_level_K(self, fixture, request):
+        # the achievable t comes from the values of level K at every point,
+        # as a full evaluation gives them
+        base = request.getfixturevalue(fixture)
+        K, eps = base.policy.hard_cap, base.policy.epsilon
+        ev = HeatKernelEvaluator(base.basis, TruncationPolicy(eps, 1e-6, K))
+        rng = np.random.default_rng(37)
+        X, Y = _sample(ev.spec, 6, rng), _sample(ev.spec, 3, rng)
+        gap = eigenvalue(ev.spec, K + 1) - ev.lambdas[K]
+        t = max(ev.policy.t_min, 0.05 / gap)
+        sl = ev.basis.level_slice(K)
+        for A, B in ((X, X), (X, Y)):
+            cx = np.sum(ev.basis.evaluate(A)[:, sl] ** 2, axis=1).max()
+            cy = np.sum(ev.basis.evaluate(B)[:, sl] ** 2, axis=1).max()
+            achievable = (log(max(sqrt(cx * cy), 1.0) * (K + 1)) - log(eps)) / ev.lambdas[K]
+            want = (f"t={t:g} is under-resolved for the basis cap {K}: post-cap decay ratio "
+                    f"{np.exp(-gap * t):.3f} > 0.9; epsilon={eps:g} is achievable for "
+                    f"t >= {achievable:.4g}")
+            assert _refusal(ev.heat_kernel_grid, t, A, B) == want
+            assert _refusal(ev.multiplier_grid, MultiplierSpec("heat_exp"), sqrt(t), A, B) == want
+
+
 class TestOneSweep:
     """A raw pair of point arrays costs one basis evaluation."""
 
@@ -386,9 +482,9 @@ class TestOneSweep:
     def sweeps(self, monkeypatch):
         def count(ev):
             calls = []
-            evaluate = ev.basis.evaluate
-            monkeypatch.setattr(ev.basis, "evaluate",
-                                lambda points: calls.append(len(points)) or evaluate(points))
+            values = ev.basis._values
+            monkeypatch.setattr(ev.basis, "_values",
+                                lambda pts, last=None: calls.append(len(pts)) or values(pts, last))
             return calls
         return count
 

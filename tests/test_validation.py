@@ -1,7 +1,9 @@
+from math import comb
+
 import numpy as np
 import pytest
 
-from polyheat.basis import build_basis
+from polyheat.basis import OrthonormalBasis, build_basis
 from polyheat.domains import DomainSpec, distance
 from polyheat.errors import DomainError, PrecisionError
 from polyheat.heat import DEFAULT_EPSILON, HeatKernelEvaluator, TruncationPolicy
@@ -336,6 +338,30 @@ class TestCorrespondence:
         failed = [c["name"] for c in rep.checks if not c["pass"]]
         assert failed == ["eigenfunction_match"]
 
+    @pytest.mark.parametrize("max_k", [0, 1, 2, 30, validation.SUBSTITUTION_MAX_K])
+    def test_substitution_matrix_is_the_binomial_form(self, max_k):
+        want = np.array([[float(comb(r, j) * 2 ** j * (-1) ** (r - j)) for j in range(max_k + 1)]
+                         for r in range(max_k + 1)])
+        assert np.array_equal(validation._substitution_matrix(max_k), want)
+
+    def test_degree_past_exact_binomials_is_refused(self):
+        with pytest.raises(DomainError, match=r"^max_k 57 outside \[0, 56\]"):
+            jacobi_simplex_correspondence(0.0, 0.0, validation.SUBSTITUTION_MAX_K + 1)
+
+    def test_grid_is_evaluated_once_per_basis(self, monkeypatch):
+        sweeps = []
+        values = OrthonormalBasis._values
+
+        def counted(basis, pts, last=None):
+            if pts is not basis.quad.nodes:
+                sweeps.append((basis.spec.kind, len(pts)))
+            return values(basis, pts, last)
+
+        monkeypatch.setattr(OrthonormalBasis, "_values", counted)
+        jacobi_simplex_correspondence(0.7, -0.3, 30)
+        grid = validation.CORRESPONDENCE_GRID
+        assert sweeps == [("interval", grid), ("simplex", grid)]
+
 
 class TestGaussDoubling:
     def test_interval_scan(self, cheb_ev, cheb_vol):
@@ -401,12 +427,21 @@ class TestGaussDoubling:
             V = VolumeSource(spec).values(X, delta)
             assert V.tolist() == [VolumeSource(spec)(x, delta).value for x in X]
 
-    def test_imprecise_monte_carlo_is_refused(self):
-        # an ungated source: the scan applies the 5 % gate itself
+    @pytest.mark.parametrize("scan", ["doubling", "gauss", "localize"])
+    def test_imprecise_monte_carlo_is_refused(self, scan):
+        # an ungated source: each scan applies the 5 % gate itself
         spec = DomainSpec.ball(3, 0.5)
+        vol = VolumeSource(spec, samples=2_000, seed=1)
+        pts = interior_points(spec, 4)
+        if scan != "doubling":
+            ev = HeatKernelEvaluator(build_basis(spec, 10))
         with pytest.raises(PrecisionError, match="exceeds 5% of V"):
-            doubling_scan(spec, VolumeSource(spec, samples=2_000, seed=1),
-                          interior_points(spec, 4), [0.1])
+            if scan == "doubling":
+                doubling_scan(spec, vol, pts, [0.1])
+            elif scan == "gauss":
+                gauss_ratio_scan(ev, vol, pts, [0.5, 1.0])
+            else:
+                localization_check(ev, 0.2, spec.n + 1, vol)
 
     def test_radius_validation(self, cheb_vol):
         spec = DomainSpec.interval(-0.5, -0.5)
