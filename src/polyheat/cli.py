@@ -40,7 +40,7 @@ from .errors import (BoundarySingularityError, CapacityError, DomainError, Param
 from .heat import (DEFAULT_EPSILON, HeatKernelEvaluator, MultiplierSpec, TruncationPolicy,
                    default_t_min)
 from .quadrature import build_quadrature
-from .volumes import MAX_REL_STDERR, VolumeSource, ball_volume
+from .volumes import VolumeSource, ball_volume
 
 SUITES = ("ops", "basis", "kernel", "gauss", "doubling", "green", "flux",
           "chart", "correspondence", "localize", "fsp", "all")
@@ -89,11 +89,9 @@ def _np_default(o):
 
 
 def _emit_json(obj, out, name):
-    text = json.dumps(obj, sort_keys=True, indent=1, default=_np_default)
-    if out:
-        p = _write(Path(out) / name, text + "\n")
-        print(f"wrote {p}")
-    return text
+    # one line: with an indent, json would take its pure-Python encoder
+    p = _write(Path(out) / name, json.dumps(obj, sort_keys=True, default=_np_default) + "\n")
+    print(f"wrote {p}")
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +132,7 @@ def cmd_basis_verify(args):
 
 
 def cmd_geom(args):
-    cfg = load_config(args.config)
+    cfg = load_config(args.config, mc_samples=getattr(args, "samples", None))
     spec = cfg.spec
     x = _parse_point(args.x)
     if args.geom_op == "dist":
@@ -147,8 +145,7 @@ def cmd_geom(args):
         rows = [f"\"{x.tolist()}\",\"g={g.tolist()}\",{_fmt(det)},0",
                 f"\"{x.tolist()}\",\"ginv={gi.tolist()}\",0,0"]
     else:
-        est = ball_volume(spec, x, args.r, samples=args.samples or cfg.mc_samples,
-                          seed=cfg.seed)
+        est = ball_volume(spec, x, args.r, samples=cfg.mc_samples, seed=cfg.seed)
         rows = [f"\"{x.tolist()}\",{_fmt(args.r)},{_fmt(est.value)},{_fmt(est.stderr)}"]
     # the header follows the query, so a refused query leaves stdout empty
     _emit_csv("x,y,value,stderr", rows, None)
@@ -423,8 +420,7 @@ def cmd_validate(args):
     except (ParameterError, CapacityError) as e:
         print(f"cannot build the evaluator: {e}", file=sys.stderr)
         return 2
-    vol = VolumeSource(cfg.spec, samples=cfg.mc_samples, seed=cfg.seed,
-                       max_rel_stderr=MAX_REL_STDERR)
+    vol = VolumeSource(cfg.spec, samples=cfg.mc_samples, seed=cfg.seed)
     rng = np.random.default_rng(cfg.seed)
     overall = True
     report = {"schema_version": SCHEMA_VERSION, "config": cfg.to_json_obj(),

@@ -7,7 +7,7 @@ Every report embeds the fully resolved configuration, and identical
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 from .domains import BALL, INTERVAL, SIMPLEX, DomainSpec
 from .errors import ParameterError
@@ -17,7 +17,37 @@ SCHEMA_VERSION = 6
 
 
 def _parse_floats(text):
-    return [float(v) for v in str(text).replace(",", " ").split()]
+    return tuple(float(v) for v in str(text).replace(",", " ").split())
+
+
+def _mc_samples(text):
+    samples = int(text)
+    if samples < RADIAL_STRATA:
+        raise ParameterError(f"[mc] samples = {samples} is below {RADIAL_STRATA}, "
+                             "the number of radial strata")
+    return samples
+
+
+def _output(text):
+    if not text.strip():
+        raise ParameterError("[run] output is empty, so validate would write no report")
+    return text.strip()
+
+
+# (section, key, RunConfig field, parser) of every key outside [domain], in
+# the order of the INI file, the JSON object and the reading of the keys
+SETTINGS = (
+    ("basis", "max_degree", "max_degree", int),
+    ("kernel", "t_min", "t_min", float),
+    ("grids", "points", "points", int),
+    ("grids", "times", "times", _parse_floats),
+    ("grids", "radii", "radii", _parse_floats),
+    ("grids", "epsilons", "epsilons", _parse_floats),
+    ("grids", "deltas", "deltas", _parse_floats),
+    ("mc", "samples", "mc_samples", _mc_samples),
+    ("run", "seed", "seed", int),
+    ("run", "output", "output", _output),
+)
 
 
 @dataclass(frozen=True)
@@ -35,21 +65,11 @@ class RunConfig:
     output: str = "reports"
 
     def to_json_obj(self):
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "domain": self.spec.to_json_obj(),
-            "basis": {"max_degree": self.max_degree},
-            "kernel": {"t_min": self.t_min},
-            "grids": {
-                "points": self.points,
-                "times": list(self.times),
-                "radii": list(self.radii),
-                "epsilons": list(self.epsilons),
-                "deltas": list(self.deltas),
-            },
-            "mc": {"samples": self.mc_samples},
-            "run": {"seed": self.seed, "output": self.output},
-        }
+        obj = {"schema_version": SCHEMA_VERSION, "domain": self.spec.to_json_obj()}
+        for section, key, field, parse in SETTINGS:
+            value = getattr(self, field)
+            obj.setdefault(section, {})[key] = list(value) if parse is _parse_floats else value
+        return obj
 
     def to_ini(self):
         spec = self.spec
@@ -60,29 +80,15 @@ class RunConfig:
             lines += [f"gamma = {spec.gamma}"]
         else:
             lines += ["kappa = " + ", ".join(str(k) for k in spec.kappa)]
-        lines += [
-            "",
-            "[basis]",
-            f"max_degree = {self.max_degree}",
-        ]
-        if self.t_min is not None:
-            lines += ["", "[kernel]", f"t_min = {self.t_min}"]
-        lines += [
-            "",
-            "[grids]",
-            f"points = {self.points}",
-            "times = " + ", ".join(str(t) for t in self.times),
-            "radii = " + ", ".join(str(r) for r in self.radii),
-            "epsilons = " + ", ".join(str(e) for e in self.epsilons),
-            "deltas = " + ", ".join(str(d) for d in self.deltas),
-            "",
-            "[mc]",
-            f"samples = {self.mc_samples}",
-            "",
-            "[run]",
-            f"seed = {self.seed}",
-            f"output = {self.output}",
-        ]
+        last = "domain"
+        for section, key, field, parse in SETTINGS:
+            value = getattr(self, field)
+            if value is None:  # an unset t_min leaves out [kernel]
+                continue
+            if section != last:
+                lines += ["", f"[{section}]"]
+                last = section
+            lines.append(f"{key} = {', '.join(map(str, value)) if parse is _parse_floats else value}")
         return "\n".join(lines) + "\n"
 
 
@@ -91,38 +97,36 @@ def default_config():
 
 
 # Every key the INI file may set, by section.
-KNOWN_KEYS = {
-    "domain": ("kind", "n", "alpha", "beta", "gamma", "kappa"),
-    "basis": ("max_degree",),
-    "kernel": ("t_min",),
-    "grids": ("points", "times", "radii", "epsilons", "deltas"),
-    "mc": ("samples",),
-    "run": ("seed", "output"),
-}
-_KINDS = {int: "an integer", float: "a number", _parse_floats: "a list of numbers"}
+KNOWN_KEYS = {"domain": ("kind", "n", "alpha", "beta", "gamma", "kappa"),
+              **{s: tuple(k for t, k, _, _ in SETTINGS if t == s) for s, _, _, _ in SETTINGS}}
+_KINDS = {int: "an integer", float: "a number", _mc_samples: "an integer",
+          _parse_floats: "a list of numbers"}
 
 
-def _read(sec, key, conv, default):
-    """``conv(sec[key])``, or ``default`` when the key is absent."""
-    raw = sec.get(key)
+def _read(parser, section, key, conv, default):
+    """``conv`` of the key's text, or ``default`` when the key is absent."""
+    raw = parser.get(section, key, fallback=None)
     if raw is None:
         return default
     try:
         return conv(raw)
+    except ParameterError:
+        raise
     except ValueError:
-        raise ParameterError(f"[{sec.name}] {key} = {raw!r} is not {_KINDS[conv]}") from None
+        raise ParameterError(f"[{section}] {key} = {raw!r} is not {_KINDS[conv]}") from None
 
 
-def _spec_from_section(sec):
-    kind = sec.get("kind", INTERVAL).strip().lower()
+def _spec(parser):
+    kind = parser.get("domain", "kind", fallback=INTERVAL).strip().lower()
     if kind not in (INTERVAL, BALL, SIMPLEX):
         raise ParameterError(f"[domain] kind = {kind!r} is not one of interval|ball|simplex")
     if kind == INTERVAL:
-        return DomainSpec.interval(_read(sec, "alpha", float, -0.5), _read(sec, "beta", float, -0.5))
-    n = _read(sec, "n", int, 2)
+        return DomainSpec.interval(_read(parser, "domain", "alpha", float, -0.5),
+                                   _read(parser, "domain", "beta", float, -0.5))
+    n = _read(parser, "domain", "n", int, 2)
     if kind == BALL:
-        return DomainSpec.ball(n, _read(sec, "gamma", float, 0.5))
-    return DomainSpec.simplex(n, _read(sec, "kappa", _parse_floats, [0.5] * (n + 1)))
+        return DomainSpec.ball(n, _read(parser, "domain", "gamma", float, 0.5))
+    return DomainSpec.simplex(n, _read(parser, "domain", "kappa", _parse_floats, [0.5] * (n + 1)))
 
 
 def _check_keys(parser):
@@ -137,49 +141,24 @@ def _check_keys(parser):
 
 
 def load_config(path=None, **overrides):
-    """Load the INI file (optional) and apply keyword overrides."""
+    """Load the INI file (optional) and apply keyword overrides.  A key the
+    file leaves out or lists empty, and an override of None, keep the value
+    before them."""
     cfg = default_config()
     if path is not None:
         parser = configparser.ConfigParser()
         try:
-            read = parser.read(path)
+            found = parser.read(path)
         except configparser.Error as e:
             raise ParameterError(f"config file {path!r}: {' '.join(str(e).split())}") from None
-        if not read:
+        if not found:
             raise ParameterError(f"config file {path!r} not found or unreadable")
         _check_keys(parser)
-        if parser.has_section("domain"):
-            cfg = replace(cfg, spec=_spec_from_section(parser["domain"]))
-        if parser.has_section("basis"):
-            cfg = replace(cfg, max_degree=_read(parser["basis"], "max_degree", int,
-                                                cfg.max_degree))
-        if parser.has_section("kernel"):
-            cfg = replace(cfg, t_min=_read(parser["kernel"], "t_min", float, cfg.t_min))
-        if parser.has_section("grids"):
-            sec = parser["grids"]
-            cfg = replace(
-                cfg,
-                points=_read(sec, "points", int, cfg.points),
-                times=tuple(_read(sec, "times", _parse_floats, ())) or cfg.times,
-                radii=tuple(_read(sec, "radii", _parse_floats, ())) or cfg.radii,
-                epsilons=tuple(_read(sec, "epsilons", _parse_floats, ())) or cfg.epsilons,
-                deltas=tuple(_read(sec, "deltas", _parse_floats, ())) or cfg.deltas,
-            )
-        if parser.has_section("mc"):
-            cfg = replace(cfg, mc_samples=_read(parser["mc"], "samples", int, cfg.mc_samples))
-            if cfg.mc_samples < RADIAL_STRATA:
-                raise ParameterError(f"[mc] samples = {cfg.mc_samples} is below "
-                                     f"{RADIAL_STRATA}, the number of radial strata")
-        if parser.has_section("run"):
-            sec = parser["run"]
-            cfg = replace(
-                cfg,
-                seed=_read(sec, "seed", int, cfg.seed),
-                output=sec.get("output", cfg.output).strip(),
-            )
-    known = {f.name for f in cfg.__dataclass_fields__.values()}
-    bad = set(overrides) - known
+        spec = _spec(parser)
+        read = {field: _read(parser, section, key, parse, ())
+                for section, key, field, parse in SETTINGS}
+        cfg = replace(cfg, spec=spec, **{k: v for k, v in read.items() if v != ()})
+    bad = set(overrides) - {f.name for f in fields(RunConfig)}
     if bad:
         raise ParameterError(f"unknown config overrides: {sorted(bad)}")
-    supplied = {k: v for k, v in overrides.items() if v is not None}
-    return replace(cfg, **supplied)
+    return replace(cfg, **{k: v for k, v in overrides.items() if v is not None})

@@ -35,7 +35,6 @@ from .domains import (
     DomainSpec,
     _require_inside,
     _rows,
-    chart_lift,
     lift_rows,
     total_mass,
 )
@@ -485,51 +484,58 @@ def _draw_lifted(spec, samples, seed, strata):
     return cloud
 
 
-def _monte_carlo(spec, x, r, samples, seed, strata):
+def _monte_carlo(spec, X, r, samples, seed, strata):
+    """(V, stderr, sample size) of the rows X (m, n) and their radii r (m,):
+    the fraction of the seed's lifted sample with lift(x) . y > cos r, one
+    matrix-vector product a row."""
     strata = strata if spec.kind == BALL else 1
     if samples < strata:
         raise ParameterError(f"Monte Carlo needs at least {strata} samples, got {samples}")
     cloud = _lifted_cloud(spec, samples, seed, strata)
-    hits = cloud @ chart_lift(spec, x) > cos(r)
-    p_hats = hits.reshape(strata, -1).mean(axis=1)
     per = len(cloud) // strata
-    p = p_hats.mean()
-    var = np.sum(p_hats * (1 - p_hats) / per) / strata ** 2
     mass = total_mass(spec)
-    return VolumeEstimate(mass * p, mass * sqrt(max(var, 0.0)), "montecarlo", len(cloud))
+    values, stderrs = np.empty(len(X)), np.empty(len(X))
+    for i, (y, s) in enumerate(zip(lift_rows(spec, X), r.tolist())):
+        p_hats = (cloud @ (y / np.linalg.norm(y)) > cos(s)).reshape(strata, -1).mean(axis=1)
+        var = np.sum(p_hats * (1 - p_hats) / per) / strata ** 2
+        values[i], stderrs[i] = mass * p_hats.mean(), mass * sqrt(max(var, 0.0))
+    return values, stderrs, len(cloud)
+
+
+def _volumes(spec, X, r, samples, seed, strata=RADIAL_STRATA):
+    """(V, stderr, sample size) of the checked rows X (m, n) and their radii
+    r (m,), one a row: the total mass with stderr 0 where r reaches the
+    diameter, elsewhere one pass of the arc rules (interval, stderr 0), of
+    the cap quadrature (ball(2), simplex(2)) or of Monte Carlo (dimension
+    3).  The sample size is the Monte Carlo one, 0 when no row drew on it."""
+    values, stderrs, used = np.full(len(X), total_mass(spec)), np.zeros(len(X)), 0
+    inside = np.flatnonzero(r < _diameter(spec))
+    if spec.kind == INTERVAL:
+        values[inside] = _interval_volumes(spec, X[inside, 0], r[inside])
+    elif spec.n == 2:
+        values[inside], stderrs[inside] = _cap_volumes(spec, X[inside], r[inside])
+    elif len(inside):
+        values[inside], stderrs[inside], used = _monte_carlo(spec, X[inside], r[inside],
+                                                             samples, seed, strata)
+    return values, stderrs, used
 
 
 def ball_volume(spec, x, r, samples=DEFAULT_SAMPLES, seed=0, strata=RADIAL_STRATA):
-    """Weighted volume of the metric ball of radius r around x.
-
-    Interval: deterministic (Gauss rules on the arc), stderr 0.  Ball(2) and
-    simplex(2): cap quadrature, stderr the difference of two rule orders;
-    ``samples``, ``seed`` and ``strata`` are not used.  Dimension 3: the
-    fraction of the seed's lifted sample with lift(x) . y > cos r; on the
-    ball the sample is stratified over equal-probability radial shells of
-    the Beta(n/2, gamma+1/2) profile of r^2.
-    """
-    x = _require_inside(spec, x)
-    if not r > 0:
-        raise DomainError("radius must be positive")
-    if r >= _diameter(spec):
-        return VolumeEstimate(total_mass(spec), 0.0, _method(spec), 0)
-    if spec.kind == INTERVAL:
-        return VolumeEstimate(float(_interval_volumes(spec, x, np.array([r]))[0]), 0.0,
-                              "exact1d", 0)
-    if spec.n == 2:
-        value, err = _cap_volumes(spec, x[None, :], np.array([r]))
-        return VolumeEstimate(float(value[0]), float(err[0]), "cap_quadrature", 0)
-    return _monte_carlo(spec, x, r, samples, seed, strata)
+    """Weighted volume of the metric ball of radius r around x, one row of
+    ``_volumes``.  ``samples``, ``seed`` and ``strata`` serve dimension 3
+    only: the seed's sample, on the ball stratified over ``strata``
+    equal-probability shells of the Beta(n/2, gamma+1/2) profile of r^2."""
+    X = _require_inside(spec, x)[None, :]
+    if np.ndim(r):
+        raise DomainError(f"radius has shape {np.shape(r)}, expected one radius")
+    values, stderrs, used = _volumes(spec, X, _radii(r, 1), samples, seed, strata)
+    return VolumeEstimate(float(values[0]), float(stderrs[0]), _method(spec), used)
 
 
 def refuse_imprecise(spec, points, radii, values, stderrs, gate):
     """Raise PrecisionError at the first estimate whose stderr exceeds
-    ``gate`` times its value, naming its point and radius; a gate of None
-    accepts every estimate.  ``points`` are the (m, n) rows of the estimates
-    and ``radii`` their (m,) radii."""
-    if gate is None:
-        return
+    ``gate`` times its value, naming its point and radius.  ``points`` are
+    the (m, n) rows of the estimates and ``radii`` their (m,) radii."""
     values, stderrs = np.asarray(values), np.asarray(stderrs)
     bad = np.flatnonzero((values > 0) & (stderrs > gate * values))
     if len(bad):
@@ -556,45 +562,27 @@ class VolumeSource:
     """Volume front-end used by the validation scans.
 
     Monte Carlo queries use the sample of ``seed``, so results do not depend
-    on evaluation order.  With ``max_rel_stderr`` set, an estimate whose
-    standard error exceeds that fraction of its value raises PrecisionError.
+    on evaluation order.  The source refuses no estimate for its stderr: the
+    scans gate what they read with ``refuse_imprecise``.
     """
 
-    def __init__(self, spec: DomainSpec, samples=DEFAULT_SAMPLES, seed=0, max_rel_stderr=None):
+    def __init__(self, spec: DomainSpec, samples=DEFAULT_SAMPLES, seed=0):
         self.spec = spec
         self.samples = samples
         self.seed = seed
-        self.max_rel_stderr = max_rel_stderr
 
     def __call__(self, x, r) -> VolumeEstimate:
-        est = ball_volume(self.spec, x, r, samples=self.samples, seed=self.seed)
-        refuse_imprecise(self.spec, [x], [r], [est.value], [est.stderr], self.max_rel_stderr)
-        return est
+        return ball_volume(self.spec, x, r, samples=self.samples, seed=self.seed)
 
     def estimates(self, points, r):
         """(V(x, r), stderr) arrays for the rows of an (m, n) array of points,
         r one radius for every row or an (m,) array of one radius a row.
 
-        The rows and radii are checked once, and each row answers as a
-        one-point query would.  A row whose r reaches the diameter reads the
-        total mass with stderr 0.  The others are, on the interval, one array
-        pass of the arc rules (stderr 0), on ball(2) and simplex(2) one
-        cap-quadrature pass, whatever their radii; in dimension 3 each row
-        is one Monte Carlo query through ``__call__``.
+        The rows and radii are checked once and go through one ``_volumes``
+        pass, so each row answers as a one-point query would.
         """
         X, _ = _rows(self.spec, points)
-        r = _radii(r, len(X))
-        if _method(self.spec) == "montecarlo":
-            ests = [self(x, s) for x, s in zip(X, r.tolist())]
-            return (np.array([e.value for e in ests]), np.array([e.stderr for e in ests]))
-        values, stderrs = np.full(len(X), total_mass(self.spec)), np.zeros(len(X))
-        inside = np.flatnonzero(r < _diameter(self.spec))
-        if self.spec.kind == INTERVAL:
-            values[inside] = _interval_volumes(self.spec, X[inside, 0], r[inside])
-        else:
-            values[inside], stderrs[inside] = _cap_volumes(self.spec, X[inside], r[inside])
-            refuse_imprecise(self.spec, X, r, values, stderrs, self.max_rel_stderr)
-        return values, stderrs
+        return _volumes(self.spec, X, _radii(r, len(X)), self.samples, self.seed)[:2]
 
     def values(self, points, r):
         """V(x, r).value for each row of an (m, n) array of points, r one

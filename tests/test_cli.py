@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 import polyheat
 from polyheat.basis import OrthonormalBasis
 from polyheat.cli import main
-from polyheat.config import default_config, load_config
+from polyheat.config import SETTINGS, RunConfig, default_config, load_config
 
 
 def write_config(tmp_path, text):
@@ -60,6 +61,31 @@ class TestConfig:
         assert cfg.max_degree == 24
         assert cfg.seed == 7
 
+    @pytest.mark.parametrize("body", [
+        # every key away from its default, t_min included
+        "[domain]\nkind = simplex\nn = 2\nkappa = 0.1, 0.2, 0.3\n[basis]\nmax_degree = 7\n"
+        "[kernel]\nt_min = 0.003\n[grids]\npoints = 3\ntimes = 0.1 0.5\nradii = 0.2\n"
+        "epsilons = 0.3, 0.04\ndeltas = 0.07\n[mc]\nsamples = 999\n"
+        "[run]\nseed = 5\noutput = some/where\n",
+        INTERVAL_INI.format(out="reports/interval"),
+    ], ids=["simplex_every_key", "interval_no_t_min"])
+    def test_show_output_loads_to_the_same_config(self, tmp_path, capsys, body):
+        cfg = load_config(write_config(tmp_path, body))
+        if cfg.spec.kind == "simplex":
+            default = default_config()
+            assert all(getattr(cfg, f.name) != getattr(default, f.name)
+                       for f in fields(RunConfig))
+        else:
+            assert cfg.t_min is None
+        assert main(["--config", str(tmp_path / "run.ini"), "config", "show"]) == 0
+        text = capsys.readouterr().out
+        assert ("[kernel]" in text) == (cfg.t_min is not None)
+        assert load_config(write_config(tmp_path, text)) == cfg
+
+    def test_settings_name_every_field_once(self):
+        named = sorted(field for _, _, field, _ in SETTINGS)
+        assert named == sorted(f.name for f in fields(RunConfig) if f.name != "spec")
+
     def test_defaults(self):
         cfg = default_config()
         assert cfg.spec.kind == "interval"
@@ -75,6 +101,8 @@ class TestConfig:
         ("[run]\nthreads = 1\n", "[run] threads"),
         ("[basis]\nprecision = double\n", "[basis] precision"),
         ("[kernel]\nepsilon = 1e-10\n", "[kernel] epsilon"),
+        # validate would write its report nowhere
+        ("[run]\noutput =\n", "[run] output is empty"),
     ])
     def test_bad_config_is_one_line_error(self, tmp_path, capsys, body, named):
         cfgfile = write_config(tmp_path, body)
@@ -113,12 +141,15 @@ class TestGeom:
 
     def test_volume_below_strata_is_one_line_error(self, tmp_path, capsys):
         # Monte Carlo volumes are those of dimension 3
-        cfgfile = write_config(tmp_path, "[domain]\nkind = ball\nn = 3\ngamma = 0.5\n")
-        assert main(["--config", cfgfile, "geom", "volume", "--x", "0,0,0", "--r", "0.3",
-                     "--samples", "4"]) == 2
-        out, err = capsys.readouterr()
-        assert err == "error: Monte Carlo needs at least 8 samples, got 4\n"
-        assert out == ""
+        cfgfile = write_config(tmp_path, "[domain]\nkind = ball\nn = 3\ngamma = 0.5\n"
+                                         "[mc]\nsamples = 20000\n")
+        # --samples 0 is a sample count too, not a fall back to [mc] samples
+        for samples in ("4", "0"):
+            assert main(["--config", cfgfile, "geom", "volume", "--x", "0,0,0", "--r", "0.3",
+                         "--samples", samples]) == 2
+            out, err = capsys.readouterr()
+            assert err == f"error: Monte Carlo needs at least 8 samples, got {samples}\n"
+            assert out == ""
 
     def test_volume_deterministic(self, tmp_path, capsys):
         cfgfile = write_config(tmp_path, "[domain]\nkind = ball\nn = 2\ngamma = 0.5\n[run]\nseed = 3\n")
@@ -268,6 +299,8 @@ class TestValidate:
         cfgfile = write_config(tmp_path, INTERVAL_INI.format(out=tmp_path))
         main(["--config", cfgfile, "validate", "basis"])
         first = (tmp_path / "validate_basis.json").read_bytes()
+        # one line of JSON
+        assert first.count(b"\n") == 1 and first.endswith(b"\n")
         main(["--config", cfgfile, "validate", "basis"])
         assert (tmp_path / "validate_basis.json").read_bytes() == first
 

@@ -1,4 +1,6 @@
 import tracemalloc
+from dataclasses import astuple
+from functools import partial
 from itertools import product
 from math import acos, pi, sin, sqrt
 
@@ -13,6 +15,7 @@ from polyheat.validation import interior_points
 from polyheat.volumes import (
     VolumeSource,
     ball_volume,
+    refuse_imprecise,
     sample_measure,
     volume_surrogate,
 )
@@ -87,6 +90,14 @@ class TestIntervalExact:
                 ball_volume(spec, x, float("nan"))
             with pytest.raises(DomainError, match="radius must be positive"):
                 VolumeSource(spec).values([x], float("nan"))
+        # a one-point query takes one radius, not an array of them
+        cases = ((DomainSpec.interval(0.0, 0.5), (0.1,)), (DomainSpec.ball(2, 0.5), (0.1, 0.2)),
+                 (BALL3, (0.1, 0.2, 0.0)))
+        for (spec, x), r in product(cases, (np.array([0.1]), np.array([0.1, 0.2]))):
+            for query in (partial(ball_volume, spec), VolumeSource(spec)):
+                with pytest.raises(DomainError, match=r"radius has shape \(\d,\)") as err:
+                    query(x, r)
+                assert "\n" not in str(err.value)
 
 
 class TestMonteCarlo:
@@ -146,11 +157,12 @@ class TestVolumeSource:
         a = src((0.1, 0.1, 0.1), 0.4)
         b = src((0.1, 0.1, 0.1), 0.4)
         assert a == b
-        strict = VolumeSource(BALL3, samples=2_000, seed=3, max_rel_stderr=0.001)
+        # the source refuses nothing; the scans gate what they read
+        few = VolumeSource(BALL3, samples=2_000, seed=3)
+        values, stderrs = few.estimates([(0.1, 0.1, 0.1)], 0.2)
+        assert (values[0], stderrs[0]) == astuple(few((0.1, 0.1, 0.1), 0.2))[:2]
         with pytest.raises(PrecisionError, match="raise the sample budget"):
-            strict((0.1, 0.1, 0.1), 0.2)
-        with pytest.raises(PrecisionError):
-            strict.values([[0.1, 0.1, 0.1]], 0.2)
+            refuse_imprecise(BALL3, [(0.1, 0.1, 0.1)], [0.2], values, stderrs, 0.001)
 
     def test_flat_disc_at_center_is_exact_within_stderr(self):
         # gamma = 1/2 is Lebesgue measure and rho(0, y) = arcsin|y|, so
@@ -424,15 +436,17 @@ class TestPerRowRadii:
 
     def test_refusal_names_the_point_and_radius(self):
         spec = DomainSpec.ball(2, -0.4)
-        strict = VolumeSource(spec, max_rel_stderr=0.01)
         points = np.array([(0.0, 0.0), (0.3, -0.5), (0.0, -0.999), (0.0, -0.999)])
+        radii = np.array([pi, 0.3, 1.0, 1.4])
         with pytest.raises(PrecisionError) as err:
-            strict.estimates(points, np.array([pi, 0.3, 1.0, 1.4]))
+            refuse_imprecise(spec, points, radii, *VolumeSource(spec).estimates(points, radii),
+                             0.01)
         message = str(err.value)
         # the whole domain is exact and a cap clear of the face resolved; the
         # two caps next to the face, where the exponent is -0.8, are not
         assert "exceeds 1% of V=" in message and "at x=(0, -0.999), r=1;" in message
         assert "cap quadrature is unresolved" in message and "\n" not in message
-        mc = VolumeSource(BALL3, samples=2_000, seed=3, max_rel_stderr=0.001)
+        mc = VolumeSource(BALL3, samples=2_000, seed=3)
         with pytest.raises(PrecisionError, match=r"at x=\(0.1, 0.1, 0.1\), r=0.2; raise the"):
-            mc.estimates([(0.1, 0.1, 0.1)], [0.2])
+            refuse_imprecise(BALL3, [(0.1, 0.1, 0.1)], [0.2],
+                             *mc.estimates([(0.1, 0.1, 0.1)], [0.2]), 0.001)
