@@ -74,6 +74,6 @@ from .validation import (
     operator_symmetry_residual,
     random_coefficients,
 )
-from .volumes import VolumeEstimate, VolumeSource, ball_volume, sample_measure, volume_surrogate
+from .volumes import VolumeEstimate, VolumeSource, ball_volume, volume_surrogate
 
 __version__ = "0.1.0"

@@ -47,6 +47,8 @@ from .quadrature import build_quadrature, jacobi_recurrence
 # Degree caps per (kind, dimension).
 _CAPS = {(INTERVAL, 1): 200, (BALL, 1): 200, (SIMPLEX, 1): 200,
          (BALL, 2): 40, (SIMPLEX, 2): 40, (BALL, 3): 25, (SIMPLEX, 3): 25}
+# an imported member's largest coefficient gap to its rebuild, relative to its largest coefficient
+COEFF_TOL = 1e-8
 
 
 def eigenvalue(spec: DomainSpec, k: int) -> float:
@@ -172,13 +174,13 @@ class OrthonormalBasis:
         }
 
 
-def basis_from_json_obj(obj, coeff_tol=1e-8):
+def basis_from_json_obj(obj):
     """Import a basis exported by ``to_json_obj``.
 
     Construction is deterministic, so the basis is rebuilt from its spec and
     degree and the stored entries serve as an integrity check: per member,
     the max coefficient distance to the rebuild, relative to the larger max
-    |coefficient|, must stay below ``coeff_tol`` (PrecisionError naming the
+    |coefficient|, must stay below ``COEFF_TOL`` (PrecisionError naming the
     first bad member).  An export of another schema version, one missing a
     key, or entries that do not fit the basis raise ParameterError.
     """
@@ -205,7 +207,7 @@ def basis_from_json_obj(obj, coeff_tol=1e-8):
     scale = np.maximum(np.abs(stored).max(axis=1), np.abs(C).max(axis=1))
     stored -= C
     gap = np.abs(stored, out=stored).max(axis=1)
-    bad = np.flatnonzero(gap > coeff_tol * np.maximum(scale, 1e-300))
+    bad = np.flatnonzero(gap > COEFF_TOL * np.maximum(scale, 1e-300))
     if bad.size:
         k = int(np.searchsorted(basis.offsets, bad[0], side="right")) - 1
         raise PrecisionError(

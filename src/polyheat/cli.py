@@ -47,6 +47,8 @@ SUITES = ("ops", "basis", "kernel", "gauss", "doubling", "green", "flux",
 
 # (eigen, Gram) residual tolerances per kind: the ops and basis suites, basis verify
 GATES = {INTERVAL: (1e-9, 1e-10), BALL: (1e-8, 1e-8), SIMPLEX: (1e-8, 1e-8)}
+# random (f, h) pairs of the green suite
+GREEN_PAIRS = 20
 
 
 def _fmt(x):
@@ -280,17 +282,17 @@ def suite_doubling(cfg, ev, vol, rng):
     return vars(rep), ok
 
 
-def suite_green(cfg, ev, vol, rng, pairs=20):
+def suite_green(cfg, ev, vol, rng):
     spec = cfg.spec
     worst = 0.0
     deg = max(2, min(6, cfg.max_degree))
     quad = build_quadrature(spec, 2 * deg + 6)
     # the pairs are coefficient vectors; the checks share one Vandermonde
-    for _ in range(pairs):
+    for _ in range(GREEN_PAIRS):
         f = val.random_coefficients(spec.n, deg, rng)
         h = val.PolyField(val.random_coefficients(spec.n, max(1, deg - 2), rng), spec.n)
         worst = max(worst, val.green_identity_check(spec, f, h, quad))
-    return {"max_residual": worst, "pairs": pairs, "tolerance": 1e-8}, worst <= 1e-8
+    return {"max_residual": worst, "pairs": GREEN_PAIRS, "tolerance": 1e-8}, worst <= 1e-8
 
 
 def suite_flux(cfg, ev, vol, rng):
@@ -502,6 +504,8 @@ def _parser():
 def main(argv=None):
     args = _parser().parse_args(argv)
     try:
+        if getattr(args, "out", None) is not None and not args.out.strip():
+            raise ParameterError("--out is empty; name the file or directory to write")
         if args.command == "config":
             return cmd_config_show(args)
         if args.command == "basis":

@@ -11,7 +11,6 @@ from dataclasses import dataclass, fields, replace
 
 from .domains import BALL, INTERVAL, SIMPLEX, DomainSpec
 from .errors import ParameterError
-from .volumes import RADIAL_STRATA
 
 SCHEMA_VERSION = 6
 
@@ -22,9 +21,8 @@ def _parse_floats(text):
 
 def _mc_samples(text):
     samples = int(text)
-    if samples < RADIAL_STRATA:
-        raise ParameterError(f"[mc] samples = {samples} is below {RADIAL_STRATA}, "
-                             "the number of radial strata")
+    if samples < 1:
+        raise ParameterError(f"[mc] samples = {samples} is below 1, the least Monte Carlo sample")
     return samples
 
 

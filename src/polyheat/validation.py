@@ -240,9 +240,10 @@ def _require_field(h):
                           f"not a {type(h).__name__}")
 
 
-def random_coefficients(n, degree, rng, scale=1.0):
-    """Uniform coefficients over graded_monomials(n, degree), drawn in that order."""
-    return rng.uniform(-scale, scale, comb(n + degree, n))
+def random_coefficients(n, degree, rng):
+    """Uniform coefficients in [-1, 1] over graded_monomials(n, degree), drawn
+    in that order."""
+    return rng.uniform(-1.0, 1.0, comb(n + degree, n))
 
 
 # ---------------------------------------------------------------------------
@@ -865,21 +866,16 @@ def kernel_selfadjointness_residual(ev, t, f, h):
     ``f`` and ``h`` are coefficient vectors over graded monomials; the
     integrals run over the basis quadrature.
     """
-    basis = ev.basis
-    quad, V = basis.quad, basis.node_values
+    quad, V = ev.basis.quad, ev._nodes()
     w = quad.weights
-    n = basis.spec.n
+    n = ev.spec.n
     (df, cf), (dh, ch) = _coefficients(n, f), _coefficients(n, h)
     M = monomial_vandermonde(quad.nodes, graded_monomials(n, max(df, dh)))
     fv = M[:, :len(cf)] @ cf
     hv = M[:, :len(ch)] @ ch
     coef_f = V.T @ (w * fv)
     coef_h = V.T @ (w * hv)
-    damp = np.concatenate([
-        np.full(basis.level_slice(k).stop - basis.level_slice(k).start,
-                np.exp(-ev.lambdas[k] * t))
-        for k in range(ev.policy.hard_cap + 1)
-    ])
+    damp = ev._per_member(np.exp(-ev.lambdas * t))
     etf = V @ (damp * coef_f)
     eth = V @ (damp * coef_h)
     a = float(w @ (etf * hv))

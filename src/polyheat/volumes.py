@@ -13,9 +13,9 @@ faces.  On the sphere the weighted measure has the density y_(n+1)^(2 gamma)
   reported stderr is the difference between two rule orders.
 * Dimension 3: Monte Carlo.  One exact sample of the normalized weighted
   measure (Beta radial profile on the ball, Dirichlet on the simplex) is
-  drawn per (spec, samples, seed, strata) from a counter-based Philox
-  generator keyed by the seed, stored lifted to the sphere, and every query
-  is one mat-vec on it.  All queries of a seed share that sample, so their
+  drawn per (spec, samples, seed) from a counter-based Philox generator
+  keyed by the seed, stored lifted to the sphere, and every query is one
+  mat-vec on it.  All queries of a seed share that sample, so their
   errors are correlated; each estimate is unbiased with its own standard
   error, and V(x, 2r) >= V(x, r) holds exactly.
 """
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import acos, cos, pi, sin, sqrt, tan
+from math import acos, cos, pi, sin, tan
 
 import numpy as np
 
@@ -42,7 +42,6 @@ from .errors import DomainError, ParameterError, PrecisionError
 from .quadrature import gauss_jacobi
 
 DEFAULT_SAMPLES = 1_000_000
-RADIAL_STRATA = 8
 # the largest stderr, as a fraction of V, that the validation scans accept
 MAX_REL_STDERR = 0.05
 # cap quadrature, (low, high) orders: (trapezoid nodes in phi around a
@@ -83,21 +82,6 @@ def volume_surrogate(spec, x, r):
     for i in range(spec.n):
         out *= (x[i] + r * r) ** spec.kappa[i]
     return float(out)
-
-
-def sample_measure(spec, count, rng):
-    """Draw ``count`` points from the normalized weighted measure."""
-    if spec.kind == BALL:
-        n, g = spec.n, spec.gamma
-        dirs = rng.standard_normal((count, n))
-        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        v = rng.beta(n / 2.0, g + 0.5, size=count)
-        return np.sqrt(v)[:, None] * dirs
-    if spec.kind == SIMPLEX:
-        alpha = np.asarray(spec.kappa) + 0.5
-        pts = rng.dirichlet(alpha, size=count)
-        return pts[:, : spec.n]
-    raise DomainError("direct sampling implemented for ball and simplex")
 
 
 def _method(spec):
@@ -432,7 +416,7 @@ def _cap_volumes(spec, X, r):
 _cloud = (None, None)
 
 
-def _lifted_cloud(spec, samples, seed, strata):
+def _lifted_cloud(spec, samples, seed):
     """The lifted sample for this key, drawn only when the key changes.
 
     The old sample is released before the new one is drawn, so that two are
@@ -440,43 +424,34 @@ def _lifted_cloud(spec, samples, seed, strata):
     draws).
     """
     global _cloud
-    key = (spec, samples, seed, strata)
+    key = (spec, samples, seed)
     entry = _cloud
     if entry[0] == key:
         return entry[1]
     del entry
     _cloud = (None, None)
-    cloud = _draw_lifted(spec, samples, seed, strata)
+    cloud = _draw_lifted(spec, samples, seed)
     _cloud = (key, cloud)
     return cloud
 
 
-def _draw_lifted(spec, samples, seed, strata):
-    """The seed's sample of the normalized measure, lifted to the chart sphere.
-
-    Ball rows are (sqrt(v) dir, sqrt(1 - v)) with v the squared radius, drawn
-    stratum-major over ``strata`` equal-probability shells of its
-    Beta(n/2, gamma+1/2) law; simplex rows are the square roots of a
-    Dirichlet draw, last coordinate included.  Read-only once built.
-    """
-    # the package's only scipy use, imported here so that nothing else loads it
-    from scipy.special import betaincinv
-
+def _draw_lifted(spec, samples, seed):
+    """The seed's sample of the normalized measure, lifted to the chart sphere
+    and read-only: ball rows (sqrt(v) dir, sqrt(1 - v)), uniform directions
+    and then v ~ Beta(n/2, gamma+1/2), built coordinate-major in place;
+    simplex rows the square roots of a Dirichlet draw, all n+1 coordinates."""
     rng = np.random.Generator(np.random.Philox(key=seed & 0xFFFFFFFFFFFFFFFF))
-    n = spec.n
     if spec.kind == BALL:
-        a, b = n / 2.0, spec.gamma + 0.5
-        edges = betaincinv(a, b, np.linspace(0.0, 1.0, strata + 1))
-        per = samples // strata
-        cloud = np.empty((per * strata, n + 1))
-        for s in range(strata):
-            rows = cloud[s * per:(s + 1) * per]
-            dirs = rng.standard_normal((per, n))
-            dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-            v = betaincinv(a, b, rng.uniform(s / strata, (s + 1) / strata, size=per))
-            v = np.clip(v, edges[s], edges[s + 1])
-            np.multiply(np.sqrt(v)[:, None], dirs, out=rows[:, :n])
-            np.sqrt(1 - v, out=rows[:, n])
+        # the last row holds the directions' squared norms until it is filled
+        lifted = np.empty((spec.n + 1, samples))
+        dirs, last = lifted[:-1], lifted[-1]
+        rng.standard_normal(out=dirs)
+        v = rng.beta(spec.n / 2.0, spec.gamma + 0.5, size=samples)
+        np.einsum("ij,ij->j", dirs, dirs, out=last)
+        np.sqrt(np.divide(v, last, out=last), out=last)
+        dirs *= last
+        np.sqrt(np.subtract(1.0, v, out=v), out=last)
+        cloud = lifted.T
     else:
         cloud = rng.dirichlet(np.asarray(spec.kappa) + 0.5, size=samples)
         np.sqrt(cloud, out=cloud)
@@ -484,25 +459,21 @@ def _draw_lifted(spec, samples, seed, strata):
     return cloud
 
 
-def _monte_carlo(spec, X, r, samples, seed, strata):
+def _monte_carlo(spec, X, r, samples, seed):
     """(V, stderr, sample size) of the rows X (m, n) and their radii r (m,):
-    the fraction of the seed's lifted sample with lift(x) . y > cos r, one
-    matrix-vector product a row."""
-    strata = strata if spec.kind == BALL else 1
-    if samples < strata:
-        raise ParameterError(f"Monte Carlo needs at least {strata} samples, got {samples}")
-    cloud = _lifted_cloud(spec, samples, seed, strata)
-    per = len(cloud) // strata
+    mass times the fraction p of the seed's lifted sample with
+    lift(x) . y > cos r, one matrix-vector product a row, with stderr
+    mass sqrt(p (1 - p) / samples)."""
+    if samples < 1:
+        raise ParameterError(f"Monte Carlo needs at least 1 sample, got {samples}")
+    cloud = _lifted_cloud(spec, samples, seed)
+    p = np.array([np.mean(cloud @ (y / np.linalg.norm(y)) > cos(s))
+                  for y, s in zip(lift_rows(spec, X), r.tolist())])
     mass = total_mass(spec)
-    values, stderrs = np.empty(len(X)), np.empty(len(X))
-    for i, (y, s) in enumerate(zip(lift_rows(spec, X), r.tolist())):
-        p_hats = (cloud @ (y / np.linalg.norm(y)) > cos(s)).reshape(strata, -1).mean(axis=1)
-        var = np.sum(p_hats * (1 - p_hats) / per) / strata ** 2
-        values[i], stderrs[i] = mass * p_hats.mean(), mass * sqrt(max(var, 0.0))
-    return values, stderrs, len(cloud)
+    return mass * p, mass * np.sqrt(p * (1 - p) / samples), samples
 
 
-def _volumes(spec, X, r, samples, seed, strata=RADIAL_STRATA):
+def _volumes(spec, X, r, samples, seed):
     """(V, stderr, sample size) of the checked rows X (m, n) and their radii
     r (m,), one a row: the total mass with stderr 0 where r reaches the
     diameter, elsewhere one pass of the arc rules (interval, stderr 0), of
@@ -516,35 +487,38 @@ def _volumes(spec, X, r, samples, seed, strata=RADIAL_STRATA):
         values[inside], stderrs[inside] = _cap_volumes(spec, X[inside], r[inside])
     elif len(inside):
         values[inside], stderrs[inside], used = _monte_carlo(spec, X[inside], r[inside],
-                                                             samples, seed, strata)
+                                                             samples, seed)
     return values, stderrs, used
 
 
-def ball_volume(spec, x, r, samples=DEFAULT_SAMPLES, seed=0, strata=RADIAL_STRATA):
+def ball_volume(spec, x, r, samples=DEFAULT_SAMPLES, seed=0):
     """Weighted volume of the metric ball of radius r around x, one row of
-    ``_volumes``.  ``samples``, ``seed`` and ``strata`` serve dimension 3
-    only: the seed's sample, on the ball stratified over ``strata``
-    equal-probability shells of the Beta(n/2, gamma+1/2) profile of r^2."""
+    ``_volumes``.  ``samples`` and ``seed`` serve dimension 3 only: the
+    seed's sample of that size."""
     X = _require_inside(spec, x)[None, :]
     if np.ndim(r):
         raise DomainError(f"radius has shape {np.shape(r)}, expected one radius")
-    values, stderrs, used = _volumes(spec, X, _radii(r, 1), samples, seed, strata)
+    values, stderrs, used = _volumes(spec, X, _radii(r, 1), samples, seed)
     return VolumeEstimate(float(values[0]), float(stderrs[0]), _method(spec), used)
 
 
 def refuse_imprecise(spec, points, radii, values, stderrs, gate):
     """Raise PrecisionError at the first estimate whose stderr exceeds
-    ``gate`` times its value, naming its point and radius.  ``points`` are
-    the (m, n) rows of the estimates and ``radii`` their (m,) radii."""
+    ``gate`` times its value or, failing that, at the first that is not
+    positive (every metric ball of positive radius has positive mass),
+    naming its point and radius.  ``points`` are the (m, n) rows of the
+    estimates and ``radii`` their (m,) radii."""
     values, stderrs = np.asarray(values), np.asarray(stderrs)
-    bad = np.flatnonzero((values > 0) & (stderrs > gate * values))
+    bad = np.concatenate([np.flatnonzero(stderrs > gate * values),
+                          np.flatnonzero(~(values > 0))])
     if len(bad):
         i = bad[0]
         x = ", ".join(f"{c:.6g}" for c in np.ravel(np.asarray(points, float)[i]).tolist())
         hint = ("raise the sample budget" if _method(spec) == "montecarlo"
                 else "the cap quadrature is unresolved")
-        raise PrecisionError(f"volume stderr {stderrs[i]:.3g} exceeds {gate:.0%} of "
-                             f"V={values[i]:.3g} at x=({x}), r={radii[i]:.6g}; {hint}")
+        what = (f"volume stderr {stderrs[i]:.3g} exceeds {gate:.0%} of V={values[i]:.3g}"
+                if values[i] > 0 else f"volume V={values[i]:.3g} is not positive")
+        raise PrecisionError(f"{what} at x=({x}), r={radii[i]:.6g}; {hint}")
 
 
 def _radii(r, m):
@@ -583,8 +557,3 @@ class VolumeSource:
         """
         X, _ = _rows(self.spec, points)
         return _volumes(self.spec, X, _radii(r, len(X)), self.samples, self.seed)[:2]
-
-    def values(self, points, r):
-        """V(x, r).value for each row of an (m, n) array of points, r one
-        radius or one a row, as in ``estimates``."""
-        return self.estimates(points, r)[0]

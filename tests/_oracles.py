@@ -4,7 +4,10 @@ Everything here is computed through a different route than the library code
 it checks: sympy symbolic calculus for the operators, closed-form Gamma
 integrals for monomial moments, the classical cosine series for the
 equilibrium-weight heat kernel, LAPACK determinants, plain Monte Carlo for
-the metric-ball volumes and mpmath's incomplete Beta for the interval ones, the kernel tails as a level-by-level maximum over
+the metric-ball volumes and scalar distances to the points of
+``sample_measure`` (a sampler of the weighted measure written here) as a
+second estimate, mpmath's incomplete Beta for the interval volumes, the
+kernel tails as a level-by-level maximum over
 the whole grid and the mass and semigroup checks through kernel rows to
 every quadrature node, the interval basis from hand-written value and
 coefficient recurrences, the coefficient rows by the level recurrence over
@@ -86,9 +89,9 @@ def poly_of(n, coef):
     return MultiPoly(n, dict(zip(graded_monomials(n, degree), coef)))
 
 
-def random_poly(n, degree, rng, scale=1.0):
+def random_poly(n, degree, rng):
     """The MultiPoly of ``random_coefficients``, from the same draws."""
-    return poly_of(n, random_coefficients(n, degree, rng, scale))
+    return poly_of(n, random_coefficients(n, degree, rng))
 
 
 def apply_operator(spec, p):
@@ -306,6 +309,23 @@ def interval_volume_mp(alpha, beta, x, r, dps=50):
                     1 if theta <= r else mp.cos((theta - r) / 2) ** 2]
             p, q = b + 1, a + 1
         return float(2 ** (a + b + 1) * mp.betainc(p, q, *ends))
+
+
+def sample_measure(spec, count, rng):
+    """Draw ``count`` points of ball(n) or simplex(n) from the normalized
+    weighted measure: a uniform direction times the square root of a
+    Beta(n/2, gamma + 1/2) squared radius, or the first n coordinates of a
+    Dirichlet(kappa + 1/2) draw."""
+    if spec.kind == BALL:
+        n, g = spec.n, spec.gamma
+        dirs = rng.standard_normal((count, n))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        v = rng.beta(n / 2.0, g + 0.5, size=count)
+        return np.sqrt(v)[:, None] * dirs
+    if spec.kind == SIMPLEX:
+        pts = rng.dirichlet(np.asarray(spec.kappa) + 0.5, size=count)
+        return pts[:, : spec.n]
+    raise DomainError("direct sampling implemented for ball and simplex")
 
 
 def monte_carlo_volumes(spec, points, radii, samples=1_000_000, seed=0):
@@ -665,7 +685,7 @@ def reference_gauss_ratio_scan(ev, vol, points, times):
     grid = ev.point_set(pts)
     for t in times:
         vals, tails = ev.heat_kernel_grid(t, grid, grid)
-        vols = vol.values(pts, sqrt(t))
+        vols = vol.estimates(pts, sqrt(t))[0]
         for i in range(len(pts)):
             for j in range(i, len(pts)):
                 rho = float(rhos[i, j])
@@ -712,7 +732,7 @@ def reference_localization_check(ev, delta, m, vol):
     rows_x, rows_y = [], []
     excluded = used = 0
     cm = 0.0
-    va = vol.values(anchors, delta)
+    va = vol.estimates(anchors, delta)[0]
     for i, (dists, targets) in enumerate(rays):
         cols = slice(used, used + len(targets))
         used += len(targets)
@@ -722,7 +742,7 @@ def reference_localization_check(ev, delta, m, vol):
         if not keep.any():
             continue
         xi = dists[keep] / delta
-        base = k[keep] * np.sqrt(va[i] * vol.values(targets[keep], delta))
+        base = k[keep] * np.sqrt(va[i] * vol.estimates(targets[keep], delta)[0])
         cm = max(cm, float(np.max(base * (1.0 + xi) ** m)))
         fit = (lo <= xi) & (xi <= hi) & (base > 0)
         rows_x.extend((1.0 + xi[fit]).tolist())

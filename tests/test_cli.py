@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import fields
@@ -97,7 +98,7 @@ class TestConfig:
         ("[domain]\nkind = simplex\nkappa = 0.5, x, 0.5\n", "[domain] kappa"),
         ("[basis]\nmax_degre = 12\n", "[basis] max_degre"),
         ("[basis]\nmax_degree = 12\n[montecarlo]\nsamples = 10\n", "[montecarlo]"),
-        ("[domain]\nkind = ball\nn = 2\n[mc]\nsamples = 4\n", "[mc] samples = 4"),
+        ("[domain]\nkind = ball\nn = 2\n[mc]\nsamples = 0\n", "[mc] samples = 0 is below 1"),
         ("[run]\nthreads = 1\n", "[run] threads"),
         ("[basis]\nprecision = double\n", "[basis] precision"),
         ("[kernel]\nepsilon = 1e-10\n", "[kernel] epsilon"),
@@ -139,17 +140,18 @@ class TestGeom:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert out == ""
 
-    def test_volume_below_strata_is_one_line_error(self, tmp_path, capsys):
+    def test_volume_without_samples_is_one_line_error(self, tmp_path, capsys):
         # Monte Carlo volumes are those of dimension 3
-        cfgfile = write_config(tmp_path, "[domain]\nkind = ball\nn = 3\ngamma = 0.5\n"
-                                         "[mc]\nsamples = 20000\n")
-        # --samples 0 is a sample count too, not a fall back to [mc] samples
-        for samples in ("4", "0"):
-            assert main(["--config", cfgfile, "geom", "volume", "--x", "0,0,0", "--r", "0.3",
-                         "--samples", samples]) == 2
-            out, err = capsys.readouterr()
-            assert err == f"error: Monte Carlo needs at least 8 samples, got {samples}\n"
-            assert out == ""
+        for kind in ("ball\nn = 3\ngamma = 0.5", "simplex\nn = 3"):
+            cfgfile = write_config(tmp_path,
+                                   f"[domain]\nkind = {kind}\n[mc]\nsamples = 20000\n")
+            # --samples 0 is a sample count too, not a fall back to [mc] samples
+            for samples in ("0", "-3"):
+                assert main(["--config", cfgfile, "geom", "volume", "--x", "0.1,0.1,0.1",
+                             "--r", "0.3", "--samples", samples]) == 2
+                out, err = capsys.readouterr()
+                assert err == f"error: Monte Carlo needs at least 1 sample, got {samples}\n"
+                assert out == ""
 
     def test_volume_deterministic(self, tmp_path, capsys):
         cfgfile = write_config(tmp_path, "[domain]\nkind = ball\nn = 2\ngamma = 0.5\n[run]\nseed = 3\n")
@@ -285,6 +287,25 @@ class TestKernelCsvBytes:
             "1", ("0.43544890344", "0.201171012212"), "4.6866112328e-272", ["0", "1"])
 
 
+@pytest.mark.parametrize("command", [
+    ["basis", "build", "--max-degree", "4"],
+    ["kernel", "eval", "--t", "0.5", "--grid", "2"],
+    ["kernel", "multiplier", "--family", "heat_exp", "--delta", "0.3", "--grid", "2"],
+    ["kernel", "export", "--t-list", "0.5", "--resolution", "2"],
+    ["validate", "ops"],
+], ids=["basis-build", "kernel-eval", "kernel-multiplier", "kernel-export", "validate"])
+def test_empty_out_is_one_line_error(tmp_path, capsys, monkeypatch, command):
+    # an empty --out names no file: it falls back neither to the default
+    # file nor to [run] output, and nothing is written
+    monkeypatch.chdir(tmp_path)
+    cfgfile = write_config(tmp_path, INTERVAL_INI.format(out=tmp_path / "reports"))
+    for out in ("", "  "):
+        assert main(["--config", cfgfile] + command + ["--out", out]) == 2
+        assert capsys.readouterr() == (
+            "", "error: --out is empty; name the file or directory to write\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["run.ini"]
+
+
 class TestValidate:
     def test_ops_suite_report(self, tmp_path, capsys):
         cfgfile = write_config(tmp_path, INTERVAL_INI.format(out=tmp_path))
@@ -329,6 +350,22 @@ class TestValidate:
         entry = json.loads((tmp_path / f"validate_{suite}.json").read_text())["suites"][suite]
         assert entry["pass"] is False
         assert "exceeds 5% of V" in entry["results"]["error"]
+
+    def test_zero_monte_carlo_volume_fails_doubling_in_one_line(self, tmp_path, capsys):
+        # 20000 samples miss a ball of radius 0.001 (V about 4e-9), which
+        # reads V = 0 with stderr 0; the doubling ratio would divide by it
+        cfgfile = write_config(tmp_path, (
+            "[domain]\nkind = ball\nn = 3\ngamma = 0.5\n[basis]\nmax_degree = 6\n"
+            "[grids]\npoints = 1\nradii = 0.001\n[mc]\nsamples = 20000\n"
+            f"[run]\noutput = {tmp_path}\n"))
+        assert main(["--config", cfgfile, "validate", "doubling"]) == 1
+        out, err = capsys.readouterr()
+        assert out.startswith("doubling         FAIL\n") and err == ""
+        entry = json.loads((tmp_path / "validate_doubling.json").read_text())["suites"]["doubling"]
+        error = entry["results"]["error"]
+        assert entry["pass"] is False and "\n" not in error
+        assert error.startswith("volume V=0 is not positive at x=(")
+        assert error.endswith(", r=0.001; raise the sample budget")
 
     def test_suite_domain_error_fails_that_suite_only(self, tmp_path, capsys):
         # one grid point leaves the Gaussian scan without an admissible pair
@@ -437,7 +474,11 @@ ball_volume(DomainSpec.ball(2, 0.5), np.array([0.1, 0.1]), 0.3, samples=1000, se
 ball_volume(spec, np.array([0.1, 0.1]), 0.3)
 volume2d = scipy_modules()
 ball_volume(DomainSpec.interval(0.5, -0.5), np.array([0.1]), 0.3)
-print(json.dumps({"kernel": kernel, "volume2d": volume2d, "volume": scipy_modules()}))
+volume = scipy_modules()
+ball_volume(DomainSpec.ball(3, 0.5), np.array([0.1, 0.1, 0.1]), 0.3, samples=1000, seed=1)
+ball_volume(DomainSpec.simplex(3, (0.5,) * 4), np.array([0.1, 0.1, 0.1]), 0.3, samples=1000)
+print(json.dumps({"kernel": kernel, "volume2d": volume2d, "volume": volume,
+                  "volume3d": scipy_modules()}))
 """
 
 
@@ -446,9 +487,20 @@ def test_kernel_path_imports_no_scipy():
     run = fresh_python("-c", FOOTPRINT_SCRIPT)
     assert run.returncode == 0, run.stderr
     loaded = json.loads(run.stdout)
-    # neither the cap quadrature of 2-D volumes nor the Gauss-Jacobi arc
-    # integrals of interval volumes need scipy
-    assert loaded == {"kernel": [], "volume2d": [], "volume": []}
+    # neither the cap quadrature of 2-D volumes, the Gauss-Jacobi arc
+    # integrals of interval volumes nor the 3-D Monte Carlo sampler needs scipy
+    assert loaded == {"kernel": [], "volume2d": [], "volume": [], "volume3d": []}
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    project = tomllib.loads(pyproject.read_text())["project"]
+    names = {key: [re.split(r"[<>=!~ ]", d)[0] for d in deps] for key, deps in
+             [("runtime", project["dependencies"])] + list(project["optional-dependencies"].items())}
+    assert names["runtime"] == ["numpy"]
+    # the test oracles import scipy
+    assert "scipy" in names["test"]
 
 
 VALIDATE_2D_SCRIPT = """
@@ -489,14 +541,20 @@ def test_validate_2d_loads_no_scipy_and_ignores_monte_carlo_samples(tmp_path):
         assert a["suites"]["doubling"]["pass"] is True
 
 
-VALIDATE_INTERVAL_SCRIPT = """
+VALIDATE_SCRIPT = """
 import io, json, sys
 from contextlib import redirect_stdout
+from pathlib import Path
 from polyheat.cli import main
 
-with redirect_stdout(io.StringIO()):
-    code = main(["--config", sys.argv[1], "validate", "all", "--out", sys.argv[2]])
-print(json.dumps({"code": code, "scipy": sorted(m for m in sys.modules if m.startswith("scipy"))}))
+# validate all on each config file, into the directory of its stem
+codes = []
+for cfg in sys.argv[1:]:
+    with redirect_stdout(io.StringIO()):
+        codes.append(main(["--config", cfg, "validate", "all",
+                           "--out", str(Path(cfg).with_suffix(""))]))
+print(json.dumps({"codes": codes,
+                  "scipy": sorted(m for m in sys.modules if m.startswith("scipy"))}))
 """
 
 
@@ -505,9 +563,27 @@ def test_validate_interval_loads_no_scipy(tmp_path):
     # doubling and localize scans take interval volumes
     cfg = write_config(tmp_path, "[domain]\nkind = interval\nalpha = -0.9\nbeta = 1.5\n"
                                  "[basis]\nmax_degree = 60\n")
-    run = fresh_python("-c", VALIDATE_INTERVAL_SCRIPT, cfg, str(tmp_path / "out"))
+    run = fresh_python("-c", VALIDATE_SCRIPT, cfg)
     assert run.returncode == 0, run.stderr
     result = json.loads(run.stdout.splitlines()[-1])
-    assert result["scipy"] == [] and result["code"] in (0, 1)
-    suites = json.loads((tmp_path / "out" / "validate_all.json").read_text())["suites"]
+    assert result["scipy"] == [] and result["codes"][0] in (0, 1)
+    suites = json.loads((tmp_path / "run" / "validate_all.json").read_text())["suites"]
     assert all(suites[name]["pass"] for name in ("gauss", "doubling", "localize"))
+
+
+def test_validate_3d_loads_no_scipy(tmp_path):
+    # a fresh interpreter, as `polyheat validate all` runs; the doubling
+    # scan takes Monte Carlo volumes on both domains
+    common = ("[basis]\nmax_degree = 8\n[grids]\npoints = 6\ndeltas = 0.3\n"
+              "[mc]\nsamples = 20000\n")
+    cfgs = [tmp_path / "ball.ini", tmp_path / "simplex.ini"]
+    cfgs[0].write_text("[domain]\nkind = ball\nn = 3\ngamma = 0.5\n" + common)
+    cfgs[1].write_text("[domain]\nkind = simplex\nn = 3\n" + common)
+    run = fresh_python("-c", VALIDATE_SCRIPT, *map(str, cfgs))
+    assert run.returncode == 0, run.stderr
+    result = json.loads(run.stdout.splitlines()[-1])
+    assert result["scipy"] == [] and set(result["codes"]) <= {0, 1}
+    for name in ("ball", "simplex"):
+        report = json.loads((tmp_path / name / "validate_all.json").read_text())
+        doubling = report["suites"]["doubling"]
+        assert doubling["pass"] or "raise the sample budget" in doubling["results"]["error"]

@@ -211,6 +211,18 @@ class TestSelfAdjointness:
             h = random_coefficients(2, 10, rng)
             assert kernel_selfadjointness_residual(ball_ev, 0.5, f, h) <= 1e-8
 
+    @pytest.mark.parametrize("spec, degree, cap", [
+        (DomainSpec.ball(2, 0.5), 12, 8), (DomainSpec.interval(1.5, -0.5), 80, 50)])
+    def test_capped_evaluator(self, spec, degree, cap):
+        # the damping covers the members up to the cap, not the whole basis
+        from polyheat.validation import kernel_selfadjointness_residual, random_coefficients
+
+        ev = HeatKernelEvaluator(build_basis(spec, degree),
+                                 TruncationPolicy(1e-10, default_t_min(spec, cap), cap))
+        rng = np.random.default_rng(33)
+        f, h = random_coefficients(spec.n, 10, rng), random_coefficients(spec.n, 10, rng)
+        assert kernel_selfadjointness_residual(ev, 0.5, f, h) <= 1e-12
+
 
 def _points(spec, count, rng):
     """Interior points of a 2-D ball or simplex."""

@@ -424,7 +424,7 @@ class TestGaussDoubling:
             assert X[:len(anchors)].tolist() == anchors.tolist()
             assert len(X) > len(anchors) and R.tolist() == [delta] * len(X)
             assert rep == localization_check(ev, delta, spec.n + 2, VolumeSource(spec))
-            V = VolumeSource(spec).values(X, delta)
+            V = VolumeSource(spec).estimates(X, delta)[0]
             assert V.tolist() == [VolumeSource(spec)(x, delta).value for x in X]
 
     @pytest.mark.parametrize("scan", ["doubling", "gauss", "localize"])

@@ -12,15 +12,10 @@ from polyheat.cli import main
 from polyheat.domains import DomainSpec, chart_lift, distance_many, total_mass
 from polyheat.errors import DomainError, ParameterError, PrecisionError
 from polyheat.validation import interior_points
-from polyheat.volumes import (
-    VolumeSource,
-    ball_volume,
-    refuse_imprecise,
-    sample_measure,
-    volume_surrogate,
-)
+from polyheat.volumes import VolumeSource, ball_volume, refuse_imprecise, volume_surrogate
 
-from _oracles import arc_volume_chebyshev, interval_volume_mp, monte_carlo_volumes
+from _oracles import (arc_volume_chebyshev, interval_volume_mp, monte_carlo_volumes,
+                      sample_measure)
 
 BALL3 = DomainSpec.ball(3, 0.5)
 SIMPLEX3 = DomainSpec.simplex(3, (0.5, 0.5, 0.5, 0.5))
@@ -65,7 +60,7 @@ class TestIntervalExact:
         spec = DomainSpec.interval(alpha, beta)
         xs = np.array([-1.0, -0.999999, -0.999, -0.6, -0.1, 0.3, 0.8, 0.999, 0.999999, 1.0])
         for r in (1e-4, 1e-3, 1e-2, 0.1, 0.5, 1.0, 2.0, 3.0):
-            got = VolumeSource(spec).values(xs[:, None], r)
+            got = VolumeSource(spec).estimates(xs[:, None], r)[0]
             want = np.array([interval_volume_mp(alpha, beta, x, r) for x in xs])
             assert np.all(np.abs(got - want) <= 1e-11 * want), (r, got, want)
 
@@ -89,7 +84,7 @@ class TestIntervalExact:
             with pytest.raises(DomainError, match="radius must be positive"):
                 ball_volume(spec, x, float("nan"))
             with pytest.raises(DomainError, match="radius must be positive"):
-                VolumeSource(spec).values([x], float("nan"))
+                VolumeSource(spec).estimates([x], float("nan"))
         # a one-point query takes one radius, not an array of them
         cases = ((DomainSpec.interval(0.0, 0.5), (0.1,)), (DomainSpec.ball(2, 0.5), (0.1, 0.2)),
                  (BALL3, (0.1, 0.2, 0.0)))
@@ -101,12 +96,14 @@ class TestIntervalExact:
 
 
 class TestMonteCarlo:
-    def test_flat_limit_disc(self):
-        # gamma = 1/2 is Lebesgue measure; near the center rho is Euclidean
-        spec = DomainSpec.ball(2, 0.5)
-        est = ball_volume(spec, (0.0, 0.0), 0.1, samples=400_000, seed=5)
-        assert est.value == pytest.approx(pi * 0.01, rel=0.05)
-        assert est.stderr < 0.05 * est.value
+    def test_flat_limit_ball(self):
+        # gamma = 1/2 is Lebesgue measure and rho(0, y) = arcsin|y|, so
+        # V(0, r) = (4/3) pi sin^3 r
+        for r in (0.1, 0.4, 1.0):
+            est = ball_volume(BALL3, (0.0, 0.0, 0.0), r, samples=400_000, seed=5)
+            assert est.method == "montecarlo" and est.samples == 400_000
+            assert 0 < est.stderr < 0.05 * est.value
+            assert abs(est.value - 4 / 3 * pi * sin(r) ** 3) <= 4 * est.stderr
 
     def test_deterministic_given_seed(self):
         spec = SIMPLEX3
@@ -118,19 +115,32 @@ class TestMonteCarlo:
         c = ball_volume(spec, x, 0.4, samples=50_000, seed=43)
         assert c.value != a.value
 
-    def test_fewer_samples_than_strata_refused(self):
-        with pytest.raises(ParameterError, match="at least 8 samples, got 4") as info:
-            ball_volume(BALL3, (0, 0, 0), 0.3, samples=4)
-        assert "\n" not in str(info.value)
-        with pytest.raises(ParameterError, match="at least 1 samples, got 0"):
-            ball_volume(SIMPLEX3, (0.2, 0.2, 0.2), 0.3, samples=0)
+    def test_no_samples_refused(self):
+        for spec, x in ((BALL3, (0, 0, 0)), (SIMPLEX3, (0.2, 0.2, 0.2))):
+            with pytest.raises(ParameterError, match="at least 1 sample, got 0") as info:
+                ball_volume(spec, x, 0.3, samples=0)
+            assert "\n" not in str(info.value)
+        # one sample is a sample: V is 0 or the total mass
+        est = ball_volume(BALL3, (0, 0, 0), 0.3, samples=1, seed=2)
+        assert est.samples == 1 and est.value in (0.0, total_mass(BALL3)) and est.stderr == 0.0
 
-    def test_stratified_agrees_with_plain(self):
-        spec = DomainSpec.ball(3, 0.25)
-        x = np.array([0.2, 0.1, -0.3])
-        a = ball_volume(spec, x, 0.5, samples=200_000, seed=1, strata=8)
-        b = ball_volume(spec, x, 0.5, samples=200_000, seed=2, strata=1)
-        assert a.value == pytest.approx(b.value, abs=4 * (a.stderr + b.stderr))
+    @pytest.mark.parametrize("gamma", [-0.4, 0.5, 1.5])
+    def test_lifted_ball_sample_law(self, gamma):
+        # rows lie on the unit sphere, and v = 1 - y_4^2, the squared radius,
+        # is Beta(3/2, gamma + 1/2) with mean 3 / (4 + 2 gamma)
+        spec, N = DomainSpec.ball(3, gamma), 200_000
+        cloud = volumes._draw_lifted(spec, N, 3)
+        assert cloud.shape == (N, 4) and not cloud.flags.writeable
+        assert np.allclose(np.einsum("ij,ij->i", cloud, cloud), 1.0, rtol=0, atol=1e-14)
+        assert np.all(cloud[:, 3] >= 0)
+        v = 1 - cloud[:, 3] ** 2
+        mean = 3 / (4 + 2 * gamma)
+        assert abs(v.mean() - mean) <= 4 * np.sqrt(mean * (1 - mean) / N)
+        # the directions are uniform: each coordinate of y / |y| has mean 0
+        # and second moment 1/3
+        dirs = cloud[:, :3] / np.sqrt(v)[:, None]
+        assert np.all(np.abs(dirs.mean(axis=0)) <= 4 / np.sqrt(3 * N))
+        assert np.allclose((dirs ** 2).mean(axis=0), 1 / 3, atol=4e-3)
 
     def test_sampler_moments(self):
         # Dirichlet marginal mean of coordinate i is (kappa_i + 1/2)/(|kappa| + (n+1)/2)
@@ -222,22 +232,22 @@ class TestVolumeSource:
         xs = np.concatenate([[-1.0, 1.0, 0.0], np.cos(np.linspace(0.01, pi - 0.01, 36))])
         for r in (1e-3, 0.1, 0.7, 2.0, pi):
             src = VolumeSource(spec)
-            got = src.values(xs[:, None], r)
+            got = src.estimates(xs[:, None], r)[0]
             want = np.array([ball_volume(spec, (x,), r).value for x in xs])
             assert np.all(np.abs(got - want) <= 1e-14 * want)
         if (alpha, beta) == (-0.5, -0.5):
             arcs = [arc_volume_chebyshev(x, 0.7) for x in xs]
-            assert np.allclose(VolumeSource(spec).values(xs[:, None], 0.7), arcs,
+            assert np.allclose(VolumeSource(spec).estimates(xs[:, None], 0.7)[0], arcs,
                                rtol=1e-13, atol=0.0)
 
     def test_interval_many_points_refuse_like_scalar(self):
         src = VolumeSource(DomainSpec.interval(0.0, 0.0))
         with pytest.raises(DomainError):
-            src.values([[0.2], [1.5]], 0.3)
+            src.estimates([[0.2], [1.5]], 0.3)
         with pytest.raises(DomainError):
-            src.values([[np.nan]], 0.3)
+            src.estimates([[np.nan]], 0.3)
         with pytest.raises(DomainError):
-            src.values([[0.2]], 0.0)
+            src.estimates([[0.2]], 0.0)
 
     @pytest.mark.parametrize("spec, points", [
         (DomainSpec.ball(2, 0.5), np.full((2, 3), 0.1)),
@@ -247,13 +257,13 @@ class TestVolumeSource:
     def test_rows_of_another_width_or_nan_refuse(self, spec, points):
         src = VolumeSource(spec, samples=1_000, seed=1)
         with pytest.raises(DomainError) as err:
-            src.values(points, 0.3)
+            src.estimates(points, 0.3)
         assert "\n" not in str(err.value)
 
     def test_monte_carlo_many_points_are_single_queries(self):
         spec = SIMPLEX3
         xs = np.array([(0.1, 0.2, 0.1), (0.3, 0.3, 0.2), (0.6, 0.1, 0.1)])
-        got = VolumeSource(spec, samples=50_000, seed=8).values(xs, 0.3)
+        got = VolumeSource(spec, samples=50_000, seed=8).estimates(xs, 0.3)[0]
         single = VolumeSource(spec, samples=50_000, seed=8)
         assert got.tolist() == [single(x, 0.3).value for x in xs]
 
@@ -306,7 +316,7 @@ class TestCapQuadrature:
         monkeypatch.setattr(volumes, "CAP_ORDERS", ((64, 24, 15, 32), (96, 32, 15, 64)))
         monkeypatch.setattr(volumes, "CAP_PHI_MAX", 128)
         for (values, stderrs), r in zip(got, ORACLE_RADII):
-            fine = src.values(points, r)
+            fine = src.estimates(points, r)[0]
             assert np.all(np.abs(values - fine) <= stderrs + 1e-13 * fine), (r, values, fine)
 
     @pytest.mark.parametrize("spec, points", ORACLE_CASES + [
@@ -315,14 +325,14 @@ class TestCapQuadrature:
     def test_rows_equal_one_point_queries_bit_for_bit(self, spec, points, monkeypatch):
         src = VolumeSource(spec)
         for r in ORACLE_RADII:
-            rows = src.values(points, r)
+            rows = src.estimates(points, r)[0]
             assert rows.tolist() == [src(x, r).value for x in points]
-            assert src.values(points[::-1], r).tolist() == rows[::-1].tolist()
+            assert src.estimates(points[::-1], r)[0].tolist() == rows[::-1].tolist()
             est = src(points[1], r)
             assert est.method == "cap_quadrature" and est.samples == 0
         # array passes of a few phi nodes each split panels between passes
         monkeypatch.setattr(volumes, "CAP_CHUNK", 100)
-        assert src.values(points, ORACLE_RADII[-1]).tolist() == rows.tolist()
+        assert src.estimates(points, ORACLE_RADII[-1])[0].tolist() == rows.tolist()
 
     def test_total_mass_once_r_reaches_the_farthest_point(self):
         # from y = lift(x) the farthest point of the hemisphere lies
@@ -450,3 +460,21 @@ class TestPerRowRadii:
         with pytest.raises(PrecisionError, match=r"at x=\(0.1, 0.1, 0.1\), r=0.2; raise the"):
             refuse_imprecise(BALL3, [(0.1, 0.1, 0.1)], [0.2],
                              *mc.estimates([(0.1, 0.1, 0.1)], [0.2]), 0.001)
+
+    def test_volume_that_is_not_positive_is_refused(self):
+        # a Monte Carlo ball that no sample hits reads V = 0 with stderr 0,
+        # within any stderr gate; every ball of positive radius has mass
+        points, radii = [(0.1, 0.1, 0.1), (0.2, 0.0, 0.1)], [0.7, 1e-3]
+        values, stderrs = VolumeSource(BALL3, samples=20_000, seed=3).estimates(points, radii)
+        assert values[0] > 0 and (values[1], stderrs[1]) == (0.0, 0.0)
+        with pytest.raises(PrecisionError) as err:
+            refuse_imprecise(BALL3, points, radii, values, stderrs, 0.05)
+        assert str(err.value) == ("volume V=0 is not positive at x=(0.2, 0, 0.1), r=0.001; "
+                                  "raise the sample budget")
+        with pytest.raises(PrecisionError, match=r"V=nan is not positive at x=\(0.2, 0\), r=0.3"):
+            refuse_imprecise(DomainSpec.ball(2, 0.5), [(0.1, 0.1), (0.2, 0.0)], [0.3, 0.3],
+                             [1.0, np.nan], [0.0, 0.0], 0.05)
+        # a stderr over the gate is named before a volume that is not positive
+        with pytest.raises(PrecisionError, match=r"exceeds 5% of V=1 at x=\(0.2, 0\)"):
+            refuse_imprecise(DomainSpec.ball(2, 0.5), [(0.1, 0.1), (0.2, 0.0)], [0.3, 0.3],
+                             [0.0, 1.0], [0.0, 0.1], 0.05)
