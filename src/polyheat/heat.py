@@ -7,7 +7,11 @@ up to the cap in one matrix product.  Its tail is the certified bound on
 the levels past the cap: geometric for the heat kernel and heat_exp, the
 Fourier envelope for sinc_power, zero for the compactly supported
 smooth_bump.  Both bounds use |K_k(x, y)| <= sqrt(C_k(x) C_k(y)) with C_k
-the level diagonal.  Evaluations either return an honest (value,
+the level diagonal, majorized over the last six levels by the rank-one
+e(x) e(y), e(x) = max_k sqrt(C_k(x)): each tail grid is the outer product
+of s e(x) and s e(y), s = sqrt(tail factor), one pass over the grid and
+exactly symmetric on a square one.  A tail bounds the truncation only, not
+the rounding of the sum.  Evaluations either return an honest (value,
 tail_bound) pair or refuse when the requested time is under-resolved for
 the basis cap.
 
@@ -29,7 +33,7 @@ from math import log, sqrt
 import numpy as np
 
 from .basis import OrthonormalBasis, eigenvalue
-from .domains import INTERVAL
+from .domains import INTERVAL, _rows
 from .errors import CapacityError, DomainError, ParameterError, PrecisionError
 
 DEFAULT_EPSILON = 1e-10
@@ -37,8 +41,6 @@ DEFAULT_EPSILON = 1e-10
 # below this threshold; otherwise the evaluation refuses.
 MAX_DECAY_RATIO = 0.9
 _RATIO_WINDOW = 5
-# Side of the square blocks in which the tail envelope fills a grid.
-_BLOCK = 128
 
 
 def default_t_min(spec, cap=None):
@@ -161,7 +163,8 @@ class HeatKernelEvaluator:
 
     def _operand(self, points):
         """A ``PointSet`` of this evaluator, or a raw point array as (npoints, n),
-        refused if its dimension is wrong."""
+        refused if its dimension is wrong or a row lies outside the closed
+        domain (NaN included)."""
         if isinstance(points, PointSet):
             if points.owner is not self:
                 raise ParameterError("the point set was evaluated by another evaluator")
@@ -169,7 +172,7 @@ class HeatKernelEvaluator:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if pts.ndim != 2 or pts.shape[1] != self.spec.n:
             raise DomainError("points have the wrong dimension")
-        return pts
+        return _rows(self.spec, pts)[0]
 
     def _operands(self, X, Y):
         """``_operand`` of X and of Y; the same object twice stays one object."""
@@ -204,7 +207,7 @@ class HeatKernelEvaluator:
 
     def _last_read(self, g, tail_factor):
         """The last level a sum with weights g reads: the cap where a tail is
-        bounded (the window reads the last levels), else the last level of
+        bounded (the envelope reads the last levels), else the last level of
         nonzero weight."""
         if tail_factor != 0.0:
             return self.policy.hard_cap
@@ -223,50 +226,33 @@ class HeatKernelEvaluator:
         """sum_k g_k K_k(x, y) over every built level, with the post-cap tail.
 
         g: (K+1,) level weights; Vx/Vy: basis values up to the cap (the same
-        array for a square grid).  The tail is tail_factor times the window
-        maximum of sqrt(C_k(x) C_k(y)).  Returns (value, tail) of shape (p, q).
+        array for a square grid).  The tail is the outer product of s e(x)
+        and s e(y), with s = sqrt(tail_factor) and e the ``_envelope``.
+        Returns (value, tail) of shape (p, q).
         """
+        if tail_factor != 0.0:
+            s = sqrt(tail_factor)
+            ex = s * self._envelope(Vx)
+            ey = ex if Vy is Vx else s * self._envelope(Vy)
         # g >= 0 for the heat kernel and for all three multiplier profiles,
         # so sqrt(g) splits over both factors; with one factor array numpy
         # sends W @ W.T to syrk, exactly symmetric at half the flops.
         sg = self._per_member(np.sqrt(g))
         Wx = Vx * sg
         value = Wx @ (Wx if Vy is Vx else Vy * sg).T
-        del Wx  # freed before the tail buffer is allocated
+        del Wx  # freed before the tail grid is allocated
         if tail_factor == 0.0:
             return value, np.zeros_like(value)
-        tail = self._window_max(Vx, Vy)
-        tail *= tail_factor
-        return value, tail
+        return value, np.multiply.outer(ex, ey)
 
-    def _window_max(self, Vx, Vy):
-        """max of sqrt(C_k(x) C_k(y)) over the last levels, in one (p, q) buffer.
+    def _envelope(self, V):
+        """e(x) = max of sqrt(C_k(x)) over the last six levels, per row of V.
 
-        The grid is filled in _BLOCK x _BLOCK blocks, each the running
-        maximum of the level outer products, with one block of scratch.  On
-        a square grid (Vy is Vx) only the blocks on and above the diagonal
-        are computed; each is mirrored below it.
+        e(x) e(y) majorizes sqrt(C_k(x) C_k(y)) for every k of the window.
         """
         K = self.policy.hard_cap
-        window = [self.basis.level_slice(k) for k in range(max(K - _RATIO_WINDOW, 0), K + 1)]
-        sx = [np.sqrt(np.sum(Vx[:, sl] ** 2, axis=1)) for sl in window]
-        square = Vy is Vx
-        sy = sx if square else [np.sqrt(np.sum(Vy[:, sl] ** 2, axis=1)) for sl in window]
-        p, q = len(sx[0]), len(sy[0])
-        out = np.empty((p, q))
-        scratch = np.empty((min(p, _BLOCK), min(q, _BLOCK)))
-        for i in range(0, p, _BLOCK):
-            rows = slice(i, i + _BLOCK)
-            for j in range(i if square else 0, q, _BLOCK):
-                cols = slice(j, j + _BLOCK)
-                block = out[rows, cols]
-                tmp = scratch[: block.shape[0], : block.shape[1]]
-                np.multiply.outer(sx[0][rows], sy[0][cols], out=block)
-                for a, b in zip(sx[1:], sy[1:]):
-                    np.maximum(block, np.multiply.outer(a[rows], b[cols], out=tmp), out=block)
-                if square and j > i:
-                    out[cols, rows] = block.T
-        return out
+        return np.sqrt(np.max([np.sum(V[:, self.basis.level_slice(k)] ** 2, axis=1)
+                               for k in range(max(K - _RATIO_WINDOW, 0), K + 1)], axis=0))
 
     def _heat_tail_factor(self, t, pair):
         """Geometric bound on the post-cap tail; refuses if decay is too flat.
@@ -306,6 +292,8 @@ class HeatKernelEvaluator:
         values (Vx, Vy) that ``pair()`` gives only enter the achievable time
         that the second refusal names.
         """
+        if not np.isfinite(t):
+            raise ParameterError(f"time {t:g} is not a finite number")
         if t < self.policy.t_min:
             raise PrecisionError(
                 f"t={t:g} below t_min={self.policy.t_min:g}; the basis cap "
@@ -372,8 +360,8 @@ class HeatKernelEvaluator:
 
     def multiplier_grid(self, phi: MultiplierSpec, delta, X, Y):
         """Kernel of Phi(delta sqrt(-L)) on a grid; returns (values, tails)."""
-        if delta <= 0:
-            raise ParameterError("delta must be positive")
+        if not 0 < delta < np.inf:  # NaN fails both comparisons
+            raise ParameterError(f"delta must be positive and finite, got {delta:g}")
         K = self.policy.hard_cap
         u = delta * np.sqrt(self.lambdas)
         X, Y = self._operands(X, Y)

@@ -7,17 +7,17 @@ equilibrium-weight heat kernel, LAPACK determinants, plain Monte Carlo for
 the metric-ball volumes and scalar distances to the points of
 ``sample_measure`` (a sampler of the weighted measure written here) as a
 second estimate, mpmath's incomplete Beta for the interval volumes, the
-kernel tails as a level-by-level maximum over
-the whole grid and the mass and semigroup checks through kernel rows to
-every quadrature node, the interval basis from hand-written value and
-coefficient recurrences, the coefficient rows by the level recurrence over
-every column, a member-by-member Gram-Schmidt build of the ball
-and simplex bases, the interval/simplex correspondence through sparse
-polynomial arithmetic and scalar distances,
-the Green, chart and flux checks through ``MultiPoly`` arithmetic (the
-operator applied term by term, the inverse metric as exact polynomials,
-every evaluation through ``eval_many``), and the Gaussian and localization
-scans as per-pair and per-anchor loops.
+kernel tails from per-level diagonals at fully evaluated points (and the
+level-by-level window maximum they majorize), the mass and semigroup checks
+through kernel rows to every quadrature node, the interval basis from
+hand-written value and coefficient recurrences, the coefficient rows by the
+level recurrence over every column, a member-by-member Gram-Schmidt build
+of the ball and simplex bases, the interval/simplex correspondence through
+sparse polynomial arithmetic and scalar distances, the Green, chart and
+flux checks through ``MultiPoly`` arithmetic (the operator applied term by
+term, the inverse metric as exact polynomials, every evaluation through
+``eval_many``), and the Gaussian and localization scans as per-pair and
+per-anchor loops.
 
 The package takes test polynomials as coefficient vectors over
 ``graded_monomials``; ``as_coefficients`` and ``poly_of`` convert between
@@ -235,21 +235,38 @@ def chebyshev_heat_kernel(t, x, y, terms=600):
     return float((1.0 + 2.0 * np.sum(np.exp(-k * k * t) * np.cos(k * th) * np.cos(k * ph))) / pi)
 
 
-def reference_heat_tail(ev, t, X, Y):
-    """Heat-kernel tails on the grid X x Y: the post-cap factor times the
-    maximum of sqrt(C_k(x) C_k(y)) over the last six levels, taken level by
-    level over the whole grid, with no block and no mirror."""
+def _window_roots(ev, X):
+    """sqrt(C_k(x)) for the last six levels k up to the cap: (levels, npoints)."""
     basis, K = ev.basis, ev.policy.hard_cap
-    Vx, Vy = basis.evaluate(X), basis.evaluate(Y)
-    window = None
-    for k in range(max(K - 5, 0), K + 1):
-        sl = basis.level_slice(k)
-        level = np.multiply.outer(np.sqrt(np.sum(Vx[:, sl] ** 2, axis=1)),
-                                  np.sqrt(np.sum(Vy[:, sl] ** 2, axis=1)))
-        window = level if window is None else np.maximum(window, level)
+    V = basis.evaluate(X)
+    return np.array([np.sqrt(np.sum(V[:, basis.level_slice(k)] ** 2, axis=1))
+                     for k in range(max(K - 5, 0), K + 1)])
+
+
+def _heat_tail_factor(ev, t):
+    K = ev.policy.hard_cap
     gap = eigenvalue(ev.spec, K + 1) - ev.lambdas[K]
     q = np.exp(-gap * t)
-    return window * (2.0 * np.exp(-(ev.lambdas[K] + gap) * t) / (1.0 - q))
+    return 2.0 * np.exp(-(ev.lambdas[K] + gap) * t) / (1.0 - q)
+
+
+def reference_heat_tail(ev, t, X, Y):
+    """Heat-kernel tails on the grid X x Y in rank-one form: the outer
+    product of s e(x) and s e(y), with e(x) the maximum of sqrt(C_k(x)) over
+    the last six levels and s the square root of the post-cap factor."""
+    s = sqrt(_heat_tail_factor(ev, t))
+    return np.outer(s * _window_roots(ev, X).max(axis=0), s * _window_roots(ev, Y).max(axis=0))
+
+
+def window_heat_tail(ev, t, X, Y):
+    """The post-cap factor times the maximum of sqrt(C_k(x) C_k(y)) over the
+    last six levels, taken level by level over the whole grid: the per-pair
+    window that the rank-one tail majorizes."""
+    window = None
+    for a, b in zip(_window_roots(ev, X), _window_roots(ev, Y)):
+        level = np.multiply.outer(a, b)
+        window = level if window is None else np.maximum(window, level)
+    return window * _heat_tail_factor(ev, t)
 
 
 def _kernel(ev, t, X, Y):

@@ -242,6 +242,16 @@ class TestKernelExport:
             row_mass = sum(vals[(i, j)] * rule.weights[j] for j in range(n))
             assert row_mass == pytest.approx(1.0, abs=1e-8)
 
+    @pytest.mark.parametrize("command", [["eval", "--t", "nan"], ["eval", "--t", "inf"],
+                                         ["multiplier", "--family", "sinc_power", "--delta", "nan"],
+                                         ["export", "--t-list", "0.5,nan"]])
+    def test_non_finite_parameter_is_one_line_error(self, tmp_path, capsys, command):
+        cfgfile = write_config(tmp_path, INTERVAL_INI.format(out=tmp_path))
+        assert main(["--config", cfgfile, "kernel"] + command + ["--out", str(tmp_path / "k.csv")]) == 2
+        out, err = capsys.readouterr()
+        assert err.startswith("error: ") and "finite" in err and err.count("\n") == 1
+        assert out == "" and not (tmp_path / "k.csv").exists()
+
     def test_eval_csv(self, tmp_path, capsys):
         cfgfile = write_config(tmp_path, INTERVAL_INI.format(out=tmp_path))
         assert main(["--config", cfgfile, "kernel", "eval", "--t", "0.5",
