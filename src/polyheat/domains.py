@@ -21,7 +21,7 @@ distance of the lifted points.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lgamma, log, pi, exp, sqrt, acos
+from math import lgamma, log, pi, exp, sqrt, acos, isfinite
 
 import numpy as np
 
@@ -50,6 +50,10 @@ class DomainSpec:
             raise ParameterError(f"unknown domain kind {self.kind!r}")
         if self.n < 1:
             raise ParameterError("dimension must be >= 1")
+        # NaN fails every range comparison below, and inf passes them
+        if not all(isfinite(p) for p in self.params):
+            raise ParameterError(f"{self.kind} parameters must be finite numbers, got "
+                                 + ", ".join(f"{p:g}" for p in self.params))
         if self.kind == INTERVAL:
             if self.n != 1:
                 raise ParameterError("the interval is one-dimensional")

@@ -1,27 +1,34 @@
 """Spectral heat kernels and multiplier kernels with certified tails.
 
-The kernel at time t is the level sum  sum_k exp(-lambda_k t) * K_k(x, y)
-where K_k is the reproducing kernel of level k; a multiplier kernel weights
-level k by Phi(delta sqrt(lambda_k)) instead.  Every value sums the levels
-up to the cap in one matrix product.  Its tail is the certified bound on
-the levels past the cap: geometric for the heat kernel and heat_exp, the
-Fourier envelope for sinc_power, zero for the compactly supported
-smooth_bump.  Both bounds use |K_k(x, y)| <= sqrt(C_k(x) C_k(y)) with C_k
-the level diagonal, majorized over the last six levels by the rank-one
-e(x) e(y), e(x) = max_k sqrt(C_k(x)): each tail grid is the outer product
-of s e(x) and s e(y), s = sqrt(tail factor), one pass over the grid and
-exactly symmetric on a square one.  A tail bounds the truncation only, not
-the rounding of the sum.  Evaluations either return an honest (value,
+The kernel at time t is the level sum  sum_k g_k K_k(x, y), g_k =
+exp(-lambda_k t), where K_k is the reproducing kernel of level k; a
+multiplier kernel weights level k by g_k = Phi(delta sqrt(lambda_k))
+instead.  Every value sums in one matrix product the levels 0..L whose
+weight is at least 2^-106 (u^2, u the unit roundoff) of the largest; at
+short times L is the cap.  Its tail bounds all other levels, by
+|K_k(x, y)| <= sqrt(C_k(x) C_k(y)) with C_k the level diagonal:
+
+* past the cap, the geometric bound for the heat kernel and heat_exp and
+  the Fourier envelope for sinc_power (zero for the compactly supported
+  smooth_bump), each a factor s^2 times the rank-one e(x) e(y),
+  e(x) = max sqrt(C_k(x)) over the last six levels;
+* from L + 1 to the cap, exactly by Cauchy-Schwarz: d(x) d(y), with
+  d(x)^2 = sum_(k>L) g_k C_k(x).
+
+Each tail grid is the outer product of E(x) and E(y), E = hypot(s e, d):
+one pass over the grid, exactly symmetric on a square one, and never below
+the post-cap bound alone.  A value differs from the full product up to the
+cap by far less than the rounding of the sum, which no tail covers: a tail
+bounds the truncation only.  Evaluations either return an honest (value,
 tail_bound) pair or refuse when the requested time is under-resolved for
 the basis cap.
 
 The weights and the tail factor are known before any point is evaluated.
 Where the tail factor is exactly 0 (smooth_bump, and the heat kernel once
 exp(-lambda_(K+1) t) underflows), no later level is read, so raw points
-are evaluated only through the last level of nonzero weight; the product
-keeps its width, with zero columns, so each value has the bits of the
-full sweep.  The under-resolved refusal evaluates through the cap, for the
-achievable time it names.
+are evaluated only through the last level of nonzero weight.  The
+under-resolved refusal evaluates through the cap, for the achievable time
+it names.
 """
 
 from __future__ import annotations
@@ -41,6 +48,9 @@ DEFAULT_EPSILON = 1e-10
 # below this threshold; otherwise the evaluation refuses.
 MAX_DECAY_RATIO = 0.9
 _RATIO_WINDOW = 5
+# A kernel product reads the levels of weight at least u^2 = 2^-106 (u the
+# unit roundoff) of the largest; each later level goes into the tail bound.
+_WEIGHT_FLOOR = 2.0 ** -106
 
 
 def default_t_min(spec, cap=None):
@@ -55,8 +65,9 @@ def default_t_min(spec, cap=None):
 class TruncationPolicy:
     """Tail target, smallest admissible time, and the level cap.
 
-    Values always sum every level up to the cap; epsilon only sets the
-    smallest time that the under-resolved refusal names as achievable.
+    Every level up to the cap enters each value or its tail bound; epsilon
+    only sets the smallest time that the under-resolved refusal names as
+    achievable.
     """
 
     epsilon: float
@@ -64,8 +75,9 @@ class TruncationPolicy:
     hard_cap: int
 
     def __post_init__(self):
-        if self.epsilon <= 0 or self.t_min <= 0:
-            raise ParameterError("epsilon and t_min must be positive")
+        if not (0 < self.epsilon < np.inf and 0 < self.t_min < np.inf):  # NaN fails both
+            raise ParameterError(f"epsilon and t_min must be positive and finite, "
+                                 f"got {self.epsilon:g} and {self.t_min:g}")
 
 
 @dataclass(frozen=True)
@@ -90,8 +102,9 @@ class MultiplierSpec:
     def __post_init__(self):
         if self.family not in ("heat_exp", "smooth_bump", "sinc_power"):
             raise ParameterError(f"unknown multiplier family {self.family!r}")
-        if self.support <= 0 or self.band <= 0 or self.order < 1:
-            raise ParameterError("multiplier parameters must be positive")
+        if not (0 < self.support < np.inf and 0 < self.band < np.inf) or self.order < 1:
+            raise ParameterError(f"multiplier support, band and order must be positive and "
+                                 f"finite, got {self.support:g}, {self.band:g} and {self.order}")
 
     def phi(self, u):
         u = np.asarray(u, dtype=float)
@@ -214,36 +227,53 @@ class HeatKernelEvaluator:
         nonzero = np.flatnonzero(g)
         return int(nonzero[-1]) if len(nonzero) else 0
 
-    def _grid(self, X, Y, g, tail_factor):
-        """``_sum`` on the operands X and Y, evaluated only through ``_last_read``."""
-        return self._sum(g, tail_factor, *self._pair(X, Y, self._last_read(g, tail_factor)))
-
     def _per_member(self, g):
         """Level weights (K+1,) repeated over the members of each level."""
         return np.repeat(g, self._level_sizes)
 
-    def _sum(self, g, tail_factor, Vx, Vy):
-        """sum_k g_k K_k(x, y) over every built level, with the post-cap tail.
+    def _grid(self, X, Y, g, tail_factor):
+        """sum_k g_k K_k(x, y) on the operands X and Y, with its tail bound.
 
-        g: (K+1,) level weights; Vx/Vy: basis values up to the cap (the same
-        array for a square grid).  The tail is the outer product of s e(x)
-        and s e(y), with s = sqrt(tail_factor) and e the ``_envelope``.
-        Returns (value, tail) of shape (p, q).
+        g: (K+1,) level weights, g >= 0 for the heat kernel and for all three
+        multiplier profiles.  The product reads the levels 0..L, L the last
+        with g_L >= _WEIGHT_FLOOR max g; the later levels through
+        ``_last_read`` enter the tail.  The tail is the outer product of the
+        ``_weighted`` envelopes E(x) and E(y).  Returns (value, tail), (p, q).
         """
-        if tail_factor != 0.0:
-            s = sqrt(tail_factor)
-            ex = s * self._envelope(Vx)
-            ey = ex if Vy is Vx else s * self._envelope(Vy)
-        # g >= 0 for the heat kernel and for all three multiplier profiles,
-        # so sqrt(g) splits over both factors; with one factor array numpy
-        # sends W @ W.T to syrk, exactly symmetric at half the flops.
-        sg = self._per_member(np.sqrt(g))
-        Wx = Vx * sg
-        value = Wx @ (Wx if Vy is Vx else Vy * sg).T
-        del Wx  # freed before the tail grid is allocated
-        if tail_factor == 0.0:
-            return value, np.zeros_like(value)
+        last = self._last_read(g, tail_factor)
+        Vx, Vy = self._pair(X, Y, last)
+        L = int(np.flatnonzero(g >= _WEIGHT_FLOOR * g.max())[-1])
+        s = sqrt(tail_factor)
+        Wx, ex = self._weighted(Vx, g, L, last, s)
+        Wy, ey = (Wx, ex) if Vy is Vx else self._weighted(Vy, g, L, last, s)
+        # sqrt(g) splits over both factors; with one factor array numpy
+        # sends W @ W.T to syrk, exactly symmetric at half the flops
+        value = Wx @ Wy.T
+        del Wx, Wy  # freed before the tail grid is allocated
         return value, np.multiply.outer(ex, ey)
+
+    def _weighted(self, V, g, L, last, s):
+        """The columns of levels 0..L of V times sqrt(g), and the envelope E.
+
+        By Cauchy-Schwarz, |sum_(L<k<=last) g_k K_k(x, y)| <= d(x) d(y) with
+        d(x)^2 = sum_(L<k<=last) g_k C_k(x), one product of the squared later
+        columns with their weights.  The post-cap bound is s e(x) s e(y)
+        (``_envelope``), so both parts are at most E(x) E(y), with
+        E = hypot(s e, d): E = s e where no level is dropped, and E = d
+        where no tail past the cap is read (s = 0).
+
+        The squares and then the scaled columns go into one buffer of V's
+        full width: a product array of the narrower width would be a block
+        of a new size on every call, which the C heap keeps and peak RSS
+        shows, while a full-width one reuses the block of the last call.
+        """
+        gm = self._per_member(g)
+        M, end = int(self.basis.offsets[L + 1]), int(self.basis.offsets[last + 1])
+        buf = np.empty_like(V)
+        E = np.sqrt(np.square(V[:, M:end], out=buf[:, M:end]) @ gm[M:end])
+        if s:
+            E = np.hypot(s * self._envelope(V), E)
+        return np.multiply(V[:, :M], np.sqrt(gm[:M]), out=buf[:, :M]), E
 
     def _envelope(self, V):
         """e(x) = max of sqrt(C_k(x)) over the last six levels, per row of V.
@@ -345,16 +375,19 @@ class HeatKernelEvaluator:
     def semigroup_check(self, s, t, x, z):
         """|e^((s+t)L)(x,z) - integral e^(sL)(x,y) e^(tL)(y,z) dmu(y)|.
 
-        The integral is sum_n w_n (V_nodes (g_s * v(x)))_n (V_nodes (g_t * v(z)))_n.
+        The left side is the row product (g_(s+t) * v(x)) @ v(z) over every
+        member up to the cap; the integral is
+        sum_n w_n (V_nodes (g_s * v(x)))_n (V_nodes (g_t * v(z)))_n.
         """
         nodes = self._nodes()
         Vx, Vz = self._pair(*self._operands(x, z))
         gs, _ = self._heat_weights(s, lambda: (Vx, nodes))
         gt, _ = self._heat_weights(t, lambda: (Vz, nodes))
-        lhs, _ = self._sum(*self._heat_weights(s + t, lambda: (Vx, Vz)), Vx, Vz)
+        g, _ = self._heat_weights(s + t, lambda: (Vx, Vz))
+        lhs = (Vx[0] * self._per_member(g)) @ Vz[0]
         row_s = nodes @ (Vx[0] * self._per_member(gs))
         row_t = nodes @ (Vz[0] * self._per_member(gt))
-        return abs(float(lhs[0, 0]) - float((row_s * row_t) @ self.basis.quad.weights))
+        return abs(float(lhs) - float((row_s * row_t) @ self.basis.quad.weights))
 
     # -- spectral multipliers -------------------------------------------------
 

@@ -742,9 +742,11 @@ def localization_check(ev, delta, m, vol):
     compactly supported profile oscillates through zeros that carry no rate
     information.
 
-    ``smooth_bump`` has compact spectral support, so its kernel has no
-    truncation tail (a support past the cap is a CapacityError instead): no
-    pair is dominated by truncation, and ``excluded`` is always 0.  The
+    ``smooth_bump`` has compact spectral support, so its kernel has no tail
+    past the cap (a support past the cap is a CapacityError instead); its
+    only tail bounds the levels near the support edge whose weight is below
+    2^-106 of the largest, far below rounding.  No pair is dominated by
+    truncation, and ``excluded`` is always 0.  The
     volumes are one ``vol.estimates`` call, the anchors' rows, then the
     targets'; an estimate whose stderr exceeds MAX_REL_STDERR of its value
     raises PrecisionError.

@@ -250,12 +250,31 @@ def _heat_tail_factor(ev, t):
     return 2.0 * np.exp(-(ev.lambdas[K] + gap) * t) / (1.0 - q)
 
 
+def levels_read(g):
+    """L: the last level whose weight is at least 2^-106 (u^2) of the largest."""
+    return max(k for k in range(len(g)) if g[k] >= 2.0 ** -106 * max(g))
+
+
+def dropped_roots(ev, g, X):
+    """d(x) = sqrt(sum_(k>L) g_k C_k(x)) over the levels past ``levels_read``,
+    level by level: (npoints,)."""
+    basis, K = ev.basis, ev.policy.hard_cap
+    V = basis.evaluate(X)
+    d2 = np.zeros(len(V))
+    for k in range(levels_read(g) + 1, K + 1):
+        d2 += g[k] * np.sum(V[:, basis.level_slice(k)] ** 2, axis=1)
+    return np.sqrt(d2)
+
+
 def reference_heat_tail(ev, t, X, Y):
-    """Heat-kernel tails on the grid X x Y in rank-one form: the outer
-    product of s e(x) and s e(y), with e(x) the maximum of sqrt(C_k(x)) over
-    the last six levels and s the square root of the post-cap factor."""
-    s = sqrt(_heat_tail_factor(ev, t))
-    return np.outer(s * _window_roots(ev, X).max(axis=0), s * _window_roots(ev, Y).max(axis=0))
+    """Heat-kernel tails on the grid X x Y in two-part rank-one form: the
+    outer product of E(x) = hypot(s e(x), d(x)) and E(y), with e(x) the
+    maximum of sqrt(C_k(x)) over the last six levels, s the square root of
+    the post-cap factor and d the ``dropped_roots`` of the levels that the
+    product leaves out."""
+    s, g = sqrt(_heat_tail_factor(ev, t)), np.exp(-ev.lambdas * t)
+    return np.outer(*(np.hypot(s * _window_roots(ev, Z).max(axis=0), dropped_roots(ev, g, Z))
+                      for Z in (X, Y)))
 
 
 def window_heat_tail(ev, t, X, Y):

@@ -114,6 +114,18 @@ class TestConfig:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and named in err
 
+    @pytest.mark.parametrize("domain", ["kind = ball\nn = 2\ngamma = nan",
+                                        "kind = interval\nalpha = inf\nbeta = 0",
+                                        "kind = simplex\nn = 2\nkappa = 0.5, -inf, 0.5"])
+    def test_non_finite_domain_parameter_is_one_line_error(self, tmp_path, capsys, domain):
+        cfgfile = write_config(tmp_path, f"[domain]\n{domain}\n[basis]\nmax_degree = 6\n")
+        for command in (["validate", "basis", "--out", str(tmp_path / "r")], ["config", "show"]):
+            assert main(["--config", cfgfile] + command) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and err.count("\n") == 1
+            assert "parameters must be finite numbers, got " in err
+        assert not (tmp_path / "r").exists()
+
     def test_invalid_domain_cites_range(self, tmp_path, capsys):
         cfgfile = write_config(tmp_path, "[domain]\nkind = ball\nn = 2\ngamma = -0.6\n")
         code = main(["--config", cfgfile, "validate", "all"])
@@ -242,9 +254,13 @@ class TestKernelExport:
             row_mass = sum(vals[(i, j)] * rule.weights[j] for j in range(n))
             assert row_mass == pytest.approx(1.0, abs=1e-8)
 
-    @pytest.mark.parametrize("command", [["eval", "--t", "nan"], ["eval", "--t", "inf"],
-                                         ["multiplier", "--family", "sinc_power", "--delta", "nan"],
-                                         ["export", "--t-list", "0.5,nan"]])
+    @pytest.mark.parametrize("command", [
+        ["eval", "--t", "nan"], ["eval", "--t", "inf"],
+        ["multiplier", "--family", "sinc_power", "--delta", "nan"],
+        ["multiplier", "--family", "sinc_power", "--band", "nan", "--delta", "0.1"],
+        ["multiplier", "--family", "sinc_power", "--band", "inf", "--delta", "0.1"],
+        ["multiplier", "--family", "smooth_bump", "--support", "nan", "--delta", "0.1"],
+        ["export", "--t-list", "0.5,nan"]])
     def test_non_finite_parameter_is_one_line_error(self, tmp_path, capsys, command):
         cfgfile = write_config(tmp_path, INTERVAL_INI.format(out=tmp_path))
         assert main(["--config", cfgfile, "kernel"] + command + ["--out", str(tmp_path / "k.csv")]) == 2
@@ -274,11 +290,14 @@ def pinned_rows(param, values, tail, labels=PIN_POINTS):
 
 class TestKernelCsvBytes:
     def test_eval_multiplier_and_export_bytes(self, tmp_path, capsys):
+        # the heat tails bound the levels that the product leaves out (past
+        # L = 12 at t = 0.5 and L = 8 at t = 1); heat_exp at delta = 0.3
+        # reads every level up to the cap 24, so its tail is the post-cap one
         cfgfile = write_config(tmp_path, PIN_INI)
         assert main(["--config", cfgfile, "kernel", "eval", "--t", "0.5", "--grid", "2"]) == 0
         heat = ("0.515125443247", "0.121921453404")
         assert capsys.readouterr().out == "x,y,t,value,tail_bound\n" + pinned_rows(
-            "0.5", heat, "2.44278094652e-136")
+            "0.5", heat, "6.38214117184e-38")
 
         out = tmp_path / "mult.csv"
         assert main(["--config", cfgfile, "kernel", "multiplier", "--family", "heat_exp",
@@ -293,8 +312,8 @@ class TestKernelCsvBytes:
         assert capsys.readouterr().out == (
             f"wrote {out}\n# last-t row-mass range [1.000000225, 1.000000225]\n")
         assert out.read_text() == "i,j,t,value,tail_bound\n" + pinned_rows(
-            "0.5", heat, "2.44278094652e-136", ["0", "1"]) + pinned_rows(
-            "1", ("0.43544890344", "0.201171012212"), "4.6866112328e-272", ["0", "1"])
+            "0.5", heat, "6.38214117184e-38", ["0", "1"]) + pinned_rows(
+            "1", ("0.43544890344", "0.201171012212"), "2.1134748937e-36", ["0", "1"])
 
 
 @pytest.mark.parametrize("command", [

@@ -63,6 +63,16 @@ class TestSpec:
         with pytest.raises(ParameterError):
             DomainSpec("interval", 2, (0.0, 0.0))
 
+    @pytest.mark.parametrize("make", [
+        lambda v: DomainSpec.interval(v, 0.0), lambda v: DomainSpec.interval(0.0, v),
+        lambda v: DomainSpec.ball(2, v), lambda v: DomainSpec.simplex(2, (0.5, v, 0.5))])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_parameters_refused(self, make, bad):
+        # NaN fails every range comparison, and inf passes them
+        with pytest.raises(ParameterError,
+                           match=r"^\w+ parameters must be finite numbers, got .*(nan|inf)"):
+            make(bad)
+
     def test_roundtrip(self):
         for spec in SPECS:
             assert DomainSpec.from_json_obj(spec.to_json_obj()) == spec

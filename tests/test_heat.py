@@ -18,6 +18,8 @@ from polyheat.volumes import VolumeSource
 
 from _oracles import (
     chebyshev_heat_kernel,
+    dropped_roots,
+    levels_read,
     reference_heat_tail,
     reference_mass_grid,
     reference_semigroup_gap,
@@ -87,6 +89,12 @@ class TestHeatKernel:
     def test_t_min_refusal(self, cheb_ev):
         with pytest.raises(PrecisionError):
             cheb_ev.heat_kernel(1e-5, [0.1], [0.2])
+
+    @pytest.mark.parametrize("epsilon, t_min", [(float("nan"), 1e-3), (1e-10, float("nan")),
+                                                (float("inf"), 1e-3), (1e-10, 0.0)])
+    def test_policy_needs_positive_finite_epsilon_and_t_min(self, epsilon, t_min):
+        with pytest.raises(ParameterError, match="^epsilon and t_min must be positive and finite"):
+            TruncationPolicy(epsilon, t_min, 20)
 
     def test_under_resolved_refusal(self):
         ev = HeatKernelEvaluator(build_basis(DomainSpec.interval(-0.5, -0.5), 30),
@@ -203,6 +211,15 @@ class TestMultipliers:
         v, _ = ball_ev.multiplier_kernel(phi, 0.2, x, y)
         grid, _ = ball_ev.multiplier_grid(phi, 0.2, x[None, :], y[None, :])
         assert 2 * v == pytest.approx(2 * grid[0, 0], rel=1e-15)
+
+    @pytest.mark.parametrize("bad", [{"band": float("nan")}, {"band": float("inf")},
+                                     {"support": float("nan")}, {"support": float("inf")},
+                                     {"band": 0.0}, {"order": 0}])
+    def test_non_finite_or_non_positive_parameters_refused(self, bad):
+        for family in ("heat_exp", "smooth_bump", "sinc_power"):
+            with pytest.raises(ParameterError, match="^multiplier support, band and order "
+                                                     "must be positive and finite, got "):
+                MultiplierSpec(family, **bad)
 
     def test_sinc_tail_reported(self, cheb_ev):
         phi = MultiplierSpec("sinc_power", order=8, band=2.0)
@@ -377,6 +394,33 @@ class TestTailEnvelope:
             # rounding route: a few units in the last place either way
             assert np.all(tail >= window_heat_tail(ev, t, X, Y) * (1 - 1e-15)), (len(X), len(Y))
 
+    @pytest.mark.parametrize("fixture", ["cheb_ev", "ball_ev", "simplex_ev"])
+    def test_dropped_levels_lie_inside_the_tail(self, fixture, request):
+        # the levels past L enter the tail by Cauchy-Schwarz: their per-level
+        # sum is at most d(x) d(y), with equality on the diagonal up to rounding
+        ev = request.getfixturevalue(fixture)
+        K, basis = ev.policy.hard_cap, ev.basis
+        rng = np.random.default_rng(41)
+        X, Y = _sample(ev.spec, 40, rng), _sample(ev.spec, 30, rng)
+        for t in (0.05, 0.2, 1.0):
+            t = max(t, ev.policy.t_min)
+            g = np.exp(-ev.lambdas * t)
+            L = levels_read(g)
+            assert L < K or t < 0.2, t
+            for A, B in ((X, X), (X, Y)):
+                _, tail = ev.heat_kernel_grid(t, A, B)
+                Va, Vb = basis.evaluate(A), basis.evaluate(B)
+                dropped = np.zeros(tail.shape)
+                for k in range(L + 1, K + 1):
+                    sl = basis.level_slice(k)
+                    dropped += g[k] * np.abs(Va[:, sl] @ Vb[:, sl].T)
+                dd = np.outer(dropped_roots(ev, g, A), dropped_roots(ev, g, B))
+                assert np.all(dropped <= dd * (1 + 1e-14)), t
+                assert np.all(tail >= dd * (1 - 1e-14)), t
+                # the product of the levels past L by another rounding route
+                np.testing.assert_allclose(tail, reference_heat_tail(ev, t, A, B),
+                                           rtol=1e-14, atol=0)
+
 
 def _refusal(fn, *args):
     with pytest.raises(PrecisionError) as info:
@@ -449,42 +493,76 @@ def capped_ev():
     return HeatKernelEvaluator(build_basis(spec, 80), TruncationPolicy(1e-10, 1e-5, 50))
 
 
-def _full_product(ev, g, X, Y):
-    """(V sqrt g) @ (V sqrt g).T from a full ``basis.evaluate`` of each side."""
-    sg = ev._per_member(np.sqrt(g))
+def _full_product(ev, g, X, Y, L=None):
+    """(V sqrt g) @ (V sqrt g).T over the members through level L (default
+    the cap) from a full ``basis.evaluate`` of each side."""
+    L = ev.policy.hard_cap if L is None else L
+    sg = ev._per_member(np.sqrt(g))[: ev.basis.offsets[L + 1]]
     Wx = ev.basis.evaluate(X)[:, : len(sg)] * sg
     return Wx @ (Wx if Y is X else ev.basis.evaluate(Y)[:, : len(sg)] * sg).T
 
 
+@pytest.fixture
+def product_widths(monkeypatch):
+    """The number of members in each factor of an evaluator's products."""
+    def record(ev):
+        seen = []
+        weighted = ev._weighted
+
+        def spy(V, *args):
+            W, E = weighted(V, *args)
+            seen.append(W.shape[1])
+            return W, E
+        monkeypatch.setattr(ev, "_weighted", spy)
+        return seen
+    return record
+
+
 class TestLevelTrimmedSums:
-    """Where no tail is read, a raw array is evaluated only through the last
-    level of nonzero weight; every value keeps the bits of the full sweep."""
+    """A product reads the members through L, the last level of weight at
+    least 2^-106 of the largest.  A raw array is evaluated through the cap
+    where a tail past it is read, else through the last level of nonzero
+    weight; the levels between L and that level go into the tail."""
 
     @pytest.mark.parametrize("fixture", ["cheb_ev", "ball_ev", "simplex_ev", "capped_ev"])
-    def test_zero_tail_sums_equal_the_full_product(self, fixture, request, sweep_levels):
+    def test_products_read_the_members_through_L(self, fixture, request, sweep_levels,
+                                                 product_widths):
         ev = request.getfixturevalue(fixture)
         K = ev.policy.hard_cap
         rng = np.random.default_rng(29)
         X, Y = _sample(ev.spec, 9, rng), _sample(ev.spec, 5, rng)
         # exp(-2000) underflows to 0, so the heat tail factor is exactly 0
         t = 2000.0 / eigenvalue(ev.spec, K + 1)
-        cases = [(lambda A, B: ev.heat_kernel_grid(t, A, B), np.exp(-ev.lambdas * t)),
-                 (lambda A, B: ev.multiplier_grid(MultiplierSpec("heat_exp"), sqrt(t), A, B),
-                  MultiplierSpec("heat_exp").phi(sqrt(t) * np.sqrt(ev.lambdas)))]
+        heat_exp, sinc = MultiplierSpec("heat_exp"), MultiplierSpec("sinc_power")
+        cases = [(lambda A, B: ev.heat_kernel_grid(t, A, B), np.exp(-ev.lambdas * t), False),
+                 (lambda A, B: ev.multiplier_grid(heat_exp, sqrt(t), A, B),
+                  heat_exp.phi(sqrt(t) * np.sqrt(ev.lambdas)), False)]
         for delta in (0.1, 0.3):
             phi = MultiplierSpec("smooth_bump")
             cases.append((lambda A, B, phi=phi, delta=delta: ev.multiplier_grid(phi, delta, A, B),
-                          phi.phi(delta * np.sqrt(ev.lambdas))))
-        levels = sweep_levels(ev)
-        for call, g in cases:
-            last = int(np.flatnonzero(g)[-1])
-            assert last < K
+                          phi.phi(delta * np.sqrt(ev.lambdas)), False))
+        # where a tail past the cap is read, the sweep runs to the cap (the
+        # heat tail at t = 0.2 underflows on the K=200 interval)
+        t_read = max(0.2, ev.policy.t_min)
+        cases += [(lambda A, B: ev.heat_kernel_grid(t_read, A, B), np.exp(-ev.lambdas * t_read),
+                   np.exp(-eigenvalue(ev.spec, K + 1) * t_read) > 0),
+                  (lambda A, B: ev.multiplier_grid(sinc, 0.1, A, B),
+                   sinc.phi(0.1 * np.sqrt(ev.lambdas)), True)]
+        levels, widths = sweep_levels(ev), product_widths(ev)
+        for call, g, past_cap in cases:
+            last = K if past_cap else int(np.flatnonzero(g)[-1])
+            L = levels_read(g)
+            assert last < K or past_cap
             for A, B in ((X, X), (X, Y)):
                 levels.clear()
+                widths.clear()
                 value, tail = call(A, B)
                 assert levels == [last]
-                assert np.array_equal(value, _full_product(ev, g, A, B))
-                assert not tail.any()
+                assert widths == [ev.basis.offsets[L + 1]] * (1 if A is B else 2)
+                assert np.array_equal(value, _full_product(ev, g, A, B, L))
+                assert tail.any() == (past_cap or L < last)
+        # the heat kernel at t = 0.2 leaves levels out on every fixture
+        assert levels_read(np.exp(-ev.lambdas * t_read)) < K
 
     def test_policy_cap_below_the_basis_degree(self, capped_ev, sweep_levels):
         # a tail is read: the sweep runs to the cap, not to the basis degree
