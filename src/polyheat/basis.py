@@ -52,14 +52,12 @@ COEFF_TOL = 1e-8
 
 
 def eigenvalue(spec: DomainSpec, k: int) -> float:
-    """Closed-form eigenvalue lambda_k >= 0 of level k (lambda_0 = 0)."""
+    """Closed-form eigenvalue lambda_k >= 0 of level k (lambda_0 = 0):
+    k (k + (2 |kappa| + n - 1) / step) over the lifted half-exponents."""
     if k < 0:
         raise DomainError("level index must be >= 0")
-    if spec.kind == INTERVAL:
-        return k * (k + spec.alpha + spec.beta + 1)
-    if spec.kind == BALL:
-        return k * (k + spec.n + 2 * spec.gamma - 1)
-    return k * (k + sum(spec.kappa) + (spec.n - 1) / 2.0)
+    lift = spec.lift
+    return k * (k + (2 * sum(lift.kappa) + (spec.n - 1)) / lift.step)
 
 
 def level_dimension(n: int, k: int) -> int:
@@ -270,7 +268,9 @@ def build_basis(spec, max_degree, quad=None):
     key = (spec.kind, spec.n)
     if key not in _CAPS:
         raise CapacityError(f"no basis support for {spec.kind} in dimension {spec.n}")
-    if not 0 <= max_degree <= _CAPS[key]:
+    if max_degree < 0:
+        raise ParameterError(f"max_degree {max_degree} is below 0")
+    if max_degree > _CAPS[key]:
         raise CapacityError(f"max_degree {max_degree} exceeds the cap {_CAPS[key]} "
                             f"for {spec.label()}; lower the degree")
     if quad is None:

@@ -33,7 +33,6 @@ from .domains import (
     inverse_metric,
     metric_det,
     metric_tensor,
-    total_mass,
 )
 from .errors import (BoundarySingularityError, CapacityError, DomainError, ParameterError,
                      PrecisionError)
@@ -49,18 +48,23 @@ SUITES = ("ops", "basis", "kernel", "gauss", "doubling", "green", "flux",
 GATES = {INTERVAL: (1e-9, 1e-10), BALL: (1e-8, 1e-8), SIMPLEX: (1e-8, 1e-8)}
 # random (f, h) pairs of the green suite
 GREEN_PAIRS = 20
+# the least value of each integer flag
+LEAST = {"max_degree": 0, "grid": 1, "resolution": 1}
 
 
 def _fmt(x):
     return f"{x:.12g}"
 
 
-def _parse_point(text):
+def _parse_point(text, what="point"):
     try:
-        return np.array([float(v) for v in text.replace(",", " ").split()])
+        values = [float(v) for v in text.replace(",", " ").split()]
     except ValueError:
-        raise ParameterError(f"malformed point {text!r}: expected numbers "
-                             "separated by commas or spaces") from None
+        values = []
+    if not values:
+        raise ParameterError(f"malformed {what} {text!r}: expected numbers "
+                             "separated by commas or spaces")
+    return np.array(values)
 
 
 def _evaluator(cfg):
@@ -206,9 +210,9 @@ def cmd_kernel_multiplier(args):
 
 
 def cmd_kernel_export(args):
+    ts = _parse_point(args.t_list, "--t-list").tolist()
     cfg = load_config(args.config)
     ev = _evaluator(cfg)
-    ts = [float(v) for v in args.t_list.replace(",", " ").split()]
     pts, weights = _kernel_grid_points(cfg, args.resolution)
     labels = [str(i) for i in range(len(pts))]
     rows = []
@@ -224,10 +228,6 @@ def cmd_kernel_export(args):
 
 # ---------------------------------------------------------------------------
 # validation suites
-
-
-def _interval_as_simplex(spec):
-    return DomainSpec.simplex(1, (spec.beta + 0.5, spec.alpha + 0.5))
 
 
 def suite_ops(cfg, ev, vol, rng):
@@ -297,14 +297,15 @@ def suite_green(cfg, ev, vol, rng):
 
 def suite_flux(cfg, ev, vol, rng):
     spec = cfg.spec
-    if spec.kind == INTERVAL:
-        spec = _interval_as_simplex(spec)
+    if spec.lift.step == 2:
+        # the simplex of the orthant: simplex(1, (beta + 1/2, alpha + 1/2)) on the interval
+        spec = DomainSpec.simplex(spec.n, spec.lift.kappa)
     # f is a coefficient vector over graded_monomials(n, 2), h the constant 1
     monomials = graded_monomials(spec.n, 2)
     x1, x1sq = (monomials.index((d,) + (0,) * (spec.n - 1)) for d in (1, 2))
     f = np.zeros(len(monomials))
     h = val.PolyField([1.0], spec.n)
-    if spec.kind == BALL:
+    if spec.lift.step == 1:
         f[x1sq] = 1.0
     else:
         # f = x1 + x1^2/2 makes the face flux factor 1 - x1^2, flat in
@@ -506,6 +507,10 @@ def main(argv=None):
     try:
         if getattr(args, "out", None) is not None and not args.out.strip():
             raise ParameterError("--out is empty; name the file or directory to write")
+        for name, least in LEAST.items():
+            value = getattr(args, name, None)
+            if value is not None and value < least:
+                raise ParameterError(f"--{name.replace('_', '-')} {value} is below {least}")
         if args.command == "config":
             return cmd_config_show(args)
         if args.command == "basis":

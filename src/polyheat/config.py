@@ -19,11 +19,14 @@ def _parse_floats(text):
     return tuple(float(v) for v in str(text).replace(",", " ").split())
 
 
-def _mc_samples(text):
-    samples = int(text)
-    if samples < 1:
-        raise ParameterError(f"[mc] samples = {samples} is below 1, the least Monte Carlo sample")
-    return samples
+def _at_least(section, key, least):
+    """The parser of an integer key that refuses a value below ``least``."""
+    def parse(text):
+        value = int(text)
+        if value < least:
+            raise ParameterError(f"[{section}] {key} = {value} is below {least}")
+        return value
+    return parse
 
 
 def _output(text):
@@ -35,14 +38,14 @@ def _output(text):
 # (section, key, RunConfig field, parser) of every key outside [domain], in
 # the order of the INI file, the JSON object and the reading of the keys
 SETTINGS = (
-    ("basis", "max_degree", "max_degree", int),
+    ("basis", "max_degree", "max_degree", _at_least("basis", "max_degree", 0)),
     ("kernel", "t_min", "t_min", float),
     ("grids", "points", "points", int),
     ("grids", "times", "times", _parse_floats),
     ("grids", "radii", "radii", _parse_floats),
     ("grids", "epsilons", "epsilons", _parse_floats),
     ("grids", "deltas", "deltas", _parse_floats),
-    ("mc", "samples", "mc_samples", _mc_samples),
+    ("mc", "samples", "mc_samples", _at_least("mc", "samples", 1)),
     ("run", "seed", "seed", int),
     ("run", "output", "output", _output),
 )
@@ -97,8 +100,7 @@ def default_config():
 # Every key the INI file may set, by section.
 KNOWN_KEYS = {"domain": ("kind", "n", "alpha", "beta", "gamma", "kappa"),
               **{s: tuple(k for t, k, _, _ in SETTINGS if t == s) for s, _, _, _ in SETTINGS}}
-_KINDS = {int: "an integer", float: "a number", _mc_samples: "an integer",
-          _parse_floats: "a list of numbers"}
+_KINDS = {float: "a number", _parse_floats: "a list of numbers"}
 
 
 def _read(parser, section, key, conv, default):
@@ -111,7 +113,8 @@ def _read(parser, section, key, conv, default):
     except ParameterError:
         raise
     except ValueError:
-        raise ParameterError(f"[{section}] {key} = {raw!r} is not {_KINDS[conv]}") from None
+        raise ParameterError(f"[{section}] {key} = {raw!r} is not "
+                             f"{_KINDS.get(conv, 'an integer')}") from None
 
 
 def _spec(parser):

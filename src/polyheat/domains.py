@@ -1,27 +1,37 @@
 """Geometric truth for the three weighted domains.
 
 A :class:`DomainSpec` fixes the domain (interval, ball, or simplex), its
-dimension, and the weight parameters.  Everything geometric derives from it:
-
-* the weighted measure density,
-* the intrinsic distance (pulled back from great-circle distance on the
-  unit sphere through the canonical chart),
-* the chart lift and its metric tensor / inverse / determinant,
-* total masses in closed Beta-function form.
+dimension, and the weight parameters; the density, distance, chart lift,
+metric and total mass derive from it.
 
 Conventions.  The interval is [-1, 1] with weight (1-x)^alpha (1+x)^beta,
 alpha, beta > -1.  The ball is the closed unit ball in R^n with weight
 (1-|x|^2)^(gamma-1/2), gamma > -1/2.  The simplex is {x_i >= 0, sum x_i <= 1}
 with weight prod x_i^(kappa_i-1/2) * (1-sum x)^(kappa_(n+1)-1/2), each
-kappa_i > -1/2.  The interval uses the n=1 ball chart (x, sqrt(1-x^2)),
-under which its distance |arccos x - arccos y| is exactly the great-circle
-distance of the lifted points.
+kappa_i > -1/2.
+
+Each domain is a piece of the sphere S^n in R^N, N = n + 1, with density
+prod |y_i|^(2 kappa_i) and the great-circle distance (Dunkl & Xu, 2nd ed.
+2014, 5.2-5.3); the closed forms read it from the record ``spec.lift``:
+
+* ball(n, gamma): the upper hemisphere, y = (x, sqrt(1 - |x|^2)),
+  kappa = (0, ..., 0, gamma), one face y_N = 0; ``step`` 1, x = y[:n];
+* simplex(n, kappa): the positive orthant, y^2 = (x, 1 - sum x), every
+  y_i = 0 a face; ``step`` 2, x_i = y_i^2;
+* interval(alpha, beta): simplex(1, (beta + 1/2, alpha + 1/2)) at
+  x = 2u - 1, with its distances doubled: ``scale`` 2 (1 elsewhere).
+
+The interval keeps its own distance |arccos x - arccos y|, as arccos of the
+lifted simplex(1) product loses up to 1e-12: its chart and metric are the
+circle (x, sqrt(1 - x^2)) of ball(1), whose angle is that distance.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
-from math import lgamma, log, pi, exp, sqrt, acos, isfinite
+from functools import cached_property
+from math import lgamma, log, exp, acos, isfinite
 
 import numpy as np
 
@@ -37,6 +47,16 @@ CONTAINMENT_TOL = 1e-12
 BOUNDARY_TOL = 1e-12
 
 
+# the lifted piece of the sphere, as the module docstring describes it; the
+# faces are the last lifted coordinates
+Lift = namedtuple("Lift", "kappa faces step scale")
+
+
+# per kind: the names of the parameters (the simplex takes n + 1) and their range
+_PARAMETERS = {INTERVAL: (("alpha", "beta"), "alpha > -1 and beta > -1"),
+               BALL: (("gamma",), "gamma > -1/2"), SIMPLEX: ((), "every kappa_i > -1/2")}
+
+
 @dataclass(frozen=True)
 class DomainSpec:
     """Domain kind, dimension, and weight parameters (immutable)."""
@@ -48,30 +68,20 @@ class DomainSpec:
     def __post_init__(self):
         if self.kind not in (INTERVAL, BALL, SIMPLEX):
             raise ParameterError(f"unknown domain kind {self.kind!r}")
-        if self.n < 1:
-            raise ParameterError("dimension must be >= 1")
+        if self.n < 1 or (self.kind == INTERVAL and self.n != 1):
+            raise ParameterError("dimension must be >= 1, and 1 on the interval")
+        names, bound = _PARAMETERS[self.kind]
+        names = names or [f"kappa_{i + 1}" for i in range(self.n + 1)]
+        if len(self.params) != len(names):
+            raise ParameterError(f"{self.kind} in dimension {self.n} takes ({', '.join(names)}), "
+                                 f"got {len(self.params)} parameters")
         # NaN fails every range comparison below, and inf passes them
         if not all(isfinite(p) for p in self.params):
             raise ParameterError(f"{self.kind} parameters must be finite numbers, got "
                                  + ", ".join(f"{p:g}" for p in self.params))
-        if self.kind == INTERVAL:
-            if self.n != 1:
-                raise ParameterError("the interval is one-dimensional")
-            if len(self.params) != 2:
-                raise ParameterError("interval takes two parameters (alpha, beta)")
-            a, b = self.params
-            if a <= -1 or b <= -1:
-                raise ParameterError("interval weight requires alpha > -1 and beta > -1")
-        elif self.kind == BALL:
-            if len(self.params) != 1:
-                raise ParameterError("ball takes one parameter gamma")
-            if self.params[0] <= -0.5:
-                raise ParameterError("ball weight requires gamma > -1/2")
-        else:
-            if len(self.params) != self.n + 1:
-                raise ParameterError(f"simplex in dimension {self.n} takes {self.n + 1} parameters")
-            if any(k <= -0.5 for k in self.params):
-                raise ParameterError("simplex weight requires every kappa_i > -1/2")
+        # each lifted half-exponent exceeds -1/2: alpha + 1/2 on the interval
+        if min(self.lift.kappa) <= -0.5:
+            raise ParameterError(f"{self.kind} weight requires {bound}")
 
     # -- constructors ----------------------------------------------------
 
@@ -104,6 +114,15 @@ class DomainSpec:
     @property
     def kappa(self):
         return self.params
+
+    @cached_property
+    def lift(self):
+        """The :class:`Lift` of this domain, built once."""
+        if self.kind == INTERVAL:
+            return Lift((self.beta + 0.5, self.alpha + 0.5), (0, 1), 2, 2.0)
+        if self.kind == BALL:
+            return Lift((0.0,) * self.n + (self.gamma,), (self.n,), 1, 1.0)
+        return Lift(self.kappa, tuple(range(self.n + 1)), 2, 1.0)
 
     def label(self):
         if self.kind == INTERVAL:
@@ -147,14 +166,23 @@ def _sqnorm(X):
     return np.matmul(X[:, None, :], X[:, :, None])[:, 0, 0]
 
 
+def _margins(spec, X):
+    """The defining coordinates scale y_i^2 of the faces, one column a face:
+    1 - |x|^2, (x, 1 - sum x) or (1 + x, 1 - x); >= 0 on the closed domain."""
+    lift = spec.lift
+    if lift.step == 1:
+        return (1 - _sqnorm(X))[:, None]
+    return np.concatenate([X + (lift.scale - 1), 1 - X.sum(axis=1, keepdims=True)], axis=1)
+
+
 def _gap(spec, X):
-    """Smallest defining coordinate of each row, >= 0 on the closed domain:
-    of (1 - x, 1 + x), 1 - |x|^2 or (x_1, ..., x_n, 1 - sum x)."""
-    if spec.kind == INTERVAL:
-        return 1 - np.abs(X[:, 0])
-    if spec.kind == BALL:
+    """Smallest defining coordinate of each row, the row minimum of ``_margins``."""
+    lift = spec.lift
+    if lift.step == 1:
         return 1 - _sqnorm(X)
-    return np.minimum(X.min(axis=1), 1 - X.sum(axis=1))
+    # one column needs no row reductions, which cost a microsecond each
+    low, total = (X[:, 0], X[:, 0]) if spec.n == 1 else (X.min(axis=1), X.sum(axis=1))
+    return np.minimum(low + (lift.scale - 1), 1 - total)
 
 
 def _rows(spec, x, interior=False):
@@ -212,12 +240,7 @@ def distance(spec, x, y):
         return 0.0
     if spec.kind == INTERVAL:
         return abs(_clamped_arccos(x[0]) - _clamped_arccos(y[0]))
-    if spec.kind == BALL:
-        c = float(x @ y) + sqrt(max(0.0, 1 - float(x @ x))) * sqrt(max(0.0, 1 - float(y @ y)))
-        return _clamped_arccos(c)
-    c = float(np.sqrt(np.clip(x, 0, None) * np.clip(y, 0, None)).sum())
-    c += sqrt(max(0.0, 1 - x.sum())) * sqrt(max(0.0, 1 - y.sum()))
-    return _clamped_arccos(c)
+    return _clamped_arccos(float(lift_rows(spec, x[None, :])[0] @ lift_rows(spec, y[None, :])[0]))
 
 
 def distance_many(spec, x, points):
@@ -240,14 +263,10 @@ def distance_matrix(spec, X, Y):
 
 
 def rho_to_boundary(spec, x):
-    """Intrinsic distance from x to the domain boundary."""
+    """Intrinsic distance to the boundary: scale arcsin of the least face y_i."""
     X, one = _rows(spec, x)
-    if spec.kind == INTERVAL:
-        th = np.arccos(np.clip(X[:, 0], -1, 1))
-        out = np.minimum(th, pi - th)
-    else:
-        # the smallest lifted coordinate of a face, sqrt of the smallest gap
-        out = np.arcsin(np.minimum(np.sqrt(np.maximum(_gap(spec, X), 0.0)), 1.0))
+    s = spec.lift.scale
+    out = s * np.arcsin(np.minimum(np.sqrt(np.maximum(_gap(spec, X) / s, 0.0)), 1.0))
     return _answer(out, one)
 
 
@@ -258,13 +277,8 @@ def rho_to_boundary(spec, x):
 def weight_density(spec, x):
     """Density of the weighted measure at x (strictly positive inside)."""
     X, one = _rows(spec, x)
-    # the defining coordinates of _gap, each to its weight exponent
-    if spec.kind == INTERVAL:
-        b, e = np.hstack([1 - X, 1 + X]), np.array([spec.alpha, spec.beta])
-    elif spec.kind == BALL:
-        b, e = _gap(spec, X)[:, None], np.array([spec.gamma - 0.5])
-    else:
-        b, e = np.hstack([X, 1 - X.sum(axis=1, keepdims=True)]), np.asarray(spec.kappa) - 0.5
+    # each defining coordinate to the exponent kappa_i - 1/2 of its face
+    b, e = _margins(spec, X), np.subtract(_face_kappa(spec), 0.5)
     if np.any((b <= 0.0) & (e < 0.0)):
         raise BoundarySingularityError(f"weight density singular at the boundary of the {spec.kind}")
     # a margin at or just below zero is zero: the factor is 0, or 1 for exponent 0
@@ -274,14 +288,18 @@ def weight_density(spec, x):
 def weight_log_gradient(spec, x):
     """Gradient of log(weight density) at an interior point."""
     X, one = _rows(spec, x, interior=True)
-    if spec.kind == INTERVAL:
-        out = (-spec.alpha / (1 - X[:, 0]) + spec.beta / (1 + X[:, 0]))[:, None]
-    elif spec.kind == BALL:
-        out = (1.0 - 2.0 * spec.gamma) * X / (1 - _sqnorm(X))[:, None]
+    # sum over the faces of (kappa_i - 1/2) grad(b_i) / b_i, b = _margins
+    b, e = _margins(spec, X), np.subtract(_face_kappa(spec), 0.5)
+    if spec.lift.step == 1:
+        out = (1.0 - 2.0 * spec.lift.kappa[-1]) * X / b
     else:
-        head = (np.asarray(spec.kappa[: spec.n]) - 0.5) / X
-        out = head - ((spec.kappa[spec.n] - 0.5) / (1 - X.sum(axis=1)))[:, None]
+        out = e[:-1] / b[:, :-1] - (e[-1] / b[:, -1])[:, None]
     return _answer(out, one)
+
+
+def _face_kappa(spec):
+    """The half-exponents kappa_i of the faces, the last lifted coordinates."""
+    return spec.lift.kappa[spec.lift.faces[0]:]
 
 
 # ---------------------------------------------------------------------------
@@ -289,27 +307,27 @@ def weight_log_gradient(spec, x):
 
 
 def lift_rows(spec, points):
-    """Chart lift of each row of an (m, n) array of domain points, unnormalized.
-
-    Ball and interval rows become (x, sqrt(1 - |x|^2)) on the upper
-    hemisphere, simplex rows (sqrt(x_1), ..., sqrt(x_n), sqrt(1 - sum x)) on
-    the positive orthant, so rho(x, y) = arccos(lift(x) . lift(y)).
-    """
+    """Lift of each row of an (m, n) array of domain points, unnormalized: on
+    the hemisphere (x, sqrt(1 - |x|^2)), on the orthant sqrt(_margins / scale),
+    so rho(x, y) = scale arccos(lift(x) . lift(y))."""
     pts = np.asarray(points, dtype=float)
+    if spec.lift.step == 2:
+        return np.sqrt(np.clip(_margins(spec, pts) / spec.lift.scale, 0, None))
     out = np.empty((len(pts), spec.n + 1))
-    if spec.kind == SIMPLEX:
-        np.sqrt(np.clip(pts, 0, None), out=out[:, : spec.n])
-        last = 1 - pts.sum(axis=1)
-    else:
-        out[:, : spec.n] = pts
-        last = 1 - (pts * pts).sum(axis=1)
-    np.sqrt(np.clip(last, 0, None), out=out[:, spec.n])
+    out[:, : spec.n] = pts
+    np.sqrt(np.clip(1 - (pts * pts).sum(axis=1), 0, None), out=out[:, spec.n])
     return out
 
 
+def _chart(spec):
+    """The spec whose lift has the angle rho, for the lift and the metric: the
+    spec at scale 1; at scale 2 (n = 1) the doubled angle, the circle of ball(1)."""
+    return spec if spec.lift.scale == 1 else _CIRCLE
+
+
 def chart_lift(spec, x):
-    """Lift x to the unit sphere in R^(n+1) through the canonical chart."""
-    y = lift_rows(spec, _require_inside(spec, x)[None, :])[0]
+    """Lift x to the unit sphere in R^(n+1): rho(x, y) is the angle between lifts."""
+    y = lift_rows(_chart(spec), _require_inside(spec, x)[None, :])[0]
     return y / np.linalg.norm(y)
 
 
@@ -317,7 +335,7 @@ def metric_tensor(spec, x):
     """Chart metric g(x); symmetric positive definite at interior points."""
     X, one = _rows(spec, x, interior=True)
     i = np.arange(spec.n)
-    if spec.kind == SIMPLEX:
+    if _chart(spec).lift.step == 2:
         g = np.zeros((len(X), spec.n, spec.n)) + (0.25 / (1 - X.sum(axis=1)))[:, None, None]
         g[:, i, i] += 0.25 / X
     else:
@@ -327,19 +345,21 @@ def metric_tensor(spec, x):
 
 
 def inverse_metric(spec, x):
-    """Closed-form inverse of the chart metric: I - x x^T, 4 (diag x - x x^T)."""
+    """Closed-form inverse of the chart metric: I - x x^T on the hemisphere,
+    4 (diag x - x x^T) on the orthant."""
     X, one = _rows(spec, x, interior=True)
+    step = _chart(spec).lift.step
     G = np.zeros((len(X), spec.n, spec.n))
     i = np.arange(spec.n)
-    G[:, i, i] = X if spec.kind == SIMPLEX else 1.0
+    G[:, i, i] = X if step == 2 else 1.0
     G -= X[:, :, None] * X[:, None, :]
-    return _answer(4.0 * G if spec.kind == SIMPLEX else G, one)
+    return _answer(4.0 * G if step == 2 else G, one)
 
 
 def metric_det(spec, x):
     """Closed-form determinant of the chart metric."""
     X, one = _rows(spec, x, interior=True)
-    if spec.kind == SIMPLEX:
+    if _chart(spec).lift.step == 2:
         out = 4.0 ** (-spec.n) / ((1 - X.sum(axis=1)) * np.prod(X, axis=1))
     else:
         out = 1.0 / (1 - _sqnorm(X))
@@ -366,11 +386,12 @@ def log_beta(a, b):
 
 
 def total_mass(spec):
-    """Total weighted mass of the domain, in closed form via log-Gamma."""
-    if spec.kind == INTERVAL:
-        return exp((spec.alpha + spec.beta + 1) * log(2.0) + log_beta(spec.alpha + 1, spec.beta + 1))
-    if spec.kind == BALL:
-        g = spec.gamma
-        return exp(0.5 * spec.n * log(pi) + lgamma(g + 0.5) - lgamma(g + 0.5 + 0.5 * spec.n))
-    logs = sum(lgamma(k + 0.5) for k in spec.kappa)
-    return exp(logs - lgamma(sum(spec.kappa) + 0.5 * (spec.n + 1)))
+    """Total weighted mass: prod Gamma(kappa_i + 1/2) / Gamma(|kappa| + N/2)
+    times scale^(n + sum over the faces of (kappa_i - 1/2)), 2^(alpha+beta+1)."""
+    lift = spec.lift
+    log_c = (spec.n + sum(k - 0.5 for k in _face_kappa(spec))) * log(lift.scale)
+    logs = sum(lgamma(k + 0.5) for k in lift.kappa)
+    return exp(log_c + logs - lgamma(sum(lift.kappa) + 0.5 * (spec.n + 1)))
+
+
+_CIRCLE = DomainSpec.ball(1, 0.0)   # the interval's chart

@@ -16,10 +16,11 @@ import numpy as np
 
 from .basis import build_basis, eigenvalue, graded_monomials
 from .domains import (
-    BALL,
     INTERVAL,
     SIMPLEX,
     DomainSpec,
+    _chart,
+    _face_kappa,
     chart_lift,
     distance_matrix,
     inverse_metric,
@@ -68,14 +69,15 @@ def interior_points(spec, count, margin=BOUNDARY_MARGIN):
 def geodesic_ray(spec, anchor, s_values):
     """Points at exact intrinsic distances ``s_values`` from ``anchor``.
 
-    Walks the great circle through the lifted anchor on the chart sphere
-    toward the lifted domain center, so that rho(anchor, point) = s exactly.
-    Targets that leave the chart are dropped; returns (distances, points).
+    Walks the great circle of ``chart_lift`` from the anchor toward the
+    domain center, so that rho(anchor, point) = s exactly.  Targets with a
+    face coordinate <= 1e-9 are dropped; returns (distances, points).
     """
+    lift = _chart(spec).lift
     anchor = np.atleast_1d(np.asarray(anchor, float))
     y0 = chart_lift(spec, anchor)
-    center = np.full(spec.n, 1.0 / (spec.n + 1)) if spec.kind == SIMPLEX else np.zeros(spec.n)
-    ya = chart_lift(spec, center)
+    # the center: the pole of the hemisphere, x_i = 1/N on the orthant
+    ya = chart_lift(spec, np.full(spec.n, 1.0 / (spec.n + 1) if lift.step == 2 else 0.0))
     u = ya - (ya @ y0) * y0
     nu = np.linalg.norm(u)
     if nu < 1e-12:
@@ -87,14 +89,11 @@ def geodesic_ray(spec, anchor, s_values):
     u = u / nu
     s = np.asarray(s_values, dtype=float)
     Y = np.outer(np.cos(s), y0) + np.outer(np.sin(s), u)
-    if spec.kind == SIMPLEX:
-        keep = np.all(Y > 1e-9, axis=1)
-    else:
-        keep = Y[:, spec.n] > 1e-9
+    keep = Y[:, lift.faces[0]:].min(axis=1) > 1e-9
     if not keep.any():
         raise DomainError("no ray targets stay inside the chart")
     X = Y[keep, : spec.n]
-    return s[keep], X ** 2 if spec.kind == SIMPLEX else X
+    return s[keep], X if lift.step == 1 else X ** 2
 
 
 def _ray_pairs(ev, phi, delta, anchors, s_values):
@@ -181,8 +180,9 @@ def _frame(spec, points, degree):
 
 
 def _metric_divergence(spec, pts):
-    """sum_i d_i G_ij at each point, (m, n): -(n+1) x_j, 4 (1 - (n+1) x_j)."""
-    if spec.kind == SIMPLEX:
+    """sum_i d_i G_ij at each point, (m, n), on the chart: -(n+1) x_j on the
+    hemisphere, 4 (1 - (n+1) x_j) on the orthant."""
+    if _chart(spec).lift.step == 2:
         return 4.0 * (1.0 - (spec.n + 1.0) * pts)
     return -(spec.n + 1.0) * pts
 
@@ -342,12 +342,9 @@ def gauss_ratio_scan(ev: HeatKernelEvaluator, vol, points, times):
 
 
 def doubling_cap(spec):
-    """Cap on V(x, 2r)/V(x, r) from the surrogate form, with a 2x margin."""
-    if spec.kind == BALL:
-        return 2.0 ** (spec.n + 1) * 4.0 ** abs(spec.gamma)
-    if spec.kind == SIMPLEX:
-        return 2.0 ** (spec.n + 1) * 4.0 ** sum(abs(k) for k in spec.kappa)
-    return 4.0 * 4.0 ** (abs(spec.alpha + 0.5) + abs(spec.beta + 0.5))
+    """Cap on V(x, 2r)/V(x, r) from the surrogate form, with a 2x margin:
+    2^(n+1) 4^(sum |kappa_i|) over the lifted coordinates."""
+    return 2.0 ** (spec.n + 1) * 4.0 ** sum(abs(k) for k in spec.lift.kappa)
 
 
 @dataclass
@@ -408,17 +405,13 @@ def doubling_scan(spec, vol, points, radii):
 # Green's identity and boundary flux
 
 
-def _chart_factor(spec):
-    return 4.0 if spec.kind == SIMPLEX else 1.0
-
-
 def green_identity_check(spec, f, h, quad=None):
     """|int h Lw f dmu + int <grad f, grad h>_g dmu| / max(|lhs|, |rhs|, 1).
 
     ``f`` is a coefficient vector over graded monomials; ``h`` provides
     vectorized values and gradients (PolyField, GaussianBump).
     The weighted Laplacian on the chart equals the polynomial operator up to
-    the fixed chart factor (4 on the simplex).  Checks on one quadrature
+    the chart factor step^2 (4 on the simplex).  Checks on one quadrature
     share its monomial Vandermonde.
     """
     deg, cf = _coefficients(spec.n, f)
@@ -434,7 +427,7 @@ def green_identity_check(spec, f, h, quad=None):
     else:
         hv, gh = h.values(pts), h.gradients(pts).T
     cf = fr.pad(cf)
-    lf = _chart_factor(spec) * (fr.VL @ cf)
+    lf = _chart(spec).lift.step ** 2 * (fr.VL @ cf)
     lhs = float(w @ (hv * lf))
     gf = fr.VD @ cf
     rhs = -float(w @ np.einsum("im,mij,jm->m", gf, fr.G, gh))
@@ -522,11 +515,11 @@ def _simplex_face_flux(spec, f, h, eps, face):
 def boundary_flux_decay(spec, f, h, epsilons):
     """Boundary flux magnitudes J_eps and their fitted log-log decay rates.
 
-    The ball has a single spherical face with expected rate gamma + 1/2; the
-    simplex is decomposed into its n + 1 faces with per-face rates
-    kappa_i + 1/2, the smallest kappa dominating the total.  ``f`` is a
-    coefficient vector over graded monomials, ``h`` provides vectorized
-    values (PolyField, GaussianBump).
+    Each face of the lift has the expected rate kappa_i + 1/2: the ball has
+    a single spherical face, rate gamma + 1/2; the simplex is decomposed into
+    its n + 1 faces, the smallest rate that carries flux dominating the
+    total.  ``f`` is a coefficient vector over graded monomials, ``h``
+    provides vectorized values (PolyField, GaussianBump).
     """
     eps = sorted(set(float(e) for e in epsilons), reverse=True)
     if len(eps) < 4 or not all(0 < e < 0.5 for e in eps):
@@ -539,39 +532,25 @@ def boundary_flux_decay(spec, f, h, epsilons):
     _require_field(h)
     faces = {}
     f = PolyField(f, spec.n)
-    if spec.kind == BALL:
+    if spec.lift.step == 1:
         names = ["sphere"]
-        expected = {"sphere": spec.gamma + 0.5}
         J = {"sphere": [_ball_flux(spec, f, h, e) for e in eps]}
     else:
         names = [f"F{i + 1}" for i in range(spec.n)] + ["H"]
-        expected = {f"F{i + 1}": spec.kappa[i] + 0.5 for i in range(spec.n)}
-        expected["H"] = spec.kappa[spec.n] + 0.5
         J = {nm: [_simplex_face_flux(spec, f, h, e, i) for e in eps]
              for i, nm in enumerate(names)}
-    zero = True
+    expected = {nm: k + 0.5 for nm, k in zip(names, _face_kappa(spec))}
     for nm in names:
         vals = np.abs(np.array(J[nm]))
         entry = {"J": [float(v) for v in J[nm]], "expected": expected[nm],
-                 "slope": None, "r2": None}
-        if np.all(vals < 1e-14):
-            entry["zero"] = True
-        else:
-            zero = False
-            slope, _, r2 = loglog_fit(eps, vals)
-            entry["slope"], entry["r2"] = slope, r2
-            entry["zero"] = False
+                 "slope": None, "r2": None, "zero": bool(np.all(vals < 1e-14))}
+        if not entry["zero"]:
+            entry["slope"], _, entry["r2"] = loglog_fit(eps, vals)
         faces[nm] = entry
-    if zero:
+    live = [nm for nm in names if not faces[nm]["zero"]]
+    if not live:
         return FluxReport(spec.label(), eps, faces, None, None, None, True)
-    if spec.kind == BALL:
-        dom = "sphere"
-    else:
-        idx = int(np.argmin(spec.kappa))
-        dom = "H" if idx == spec.n else f"F{idx + 1}"
-        if faces[dom]["zero"]:
-            dom = min((nm for nm in names if not faces[nm]["zero"]),
-                      key=lambda nm: expected[nm])
+    dom = min(live, key=expected.get)
     return FluxReport(spec.label(), eps, faces, faces[dom]["slope"],
                       expected[dom], faces[dom]["r2"], False)
 
@@ -598,7 +577,7 @@ def chart_laplacian_check(spec, f, points):
     logw = weight_log_gradient(spec, pts)
     drift = _metric_divergence(spec, pts) + np.einsum("mij,mi->mj", fr.G, logw)
     chart = chart + np.einsum("mj,jm->m", drift, fr.VD @ c)
-    op = _chart_factor(spec) * (fr.VL @ c)
+    op = _chart(spec).lift.step ** 2 * (fr.VL @ c)
     num = float(np.max(np.abs(chart - op)))
     den = float(np.max(np.maximum(np.abs(chart), np.abs(op))))
     return num / den if den > 0 else num
@@ -661,9 +640,8 @@ def jacobi_simplex_correspondence(alpha, beta, max_k, seed=0):
     if not 0 <= max_k <= SUBSTITUTION_MAX_K:
         raise DomainError(f"max_k {max_k} outside [0, {SUBSTITUTION_MAX_K}], where the "
                           "substitution matrix is exact in doubles")
-    kappa = (beta + 0.5, alpha + 0.5)
     ispec = DomainSpec.interval(alpha, beta)
-    sspec = DomainSpec.simplex(1, kappa)
+    sspec = DomainSpec.simplex(1, ispec.lift.kappa)
     rng = np.random.default_rng(seed)
     A = _substitution_matrix(max_k)
     checks = []

@@ -1,10 +1,11 @@
 """Metric-ball volumes V(x, r) and their closed-form comparability surrogates.
 
-The chart maps the ball onto the upper hemisphere of S^n and the simplex
-onto the positive orthant (x_i = y_i^2), so rho(x, y) < r exactly when
-lift(x) . lift(y) > cos r, and the metric ball is a spherical cap cut by the
-faces.  On the sphere the weighted measure has the density y_(n+1)^(2 gamma)
-(ball) or 2^n prod y_i^(2 kappa_i) (simplex) against surface measure.
+The lift of ``spec.lift`` maps the ball onto the upper hemisphere of S^n
+and the simplex onto the positive orthant (x_i = y_i^2), so rho(x, y) < r
+exactly when lift(x) . lift(y) > cos r, and the metric ball is a spherical
+cap cut by the faces.  On the sphere the weighted measure has the density
+step^n prod |y_i|^(2 kappa_i) against surface measure: y_(n+1)^(2 gamma) on
+the ball, 2^n prod y_i^(2 kappa_i) on the simplex.
 
 * Interval: the arc integral of the Jacobi weight by Gauss-Jacobi and
   Gauss-Legendre rules, to about 1e-13 relative; see ``_interval_volumes``.
@@ -31,8 +32,9 @@ import numpy as np
 from .domains import (
     BALL,
     INTERVAL,
-    SIMPLEX,
     DomainSpec,
+    _face_kappa,
+    _margins,
     _require_inside,
     _rows,
     lift_rows,
@@ -66,21 +68,14 @@ class VolumeEstimate:
 
 
 def volume_surrogate(spec, x, r):
-    """Closed-form comparability surrogate for V(x, r); no normalizing constant."""
+    """Closed-form comparability surrogate for V(x, r); no normalizing constant:
+    r^n times (b_i + r^2)^kappa_i over the faces, b the defining coordinates."""
     x = _require_inside(spec, x)
     if not 0 < r <= pi:
         raise DomainError("surrogate radius must lie in (0, pi]")
-    if spec.kind == INTERVAL:
-        return float(
-            r
-            * (1 - x[0] + r * r) ** (spec.alpha + 0.5)
-            * (1 + x[0] + r * r) ** (spec.beta + 0.5)
-        )
-    if spec.kind == BALL:
-        return float(r ** spec.n * (1 - x @ x + r * r) ** spec.gamma)
-    out = r ** spec.n * (1 - x.sum() + r * r) ** spec.kappa[spec.n]
-    for i in range(spec.n):
-        out *= (x[i] + r * r) ** spec.kappa[i]
+    out = r ** spec.n
+    for b, k in zip(_margins(spec, x[None, :])[0].tolist(), _face_kappa(spec)):
+        out *= (b + r * r) ** k
     return float(out)
 
 
@@ -91,8 +86,8 @@ def _method(spec):
 
 
 def _diameter(spec):
-    """The largest distance between two points: pi/2 on the orthant, else pi."""
-    return pi / 2 if spec.kind == SIMPLEX else pi
+    """The largest distance between two points: scale pi / step."""
+    return spec.lift.scale * pi / spec.lift.step
 
 
 @lru_cache(maxsize=16)
@@ -180,15 +175,6 @@ def _interval_volumes(spec, xs, r):
 # cap quadrature on ball(2) and simplex(2)
 
 
-def _cap_faces(spec):
-    """(lifted coordinates that vanish on a face, their density exponents,
-    the density's constant): y_3^(2 gamma) on the upper hemisphere, or
-    4 y_1^(2 kappa_1) y_2^(2 kappa_2) y_3^(2 kappa_3) on the positive orthant."""
-    if spec.kind == BALL:
-        return [spec.n], [2.0 * spec.gamma], 1.0
-    return list(range(spec.n + 1)), [2.0 * k for k in spec.kappa], 2.0 ** spec.n
-
-
 def _tangent_frames(Y):
     """Orthonormal (E1, E2) spanning the tangent plane at each unit row of Y."""
     axis = np.zeros_like(Y)
@@ -209,13 +195,13 @@ def _cap_panels(spec, Y, E1, E2, r):
     (query, start, end, exit face, periodic, rho).
 
     A cap clear of every face, or one whose every ray leaves the domain
-    before r, is one periodic panel.  Otherwise phi is split where the
-    exit face changes (the direction of a vertex) and where the exit angle
-    theta_i(phi) of face i crosses r; the exit face is -1 on a panel whose
-    rays all reach r inside the domain.  Panels are ordered by query, then
+    before r, is one periodic panel.  Otherwise phi is split where the exit
+    face changes (the direction of a vertex, where more than one face meets)
+    and where the exit angle theta_i(phi) of face i crosses r; the exit face
+    is -1 on a panel whose rays all reach r inside the domain.  Panels are ordered by query, then
     by start.  ``rho`` sets the Gauss order of a panel out to a face.
     """
-    faces, _, _ = _cap_faces(spec)
+    faces = list(spec.lift.faces)
     Yf = Y[:, faces]
     # u_i(phi) = B_i cos(phi - psi_i): psi_i is also the direction of vertex e_i
     psi = np.arctan2(E2[:, faces], E1[:, faces])
@@ -224,7 +210,7 @@ def _cap_panels(spec, Y, E1, E2, r):
     with np.errstate(divide="ignore", invalid="ignore"):
         c = -Yf / (_by_radius(tan, r)[:, None] * B)
     half = np.where(np.abs(c) < 1.0, np.arccos(np.clip(c, -1.0, 1.0)), np.nan)
-    breaks = [psi - half, psi + half] + ([psi] if spec.kind == SIMPLEX else [])
+    breaks = [psi - half, psi + half] + ([psi] if len(faces) > 1 else [])
     S = np.sort(np.mod(np.hstack(breaks), 2 * pi), axis=1)
     count = np.count_nonzero(np.isfinite(S), axis=1)
     periodic = clear | (count == 0)
@@ -303,7 +289,8 @@ def _theta_integrals(spec, Yq, E1q, E2q, phi, face, r, n_theta):
     (T - theta)^(2 kappa_j) of the density goes into the weight, and the
     face coordinates are A_i sin(theta_i - theta), exact near the exit.
     """
-    faces, expo, _ = _cap_faces(spec)
+    faces = list(spec.lift.faces)
+    expo = [2.0 * k for k in _face_kappa(spec)]
     U = np.cos(phi)[:, None] * E1q + np.sin(phi)[:, None] * E2q
     Yf, Uf = Yq[:, faces], U[:, faces]
     if face[0] < 0:
@@ -366,7 +353,7 @@ def _cap_sums(spec, Y, E1, E2, r, panels, order):
         need = 8 * np.ceil(digits * np.log(10) / (16 * np.log(rho)))
     n = np.where(periodic, n_trap, np.fmin(np.fmax(need, least), CAP_PHI_MAX)).astype(int)
     sums = np.empty(len(query))
-    step = CAP_CHUNK // (n_theta * len(_cap_faces(spec)[0]))
+    step = CAP_CHUNK // (n_theta * len(spec.lift.faces))
     for reach in (face < 0, face >= 0):
         sel = np.flatnonzero(reach)
         if len(sel) == 0:
@@ -404,7 +391,7 @@ def _cap_volumes(spec, X, r):
     E1, E2 = _tangent_frames(Y)
     panels = _cap_panels(spec, Y, E1, E2, r)
     low, high = (_cap_sums(spec, Y, E1, E2, r, panels, order) for order in CAP_ORDERS)
-    const = _cap_faces(spec)[2]
+    const = float(spec.lift.step ** spec.n)   # dx = step^n prod y_i dsigma
     return const * high, const * np.abs(high - low)
 
 

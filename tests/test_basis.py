@@ -424,6 +424,11 @@ class TestCapsAndModes:
         with pytest.raises(CapacityError):
             build_basis(DomainSpec.interval(-0.5, -0.5), 300)
 
+    def test_negative_degree_is_a_parameter_error(self):
+        # a negative degree is no cap overflow: lowering it would not help
+        with pytest.raises(ParameterError, match=r"^max_degree -1 is below 0$"):
+            build_basis(DomainSpec.ball(2, 0.5), -1)
+
     def test_serialization(self):
         from polyheat.basis import basis_from_json_obj
 

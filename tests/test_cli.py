@@ -207,6 +207,33 @@ class TestBasisCommands:
         assert lines[-1].startswith("# max residual ") and lines[-1].endswith("-> PASS")
 
 
+@pytest.mark.parametrize("command, err", [
+    (["basis", "build", "--max-degree", "-1"], "--max-degree -1 is below 0"),
+    (["basis", "verify", "--max-degree", "-3"], "--max-degree -3 is below 0"),
+    (["kernel", "eval", "--t", "0.5", "--grid", "0"], "--grid 0 is below 1"),
+    (["kernel", "multiplier", "--family", "heat_exp", "--delta", "0.3", "--grid", "-2"],
+     "--grid -2 is below 1"),
+    (["kernel", "export", "--t-list", "0.5", "--resolution", "0"], "--resolution 0 is below 1"),
+], ids=["build", "verify", "eval", "multiplier", "export"])
+def test_integer_flag_below_least_is_one_line_error(tmp_path, capsys, monkeypatch, command, err):
+    # the message names the user's flag, not a cap or an internal argument
+    monkeypatch.chdir(tmp_path)
+    cfgfile = write_config(tmp_path, INTERVAL_INI.format(out=tmp_path))
+    assert main(["--config", cfgfile] + command) == 2
+    assert capsys.readouterr() == ("", f"error: {err}\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["run.ini"]
+
+
+@pytest.mark.parametrize("command, err", [
+    (["basis", "build"], "error: [basis] max_degree = -2 is below 0\n"),
+    (["validate", "ops"], "invalid config: [basis] max_degree = -2 is below 0\n")])
+def test_negative_max_degree_in_config_is_one_line_error(tmp_path, capsys, command, err):
+    cfgfile = write_config(tmp_path, "[domain]\nkind = ball\nn = 2\n[basis]\nmax_degree = -2\n")
+    assert main(["--config", cfgfile] + command + ["--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr() == ("", err)
+    assert not (tmp_path / "out").exists()
+
+
 class TestGeomRows:
     def rows(self, tmp_path, capsys, query):
         cfgfile = write_config(tmp_path, "[domain]\nkind = ball\nn = 2\ngamma = 0.5\n")
@@ -267,6 +294,21 @@ class TestKernelExport:
         out, err = capsys.readouterr()
         assert err.startswith("error: ") and "finite" in err and err.count("\n") == 1
         assert out == "" and not (tmp_path / "k.csv").exists()
+
+    @pytest.mark.parametrize("t_list, err", [
+        ("abc", "error: malformed --t-list 'abc': expected numbers separated by commas "
+                "or spaces\n"),
+        (",", "error: malformed --t-list ',': expected numbers separated by commas or "
+              "spaces\n")])
+    def test_bad_t_list_is_one_line_error(self, tmp_path, capsys, monkeypatch, t_list, err):
+        # no file is written, not even the default kernel_grid.csv
+        monkeypatch.chdir(tmp_path)
+        cfgfile = write_config(tmp_path, INTERVAL_INI.format(out=tmp_path))
+        for out in ([], ["--out", str(tmp_path / "k.csv")]):
+            assert main(["--config", cfgfile, "kernel", "export", "--t-list", t_list,
+                         "--resolution", "4"] + out) == 2
+            assert capsys.readouterr() == ("", err)
+        assert [p.name for p in tmp_path.iterdir()] == ["run.ini"]
 
     def test_eval_csv(self, tmp_path, capsys):
         cfgfile = write_config(tmp_path, INTERVAL_INI.format(out=tmp_path))

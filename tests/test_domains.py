@@ -332,3 +332,73 @@ class TestGeometryHelpers:
         assert contains(spec, (0.6, 0.0))
         assert not contains(spec, (1.2, 0.0))
         assert boundary_gap(spec, (0.6, 0.0)) == pytest.approx(0.64)
+
+
+# closed forms pinned per kind, each value written from the formula of its
+# kind: (spec, doubling_cap, _diameter, surrogate_comparability_range,
+# [(x, rho_to_boundary, volume_surrogate at r = 0.3 and r = 1)])
+CLOSED_FORMS = [
+    (DomainSpec.interval(-0.9, 3), 891.443776815231, pi, pi,
+     [((-0.7,), 0.7953988301841433, (0.008804529783841508, 1.683667107138)),
+      ((0.2,), 1.369438406004566, (0.7663536639443536, 12.484477783127614)),
+      ((0.95,), 0.3175604292915215, (7.986851808854654, 43.24155830221645))]),
+    (DomainSpec.interval(1.5, -0.5), 64.0, pi, pi,
+     [((-0.7,), 0.7953988301841433, (0.96123, 7.29)),
+      ((0.2,), 1.369438406004566, (0.23763, 3.24)),
+      ((0.95,), 0.3175604292915215, (0.00588, 1.1025))]),
+    (DomainSpec.ball(1, 0.5), 8.0, pi, pi,
+     [((0.4,), 1.1592794807274085, (0.2893095228297886, 1.3564659966250536)),
+      ((-0.9,), 0.45102681179626236, (0.1587450786638754, 1.0908712114635715))]),
+    (DomainSpec.ball(3, -0.4), 27.857618025475972, pi, pi,
+     [((0.3, -0.2, 0.5), 0.90658108891693, (0.030964239979379027, 0.8245063299455883)),
+      ((0.0, 0.0, 0.0), pi / 2, (0.026085139582083656, 0.757858283255199))]),
+    (DomainSpec.simplex(1, (-0.3, 1.2)), 32.0, pi / 2, 1.0,
+     [((0.3,), 0.5796397403637042, (0.29988475066269565, 1.7472526183596215)),
+      ((0.9,), 0.32175055439664213, (0.04101427296518423, 0.9247942949055854))]),
+    (DomainSpec.simplex(3, (0.2, -0.4, 1.0, 0.5)), 294.066778879241, pi / 2, 1.0,
+     [((0.1, 0.25, 0.4), 0.3217505543966422, (0.008520370029795773, 1.4591420524890617)),
+      ((0.25, 0.25, 0.25), pi / 6, (0.006641808602012278, 1.336543249988985))]),
+]
+
+
+class TestClosedFormPins:
+    @pytest.mark.parametrize("spec, cap, diameter, comparability, rows", CLOSED_FORMS,
+                             ids=lambda v: v.label() if isinstance(v, DomainSpec) else "")
+    def test_values(self, spec, cap, diameter, comparability, rows):
+        from polyheat.validation import doubling_cap, surrogate_comparability_range
+        from polyheat.volumes import _diameter, volume_surrogate
+        assert doubling_cap(spec) == pytest.approx(cap, rel=1e-14)
+        assert _diameter(spec) == pytest.approx(diameter, rel=1e-15)
+        assert surrogate_comparability_range(spec) == comparability
+        for x, rho, surrogates in rows:
+            assert rho_to_boundary(spec, x) == pytest.approx(rho, rel=1e-13)
+            for r, v in zip((0.3, 1.0), surrogates):
+                assert volume_surrogate(spec, x, r) == pytest.approx(v, rel=1e-13)
+
+
+class TestIntervalAsSimplex:
+    """interval(alpha, beta) is simplex(1, (beta + 1/2, alpha + 1/2)) under
+    x = 2u - 1, with its distances doubled."""
+
+    @pytest.mark.parametrize("alpha, beta", [(-0.5, -0.5), (0.7, -0.3), (-0.9, 3.0),
+                                             (1.5, 1.5)])
+    def test_identity(self, alpha, beta):
+        from polyheat.basis import eigenvalue
+        from polyheat.validation import doubling_cap
+        interval = DomainSpec.interval(alpha, beta)
+        simplex = DomainSpec.simplex(1, (beta + 0.5, alpha + 0.5))
+        assert total_mass(interval) / total_mass(simplex) == pytest.approx(
+            2.0 ** (alpha + beta + 1), rel=1e-13)
+        for k in range(12):
+            assert eigenvalue(interval, k) == pytest.approx(eigenvalue(simplex, k), rel=1e-15)
+        assert doubling_cap(interval) == doubling_cap(simplex)
+        rng = np.random.default_rng(21)
+        x = rng.uniform(-0.97, 0.97, (20, 1))
+        u = (x + 1) / 2
+        np.testing.assert_allclose(rho_to_boundary(interval, x),
+                                   2 * rho_to_boundary(simplex, u), rtol=1e-13)
+        np.testing.assert_allclose(distance_matrix(interval, x, x[::-1]),
+                                   2 * distance_matrix(simplex, u, u[::-1]), atol=1e-11)
+        np.testing.assert_allclose(weight_density(interval, x),
+                                   2.0 ** (alpha + beta) * weight_density(simplex, u),
+                                   rtol=1e-13)
