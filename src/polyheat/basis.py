@@ -21,10 +21,13 @@ q_(m+1) = ((u - a_m s) q_m - b_m s^2 q_(m-1)) / b_(m+1): u = x and s = 1 on
 the interval, u = x1 and only s^2 on the ball (a_m = 0), u = 2 x1 - s on the
 simplex; the family one dimension down runs at the scale s'^2 = s^2 - x1^2
 (ball) or s' = s - x1 (simplex).  It never divides by a scale, so it is exact
-on the boundary and at the vertices.  One code runs it level by level,
-vectorized over the members, on values at points (``node_values``,
-``evaluate``) and on rows of monomial coefficients, where x_i shifts columns
-(``coefficients``, ``levels``, the export, ``verify_eigenrelation``).
+on the boundary and at the vertices.  One code runs it on values at points
+(``node_values``, ``evaluate``) and on rows of monomial coefficients, where
+x_i shifts columns (``coefficients``, ``levels``, the export,
+``verify_eigenrelation``).  The one-dimensional family of the innermost axis
+runs first, as its own loop of three ufunc updates a level (times the
+previous row, minus b times the one before, divided by b_t); the outer axes
+follow, blocked per level and vectorized over its members.
 
 Member order.  Level k holds one member (k - j, nu) for each member nu of
 degree j <= k of the family one dimension down, in that family's order, so
@@ -33,6 +36,7 @@ j ascends across a level.  On the interval level k is p_k.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import islice
 from math import comb, sqrt
 
@@ -64,9 +68,13 @@ def level_dimension(n: int, k: int) -> int:
     return 1 if k == 0 else comb(k + n - 1, k)
 
 
+@lru_cache(maxsize=None)
 def _offsets(n, K):
-    """Start of each level 0..K, and the total, in an n-dimensional family."""
-    return np.concatenate([[0], np.cumsum([level_dimension(n, k) for k in range(K + 1)])])
+    """Start of each level 0..K, and the total, in an n-dimensional family
+    (read-only, shared by every caller with the same n and K)."""
+    o = np.concatenate([[0], np.cumsum([level_dimension(n, k) for k in range(K + 1)])])
+    o.flags.writeable = False
+    return o
 
 
 def graded_monomials(n, max_degree):
@@ -293,19 +301,28 @@ def _jacobi_parameters(spec, d, j):
 class _Axis:
     """What one coordinate's recurrence needs, whatever the algebra.
 
-    ``levels[t]`` builds level t of the family of dimension d on this axis:
-    its first rows (inner degree j < t, m = t - j) from levels t-1 and, for
-    the ``head`` with m >= 2, t-2, with per-row columns a_(m-1) (None for a
-    symmetric weight), b_(m-1) and b_m; its last rows (j = t) as the inner
-    family's level t times p_0.  One-dimensional families keep plain rows and
-    scalar columns.  ``offsets`` holds the start of each level, and ``a``,
-    for a one-dimensional family with a non-symmetric weight, a_(t-1) of
-    each row t (None otherwise).
+    A one-dimensional family (d = 1) keeps the flat arrays of
+    ``jacobi_recurrence``: ``a[t]`` = a_t (None for a symmetric weight) and
+    ``b[t]`` = b_t, a 0-d array (a ufunc takes one faster than a scalar),
+    with ``p0`` its row 0.  For d >= 2, ``levels[t]`` builds level t of the
+    family on this axis: its first rows (inner degree j < t, m = t - j) from
+    levels t-1 and, for the ``head`` with m >= 2, t-2, with per-row columns
+    a_(m-1) (None for a symmetric weight), b_(m-1) and b_m; its last rows
+    (j = t) as the inner family's level t times p_0.  ``offsets`` holds the
+    start of each level.
     """
 
     def __init__(self, spec, d, K):
+        self.offsets = o = _offsets(d, K).tolist()
+        self.size = o[-1]
+        if d == 1:
+            alpha, beta, c = _jacobi_parameters(spec, 1, 0)
+            a, sqb, mass = jacobi_recurrence(K, alpha, beta)
+            self.a, self.p0 = a if a.any() else None, c / sqrt(mass)
+            self.b = [sqb[t, ...] for t in range(K + 1)]
+            return
         # inner[t]: rows of inner degree < t, which is also the size of level t - 1
-        inner = _offsets(d - 1, K) if d > 1 else np.array([0] + [1] * (K + 1))
+        inner = _offsets(d - 1, K)
         deg = np.repeat(np.arange(K + 1), np.diff(inner))
         A, B, p0 = np.zeros((K + 1, K + 1)), np.zeros((K + 1, K + 1)), np.zeros(K + 1)
         for j in range(int(deg[-1]) + 1):
@@ -313,19 +330,7 @@ class _Axis:
             a, sqb, mass = jacobi_recurrence(K - j, alpha, beta)
             A[j, : K - j + 1], B[j, : K - j + 1], p0[j] = a, sqb, c / sqrt(mass)
         symmetric = not A.any()
-        self.offsets = o = [int(v) for v in _offsets(d, K)]
-        self.size, self.levels = o[-1], []
-        self.a = None
-        if d == 1:
-            self.head = 1
-            if not symmetric:
-                self.a = np.concatenate([[0.0], A[0, :K]])
-            for t in range(K + 1):
-                self.levels.append((t - 2, t - 1 if t else None, t, ... if t >= 2 else None, 0,
-                                    None if symmetric or not t else A[0, t - 1], B[0, t - 1],
-                                    B[0, t], None if t else 0, 0, p0[t]))
-            return
-        self.head = max(int(inner[K - 1]), 1)
+        self.head, self.levels = max(int(inner[K - 1]), 1), []
         for t in range(K + 1):
             hi, lo = int(inner[t]), int(inner[t - 1]) if t else 0
             g, m = deg[:hi], t - deg[:hi]
@@ -355,20 +360,20 @@ def _scales(kind, coords):
 
 
 def _members(alg, kind, axes, out, last):
-    """Every member through level ``last`` as rows of ``out``: level t of
-    every axis, innermost first.  ``alg.lin`` and ``alg.sub`` take t, for
-    the columns that levels t, t-1 and t-2 fill."""
+    """Every member through level ``last`` as rows of ``out``: the
+    one-dimensional family of the innermost axis first, by ``alg.line``,
+    then level t of every outer axis, innermost first.  ``alg.lin`` and
+    ``alg.sub`` take t, for the columns that levels t, t-1 and t-2 fill."""
     width = alg.one.shape[1]
     family = [out] + [alg.new_rows((ax.size, width)) for ax in axes[1:]] + [alg.one]
-    tmp = np.empty((max(ax.head for ax in axes), width))
-    work = []
-    for axis, ax, rows, inner in zip(_scales(kind, alg.coords), axes, family, family[1:]):
-        u, s, s2 = (alg.prepare(e) for e in axis)
-        u = alg.prefill(u, s, ax.a, rows[: ax.offsets[last + 1]])
-        work.append(((u, s, s2), rows, inner))
-    work.reverse()
+    tmp = np.empty((max([ax.head for ax in axes[:-1]], default=0), width))
+    scales = [[alg.prepare(e) for e in axis] for axis in _scales(kind, alg.coords)]
+    line_rows = family[-2]
+    np.multiply(axes[-1].p0, alg.one[0], out=line_rows[0])
+    alg.line(*scales[-1], axes[-1], line_rows, last)
+    work = list(zip(scales, family, family[1:]))[-2::-1]
     lin, sub = alg.lin, alg.sub
-    levels = islice(zip(*[axis.levels for axis in reversed(axes)]), last + 1)
+    levels = islice(zip(*[axis.levels for axis in axes[-2::-1]]), last + 1)
     # q_m = ((u - a_(m-1) s) q_(m-1) - b_(m-1) s^2 q_(m-2)) / b_m on each level's rows
     for t, level_t in enumerate(levels):
         for ((u, s, s2), rows, inner), level in zip(work, level_t):
@@ -378,8 +383,7 @@ def _members(alg, kind, axes, out, last):
                 if head is not None:
                     sub(z[head], b, s2, rows[prev2], tmp[th], t)
                 z /= bn
-            if new is not None:
-                np.multiply(p0, inner[inner_t], out=rows[new])
+            np.multiply(p0, inner[inner_t], out=rows[new])
     return out
 
 
@@ -398,26 +402,30 @@ class _Values:
         return e
 
     @staticmethod
-    def prefill(u, s, a, rows):
-        """The u that ``lin`` takes.  Given the a of each row (``_Axis.a``,
-        a one-dimensional family), rows = u - a s, the first factor of every
-        level, in one pass before the sweep, a s formed first as ``lin``
-        forms it, and None: the rows hold it.  Otherwise u, and each level
-        forms its own: on a larger family, rows filled before the sweep have
-        left the cache when their level reads them, which costs node sweeps
-        more than the calls it saves."""
-        if a is None:
-            return u
-        a = a[: len(rows), None]
-        np.subtract(u, a if s is None else np.multiply(a, s, out=rows), out=rows)
-        return None
+    def line(u, s, s2, ax, rows, last):
+        """Rows 1..last of a one-dimensional family whose row 0 is set: row t
+        first holds f_t = u - a_(t-1) s, all rows in one pass (a s formed
+        first, as ``lin`` forms it; f_t = u for a symmetric weight), then
+        r_t = (f_t r_(t-1) - b_(t-1) s^2 r_(t-2)) / b_t row by row.  No call
+        of the loop writes to an array it reads: NumPy takes about twice as
+        long for that on the one-element rows of a one-point sweep."""
+        r, a, b = list(rows[: last + 1]), ax.a, ax.b
+        # out goes by position: the call then parses no keywords
+        mul, sub, div = np.multiply, np.subtract, np.divide
+        if a is not None:
+            a, f = a[:last, None], rows[1: last + 1]
+            sub(u, a if s is None else mul(a, s, f), f)
+        x, y, z = np.empty((3, rows.shape[1]))
+        for t in range(1, last + 1):
+            p = mul(u if a is None else r[t], r[t - 1], x)
+            if t >= 2:
+                q = r[t - 2] if s2 is None else mul(s2, r[t - 2], y)
+                p = sub(p, mul(b[t - 1], q, z), y)
+            div(p, b[t], r[t])
 
     @staticmethod
     def lin(u, s, a, Z, out, t):
-        """(u - a s) Z into out, which holds u - a s already where u is None."""
-        if u is None:
-            out *= Z
-            return out
+        """(u - a s) Z into out."""
         if a is None:
             return np.multiply(u, Z, out=out)
         np.subtract(u, a if s is None else np.multiply(a, s, out=out), out=out)
@@ -448,7 +456,7 @@ class _Coefficients:
         # _unit[i][c]: column of x_i times monomial c, for c below degree K
         self._unit = [np.array([index[e[:i] + (e[i] + 1,) + e[i + 1:]] for e in monomials[:low]],
                                dtype=np.int64) for i in range(n)]
-        self._offsets = [int(v) for v in _offsets(n, K)]
+        self._offsets = _offsets(n, K).tolist()
 
     def prepare(self, e):
         """Terms (c, dst) of a polynomial: dst takes the monomials of degree
@@ -466,10 +474,15 @@ class _Coefficients:
             terms.append((c, int(dst[0]) if consecutive else dst))
         return terms
 
-    @staticmethod
-    def prefill(u, s, a, rows):
-        """u: the rows start at zero, and ``lin`` forms u - a s."""
-        return u
+    def line(self, u, s, s2, ax, rows, last):
+        """Rows 1..last of a one-dimensional family whose row 0 is set, by
+        ``lin`` and ``sub``."""
+        r, a, b, w = list(rows[: last + 1]), ax.a, ax.b, np.empty(rows.shape[1])
+        for t in range(1, last + 1):
+            z = self.lin(u, s, None if a is None else a[t - 1], r[t - 1], r[t], t)
+            if t >= 2:
+                self.sub(z, b[t - 1], s2, r[t - 2], w, t)
+            z /= b[t]
 
     @staticmethod
     def mul(e, Z, out):

@@ -15,6 +15,7 @@ import json
 import sys
 from dataclasses import replace
 from functools import cache
+from math import ceil, sqrt
 from pathlib import Path
 
 import numpy as np
@@ -50,6 +51,9 @@ GATES = {INTERVAL: (1e-9, 1e-10), BALL: (1e-8, 1e-8), SIMPLEX: (1e-8, 1e-8)}
 GREEN_PAIRS = 20
 # the least value of each integer flag
 LEAST = {"max_degree": 0, "grid": 1, "resolution": 1}
+# the most cells the kernel grids of one command may hold: each cell is a
+# value, a tail and a CSV row, about 200 bytes in all while the CSV is written
+MAX_GRID_CELLS = 1 << 20
 
 
 def _fmt(x):
@@ -158,6 +162,13 @@ def cmd_geom(args):
     return 0
 
 
+def _grid_budget(flag, points, grids=1):
+    """Refuse, before anything is built, grids beyond ``MAX_GRID_CELLS``."""
+    if grids * points * points > MAX_GRID_CELLS:
+        raise CapacityError(f"{grids} kernel grid(s) of {points} x {points} points exceed the "
+                            f"budget of {MAX_GRID_CELLS} cells; lower {flag}")
+
+
 def _kernel_grid_points(cfg, resolution):
     spec = cfg.spec
     if spec.kind == INTERVAL:
@@ -188,6 +199,7 @@ def _point_labels(pts):
 
 
 def cmd_kernel_eval(args):
+    _grid_budget("--grid", args.grid)
     cfg = load_config(args.config)
     ev = _evaluator(cfg)
     pts, _ = _kernel_grid_points(cfg, args.grid)
@@ -198,6 +210,7 @@ def cmd_kernel_eval(args):
 
 
 def cmd_kernel_multiplier(args):
+    _grid_budget("--grid", args.grid)
     cfg = load_config(args.config)
     ev = _evaluator(cfg)
     phi = MultiplierSpec(args.family, support=args.support, order=args.order,
@@ -211,6 +224,7 @@ def cmd_kernel_multiplier(args):
 
 def cmd_kernel_export(args):
     ts = _parse_point(args.t_list, "--t-list").tolist()
+    _grid_budget("--resolution or the --t-list", args.resolution, len(ts))
     cfg = load_config(args.config)
     ev = _evaluator(cfg)
     pts, weights = _kernel_grid_points(cfg, args.resolution)
@@ -353,11 +367,19 @@ def suite_correspondence(cfg, ev, vol, rng):
 
 
 def _evaluator_with_band(cfg, ev, min_sqrt_lambda):
-    """Re-build the evaluator at a higher cap when a suite needs more band."""
-    need = ev.basis.max_degree
-    while eigenvalue(cfg.spec, need) < min_sqrt_lambda ** 2:
+    """Re-build the evaluator at the least degree K >= its own whose
+    lambda_K = K (K + c) reaches min_sqrt_lambda^2 when a suite needs more
+    band: the root of the quadratic, moved onto that K by ``eigenvalue``."""
+    spec, have, target = cfg.spec, ev.basis.max_degree, min_sqrt_lambda ** 2
+    if not eigenvalue(spec, have) < target:
+        return ev
+    c = eigenvalue(spec, 1) - 1.0
+    need = max(have + 1, ceil((sqrt(c * c + 4.0 * target) - c) / 2.0))
+    while need - 1 > have and eigenvalue(spec, need - 1) >= target:
+        need -= 1
+    while eigenvalue(spec, need) < target:
         need += 1
-    return ev if need == ev.basis.max_degree else _evaluator(replace(cfg, max_degree=need))
+    return _evaluator(replace(cfg, max_degree=need))
 
 
 def suite_localize(cfg, ev, vol, rng):

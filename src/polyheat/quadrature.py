@@ -19,6 +19,9 @@ from .domains import BALL, INTERVAL, DomainSpec
 from .errors import CapacityError, DomainError
 
 MAX_NODES = 5_000_000
+# nodes of one Gauss-Jacobi rule, whose Jacobi matrix is dense: about 24 m^2
+# bytes with the recurrence sweep at the nodes
+MAX_RULE_NODES = 2048
 
 
 @dataclass(frozen=True)
@@ -68,6 +71,9 @@ def jacobi_recurrence(max_degree, alpha, beta):
 
 def gauss_jacobi(m, alpha, beta):
     """m-point Gauss rule for (1-x)^alpha (1+x)^beta on [-1, 1], read-only arrays."""
+    if m > MAX_RULE_NODES:
+        raise CapacityError(f"a Gauss-Jacobi rule of {m} nodes exceeds the budget of "
+                            f"{MAX_RULE_NODES}; lower the degree")
     return _gauss_jacobi(int(m), float(alpha), float(beta))
 
 

@@ -11,13 +11,14 @@ kernel tails from per-level diagonals at fully evaluated points (and the
 level-by-level window maximum they majorize), the mass and semigroup checks
 through kernel rows to every quadrature node, the interval basis from
 hand-written value and coefficient recurrences, the coefficient rows by the
-level recurrence over every column, a member-by-member Gram-Schmidt build
-of the ball and simplex bases, the interval/simplex correspondence through
-sparse polynomial arithmetic and scalar distances, the Green, chart and
-flux checks through ``MultiPoly`` arithmetic (the operator applied term by
-term, the inverse metric as exact polynomials, every evaluation through
-``eval_many``), and the Gaussian and localization scans as per-pair and
-per-anchor loops.
+level recurrence over every column from the Jacobi data alone, the
+one-dimensional family in Python floats one point at a time, a
+member-by-member Gram-Schmidt build of the ball and simplex bases, the
+interval/simplex correspondence through sparse polynomial arithmetic and
+scalar distances, the Green, chart and flux checks through ``MultiPoly``
+arithmetic (the operator applied term by term, the inverse metric as exact
+polynomials, every evaluation through ``eval_many``), and the Gaussian and
+localization scans as per-pair and per-anchor loops.
 
 The package takes test polynomials as coefficient vectors over
 ``graded_monomials``; ``as_coefficients`` and ``poly_of`` convert between
@@ -30,7 +31,8 @@ import numpy as np
 import sympy as sp
 from scipy.integrate import quad as scipy_quad
 
-from polyheat.basis import _scales, build_basis, eigenvalue, graded_monomials, level_dimension
+from polyheat.basis import (_jacobi_parameters, _scales, build_basis, eigenvalue,
+                           graded_monomials, level_dimension)
 from polyheat.domains import (
     BALL,
     INTERVAL,
@@ -422,15 +424,18 @@ def reference_interval_basis(spec, K):
 
 
 def untrimmed_coefficient_rows(basis):
-    """The coefficient rows of ``basis`` by its level recurrence over every
-    graded-monomial column at every level.
+    """The coefficient rows of ``basis`` by the level recurrence of its
+    closed-form product, over every graded-monomial column at every level.
 
-    The same axes, scales and operations as ``basis._members``, but every
-    row is updated over the whole width, products by x^e go through index
-    arrays built from the exponents, and a scale of 1 returns its row
-    unpadded.
+    The recurrence data come from ``jacobi_recurrence`` and
+    ``_jacobi_parameters``, one axis and inner degree at a time, and the
+    member order from the level dimensions, none of it from the basis.  The
+    scales and operations are those of ``basis._members``, but every member
+    is its own row update over the whole width, the families are built
+    innermost first, products by x^e go through index arrays built from the
+    exponents, and a scale of 1 returns its row unpadded.
     """
-    n, K, kind = basis.spec.n, basis.max_degree, basis.spec.kind
+    spec, n, K = basis.spec, basis.spec.n, basis.max_degree
     monomials = basis._monomials
     index = {e: c for c, e in enumerate(monomials)}
     width = len(monomials)
@@ -456,27 +461,112 @@ def untrimmed_coefficient_rows(basis):
             z -= a * mul(s, Z, np.empty_like(Z))
         return z
 
-    axes = basis._axes
-    one = np.zeros((1, width))
-    one[0, 0] = 1.0
-    out = np.empty((basis.size, width))
-    family = [out] + [np.empty((ax.size, width)) for ax in axes[1:]] + [one]
-    tmp = np.empty((max(ax.head for ax in axes), width))
     scales = [[terms(e) for e in axis]
-              for axis in _scales(kind, [MultiPoly.variable(n, i) for i in range(n)])]
-    work = list(zip(scales, family, family[1:]))[::-1]
-    for levels in zip(*[axis.levels for axis in reversed(axes)]):
-        for ((u, s, s2), rows, inner), level in zip(work, levels):
-            prev2, prev, cur, head, th, a, b, bn, new, inner_t, p0 = level
-            if prev is not None:
-                z = lin(u, s, a, rows[prev], rows[cur])
-                if head is not None:
-                    w = tmp[th]
-                    z[head] -= np.multiply(b, mul(s2, rows[prev2], w), out=w)
-                z /= bn
-            if new is not None:
-                np.multiply(p0, inner[inner_t], out=rows[new])
-    return out
+              for axis in _scales(spec.kind, [MultiPoly.variable(n, i) for i in range(n)])]
+    w = np.empty(width)
+    inner = np.zeros((1, width))
+    inner[0, 0] = 1.0
+    inner_deg = [0]    # degree of each member of the family one dimension down
+    for d in range(1, n + 1):
+        u, s, s2 = scales[n - d]
+        data = []
+        for j in range(inner_deg[-1] + 1):
+            alpha, beta, c = _jacobi_parameters(spec, d, j)
+            a, sqb, mass = jacobi_recurrence(K - j, alpha, beta)
+            data.append((a, sqb, c / sqrt(mass)))
+        symmetric = not any(a.any() for a, _, _ in data)
+        rows, row = np.empty((sum(level_dimension(d, k) for k in range(K + 1)), width)), {}
+        # level t: member (t - j, nu) for each inner member nu, of degree j <= t, in order
+        for t in range(K + 1):
+            for nu, j in enumerate(inner_deg):
+                if j > t:
+                    break
+                a, sqb, p0 = data[j]
+                m, z = t - j, rows[len(row)]
+                row[t, nu] = len(row)
+                if m == 0:
+                    np.multiply(p0, inner[nu], out=z)
+                    continue
+                lin(u, s, None if symmetric else a[m - 1], rows[row[t - 1, nu]], z)
+                if m >= 2:
+                    z -= np.multiply(sqb[m - 1], mul(s2, rows[row[t - 2, nu]], w), out=w)
+                z /= sqb[m]
+        inner, inner_deg = rows, [t for t, _ in row]
+    return inner
+
+
+def innermost_family(basis, points):
+    """The one-dimensional family on the innermost axis of ``basis`` (the
+    interval, ball(1), simplex(1), or the inner factor of ball(2) and
+    simplex(2)), in Python floats, one point and one coefficient at a time.
+
+    q_0 = p_0 and q_(m+1) = ((u - a_m s) q_m - b_m s^2 q_(m-1)) / b_(m+1),
+    with a_m, b_m and p_0 from ``jacobi_recurrence`` and
+    ``_jacobi_parameters``; at a point, u, s and s^2 are written out here
+    (s = 1 and s^2 = 1 where the axis has no scale).  On coefficients, u q,
+    s q and s^2 q are sparse products over the terms of the scales of
+    ``_scales``, in their order, and (u - a s) q is u q - a (s q), as
+    ``basis._members`` forms it.  Returns (values, rows, p0): values[i][m]
+    is q_m at point i, rows[m] the coefficient row of q_m over
+    ``basis._monomials``, and p0[m] the factor of the member of level m
+    whose inner factor is q_m (1 in one dimension).
+    """
+    spec, n, K = basis.spec, basis.spec.n, basis.max_degree
+    if n > 2:
+        raise ValueError("innermost_family covers n <= 2")
+    alpha, beta, c = _jacobi_parameters(spec, 1, 0)
+    a, b, mass = jacobi_recurrence(K, alpha, beta)
+    a, b, q0 = a.tolist(), b.tolist(), c / sqrt(mass)
+    p0 = [1.0] * (K + 1)
+    if n == 2:
+        for j in range(K + 1):
+            alpha2, beta2, c = _jacobi_parameters(spec, 2, j)
+            p0[j] = c / sqrt(jacobi_recurrence(K - j, alpha2, beta2)[2])
+
+    def scales(x):
+        if n == 1:
+            return (2 * x[0] - 1.0 if spec.kind == SIMPLEX else x[0]), 1.0, 1.0
+        if spec.kind == BALL:
+            return x[1], 1.0, 1.0 - x[0] * x[0]
+        s = 1.0 - x[0]
+        return 2 * x[1] - s, s, s * s
+
+    values = []
+    for x in np.asarray(points, dtype=float).tolist():
+        u, s, s2 = scales(x)
+        q = [q0]
+        for m in range(K):
+            q.append(((u - a[m] * s) * q[m] - b[m] * (s2 * (q[m - 1] if m else 0.0))) / b[m + 1])
+        values.append(q)
+
+    def times(p, q):
+        if p is None:
+            return q
+        out = {}
+        for exps, c in p.items():
+            for e, v in q.items():
+                key = tuple(i + j for i, j in zip(e, exps))
+                out[key] = out.get(key, 0.0) + (v if c == 1.0 else c * v)
+        return out
+
+    def minus(z, coef, q):
+        for e, v in q.items():
+            z[e] = z.get(e, 0.0) - coef * v
+        return z
+
+    u, s, s2 = _scales(spec.kind, [MultiPoly.variable(n, i) for i in range(n)])[-1]
+    polys = [{(0,) * n: q0}]
+    for m in range(K):
+        z = minus(times(u, polys[m]), a[m], times(s, polys[m]))
+        if m:
+            z = minus(z, b[m], times(s2, polys[m - 1]))
+        polys.append({e: v / b[m + 1] for e, v in z.items()})
+    index = {e: c for c, e in enumerate(basis._monomials)}
+    rows = np.zeros((K + 1, len(index)))
+    for m, poly in enumerate(polys):
+        for e, v in poly.items():
+            rows[m, index[e]] = v
+    return values, rows, p0
 
 
 def member_gram_schmidt(spec, K, quad):

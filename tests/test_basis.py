@@ -23,8 +23,8 @@ from polyheat.polynomials import MultiPoly, monomial_operator, monomial_vandermo
 from polyheat.quadrature import build_quadrature
 from polyheat.validation import operator_symmetry_residual, random_coefficients
 
-from _oracles import (apply_operator, member_gram_schmidt, reference_interval_basis,
-                      untrimmed_coefficient_rows)
+from _oracles import (apply_operator, innermost_family, member_gram_schmidt,
+                      reference_interval_basis, untrimmed_coefficient_rows)
 
 
 class TestEigenvalues:
@@ -255,6 +255,45 @@ class TestLevelTrimmedSweeps:
             end = basis.level_slice(last).stop
             assert np.array_equal(got[:, :end], full[:, :end]), last
             assert not got[:, end:].any(), last
+
+
+class TestOneDimensionalFamily:
+    """The innermost family, bit for bit against Python floats one point at a time."""
+
+    @pytest.mark.parametrize("spec, K", [
+        (DomainSpec.interval(-0.9, -0.9), 200),
+        (DomainSpec.interval(1.5, -0.5), 200),
+        (DomainSpec.interval(-0.5, -0.5), 200),
+        (DomainSpec.ball(1, 0.5), 200),
+        (DomainSpec.simplex(1, (0.3, 1.2)), 200),
+        (DomainSpec.ball(2, 0.5), 30),
+        (DomainSpec.simplex(2, (-0.3, 0.8, 1.7)), 30),
+    ], ids=lambda s: s.label() if isinstance(s, DomainSpec) else f"K={s}")
+    def test_values_and_coefficients_equal_the_scalar_recurrence(self, spec, K):
+        basis = build_basis(spec, K)
+        rng = np.random.default_rng(7)
+        if spec.n == 1:
+            lo = -1.0 if spec.kind != "simplex" else 0.0
+            pts = np.concatenate([[lo, 1.0, (lo + 1) / 2], rng.uniform(lo, 1.0, 9)])[:, None]
+        elif spec.kind == "ball":
+            r, phi = np.sqrt(rng.uniform(0, 1, 9)), rng.uniform(0, 2 * pi, 9)
+            pts = np.vstack([[[1.0, 0.0], [0.0, -1.0], [0.6, 0.8], [0.0, 0.0]],
+                             np.stack([r * np.cos(phi), r * np.sin(phi)], axis=1)])
+        else:
+            pts = np.vstack([[[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.25, 0.75]],
+                             rng.dirichlet((1.0, 1.0, 1.0), 9)[:, :2]])
+        values, rows, p0 = innermost_family(basis, pts)
+        cols = basis.offsets[1:] - 1     # the member of level m whose inner factor is q_m
+        ref = np.array(values) * np.array(p0)
+        assert np.array_equal(basis.evaluate(pts)[:, cols], ref)
+        for last in (0, 1, 2, K // 3, K):
+            got = basis._values(pts, last)
+            assert np.array_equal(got[:, cols[: last + 1]], ref[:, : last + 1]), last
+            assert not got[:, cols[last + 1:]].any(), last
+        assert np.array_equal(basis.coefficients[cols], rows * np.array(p0)[:, None])
+        nodes = slice(None, None, 17)
+        values, _, _ = innermost_family(basis, basis.quad.nodes[nodes])
+        assert np.array_equal(basis.node_values[nodes][:, cols], np.array(values) * np.array(p0))
 
 
 OPERATOR_CASES = [

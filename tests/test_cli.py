@@ -4,6 +4,8 @@ import os
 import re
 import subprocess
 import sys
+import time
+import tracemalloc
 from dataclasses import fields
 from pathlib import Path
 
@@ -224,6 +226,30 @@ def test_integer_flag_below_least_is_one_line_error(tmp_path, capsys, monkeypatc
     assert [p.name for p in tmp_path.iterdir()] == ["run.ini"]
 
 
+@pytest.mark.parametrize("command, cells", [
+    (["kernel", "eval", "--t", "0.5", "--grid", "100000"], "1 kernel grid(s) of 100000 x 100000"),
+    (["kernel", "multiplier", "--family", "heat_exp", "--delta", "0.3", "--grid", "1025"],
+     "1 kernel grid(s) of 1025 x 1025"),
+    (["kernel", "export", "--t-list", "0.2,0.5,1", "--resolution", "600"],
+     "3 kernel grid(s) of 600 x 600"),
+], ids=["eval", "multiplier", "export"])
+def test_grid_over_budget_is_refused_before_any_allocation(tmp_path, capsys, monkeypatch,
+                                                           command, cells):
+    monkeypatch.chdir(tmp_path)
+    cfgfile = write_config(tmp_path, INTERVAL_INI.format(out=tmp_path))
+    tracemalloc.start()
+    try:
+        assert main(["--config", cfgfile] + command) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: {cells} points exceed the budget of ")
+    assert len(err.splitlines()) == 1
+    assert [p.name for p in tmp_path.iterdir()] == ["run.ini"]
+
+
 @pytest.mark.parametrize("command, err", [
     (["basis", "build"], "error: [basis] max_degree = -2 is below 0\n"),
     (["validate", "ops"], "invalid config: [basis] max_degree = -2 is below 0\n")])
@@ -421,6 +447,26 @@ class TestValidate:
         entry = json.loads((tmp_path / f"validate_{suite}.json").read_text())["suites"][suite]
         assert entry["pass"] is False
         assert "exceeds 5% of V" in entry["results"]["error"]
+
+    @pytest.mark.parametrize("a, K, deltas, suite, need", [
+        (0, 10, "1e-12", "localize", 2 * 10 ** 12),
+        (0, 10, "1e-12", "fsp", 10 ** 13),
+        (-0.9, 200, "0.05, 0.1", "fsp", 201),
+    ])
+    def test_band_beyond_every_cap_is_a_one_line_capacity_result(self, tmp_path, capsys,
+                                                                  a, K, deltas, suite, need):
+        # sqrt(lambda_K) >= 2 / delta (localize) or 10 / delta (fsp): the
+        # degree comes from the root of K (K + c) = lambda, not a K-by-K walk
+        cfgfile = write_config(tmp_path, (
+            f"[domain]\nkind = interval\nalpha = {a}\nbeta = {a}\n[basis]\nmax_degree = {K}\n"
+            f"[grids]\ndeltas = {deltas}\n[run]\noutput = {tmp_path}\n"))
+        start = time.perf_counter()
+        assert main(["--config", cfgfile, "validate", suite]) == 1
+        assert time.perf_counter() - start < 1.0
+        entry = json.loads((tmp_path / f"validate_{suite}.json").read_text())["suites"][suite]
+        assert entry == {"pass": False, "results": {"error": (
+            f"max_degree {need} exceeds the cap 200 for interval(alpha={a}, beta={a}); "
+            "lower the degree")}}
 
     def test_zero_monte_carlo_volume_fails_doubling_in_one_line(self, tmp_path, capsys):
         # 20000 samples miss a ball of radius 0.001 (V about 4e-9), which

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.special import roots_jacobi
@@ -6,6 +8,7 @@ from polyheat.basis import build_basis, graded_monomials
 from polyheat.domains import DomainSpec, total_mass
 from polyheat.errors import CapacityError
 from polyheat.quadrature import (
+    MAX_RULE_NODES,
     build_quadrature,
     gauss_jacobi,
     gauss_jacobi_01,
@@ -61,6 +64,19 @@ def test_capacity_error():
         build_quadrature(DomainSpec.ball(4, 0.5), 6)
     with pytest.raises(CapacityError):
         build_quadrature(DomainSpec.simplex(4, (0.5,) * 5), 200)
+
+
+def test_rule_over_the_node_budget_is_refused_before_any_allocation():
+    tracemalloc.start()
+    try:
+        for call in (lambda: gauss_jacobi(MAX_RULE_NODES + 1, 0.5, -0.5),
+                     lambda: build_quadrature(DomainSpec.interval(0.0, 0.0), 10 ** 9)):
+            with pytest.raises(CapacityError, match="exceeds the budget of 2048"):
+                call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
 
 
 def test_gauss_jacobi_01_beta_moments():
