@@ -229,9 +229,11 @@ def cmd_kernel_export(args):
     ev = _evaluator(cfg)
     pts, weights = _kernel_grid_points(cfg, args.resolution)
     labels = [str(i) for i in range(len(pts))]
+    # one basis sweep serves every time
+    grid = ev.point_set(pts)
     rows = []
     for t in ts:
-        vals, tails = ev.heat_kernel_grid(t, pts, pts)
+        vals, tails = ev.heat_kernel_grid(t, grid, grid)
         rows += _grid_rows(labels, t, vals, tails)
     _emit_csv("i,j,t,value,tail_bound", rows, args.out or "kernel_grid.csv")
     if weights is not None:
@@ -369,10 +371,16 @@ def suite_correspondence(cfg, ev, vol, rng):
 def _evaluator_with_band(cfg, ev, min_sqrt_lambda):
     """Re-build the evaluator at the least degree K >= its own whose
     lambda_K = K (K + c) reaches min_sqrt_lambda^2 when a suite needs more
-    band: the root of the quadratic, moved onto that K by ``eigenvalue``."""
-    spec, have, target = cfg.spec, ev.basis.max_degree, min_sqrt_lambda ** 2
+    band: the root of the quadratic, moved onto that K by ``eigenvalue``.
+    Past 2^53, where floats no longer tell one degree from the next (and
+    lambda may overflow), it asks for about K, the degree min_sqrt_lambda,
+    which every cap refuses."""
+    spec, have = cfg.spec, ev.basis.max_degree
+    target = min_sqrt_lambda * min_sqrt_lambda
     if not eigenvalue(spec, have) < target:
         return ev
+    if not min_sqrt_lambda < 2.0 ** 53:
+        return _evaluator(replace(cfg, max_degree=min_sqrt_lambda))
     c = eigenvalue(spec, 1) - 1.0
     need = max(have + 1, ceil((sqrt(c * c + 4.0 * target) - c) / 2.0))
     while need - 1 > have and eigenvalue(spec, need - 1) >= target:

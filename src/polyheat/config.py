@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import configparser
 from dataclasses import dataclass, fields, replace
+from math import inf
 
 from .domains import BALL, INTERVAL, SIMPLEX, DomainSpec
 from .errors import ParameterError
@@ -17,6 +18,16 @@ SCHEMA_VERSION = 6
 
 def _parse_floats(text):
     return tuple(float(v) for v in str(text).replace(",", " ").split())
+
+
+def _parse_deltas(text):
+    """[grids] deltas: finite positive scales, which the localization and
+    finite-speed suites divide by."""
+    deltas = _parse_floats(text)
+    for d in deltas:
+        if not 0 < d < inf:
+            raise ParameterError(f"[grids] deltas = {d:g} is not a finite positive number")
+    return deltas
 
 
 def _at_least(section, key, least):
@@ -44,7 +55,7 @@ SETTINGS = (
     ("grids", "times", "times", _parse_floats),
     ("grids", "radii", "radii", _parse_floats),
     ("grids", "epsilons", "epsilons", _parse_floats),
-    ("grids", "deltas", "deltas", _parse_floats),
+    ("grids", "deltas", "deltas", _parse_deltas),
     ("mc", "samples", "mc_samples", _at_least("mc", "samples", 1)),
     ("run", "seed", "seed", int),
     ("run", "output", "output", _output),
@@ -67,9 +78,11 @@ class RunConfig:
 
     def to_json_obj(self):
         obj = {"schema_version": SCHEMA_VERSION, "domain": self.spec.to_json_obj()}
-        for section, key, field, parse in SETTINGS:
+        for section, key, field, _ in SETTINGS:
             value = getattr(self, field)
-            obj.setdefault(section, {})[key] = list(value) if parse is _parse_floats else value
+            if isinstance(value, tuple):
+                value = list(value)
+            obj.setdefault(section, {})[key] = value
         return obj
 
     def to_ini(self):
@@ -82,14 +95,15 @@ class RunConfig:
         else:
             lines += ["kappa = " + ", ".join(str(k) for k in spec.kappa)]
         last = "domain"
-        for section, key, field, parse in SETTINGS:
+        for section, key, field, _ in SETTINGS:
             value = getattr(self, field)
             if value is None:  # an unset t_min leaves out [kernel]
                 continue
             if section != last:
                 lines += ["", f"[{section}]"]
                 last = section
-            lines.append(f"{key} = {', '.join(map(str, value)) if parse is _parse_floats else value}")
+            text = ", ".join(map(str, value)) if isinstance(value, (tuple, list)) else value
+            lines.append(f"{key} = {text}")
         return "\n".join(lines) + "\n"
 
 
@@ -100,7 +114,8 @@ def default_config():
 # Every key the INI file may set, by section.
 KNOWN_KEYS = {"domain": ("kind", "n", "alpha", "beta", "gamma", "kappa"),
               **{s: tuple(k for t, k, _, _ in SETTINGS if t == s) for s, _, _, _ in SETTINGS}}
-_KINDS = {float: "a number", _parse_floats: "a list of numbers"}
+_KINDS = {float: "a number", _parse_floats: "a list of numbers",
+          _parse_deltas: "a list of numbers"}
 
 
 def _read(parser, section, key, conv, default):

@@ -10,8 +10,10 @@ the ball, 2^n prod y_i^(2 kappa_i) on the simplex.
 * Interval: the arc integral of the Jacobi weight by Gauss-Jacobi and
   Gauss-Legendre rules, to about 1e-13 relative; see ``_interval_volumes``.
 * Ball(2) and simplex(2): deterministic quadrature in geodesic polar
-  coordinates (theta, phi) about lift(x); see ``_cap_volumes``.  The
-  reported stderr is the difference between two rule orders.
+  coordinates (theta, phi) about lift(x); see ``_cap_volumes``.  Caps that
+  touch no face take one tensor pass per rule order and radius; phi panels
+  serve only the caps that touch a face.  The reported stderr is the
+  difference between two rule orders.
 * Dimension 3: Monte Carlo.  One exact sample of the normalized weighted
   measure (Beta radial profile on the ball, Dirichlet on the simplex) is
   drawn per (spec, samples, seed) from a counter-based Philox generator
@@ -191,29 +193,29 @@ def _exit_angles(Yf, Uf):
 
 
 def _cap_panels(spec, Y, E1, E2, r):
-    """The phi-panels of every cap, r the radius of each query: arrays
-    (query, start, end, exit face, periodic, rho).
+    """The phi-panels of every cap that touches a face, r the radius of each
+    query: arrays (query, start, end, exit face, periodic, rho).
 
-    A cap clear of every face, or one whose every ray leaves the domain
-    before r, is one periodic panel.  Otherwise phi is split where the exit
-    face changes (the direction of a vertex, where more than one face meets)
-    and where the exit angle theta_i(phi) of face i crosses r; the exit face
-    is -1 on a panel whose rays all reach r inside the domain.  Panels are ordered by query, then
-    by start.  ``rho`` sets the Gauss order of a panel out to a face.
+    Whole caps never come here (``_whole_cap_sums``).  A cap whose exit
+    angles theta_i(phi) never cross r is one periodic panel.  Otherwise phi
+    is split where the exit face changes (the direction of a vertex, where
+    more than one face meets) and where the exit angle of face i crosses r;
+    the exit face is -1 on a panel whose rays all reach r inside the domain.
+    Panels are ordered by query, then by start.  ``rho`` sets the Gauss
+    order of a panel out to a face.
     """
     faces = list(spec.lift.faces)
     Yf = Y[:, faces]
     # u_i(phi) = B_i cos(phi - psi_i): psi_i is also the direction of vertex e_i
     psi = np.arctan2(E2[:, faces], E1[:, faces])
     B = np.hypot(E1[:, faces], E2[:, faces])
-    clear = (r < pi / 2) & (Yf.min(axis=1) > _by_radius(sin, r))
     with np.errstate(divide="ignore", invalid="ignore"):
         c = -Yf / (_by_radius(tan, r)[:, None] * B)
     half = np.where(np.abs(c) < 1.0, np.arccos(np.clip(c, -1.0, 1.0)), np.nan)
     breaks = [psi - half, psi + half] + ([psi] if len(faces) > 1 else [])
     S = np.sort(np.mod(np.hstack(breaks), 2 * pi), axis=1)
     count = np.count_nonzero(np.isfinite(S), axis=1)
-    periodic = clear | (count == 0)
+    periodic = count == 0
 
     # GL panels: consecutive breaks, the last one wrapping around to the
     # first; a repeated break (a point on a face) makes no panel
@@ -238,7 +240,6 @@ def _cap_panels(spec, Y, E1, E2, r):
     exit_theta, _ = _exit_angles(Yf[query], U[:, faces])
     face = np.argmin(exit_theta, axis=1)
     face[exit_theta[np.arange(len(face)), face] >= r[query]] = -1
-    face[clear[query]] = -1
 
     # on a Gauss panel out to face j the exit angle is analytic in phi but
     # for branch points at psi_j + pi/2 + k pi +- i asinh(y_j / B_j), where
@@ -337,8 +338,87 @@ def _theta_integrals(spec, Yq, E1q, E2q, phi, face, r, n_theta):
         return np.where(scale > 0, g * scale, 0.0)
 
 
+def _row_sum(a):
+    """The sum over the first axis of a, in the order np.sum adds up one
+    contiguous row (numpy's pairwise summation: a row of more than 128 as
+    two halves; otherwise eight running sums, their pairwise total, then
+    the rest one by one), so that each entry has the bits of that np.sum."""
+    n = len(a)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _row_sum(a[:half]) + _row_sum(a[half:])
+    if n < 8:
+        return sum(a, 0.0)
+    r = list(a[:8])
+    top = n - n % 8
+    for i in range(8, top, 8):
+        r = [r[k] + a[i + k] for k in range(8)]
+    return sum(a[top:], ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7])))
+
+
+def _whole_cap_sums(spec, Y, E1, E2, r, order):
+    """The cap integral of every query whose cap touches no face, r its
+    radius, under one rule order.
+
+    Every ray of a whole cap reaches r inside the domain, so its rule is
+    the periodic trapezoid rule in phi times Gauss-Legendre on [0, r] in
+    theta, with the same phi nodes for every cap and the same theta nodes
+    for every cap of one radius.  Each radius takes one broadcast pass over
+    (theta node, query, phi node), in chunks of at most CAP_CHUNK integrand
+    values, of the face coordinates y_i = cos(theta) Y_i + sin(theta) u_i(phi).
+    Theta is summed in the order of a contiguous row and phi in that of
+    np.add.reduceat over one panel, so a query's sum does not depend on the
+    others and has the bits of its one periodic panel in ``_cap_sums``.
+    """
+    n_trap, n_theta = order[:2]
+    faces = list(spec.lift.faces)
+    expo = [2.0 * k for k in _face_kappa(spec)]
+    Yf, E1f, E2f = Y[:, faces], E1[:, faces], E2[:, faces]
+    x, w = gauss_jacobi(n_theta, 0.0, 0.0)
+    t = (1 + x) / 2
+    phi = 2 * pi * (np.arange(n_trap) / n_trap)
+    cos_phi, sin_phi = np.cos(phi), np.sin(phi)
+    w_phi = 2 * pi * (1.0 / n_trap)
+    sums = np.empty(len(Y))
+    step = max(1, CAP_CHUNK // (n_theta * n_trap * len(faces)))
+    radii, which = np.unique(r, return_inverse=True)
+    for k, rad in enumerate(radii.tolist()):
+        c, s = np.cos(rad * t)[:, None, None], np.sin(rad * t)[:, None, None]
+        sw = s * w[:, None, None]
+        rows = np.flatnonzero(which == k)
+        for lo in range(0, len(rows), step):
+            q = rows[lo:lo + step]
+            f, log_f = sw, None
+            for i, e in enumerate(expo):
+                if e == 0.0:
+                    continue
+                # each product is a new array, so the passes run in place
+                y = (E1f[q, i, None] * cos_phi + E2f[q, i, None] * sin_phi) * s
+                y += Yf[q, i, None] * c
+                # exponent 1 (kappa = 1/2) multiplies
+                if e == 1.0:
+                    y *= f
+                    f = y
+                else:
+                    y = np.log(y, out=y)
+                    y *= e
+                    log_f = y if log_f is None else np.add(log_f, y, out=log_f)
+            if log_f is not None:
+                log_f = np.exp(log_f, out=log_f)
+                log_f *= f
+                f = log_f
+            if f is sw:
+                # every exponent 0: the density multiplies nothing
+                f = np.broadcast_to(sw, (n_theta, len(q), n_trap))
+            g = _row_sum(f) * (rad / 2)
+            wg = w_phi * g
+            sums[q] = wg[:, 0] + wg[:, 1:].sum(axis=1)
+    return sums
+
+
 def _cap_sums(spec, Y, E1, E2, r, panels, order):
-    """The cap integral of every query, r its radius, under one rule order.
+    """The cap integral of every query, r its radius, under one rule order,
+    for caps that touch a face; whole caps take ``_whole_cap_sums``.
 
     The panels out to r and the panels out to a face each go through one
     array pass (in chunks of CAP_CHUNK integrand values) over all their
@@ -378,19 +458,32 @@ def _cap_volumes(spec, X, r):
     cos(theta) y + sin(theta) u(phi) meets face i (y_i = 0) at theta_i(phi),
     where y_i = A_i sin(theta_i - theta), both in closed form.  V is the
     integral over phi of the density integrated over theta in
-    [0, min(r, exit angle)]: a periodic trapezoid rule in phi times
-    Gauss-Legendre on [0, r] for a cap clear of the faces, and otherwise per
-    phi-panel (``_cap_panels``) Gauss-Legendre in phi times Gauss-Legendre up
-    to r or Gauss-Jacobi up to the exit face.  Every query's sum runs in the
-    same order whatever the other rows, so a row's value does not depend on
-    the batch or on the radii of the other rows.  The stderr is
-    |V_high - V_low| over ``CAP_ORDERS``.
+    [0, min(r, exit angle)].  A whole cap (r < pi/2 and every face
+    coordinate y_i > sin r, so that it touches no face) takes a periodic
+    trapezoid rule in phi times Gauss-Legendre on [0, r], one tensor pass
+    per rule order and radius (``_whole_cap_sums``).  A cap that touches a
+    face takes, per phi-panel (``_cap_panels``), Gauss-Legendre in phi times
+    Gauss-Legendre up to r or Gauss-Jacobi up to the exit face
+    (``_cap_sums``).  Every query's sum runs in the same order whatever the
+    other rows, so a row's value does not depend on the batch or on the
+    radii of the other rows.  The stderr is |V_high - V_low| over
+    ``CAP_ORDERS``.
     """
     Y = lift_rows(spec, X)
     Y /= np.linalg.norm(Y, axis=1, keepdims=True)
     E1, E2 = _tangent_frames(Y)
-    panels = _cap_panels(spec, Y, E1, E2, r)
-    low, high = (_cap_sums(spec, Y, E1, E2, r, panels, order) for order in CAP_ORDERS)
+    whole = (r < pi / 2) & (Y[:, list(spec.lift.faces)].min(axis=1) > _by_radius(sin, r))
+    low, high = np.empty(len(Y)), np.empty(len(Y))
+    if whole.any():
+        Yw, E1w, E2w, rw = Y[whole], E1[whole], E2[whole], r[whole]
+        for out, order in zip((low, high), CAP_ORDERS):
+            out[whole] = _whole_cap_sums(spec, Yw, E1w, E2w, rw, order)
+    cut = ~whole
+    if cut.any():
+        Yc, E1c, E2c, rc = Y[cut], E1[cut], E2[cut], r[cut]
+        panels = _cap_panels(spec, Yc, E1c, E2c, rc)
+        for out, order in zip((low, high), CAP_ORDERS):
+            out[cut] = _cap_sums(spec, Yc, E1c, E2c, rc, panels, order)
     const = float(spec.lift.step ** spec.n)   # dx = step^n prod y_i dsigma
     return const * high, const * np.abs(high - low)
 

@@ -307,6 +307,47 @@ class TestKernelExport:
             row_mass = sum(vals[(i, j)] * rule.weights[j] for j in range(n))
             assert row_mass == pytest.approx(1.0, abs=1e-8)
 
+    @pytest.mark.parametrize("body", [
+        INTERVAL_INI,
+        "[domain]\nkind = ball\nn = 2\ngamma = 0.5\n[basis]\nmax_degree = 10\n[run]\noutput = {out}\n",
+    ], ids=["interval", "ball2"])
+    def test_t_list_sweeps_the_basis_once(self, tmp_path, capsys, monkeypatch, body):
+        cfgfile = write_config(tmp_path, body.format(out=tmp_path))
+        ts = (0.3, 0.6, 1.0)
+        out = tmp_path / "grid.csv"
+        sweeps = []
+        values, build = OrthonormalBasis._values, polyheat.cli._evaluator
+
+        def counted(self, *args, **kwargs):
+            sweeps.append(len(args[0]))
+            return values(self, *args, **kwargs)
+
+        def built(cfg):
+            ev = build(cfg)
+            sweeps.clear()  # the build's own sweeps at its nodes
+            return ev
+
+        monkeypatch.setattr(OrthonormalBasis, "_values", counted)
+        monkeypatch.setattr(polyheat.cli, "_evaluator", built)
+        assert main(["--config", cfgfile, "kernel", "export", "--t-list", "0.3, 0.6, 1",
+                     "--resolution", "9", "--out", str(out)]) == 0
+        monkeypatch.undo()
+        capsys.readouterr()
+        cfg = load_config(cfgfile)
+        pts, _ = polyheat.cli._kernel_grid_points(cfg, 9)
+        assert sweeps == [len(pts)]
+        # every time's rows are those of a grid on the raw points
+        ev = polyheat.cli._evaluator(cfg)
+        grid = ev.point_set(pts)
+        labels = [str(i) for i in range(len(pts))]
+        rows = []
+        for t in ts:
+            vals, tails = ev.heat_kernel_grid(t, pts, pts)
+            assert all(np.array_equal(a, b) for a, b in
+                       zip(ev.heat_kernel_grid(t, grid, grid), (vals, tails)))
+            rows += polyheat.cli._grid_rows(labels, t, vals, tails)
+        assert out.read_text() == "\n".join(["i,j,t,value,tail_bound"] + rows) + "\n"
+
     @pytest.mark.parametrize("command", [
         ["eval", "--t", "nan"], ["eval", "--t", "inf"],
         ["multiplier", "--family", "sinc_power", "--delta", "nan"],
@@ -467,6 +508,42 @@ class TestValidate:
         assert entry == {"pass": False, "results": {"error": (
             f"max_degree {need} exceeds the cap 200 for interval(alpha={a}, beta={a}); "
             "lower the degree")}}
+
+    @pytest.mark.parametrize("deltas, suite, need", [
+        # past 2^53 floats tell no degree from the next; a walk over them
+        # by eigenvalue would not end
+        ("1e-25", "localize", 2 / 1e-25),
+        # lambda = (2 / delta)^2 overflows
+        ("1e-200", "localize", 2e200),
+        ("1e-200", "fsp", 1e201),
+    ])
+    def test_band_past_float_degrees_is_the_same_capacity_result(self, tmp_path, capsys,
+                                                                 deltas, suite, need):
+        cfgfile = write_config(tmp_path, (
+            "[domain]\nkind = interval\nalpha = 0\nbeta = 0\n[basis]\nmax_degree = 10\n"
+            f"[grids]\ndeltas = {deltas}\n[run]\noutput = {tmp_path}\n"))
+        start = time.perf_counter()
+        assert main(["--config", cfgfile, "validate", suite]) == 1
+        assert time.perf_counter() - start < 1.0
+        out, err = capsys.readouterr()
+        assert out.startswith(f"{suite:<16} FAIL\n") and err == ""
+        entry = json.loads((tmp_path / f"validate_{suite}.json").read_text())["suites"][suite]
+        assert entry == {"pass": False, "results": {"error": (
+            f"max_degree {need} exceeds the cap 200 for interval(alpha=0, beta=0); "
+            "lower the degree")}}
+
+    @pytest.mark.parametrize("deltas, bad", [
+        ("0", "0"), ("-0.1", "-0.1"), ("nan", "nan"), ("inf", "inf"), ("0.1, 0", "0")])
+    def test_bad_deltas_are_one_line_errors(self, tmp_path, capsys, deltas, bad):
+        cfgfile = write_config(tmp_path, (
+            "[domain]\nkind = interval\nalpha = 0\nbeta = 0\n[basis]\nmax_degree = 10\n"
+            f"[grids]\ndeltas = {deltas}\n"))
+        why = f"[grids] deltas = {bad} is not a finite positive number\n"
+        for command, prefix in ((["validate", "localize", "--out", str(tmp_path / "r")],
+                                 "invalid config: "), (["config", "show"], "error: ")):
+            assert main(["--config", cfgfile] + command) == 2
+            assert capsys.readouterr() == ("", prefix + why)
+        assert not (tmp_path / "r").exists()
 
     def test_zero_monte_carlo_volume_fails_doubling_in_one_line(self, tmp_path, capsys):
         # 20000 samples miss a ball of radius 0.001 (V about 4e-9), which

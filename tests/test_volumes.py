@@ -9,7 +9,7 @@ import pytest
 
 from polyheat import volumes
 from polyheat.cli import main
-from polyheat.domains import DomainSpec, chart_lift, distance_many, total_mass
+from polyheat.domains import DomainSpec, chart_lift, distance_many, lift_rows, total_mass
 from polyheat.errors import DomainError, ParameterError, PrecisionError
 from polyheat.validation import interior_points
 from polyheat.volumes import VolumeSource, ball_volume, refuse_imprecise, volume_surrogate
@@ -364,6 +364,52 @@ class TestCapQuadrature:
             values, stderrs = VolumeSource(spec).estimates(points, r)
             assert np.all(np.isfinite(values)) and np.all(np.isfinite(stderrs))
             assert np.all(values > 0) and np.all(values <= mass * (1 + 1e-12))
+
+    @pytest.mark.parametrize("spec, form", [
+        # the cap area 2 pi (1 - cos r), written without its cancellation
+        (DomainSpec.ball(2, 0.0), lambda X, r: 4 * pi * np.sin(r / 2) ** 2),
+        # dx = 4 dsigma on the orthant
+        (DomainSpec.simplex(2, (0.0, 0.0, 0.0)), lambda X, r: 16 * pi * np.sin(r / 2) ** 2),
+        # the linear density y_3 averages to its value at the center times
+        # the mean of cos(theta) over the cap
+        (DomainSpec.ball(2, 0.5),
+         lambda X, r: pi * np.sin(r) ** 2 * np.sqrt(1 - np.sum(X * X, axis=1))),
+    ], ids=["ball-0", "simplex-0", "ball-half"])
+    def test_whole_caps_match_closed_forms(self, spec, form):
+        pts = interior_points(spec, 40, margin=0.3)
+        faces = lift_rows(spec, pts)[:, list(spec.lift.faces)]
+        for r in (0.05, 0.1, 0.3):
+            # every cap is whole: clear of every face
+            assert np.all(faces > sin(r))
+            values, stderrs = VolumeSource(spec).estimates(pts, r)
+            want = form(pts, r)
+            assert np.all(np.abs(values - want) <= 1e-13 * want), r
+            assert np.all(stderrs <= 1e-13 * want), r
+
+    @pytest.mark.parametrize("spec, points", ORACLE_CASES, ids=ORACLE_IDS)
+    def test_whole_caps_equal_their_periodic_panel_bit_for_bit(self, spec, points):
+        # the tensor pass of whole caps against the panel pass over one
+        # periodic panel [0, 2 pi) out to r per query
+        X = np.vstack([points, interior_points(spec, 60)])
+        R = np.resize(ORACLE_RADII, len(X))
+        Y = lift_rows(spec, X)
+        Y /= np.linalg.norm(Y, axis=1, keepdims=True)
+        whole = (R < pi / 2) & (Y[:, list(spec.lift.faces)].min(axis=1) > np.sin(R))
+        Y, R = Y[whole], R[whole]
+        m = len(Y)
+        assert m >= 15
+        E1, E2 = volumes._tangent_frames(Y)
+        panel = (np.arange(m), np.zeros(m), np.full(m, 2 * pi), np.full(m, -1),
+                 np.ones(m, bool), np.full(m, np.inf))
+        for order in volumes.CAP_ORDERS:
+            want = volumes._cap_sums(spec, Y, E1, E2, R, panel, order)
+            assert volumes._whole_cap_sums(spec, Y, E1, E2, R, order).tolist() == want.tolist()
+
+    def test_row_sum_is_the_sum_of_a_contiguous_row(self):
+        rng = np.random.default_rng(11)
+        for n in (*range(1, 40), 127, 128, 129, 200, 300):
+            a = rng.standard_normal((n, 50)) * 10.0 ** rng.integers(-8, 9, (n, 50))
+            assert volumes._row_sum(a).tolist() == np.ascontiguousarray(a.T).sum(axis=1).tolist()
 
     @pytest.mark.parametrize("spec", [DomainSpec.ball(2, 0.5), DomainSpec.simplex(2, (0.5, 0.5, 0.5))],
                              ids=["ball", "simplex"])
