@@ -83,8 +83,11 @@ def _evaluator(cfg):
 
 def _write(path, text):
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    except OSError as e:
+        raise ParameterError(f"cannot write {str(path)!r}: {e}") from None
     return path
 
 

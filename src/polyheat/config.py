@@ -14,28 +14,39 @@ from .domains import BALL, INTERVAL, SIMPLEX, DomainSpec
 from .errors import ParameterError
 
 SCHEMA_VERSION = 6
+# the most [grids] points: the gauss suite holds points x points arrays, and
+# 1024^2 is the 2^20-cell budget of cli.MAX_GRID_CELLS
+MAX_POINTS = 1024
 
 
 def _parse_floats(text):
     return tuple(float(v) for v in str(text).replace(",", " ").split())
 
 
-def _parse_deltas(text):
-    """[grids] deltas: finite positive scales, which the localization and
-    finite-speed suites divide by."""
-    deltas = _parse_floats(text)
-    for d in deltas:
-        if not 0 < d < inf:
-            raise ParameterError(f"[grids] deltas = {d:g} is not a finite positive number")
-    return deltas
+def _positive_floats(section, key):
+    """The parser of a list key whose entries must be finite and positive:
+    times, radii and scales that the suites take roots of or divide by."""
+    def parse(text):
+        try:
+            values = _parse_floats(text)
+        except ValueError:
+            raise ParameterError(f"[{section}] {key} = {text!r} is not a list of numbers") from None
+        for v in values:
+            if not 0 < v < inf:
+                raise ParameterError(f"[{section}] {key} = {v:g} is not a finite positive number")
+        return values
+    return parse
 
 
-def _at_least(section, key, least):
-    """The parser of an integer key that refuses a value below ``least``."""
+def _at_least(section, key, least, most=inf):
+    """The parser of an integer key that refuses a value below ``least`` or
+    above ``most``."""
     def parse(text):
         value = int(text)
         if value < least:
             raise ParameterError(f"[{section}] {key} = {value} is below {least}")
+        if value > most:
+            raise ParameterError(f"[{section}] {key} = {value} is above {most}")
         return value
     return parse
 
@@ -51,13 +62,11 @@ def _output(text):
 SETTINGS = (
     ("basis", "max_degree", "max_degree", _at_least("basis", "max_degree", 0)),
     ("kernel", "t_min", "t_min", float),
-    ("grids", "points", "points", int),
-    ("grids", "times", "times", _parse_floats),
-    ("grids", "radii", "radii", _parse_floats),
-    ("grids", "epsilons", "epsilons", _parse_floats),
-    ("grids", "deltas", "deltas", _parse_deltas),
+    ("grids", "points", "points", _at_least("grids", "points", 1, MAX_POINTS)),
+    *(("grids", key, key, _positive_floats("grids", key))
+      for key in ("times", "radii", "epsilons", "deltas")),
     ("mc", "samples", "mc_samples", _at_least("mc", "samples", 1)),
-    ("run", "seed", "seed", int),
+    ("run", "seed", "seed", _at_least("run", "seed", 0)),
     ("run", "output", "output", _output),
 )
 
@@ -114,8 +123,7 @@ def default_config():
 # Every key the INI file may set, by section.
 KNOWN_KEYS = {"domain": ("kind", "n", "alpha", "beta", "gamma", "kappa"),
               **{s: tuple(k for t, k, _, _ in SETTINGS if t == s) for s, _, _, _ in SETTINGS}}
-_KINDS = {float: "a number", _parse_floats: "a list of numbers",
-          _parse_deltas: "a list of numbers"}
+_KINDS = {float: "a number", _parse_floats: "a list of numbers"}
 
 
 def _read(parser, section, key, conv, default):

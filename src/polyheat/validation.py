@@ -371,11 +371,18 @@ def doubling_scan(spec, vol, points, radii):
     taken over all requested radii in (0, pi/2].  Every point at every
     distinct radius of r and 2r is one row of a single ``vol.estimates``
     call, the rows ordered by radius, then by point; an estimate whose
-    stderr exceeds MAX_REL_STDERR of its value raises PrecisionError.
+    stderr exceeds MAX_REL_STDERR of its value raises PrecisionError.  A
+    scan with no radius, or none in the surrogate's range, would check
+    nothing and raises DomainError.
     """
     pts = np.atleast_2d(np.asarray(points, float))
     if not all(0 < r <= pi / 2 for r in radii):
         raise DomainError("doubling radii must lie in (0, pi/2]")
+    comp_max_r = surrogate_comparability_range(spec)
+    if not radii:
+        raise DomainError("no doubling radius lies in (0, pi/2]")
+    if min(radii) > comp_max_r:
+        raise DomainError(f"no doubling radius lies in the surrogate's range r <= {comp_max_r:g}")
     distinct = sorted(set(radii) | {2 * r for r in radii})
     X, R = np.tile(pts, (len(distinct), 1)), np.repeat(distinct, len(pts))
     values, stderrs = vol.estimates(X, R)
@@ -384,7 +391,6 @@ def doubling_scan(spec, vol, points, radii):
     rows = []
     max_ratio = 0.0
     comp_lo, comp_hi = np.inf, 0.0
-    comp_max_r = surrogate_comparability_range(spec)
     for i, x in enumerate(pts):
         for r in radii:
             v1, v2 = vols[r][i], vols[2 * r][i]

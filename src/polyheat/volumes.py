@@ -10,10 +10,10 @@ the ball, 2^n prod y_i^(2 kappa_i) on the simplex.
 * Interval: the arc integral of the Jacobi weight by Gauss-Jacobi and
   Gauss-Legendre rules, to about 1e-13 relative; see ``_interval_volumes``.
 * Ball(2) and simplex(2): deterministic quadrature in geodesic polar
-  coordinates (theta, phi) about lift(x); see ``_cap_volumes``.  Caps that
-  touch no face take one tensor pass per rule order and radius; phi panels
-  serve only the caps that touch a face.  The reported stderr is the
-  difference between two rule orders.
+  coordinates (theta, phi) about lift(x), per phi panel; see
+  ``_cap_volumes``.  The panels out to r take one tensor pass per radius,
+  the panels out to a face one flat pass over their phi nodes.  The
+  reported stderr is the difference between two rule orders.
 * Dimension 3: Monte Carlo.  One exact sample of the normalized weighted
   measure (Beta radial profile on the ball, Dirichlet on the simplex) is
   drawn per (spec, samples, seed) from a counter-based Philox generator
@@ -121,9 +121,7 @@ def _by_radius(fn, r):
     """fn of each row's radius in the array r, called once per distinct radius.
 
     math.sin of a float and numpy's array loops can differ in the last bit,
-    so sin r and tan r are taken by math, and the theta-node tables of one
-    radius as one (n_theta,) array, exactly as for a one-point query; the
-    rows then index them, at one fn call per radius.
+    so sin r and tan r are taken by math, exactly as for a one-point query.
     """
     radii, which = np.unique(r, return_inverse=True)
     return np.array([fn(s) for s in radii.tolist()])[which]
@@ -193,38 +191,42 @@ def _exit_angles(Yf, Uf):
 
 
 def _cap_panels(spec, Y, E1, E2, r):
-    """The phi-panels of every cap that touches a face, r the radius of each
-    query: arrays (query, start, end, exit face, periodic, rho).
+    """The phi-panels of every cap, r the radius of each query: arrays
+    (query, start, end, exit face, periodic, rho).
 
-    Whole caps never come here (``_whole_cap_sums``).  A cap whose exit
-    angles theta_i(phi) never cross r is one periodic panel.  Otherwise phi
-    is split where the exit face changes (the direction of a vertex, where
-    more than one face meets) and where the exit angle of face i crosses r;
-    the exit face is -1 on a panel whose rays all reach r inside the domain.
-    Panels are ordered by query, then by start.  ``rho`` sets the Gauss
-    order of a panel out to a face.
+    A cap that touches no face (r < pi/2 and every face coordinate
+    y_i > sin r), or one whose exit angles theta_i(phi) never cross r, is
+    one periodic panel.  Otherwise phi is split where the exit face changes
+    (the direction of a vertex, where more than one face meets) and where
+    the exit angle of face i crosses r.  The exit face is -1 on a panel
+    whose rays all reach r inside the domain.  Panels are ordered by query,
+    then by start.  ``rho`` sets the Gauss order of a panel out to a face.
     """
     faces = list(spec.lift.faces)
     Yf = Y[:, faces]
     # u_i(phi) = B_i cos(phi - psi_i): psi_i is also the direction of vertex e_i
     psi = np.arctan2(E2[:, faces], E1[:, faces])
     B = np.hypot(E1[:, faces], E2[:, faces])
+    clear = (r < pi / 2) & (Yf.min(axis=1) > _by_radius(sin, r))
+    # the breaks of the caps that touch a face
+    cut = np.flatnonzero(~clear)
     with np.errstate(divide="ignore", invalid="ignore"):
-        c = -Yf / (_by_radius(tan, r)[:, None] * B)
+        c = -Yf[cut] / (_by_radius(tan, r[cut])[:, None] * B[cut])
     half = np.where(np.abs(c) < 1.0, np.arccos(np.clip(c, -1.0, 1.0)), np.nan)
-    breaks = [psi - half, psi + half] + ([psi] if len(faces) > 1 else [])
+    breaks = [psi[cut] - half, psi[cut] + half] + ([psi[cut]] if len(faces) > 1 else [])
     S = np.sort(np.mod(np.hstack(breaks), 2 * pi), axis=1)
     count = np.count_nonzero(np.isfinite(S), axis=1)
-    periodic = count == 0
+    periodic = clear.copy()
+    periodic[cut] = count == 0
 
     # GL panels: consecutive breaks, the last one wrapping around to the
     # first; a repeated break (a point on a face) makes no panel
-    rows, slot = np.nonzero(~periodic[:, None] & (np.arange(S.shape[1]) < count[:, None]))
+    rows, slot = np.nonzero(np.arange(S.shape[1]) < count[:, None])
     last = slot + 1 == count[rows]
     start = S[rows, slot]
     end = np.where(last, S[rows, 0] + 2 * pi, S[rows, np.where(last, 0, slot + 1)])
     keep = end > start
-    rows, start, end = rows[keep], start[keep], end[keep]
+    rows, start, end = cut[rows[keep]], start[keep], end[keep]
     # a periodic panel, [0, 2 pi), is its query's only panel
     prow = np.flatnonzero(periodic)
     query = np.concatenate([prow, rows])
@@ -240,6 +242,7 @@ def _cap_panels(spec, Y, E1, E2, r):
     exit_theta, _ = _exit_angles(Yf[query], U[:, faces])
     face = np.argmin(exit_theta, axis=1)
     face[exit_theta[np.arange(len(face)), face] >= r[query]] = -1
+    face[clear[query]] = -1
 
     # on a Gauss panel out to face j the exit angle is analytic in phi but
     # for branch points at psi_j + pi/2 + k pi +- i asinh(y_j / B_j), where
@@ -259,83 +262,16 @@ def _cap_panels(spec, Y, E1, E2, r):
     return query, start, end, face, is_periodic, rho
 
 
-def _phi_rule(start, end, n, periodic):
-    """Nodes and weights in phi of panels [start, end) with n nodes each, one
-    panel after another: the trapezoid rule around a periodic panel,
-    Gauss-Legendre on the others."""
-    first = np.cumsum(n) - n
-    phi, w = np.empty(n.sum()), np.empty(n.sum())
-    for is_periodic, k in set(zip(periodic.tolist(), n.tolist())):
-        sel = np.flatnonzero((periodic == is_periodic) & (n == k))
-        if is_periodic:
-            t, wt = np.arange(k) / k, np.full(k, 1.0 / k)
-        else:
-            x, wx = gauss_jacobi(k, 0.0, 0.0)
-            t, wt = (1 + x) / 2, wx / 2
-        at = first[sel, None] + np.arange(k)
-        width = (end - start)[sel, None]
-        phi[at] = start[sel, None] + width * t
-        w[at] = width * wt
-    return phi, w
-
-
-def _theta_integrals(spec, Yq, E1q, E2q, phi, face, r, n_theta):
-    """Integral over theta in [0, T] of density * sin(theta) along each phi;
-    entry i belongs to query Yq[i] and leaves the domain through face[i],
-    or reaches T = r[i] where face[i] is -1 (then for every i).
-
-    T = r takes Gauss-Legendre on nodes shared by the entries of one radius,
-    with the face coordinates cos(theta) y_i + sin(theta) u_i.  T = theta_j,
-    the exit angle of face j, takes Gauss-Jacobi: the factor
-    (T - theta)^(2 kappa_j) of the density goes into the weight, and the
-    face coordinates are A_i sin(theta_i - theta), exact near the exit.
-    """
-    faces = list(spec.lift.faces)
-    expo = [2.0 * k for k in _face_kappa(spec)]
-    U = np.cos(phi)[:, None] * E1q + np.sin(phi)[:, None] * E2q
-    Yf, Uf = Yq[:, faces], U[:, faces]
-    if face[0] < 0:
-        x, w = gauss_jacobi(n_theta, 0.0, 0.0)
-        t = (1 + x) / 2
-        table = _by_radius(lambda rad: (np.cos(rad * t), np.sin(rad * t)), r)
-        c, s = table[:, 0], table[:, 1]
-        coords = (Yf[:, i, None] * c + Uf[:, i, None] * s for i in range(len(faces)))
-        f = s * w
-        exit_power, scale = None, r / 2
+def _phi_rule(start, end, k, periodic):
+    """Nodes and weights in phi, one row of k a panel [start, end): the
+    trapezoid rule around a periodic panel, Gauss-Legendre on the others."""
+    if periodic:
+        t, wt = np.arange(k) / k, np.full(k, 1.0 / k)
     else:
-        exit_theta, A = _exit_angles(Yf, Uf)
-        rules = [gauss_jacobi(n_theta, e, 0.0) for e in expo]
-        x = np.array([x for x, _ in rules])[face]
-        w = np.array([w for _, w in rules])[face]
-        e_exit = np.array(expo)[face][:, None]
-        T = exit_theta[np.arange(len(face)), face][:, None]
-        theta = T * ((1 + x) / 2)
-        coords = (A[:, i, None] * np.sin(exit_theta[:, i, None] - theta)
-                  for i in range(len(faces)))
-        f = np.sin(theta) * w
-        # the exit face's (T - theta)^e is the rule's weight: divide it out
-        exit_power = (T * ((1 - x) / 2), e_exit)
-        scale = ((T / 2) ** (1.0 + e_exit))[:, 0]
-    log_f = 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for e, y in zip(expo, coords):
-            # exponent 1 (kappa = 1/2) multiplies; 0 leaves the density alone
-            if e == 1.0:
-                f = f * y
-            elif e != 0.0:
-                log_f = log_f + e * np.log(y)
-        if exit_power is not None:
-            # row by row, so that a row's bits do not depend on the others
-            d, e = exit_power
-            f = f / np.where(e == 1.0, d, 1.0)
-            other = (e != 0.0) & (e != 1.0)
-            if other.any():
-                log_f = log_f - np.where(other, e * np.log(d), 0.0)
-        if not np.isscalar(log_f):
-            f = f * np.exp(log_f)
-        g = f.sum(axis=1)
-        # T = 0 (a point on a face) has weight 0 and a 0/0 integrand
-        return np.where(scale > 0, g * scale, 0.0)
+        x, wx = gauss_jacobi(k, 0.0, 0.0)
+        t, wt = (1 + x) / 2, wx / 2
+    width = (end - start)[:, None]
+    return start[:, None] + width * t, width * wt
 
 
 def _row_sum(a):
@@ -356,44 +292,45 @@ def _row_sum(a):
     return sum(a[top:], ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7])))
 
 
-def _whole_cap_sums(spec, Y, E1, E2, r, order):
-    """The cap integral of every query whose cap touches no face, r its
-    radius, under one rule order.
+def _reach_sums(spec, Y, E1, E2, r, query, phi, w, n_theta):
+    """The integral of each panel out to r: the density times sin(theta)
+    over theta in [0, r] and phi over the panel, whose (k,) phi nodes and
+    weights are row p of phi and w (or their only row, shared by every
+    panel) and whose query is query[p].
 
-    Every ray of a whole cap reaches r inside the domain, so its rule is
-    the periodic trapezoid rule in phi times Gauss-Legendre on [0, r] in
-    theta, with the same phi nodes for every cap and the same theta nodes
-    for every cap of one radius.  Each radius takes one broadcast pass over
-    (theta node, query, phi node), in chunks of at most CAP_CHUNK integrand
-    values, of the face coordinates y_i = cos(theta) Y_i + sin(theta) u_i(phi).
-    Theta is summed in the order of a contiguous row and phi in that of
-    np.add.reduceat over one panel, so a query's sum does not depend on the
-    others and has the bits of its one periodic panel in ``_cap_sums``.
+    Theta takes Gauss-Legendre on [0, r], on nodes shared by the panels of
+    one radius.  Each radius takes one broadcast pass over (theta node,
+    panel, phi node), in chunks of at most CAP_CHUNK integrand values, of
+    the face coordinates y_i = cos(theta) Y_i + sin(theta) u_i(phi).  Theta
+    is summed in the order of a contiguous row and phi in that of
+    np.add.reduceat over one panel, so a panel's sum does not depend on the
+    others or on the chunks.
     """
-    n_trap, n_theta = order[:2]
     faces = list(spec.lift.faces)
     expo = [2.0 * k for k in _face_kappa(spec)]
     Yf, E1f, E2f = Y[:, faces], E1[:, faces], E2[:, faces]
-    x, w = gauss_jacobi(n_theta, 0.0, 0.0)
+    x, wt = gauss_jacobi(n_theta, 0.0, 0.0)
     t = (1 + x) / 2
-    phi = 2 * pi * (np.arange(n_trap) / n_trap)
+    k = phi.shape[1]
     cos_phi, sin_phi = np.cos(phi), np.sin(phi)
-    w_phi = 2 * pi * (1.0 / n_trap)
-    sums = np.empty(len(Y))
-    step = max(1, CAP_CHUNK // (n_theta * n_trap * len(faces)))
-    radii, which = np.unique(r, return_inverse=True)
-    for k, rad in enumerate(radii.tolist()):
+    sums = np.empty(len(query))
+    step = max(1, CAP_CHUNK // (n_theta * k * len(faces)))
+    radii, which = np.unique(r[query], return_inverse=True)
+    for j, rad in enumerate(radii.tolist()):
         c, s = np.cos(rad * t)[:, None, None], np.sin(rad * t)[:, None, None]
-        sw = s * w[:, None, None]
-        rows = np.flatnonzero(which == k)
+        sw = s * wt[:, None, None]
+        rows = np.flatnonzero(which == j)
         for lo in range(0, len(rows), step):
-            q = rows[lo:lo + step]
+            p = rows[lo:lo + step]
+            q = query[p]
+            # the rows of phi and w that serve these panels
+            at = p if len(phi) > 1 else slice(None)
             f, log_f = sw, None
             for i, e in enumerate(expo):
                 if e == 0.0:
                     continue
                 # each product is a new array, so the passes run in place
-                y = (E1f[q, i, None] * cos_phi + E2f[q, i, None] * sin_phi) * s
+                y = (E1f[q, i, None] * cos_phi[at] + E2f[q, i, None] * sin_phi[at]) * s
                 y += Yf[q, i, None] * c
                 # exponent 1 (kappa = 1/2) multiplies
                 if e == 1.0:
@@ -409,44 +346,102 @@ def _whole_cap_sums(spec, Y, E1, E2, r, order):
                 f = log_f
             if f is sw:
                 # every exponent 0: the density multiplies nothing
-                f = np.broadcast_to(sw, (n_theta, len(q), n_trap))
-            g = _row_sum(f) * (rad / 2)
-            wg = w_phi * g
-            sums[q] = wg[:, 0] + wg[:, 1:].sum(axis=1)
+                f = np.broadcast_to(sw, (n_theta, len(p), k))
+            wg = w[at] * (_row_sum(f) * (rad / 2))
+            sums[p] = wg[:, 0] + wg[:, 1:].sum(axis=1)
     return sums
 
 
-def _cap_sums(spec, Y, E1, E2, r, panels, order):
-    """The cap integral of every query, r its radius, under one rule order,
-    for caps that touch a face; whole caps take ``_whole_cap_sums``.
+def _theta_integrals(spec, Yq, E1q, E2q, phi, face, n_theta):
+    """Integral over theta in [0, T] of density * sin(theta) along each phi;
+    entry i belongs to query Yq[i] and leaves the domain through face[i] at
+    T, the exit angle theta_j of that face.
 
-    The panels out to r and the panels out to a face each go through one
-    array pass (in chunks of CAP_CHUNK integrand values) over all their
-    phi nodes; np.add.reduceat sums each panel and np.bincount each query,
-    both in a fixed order, so a query's sum does not depend on the others.
+    Gauss-Jacobi takes the factor (T - theta)^(2 kappa_j) of the density
+    into its weight, and the face coordinates are A_i sin(theta_i - theta),
+    exact near the exit.
+    """
+    faces = list(spec.lift.faces)
+    expo = [2.0 * k for k in _face_kappa(spec)]
+    U = np.cos(phi)[:, None] * E1q + np.sin(phi)[:, None] * E2q
+    exit_theta, A = _exit_angles(Yq[:, faces], U[:, faces])
+    rules = [gauss_jacobi(n_theta, e, 0.0) for e in expo]
+    x = np.array([x for x, _ in rules])[face]
+    w = np.array([w for _, w in rules])[face]
+    e_exit = np.array(expo)[face][:, None]
+    T = exit_theta[np.arange(len(face)), face][:, None]
+    theta = T * ((1 + x) / 2)
+    f = np.sin(theta) * w
+    log_f = 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for i, e in enumerate(expo):
+            # exponent 0 leaves the density alone; 1 (kappa = 1/2) multiplies
+            if e == 0.0:
+                continue
+            y = A[:, i, None] * np.sin(exit_theta[:, i, None] - theta)
+            if e == 1.0:
+                f = f * y
+            else:
+                log_f = log_f + e * np.log(y)
+        # the exit face's (T - theta)^e is the rule's weight: divide it out,
+        # row by row, so that a row's bits do not depend on the others
+        d = T * ((1 - x) / 2)
+        f = f / np.where(e_exit == 1.0, d, 1.0)
+        other = (e_exit != 0.0) & (e_exit != 1.0)
+        if other.any():
+            log_f = log_f - np.where(other, e_exit * np.log(d), 0.0)
+        if not np.isscalar(log_f):
+            f = f * np.exp(log_f)
+        g = f.sum(axis=1)
+        # T = 0 (a point on a face) has weight 0 and a 0/0 integrand
+        scale = ((T / 2) ** (1.0 + e_exit))[:, 0]
+        return np.where(scale > 0, g * scale, 0.0)
+
+
+def _cap_sums(spec, Y, E1, E2, r, panels, order):
+    """The cap integral of every query, r its radius, under one rule order.
+
+    The panels out to r go through ``_reach_sums``: the periodic ones share
+    one trapezoid table of n_trap nodes, and the Gauss ones have ``least``
+    nodes each (rho is infinite).  The panels out to a face go through one
+    flat array pass over all their phi nodes, in chunks of CAP_CHUNK
+    integrand values, and np.add.reduceat sums each panel.  np.bincount adds
+    each query's panels in a fixed order, so a query's sum does not depend
+    on the others.
     """
     n_trap, n_theta, digits, least = order
     query, start, end, face, periodic, rho = panels
-    # Gauss nodes in phi: enough for ``digits`` on a panel out to a face, a
-    # multiple of 8 in [least, CAP_PHI_MAX]
-    with np.errstate(divide="ignore"):
-        need = 8 * np.ceil(digits * np.log(10) / (16 * np.log(rho)))
-    n = np.where(periodic, n_trap, np.fmin(np.fmax(need, least), CAP_PHI_MAX)).astype(int)
     sums = np.empty(len(query))
-    step = CAP_CHUNK // (n_theta * len(spec.lift.faces))
-    for reach in (face < 0, face >= 0):
-        sel = np.flatnonzero(reach)
-        if len(sel) == 0:
-            continue
-        phi, w = _phi_rule(start[sel], end[sel], n[sel], periodic[sel])
-        node = np.repeat(sel, n[sel])
+    for kind, k in ((True, n_trap), (False, least)):
+        sel = np.flatnonzero((face < 0) & (periodic == kind))
+        if len(sel):
+            # a periodic panel is [0, 2 pi): one table serves them all
+            rows = sel[:1] if kind else sel
+            phi, w = _phi_rule(start[rows], end[rows], k, kind)
+            sums[sel] = _reach_sums(spec, Y, E1, E2, r, query[sel], phi, w, n_theta)
+    sel = np.flatnonzero(face >= 0)
+    if len(sel):
+        # Gauss nodes in phi: enough for ``digits`` on a panel out to a
+        # face, a multiple of 8 in [least, CAP_PHI_MAX]
+        with np.errstate(divide="ignore"):
+            need = 8 * np.ceil(digits * np.log(10) / (16 * np.log(rho[sel])))
+        kinds = periodic[sel]
+        n = np.where(kinds, n_trap, np.fmin(np.fmax(need, least), CAP_PHI_MAX)).astype(int)
+        first = np.cumsum(n) - n
+        phi, w = np.empty(n.sum()), np.empty(n.sum())
+        for kind, k in set(zip(kinds.tolist(), n.tolist())):
+            group = np.flatnonzero((kinds == kind) & (n == k))
+            at = first[group, None] + np.arange(k)
+            phi[at], w[at] = _phi_rule(start[sel[group]], end[sel[group]], k, kind)
+        node = np.repeat(sel, n)
         g = np.empty(len(phi))
+        step = CAP_CHUNK // (n_theta * len(spec.lift.faces))
         for lo in range(0, len(phi), step):
             part = slice(lo, lo + step)
             q = query[node[part]]
             g[part] = _theta_integrals(spec, Y[q], E1[q], E2[q], phi[part], face[node[part]],
-                                       r[q], n_theta)
-        sums[sel] = np.add.reduceat(w * g, np.cumsum(n[sel]) - n[sel])
+                                       n_theta)
+        sums[sel] = np.add.reduceat(w * g, first)
     return np.bincount(query, sums, minlength=len(Y))
 
 
@@ -458,12 +453,9 @@ def _cap_volumes(spec, X, r):
     cos(theta) y + sin(theta) u(phi) meets face i (y_i = 0) at theta_i(phi),
     where y_i = A_i sin(theta_i - theta), both in closed form.  V is the
     integral over phi of the density integrated over theta in
-    [0, min(r, exit angle)].  A whole cap (r < pi/2 and every face
-    coordinate y_i > sin r, so that it touches no face) takes a periodic
-    trapezoid rule in phi times Gauss-Legendre on [0, r], one tensor pass
-    per rule order and radius (``_whole_cap_sums``).  A cap that touches a
-    face takes, per phi-panel (``_cap_panels``), Gauss-Legendre in phi times
-    Gauss-Legendre up to r or Gauss-Jacobi up to the exit face
+    [0, min(r, exit angle)], per phi-panel (``_cap_panels``): the trapezoid
+    rule in phi around a periodic panel and Gauss-Legendre on the others,
+    times Gauss-Legendre up to r or Gauss-Jacobi up to the exit face
     (``_cap_sums``).  Every query's sum runs in the same order whatever the
     other rows, so a row's value does not depend on the batch or on the
     radii of the other rows.  The stderr is |V_high - V_low| over
@@ -472,18 +464,8 @@ def _cap_volumes(spec, X, r):
     Y = lift_rows(spec, X)
     Y /= np.linalg.norm(Y, axis=1, keepdims=True)
     E1, E2 = _tangent_frames(Y)
-    whole = (r < pi / 2) & (Y[:, list(spec.lift.faces)].min(axis=1) > _by_radius(sin, r))
-    low, high = np.empty(len(Y)), np.empty(len(Y))
-    if whole.any():
-        Yw, E1w, E2w, rw = Y[whole], E1[whole], E2[whole], r[whole]
-        for out, order in zip((low, high), CAP_ORDERS):
-            out[whole] = _whole_cap_sums(spec, Yw, E1w, E2w, rw, order)
-    cut = ~whole
-    if cut.any():
-        Yc, E1c, E2c, rc = Y[cut], E1[cut], E2[cut], r[cut]
-        panels = _cap_panels(spec, Yc, E1c, E2c, rc)
-        for out, order in zip((low, high), CAP_ORDERS):
-            out[cut] = _cap_sums(spec, Yc, E1c, E2c, rc, panels, order)
+    panels = _cap_panels(spec, Y, E1, E2, r)
+    low, high = (_cap_sums(spec, Y, E1, E2, r, panels, order) for order in CAP_ORDERS)
     const = float(spec.lift.step ** spec.n)   # dx = step^n prod y_i dsigma
     return const * high, const * np.abs(high - low)
 

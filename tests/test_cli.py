@@ -101,6 +101,16 @@ class TestConfig:
         ("[basis]\nmax_degre = 12\n", "[basis] max_degre"),
         ("[basis]\nmax_degree = 12\n[montecarlo]\nsamples = 10\n", "[montecarlo]"),
         ("[domain]\nkind = ball\nn = 2\n[mc]\nsamples = 0\n", "[mc] samples = 0 is below 1"),
+        ("[grids]\ntimes = 0.2, x\n", "[grids] times = '0.2, x' is not a list of numbers"),
+        # numpy's default_rng takes no negative seed
+        ("[run]\nseed = -1\n", "[run] seed = -1 is below 0"),
+        ("[grids]\npoints = -3\n", "[grids] points = -3 is below 1"),
+        ("[grids]\npoints = 0\n", "[grids] points = 0 is below 1"),
+        # the gauss suite holds points x points arrays
+        ("[grids]\npoints = 1025\n", "[grids] points = 1025 is above 1024"),
+        ("[grids]\ntimes = 0.2, nan\n", "[grids] times = nan is not a finite positive number"),
+        ("[grids]\nradii = -0.1\n", "[grids] radii = -0.1 is not a finite positive number"),
+        ("[grids]\nepsilons = 0\n", "[grids] epsilons = 0 is not a finite positive number"),
         ("[run]\nthreads = 1\n", "[run] threads"),
         ("[basis]\nprecision = double\n", "[basis] precision"),
         ("[kernel]\nepsilon = 1e-10\n", "[kernel] epsilon"),
@@ -444,6 +454,29 @@ def test_empty_out_is_one_line_error(tmp_path, capsys, monkeypatch, command):
     assert [p.name for p in tmp_path.iterdir()] == ["run.ini"]
 
 
+@pytest.mark.parametrize("command, out, path", [
+    (["validate", "basis"], "file", "file/validate_basis.json"),
+    (["validate", "basis"], None, "file/validate_basis.json"),
+    (["basis", "build", "--max-degree", "4"], "dir", "dir"),
+    (["kernel", "eval", "--t", "2", "--grid", "2"], "dir", "dir"),
+    (["kernel", "export", "--t-list", "2", "--resolution", "2"], "file/x.csv", "file/x.csv"),
+], ids=["validate-out-file", "validate-run-output-file", "basis-build-dir", "kernel-eval-dir",
+        "kernel-export-under-file"])
+def test_unwritable_out_is_one_line_error(tmp_path, capsys, monkeypatch, command, out, path):
+    # a path that cannot be written is a bad parameter (exit 2), not a
+    # failing verdict (exit 1) or a traceback; None writes to [run] output
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "file").write_text("kept\n")
+    (tmp_path / "dir").mkdir()
+    cfgfile = write_config(tmp_path, (
+        "[domain]\nkind = interval\n[basis]\nmax_degree = 10\n[run]\noutput = file\n"))
+    flags = [] if out is None else ["--out", out]
+    assert main(["--config", cfgfile] + command + flags) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {path!r}: ") and err.count("\n") == 1
+    assert (tmp_path / "file").read_text() == "kept\n" and not any((tmp_path / "dir").iterdir())
+
+
 class TestValidate:
     def test_ops_suite_report(self, tmp_path, capsys):
         cfgfile = write_config(tmp_path, INTERVAL_INI.format(out=tmp_path))
@@ -544,6 +577,26 @@ class TestValidate:
             assert main(["--config", cfgfile] + command) == 2
             assert capsys.readouterr() == ("", prefix + why)
         assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("domain, radii, why", [
+        ("kind = ball\nn = 2\ngamma = 0.5", "2", "no doubling radius lies in (0, pi/2]"),
+        ("kind = simplex\nn = 2\nkappa = 0.5, 0.5, 0.5", "1.2",
+         "no doubling radius lies in the surrogate's range r <= 1"),
+    ], ids=["ball-no-radius", "simplex-no-comparability-row"])
+    def test_doubling_that_checks_nothing_fails(self, tmp_path, capsys, domain, radii, why):
+        cfgfile = write_config(tmp_path, (
+            f"[domain]\n{domain}\n[basis]\nmax_degree = 6\n[grids]\nradii = {radii}\n"
+            f"[run]\noutput = {tmp_path}\n"))
+        assert main(["--config", cfgfile, "validate", "doubling"]) == 1
+        assert capsys.readouterr().out.startswith("doubling         FAIL\n")
+
+        def refuse(name):
+            raise ValueError(f"{name} is not JSON")
+
+        # strict JSON: no Infinity or NaN reaches the report
+        report = json.loads((tmp_path / "validate_doubling.json").read_text(),
+                            parse_constant=refuse)
+        assert report["suites"]["doubling"] == {"pass": False, "results": {"error": why}}
 
     def test_zero_monte_carlo_volume_fails_doubling_in_one_line(self, tmp_path, capsys):
         # 20000 samples miss a ball of radius 0.001 (V about 4e-9), which

@@ -386,25 +386,6 @@ class TestCapQuadrature:
             assert np.all(np.abs(values - want) <= 1e-13 * want), r
             assert np.all(stderrs <= 1e-13 * want), r
 
-    @pytest.mark.parametrize("spec, points", ORACLE_CASES, ids=ORACLE_IDS)
-    def test_whole_caps_equal_their_periodic_panel_bit_for_bit(self, spec, points):
-        # the tensor pass of whole caps against the panel pass over one
-        # periodic panel [0, 2 pi) out to r per query
-        X = np.vstack([points, interior_points(spec, 60)])
-        R = np.resize(ORACLE_RADII, len(X))
-        Y = lift_rows(spec, X)
-        Y /= np.linalg.norm(Y, axis=1, keepdims=True)
-        whole = (R < pi / 2) & (Y[:, list(spec.lift.faces)].min(axis=1) > np.sin(R))
-        Y, R = Y[whole], R[whole]
-        m = len(Y)
-        assert m >= 15
-        E1, E2 = volumes._tangent_frames(Y)
-        panel = (np.arange(m), np.zeros(m), np.full(m, 2 * pi), np.full(m, -1),
-                 np.ones(m, bool), np.full(m, np.inf))
-        for order in volumes.CAP_ORDERS:
-            want = volumes._cap_sums(spec, Y, E1, E2, R, panel, order)
-            assert volumes._whole_cap_sums(spec, Y, E1, E2, R, order).tolist() == want.tolist()
-
     def test_row_sum_is_the_sum_of_a_contiguous_row(self):
         rng = np.random.default_rng(11)
         for n in (*range(1, 40), 127, 128, 129, 200, 300):
