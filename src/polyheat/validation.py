@@ -9,6 +9,8 @@ apparent violation of a lower bound is a hard error.
 
 from __future__ import annotations
 
+import operator
+from collections import namedtuple
 from dataclasses import dataclass, field
 from math import comb, pi, sqrt
 
@@ -35,6 +37,59 @@ from .quadrature import _angular_rule, build_quadrature, gauss_jacobi
 from .volumes import MAX_REL_STDERR, refuse_imprecise, volume_surrogate
 
 BOUNDARY_MARGIN = 0.05
+
+
+# ---------------------------------------------------------------------------
+# the gate table: the bound of every verdict
+
+
+def doubling_cap(spec):
+    """Cap on V(x, 2r)/V(x, r) from the surrogate form, with a 2x margin:
+    2^(n+1) 4^(sum |kappa_i|) over the lifted coordinates."""
+    return 2.0 ** (spec.n + 1) * 4.0 ** sum(abs(k) for k in spec.lift.kappa)
+
+
+# One row per bound: a suite passes when each quantity it measures lies on
+# the side of its bound, a number or a function of the spec, that the row
+# names.  A scan with a verdict of its own applies its rows there.
+Gate = namedtuple("Gate", "suite quantity bound direction")
+GATES = (
+    Gate("ops", "max", lambda spec: 1e-9 if spec.kind == INTERVAL else 1e-8, "<="),
+    Gate("basis", "gram_residual", lambda spec: 1e-10 if spec.kind == INTERVAL else 1e-8, "<="),
+    Gate("kernel", "mass_error", 1e-6, "<="),
+    Gate("kernel", "semigroup_gap", 1e-6, "<="),
+    Gate("kernel", "selfadjoint_gap", 1e-8, "<="),
+    Gate("gauss", "e_max/e_min", 25.0, "<="),
+    Gate("gauss", "n_hi/n_lo", 20.0, "<="),
+    Gate("doubling", "max_ratio", doubling_cap, "<="),
+    Gate("doubling", "comp_hi/comp_lo", 30.0, "<="),
+    Gate("green", "max_residual", 1e-8, "<="),
+    Gate("flux", "|fitted_slope - expected_slope|", 0.1, "<="),
+    Gate("flux", "r2", 0.98, ">="),
+    Gate("chart", "max_residual", 1e-8, "<="),
+    Gate("correspondence", "residual", 1e-9, "<="),
+    Gate("localize", "order - exponent", 0.5, "<="),
+    Gate("localize", "r2", 0.98, ">="),
+    Gate("localize", "max/min c_m_hat", 2.0, "<="),
+    Gate("fsp", "max/min c_star_hat", 1.25, "<="),
+)
+_SIDES = {"<=": operator.le, ">=": operator.ge}
+# the suites that run on one-dimensional domains only, and why
+ONE_DIMENSIONAL = {"correspondence": "correspondence needs a one-dimensional domain",
+                   "fsp": "finite-speed scan certified on one-dimensional domains"}
+
+
+def bound(suite, quantity, spec):
+    """The bound of the row (``suite``, ``quantity``) of GATES on ``spec``."""
+    [b] = [g.bound for g in GATES if (g.suite, g.quantity) == (suite, quantity)]
+    return b(spec) if callable(b) else b
+
+
+def passes(suite, spec, measured):
+    """The verdict of ``measured``, quantity -> value, on the rows of ``suite``
+    that it names: each value on its side of its bound."""
+    return all(_SIDES[g.direction](measured[g.quantity], bound(suite, g.quantity, spec))
+               for g in GATES if g.suite == suite and g.quantity in measured)
 
 
 # ---------------------------------------------------------------------------
@@ -341,12 +396,6 @@ def gauss_ratio_scan(ev: HeatKernelEvaluator, vol, points, times):
 # doubling
 
 
-def doubling_cap(spec):
-    """Cap on V(x, 2r)/V(x, r) from the surrogate form, with a 2x margin:
-    2^(n+1) 4^(sum |kappa_i|) over the lifted coordinates."""
-    return 2.0 ** (spec.n + 1) * 4.0 ** sum(abs(k) for k in spec.lift.kappa)
-
-
 @dataclass
 class DoublingReport:
     spec: str
@@ -389,22 +438,17 @@ def doubling_scan(spec, vol, points, radii):
     refuse_imprecise(spec, X, R, values, stderrs, MAX_REL_STDERR)
     vols = dict(zip(distinct, values.reshape(len(distinct), len(pts)).tolist()))
     rows = []
-    max_ratio = 0.0
-    comp_lo, comp_hi = np.inf, 0.0
     for i, x in enumerate(pts):
         for r in radii:
             v1, v2 = vols[r][i], vols[2 * r][i]
-            ratio = v2 / v1
-            max_ratio = max(max_ratio, ratio)
-            row = {"x": x.tolist(), "r": r, "V_r": v1, "V_2r": v2, "ratio": ratio}
+            rows.append({"x": x.tolist(), "r": r, "V_r": v1, "V_2r": v2, "ratio": v2 / v1})
             if r <= comp_max_r:
-                comp = v1 / volume_surrogate(spec, x, r)
-                comp_lo, comp_hi = min(comp_lo, comp), max(comp_hi, comp)
-                row["surrogate_comp"] = comp
-            rows.append(row)
-    cap = doubling_cap(spec)
-    return DoublingReport(spec.label(), max_ratio, cap, float(comp_lo),
-                          float(comp_hi), rows, max_ratio <= cap)
+                rows[-1]["surrogate_comp"] = v1 / volume_surrogate(spec, x, r)
+    max_ratio = max(row["ratio"] for row in rows)
+    comps = [row["surrogate_comp"] for row in rows if "surrogate_comp" in row]
+    return DoublingReport(spec.label(), max_ratio, bound("doubling", "max_ratio", spec),
+                          min(comps), max(comps), rows,
+                          passes("doubling", spec, {"max_ratio": max_ratio}))
 
 
 # ---------------------------------------------------------------------------
@@ -624,10 +668,9 @@ def _substitution_matrix(max_k):
     return C * np.ldexp(np.where((r - j) % 2, -1.0, 1.0), j)
 
 
-# grid points of (iii) and (iv), heat times of (iv), tolerance of every residual
+# grid points of (iii) and (iv), heat times of (iv)
 CORRESPONDENCE_GRID = 20
 CORRESPONDENCE_TIMES = (0.2, 1.0)
-CORRESPONDENCE_TOL = 1e-9
 
 
 def jacobi_simplex_correspondence(alpha, beta, max_k, seed=0):
@@ -685,8 +728,9 @@ def jacobi_simplex_correspondence(alpha, beta, max_k, seed=0):
     checks.append(("kernel_scaling", worst))
 
     return CorrespondenceReport(alpha, beta, max_k, [
-        {"name": name, "residual": float(res), "tolerance": CORRESPONDENCE_TOL,
-         "pass": bool(res <= CORRESPONDENCE_TOL)} for name, res in checks])
+        {"name": name, "residual": float(res),
+         "tolerance": bound("correspondence", "residual", ispec),
+         "pass": passes("correspondence", ispec, {"residual": res})} for name, res in checks])
 
 
 # ---------------------------------------------------------------------------
@@ -716,24 +760,20 @@ LOCALIZE_SUPPORT = 2.0
 def localization_check(ev, delta, m, vol):
     """Decay of the smooth-bump multiplier kernel in units of rho/delta.
 
-    D = |kernel| * sqrt(V(x, delta) V(y, delta)) * (1 + rho/delta)^m must stay
-    bounded; the fitted exponent of |kernel| * sqrt(VV) against (1 + rho/delta)
-    over the window certifies at least order-m localization.  Pairs are laid
-    out along chart geodesics so rho/delta covers the window densely.  The
-    spectral support 2 pushes the flat head of the profile transform
-    (scale ~ 1/support) out of the fit window; the fit itself runs on the
-    upper envelope (right-to-left record maxima), because the transform of a
-    compactly supported profile oscillates through zeros that carry no rate
-    information.
+    c_m_hat bounds D = |kernel| sqrt(V(x, delta) V(y, delta)) (1 + rho/delta)^m,
+    and the exponent of D without the power, fitted against 1 + rho/delta
+    over the window, is held to order m by the "localize" rows of GATES.
+    Pairs lie along chart geodesics so rho/delta covers the window densely;
+    the spectral support 2 pushes the flat head of the profile transform
+    (scale ~ 1/support) out of it.  The fit runs on the upper envelope
+    (right-to-left record maxima): the transform of a compactly supported
+    profile oscillates through zeros that carry no rate information.
 
-    ``smooth_bump`` has compact spectral support, so its kernel has no tail
-    past the cap (a support past the cap is a CapacityError instead); its
-    only tail bounds the levels near the support edge whose weight is below
-    2^-106 of the largest, far below rounding.  No pair is dominated by
-    truncation, and ``excluded`` is always 0.  The
-    volumes are one ``vol.estimates`` call, the anchors' rows, then the
-    targets'; an estimate whose stderr exceeds MAX_REL_STDERR of its value
-    raises PrecisionError.
+    ``smooth_bump`` has no tail past the cap (a support past it is a
+    CapacityError), and its levels of weight below 2^-106 of the largest are
+    far below rounding, so ``excluded`` is always 0.  The volumes are one
+    ``vol.estimates`` call, the anchors' rows, then the targets'; an estimate
+    whose stderr exceeds MAX_REL_STDERR of its value raises PrecisionError.
     """
     spec = ev.spec
     if m < spec.n + 1:
@@ -765,7 +805,8 @@ def localization_check(ev, delta, m, vol):
         raise DomainError("need at least 4 envelope points for the fit")
     slope, _, r2 = loglog_fit(bx, by)
     exponent = -slope
-    verdict = exponent >= m - 0.5 and r2 >= 0.98 and np.isfinite(cm)
+    verdict = (passes("localize", spec, {"order - exponent": m - exponent, "r2": r2})
+               and bool(np.isfinite(cm)))
     return LocalizationReport(spec.label(), delta, m, cm, exponent, r2, 0, len(bx), verdict)
 
 
@@ -793,16 +834,18 @@ def finite_speed_scan(ev, delta, m, A):
     """Empirical support radius of the band-limited sinc-power multiplier.
 
     Finds the smallest r* with max |kernel| <= FSP_THRESHOLD over pairs with
-    rho > r*, and reports c*_hat = r* / (delta * m * A).  Degenerate when the
-    band passes only level zero (kernel nearly constant).
+    rho > r*, and reports c*_hat = r* / R against the expected support radius
+    R = delta m A scale / step (simplex(1) halves distances, and so R).
+    Degenerate when the band passes only level zero (kernel nearly constant).
     """
     spec = ev.spec
     phi = MultiplierSpec("sinc_power", order=m, band=A)
     lam1 = eigenvalue(spec, 1)
     if phi.phi(np.array([delta * sqrt(lam1)]))[0] < 1e-12:
         return FiniteSpeedReport(spec.label(), delta, m, A, None, None, None, True)
+    R = delta * m * A * spec.lift.scale / spec.lift.step
     anchors = interior_points(spec, FSP_ANCHORS, margin=0.1)
-    s_values = np.linspace(0.02 * delta * m * A, min(pi, 3.0 * delta * m * A), FSP_RADII)
+    s_values = np.linspace(0.02 * R, min(pi, 3.0 * R), FSP_RADII)
     _, rhos, _, vals, tails = _ray_pairs(ev, phi, delta, anchors, s_values)
     worst_tail = float(tails.max())
     if worst_tail > FSP_TAIL_CAP:
@@ -812,17 +855,15 @@ def finite_speed_scan(ev, delta, m, A):
         )
     order = np.argsort(rhos)
     rhos, mags = rhos[order], np.abs(vals)[order]
-    if rhos[-1] < delta * m * A:
+    if rhos[-1] < R:
         raise DomainError("rays too short to bracket the expected support radius")
     suffix = _suffix_max(mags)
     ok = np.concatenate([suffix[1:] <= FSP_THRESHOLD, [True]])
-    if not ok.any():
-        raise PrecisionError("no radius inside the domain bounds the kernel below threshold")
     idx = int(np.argmax(ok))
     r_star = float(rhos[idx])
     beyond = float(suffix[idx + 1]) if idx + 1 < len(suffix) else 0.0
     return FiniteSpeedReport(spec.label(), delta, m, A, r_star,
-                             r_star / (delta * m * A), beyond, False)
+                             r_star / R, beyond, False)
 
 
 # ---------------------------------------------------------------------------

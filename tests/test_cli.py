@@ -477,6 +477,22 @@ def test_unwritable_out_is_one_line_error(tmp_path, capsys, monkeypatch, command
     assert (tmp_path / "file").read_text() == "kept\n" and not any((tmp_path / "dir").iterdir())
 
 
+@pytest.mark.parametrize("suite", ["basis", "all"])
+def test_validate_refuses_its_report_path_before_any_suite(tmp_path, capsys, monkeypatch, suite):
+    # a report path under a file is refused before the first suite runs:
+    # no suite line, no evaluator, nothing written
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "file").write_text("kept\n")
+    monkeypatch.setattr("polyheat.cli._evaluator", None)
+    cfgfile = write_config(tmp_path, "[domain]\nkind = interval\n[basis]\nmax_degree = 10\n")
+    assert main(["--config", cfgfile, "validate", suite, "--out", "file"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith(f"error: cannot write 'file/validate_{suite}.json': ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file", "run.ini"]
+    assert (tmp_path / "file").read_text() == "kept\n"
+
+
 class TestValidate:
     def test_ops_suite_report(self, tmp_path, capsys):
         cfgfile = write_config(tmp_path, INTERVAL_INI.format(out=tmp_path))

@@ -500,3 +500,14 @@ class TestFiniteSpeed:
     def test_degenerate_band(self, cheb_ev):
         rep = finite_speed_scan(cheb_ev, 60.0, 8, 2.0)
         assert rep.degenerate
+
+    def test_simplex1_expects_half_the_interval_radius(self):
+        # simplex(1) has the interval's eigenvalues and half its distances,
+        # so the support is expected within delta m A / 2 in its own distance
+        # (delta m A = 1.6 at delta = 0.1 lies past its diameter pi/2)
+        ev = HeatKernelEvaluator(build_basis(DomainSpec.simplex(1, (0.5, 0.5)), 200))
+        reps = [finite_speed_scan(ev, delta, 8, 2.0) for delta in (0.05, 0.1)]
+        for delta, rep in zip((0.05, 0.1), reps):
+            assert not rep.degenerate and rep.max_beyond <= validation.FSP_THRESHOLD
+            assert rep.c_star_hat == rep.r_star / (delta * 8)
+        assert [rep.c_star_hat for rep in reps] == pytest.approx([0.812, 0.774], abs=1e-3)
