@@ -162,7 +162,8 @@ class OrthonormalBasis:
         if self._gram is None:
             V = self._node_values
             G = V.T @ (self.quad.weights[:, None] * V)
-            self._gram = float(np.abs(G - np.eye(G.shape[0])).max())
+            G.flat[:: len(G) + 1] -= 1.0
+            self._gram = float(np.abs(G, out=G).max())
         return self._gram
 
     # -- serialization ------------------------------------------------------
@@ -247,8 +248,9 @@ def verify_eigenrelation(basis, max_level=None):
     coefficient matrix C (rows = members, columns = graded monomials):
     R = C * (lambda_k + diag) plus one column update per lowering term of
     ``monomial_operator``, whose diagonal comes from the operator, so a
-    wrong eigenvalue shows.  Members through level K touch only the first
-    D graded monomials.
+    wrong eigenvalue shows; a term whose source and target columns are
+    consecutive (every term on the interval) is one column-slice update.
+    Members through level K touch only the first D graded monomials.
     """
     K = basis.max_degree if max_level is None else min(max_level, basis.max_degree)
     D = int(basis.offsets[K + 1])
@@ -257,9 +259,17 @@ def verify_eigenrelation(basis, max_level=None):
     lam = np.repeat(basis.lambdas[: K + 1], np.diff(basis.offsets[: K + 2]))
     R = (lam[:, None] + diag) * C
     for src, dst, coef in lowering:
-        R[:, dst] += coef * C[:, src]
+        R[:, _span(dst)] += coef * C[:, _span(src)]
     scale = np.where(lam > 0, lam * np.abs(C).max(axis=1), 1.0)
     return np.maximum.reduceat(np.abs(R).max(axis=1) / scale, basis.offsets[: K + 1])
+
+
+def _span(idx):
+    """An index array as the slice of columns it names where they are
+    consecutive and ascending (a view, not a gather), else itself."""
+    if len(idx) and np.all(np.diff(idx) == 1):
+        return slice(int(idx[0]), int(idx[-1]) + 1)
+    return idx
 
 
 # ---------------------------------------------------------------------------

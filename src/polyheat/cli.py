@@ -25,11 +25,11 @@ from .basis import (build_basis, eigenvalue, graded_monomials, level_dimension,
                     verify_eigenrelation)
 from .config import SCHEMA_VERSION, load_config
 from .domains import (
-    BALL,
     INTERVAL,
     DomainSpec,
     chart_lift,
     distance,
+    interval_parameters,
     inverse_metric,
     metric_det,
     metric_tensor,
@@ -345,14 +345,10 @@ def suite_chart(cfg, ev, vol, rng):
 
 def suite_correspondence(cfg, ev, vol, rng):
     spec = cfg.spec
-    if spec.kind == INTERVAL:
-        alpha, beta = spec.alpha, spec.beta
-    elif spec.kind == BALL:
-        alpha = beta = spec.gamma - 0.5
-    else:
-        beta, alpha = spec.kappa[0] - 0.5, spec.kappa[1] - 0.5
-    rep = val.jacobi_simplex_correspondence(alpha, beta, min(cfg.max_degree, 30),
-                                            seed=cfg.seed)
+    # the interval reads its own basis through degree 30 instead of building it
+    rep = val.jacobi_simplex_correspondence(*interval_parameters(spec), min(cfg.max_degree, 30),
+                                            seed=cfg.seed,
+                                            basis=ev.basis if spec.kind == INTERVAL else None)
     return vars(rep), rep.verdict
 
 

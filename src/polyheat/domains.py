@@ -319,6 +319,18 @@ def lift_rows(spec, points):
     return out
 
 
+def interval_parameters(spec):
+    """(alpha, beta) of the interval that a one-dimensional domain is:
+    ball(1, g) is interval(g - 1/2, g - 1/2), the same measure and distance;
+    simplex(1, k) is interval(k_2 - 1/2, k_1 - 1/2) at x = 2u - 1, with
+    half its distances and 2^-(alpha + beta + 1) times its measure."""
+    if spec.kind == INTERVAL:
+        return spec.alpha, spec.beta
+    if spec.kind == BALL:
+        return spec.gamma - 0.5, spec.gamma - 0.5
+    return spec.kappa[1] - 0.5, spec.kappa[0] - 0.5
+
+
 def _chart(spec):
     """The spec whose lift has the angle rho, for the lift and the metric: the
     spec at scale 1; at scale 2 (n = 1) the doubled angle, the circle of ball(1)."""

@@ -23,15 +23,18 @@ from .domains import (
     DomainSpec,
     _chart,
     _face_kappa,
+    _rows,
     chart_lift,
     distance_matrix,
     inverse_metric,
+    lift_rows,
     rho_to_boundary,
     weight_density,
     weight_log_gradient,
 )
-from .errors import CapacityError, DomainError, PrecisionError
-from .heat import HeatKernelEvaluator, MultiplierSpec
+from .errors import CapacityError, DomainError, ParameterError, PrecisionError
+from .heat import (DEFAULT_EPSILON, HeatKernelEvaluator, MultiplierSpec, TruncationPolicy,
+                   default_t_min)
 from .polynomials import monomial_vandermonde, operator_matrix, partial_matrix
 from .quadrature import _angular_rule, build_quadrature, gauss_jacobi
 from .volumes import MAX_REL_STDERR, refuse_imprecise, volume_surrogate
@@ -128,11 +131,22 @@ def geodesic_ray(spec, anchor, s_values):
     domain center, so that rho(anchor, point) = s exactly.  Targets with a
     face coordinate <= 1e-9 are dropped; returns (distances, points).
     """
-    lift = _chart(spec).lift
     anchor = np.atleast_1d(np.asarray(anchor, float))
-    y0 = chart_lift(spec, anchor)
-    # the center: the pole of the hemisphere, x_i = 1/N on the orthant
-    ya = chart_lift(spec, np.full(spec.n, 1.0 / (spec.n + 1) if lift.step == 2 else 0.0))
+    return _ray(spec, chart_lift(spec, anchor), _center_lift(spec),
+                np.asarray(s_values, dtype=float))
+
+
+def _center_lift(spec):
+    """``chart_lift`` of the center: the pole of the hemisphere, x_i = 1/N on
+    the orthant."""
+    step = _chart(spec).lift.step
+    return chart_lift(spec, np.full(spec.n, 1.0 / (spec.n + 1) if step == 2 else 0.0))
+
+
+def _ray(spec, y0, ya, s):
+    """``geodesic_ray`` from the anchor's unit lift y0 toward the center's ya
+    at the distances s."""
+    lift = _chart(spec).lift
     u = ya - (ya @ y0) * y0
     nu = np.linalg.norm(u)
     if nu < 1e-12:
@@ -142,13 +156,21 @@ def geodesic_ray(spec, anchor, s_values):
         u = u - (u @ y0) * y0
         nu = np.linalg.norm(u)
     u = u / nu
-    s = np.asarray(s_values, dtype=float)
     Y = np.outer(np.cos(s), y0) + np.outer(np.sin(s), u)
     keep = Y[:, lift.faces[0]:].min(axis=1) > 1e-9
     if not keep.any():
         raise DomainError("no ray targets stay inside the chart")
     X = Y[keep, : spec.n]
     return s[keep], X if lift.step == 1 else X ** 2
+
+
+def _rays(spec, anchors, s_values):
+    """``geodesic_ray`` from each anchor, bit for bit: the anchors are checked
+    and lifted in one ``lift_rows`` call and the center once; each anchor
+    keeps its own norm, dot products and outer products."""
+    Y = lift_rows(_chart(spec), _rows(spec, anchors)[0])
+    ya, s = _center_lift(spec), np.asarray(s_values, dtype=float)
+    return [_ray(spec, y / np.linalg.norm(y), ya, s) for y in Y]
 
 
 def _ray_pairs(ev, phi, delta, anchors, s_values):
@@ -158,7 +180,7 @@ def _ray_pairs(ev, phi, delta, anchors, s_values):
     rays, and each anchor reads its own block.  Returns flat arrays in
     anchor-major order: anchor index, distance, target, value and tail.
     """
-    rays = [geodesic_ray(ev.spec, a, s_values) for a in anchors]
+    rays = _rays(ev.spec, anchors, s_values)
     dists, targets = (np.concatenate(parts) for parts in zip(*rays))
     vals, tails = ev.multiplier_grid(phi, delta, anchors, targets)
     idx = np.repeat(np.arange(len(anchors)), [len(d) for d, _ in rays])
@@ -673,7 +695,7 @@ CORRESPONDENCE_GRID = 20
 CORRESPONDENCE_TIMES = (0.2, 1.0)
 
 
-def jacobi_simplex_correspondence(alpha, beta, max_k, seed=0):
+def jacobi_simplex_correspondence(alpha, beta, max_k, seed=0, basis=None):
     """Four residuals tying the interval operator to the n=1 simplex:
 
     (i) operator conjugation under x -> (x+1)/2 on a random polynomial,
@@ -685,11 +707,22 @@ def jacobi_simplex_correspondence(alpha, beta, max_k, seed=0):
     x -> 2x - 1 is one product with the exact matrix of
     ``_substitution_matrix`` and each operator one product with its dense
     matrix from ``operator_matrix``.
+
+    ``basis``, an interval(alpha, beta) basis of degree >= max_k such as a
+    ``validate`` run's own, is read through max_k in place of building the
+    interval basis: its levels 0..max_k are those of the K = max_k basis,
+    bit for bit, and (iv) sums them with the policy that basis gets by
+    default.
     """
     if not 0 <= max_k <= SUBSTITUTION_MAX_K:
         raise DomainError(f"max_k {max_k} outside [0, {SUBSTITUTION_MAX_K}], where the "
                           "substitution matrix is exact in doubles")
     ispec = DomainSpec.interval(alpha, beta)
+    if basis is None:
+        basis = build_basis(ispec, max_k)
+    elif basis.spec != ispec or basis.max_degree < max_k:
+        raise ParameterError(f"a basis of {basis.spec.label()} to degree {basis.max_degree} "
+                             f"cannot serve {ispec.label()} at max_k {max_k}")
     sspec = DomainSpec.simplex(1, ispec.lift.kappa)
     rng = np.random.default_rng(seed)
     A = _substitution_matrix(max_k)
@@ -702,9 +735,8 @@ def jacobi_simplex_correspondence(alpha, beta, max_k, seed=0):
     scale = max(np.abs(lhs).max(), np.abs(rhs).max(), 1e-300)
     checks.append(("operator_conjugation", np.abs(lhs - rhs).max() / scale))
 
-    ib = build_basis(ispec, max_k)
     sb = build_basis(sspec, max_k)
-    Q = (ib.coefficients @ A) * 2.0 ** ((alpha + beta + 1) / 2.0)
+    Q = (basis.coefficients[: max_k + 1, : max_k + 1] @ A) * 2.0 ** ((alpha + beta + 1) / 2.0)
     S = sb.coefficients * np.where(np.diag(Q) * np.diag(sb.coefficients) < 0, -1.0, 1.0)[:, None]
     scale = np.maximum(np.abs(Q).max(axis=1), np.abs(S).max(axis=1))
     checks.append(("eigenfunction_match", (np.abs(Q - S).max(axis=1) / scale).max()))
@@ -714,7 +746,8 @@ def jacobi_simplex_correspondence(alpha, beta, max_k, seed=0):
     gap = distance_matrix(sspec, X1, X1) - distance_matrix(ispec, X, X) / 2.0
     checks.append(("distance_halving", np.abs(gap).max()))
 
-    evi = HeatKernelEvaluator(ib)
+    evi = HeatKernelEvaluator(basis, TruncationPolicy(DEFAULT_EPSILON,
+                                                      default_t_min(ispec, max_k), max_k))
     evs = HeatKernelEvaluator(sb)
     # one basis evaluation of the grid per basis serves every time
     Pi, Ps = evi.point_set(X), evs.point_set(X1)

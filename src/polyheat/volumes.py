@@ -7,8 +7,11 @@ cap cut by the faces.  On the sphere the weighted measure has the density
 step^n prod |y_i|^(2 kappa_i) against surface measure: y_(n+1)^(2 gamma) on
 the ball, 2^n prod y_i^(2 kappa_i) on the simplex.
 
-* Interval: the arc integral of the Jacobi weight by Gauss-Jacobi and
+* Dimension 1: the arc integral of the Jacobi weight by Gauss-Jacobi and
   Gauss-Legendre rules, to about 1e-13 relative; see ``_interval_volumes``.
+  ball(1, g) is interval(g - 1/2, g - 1/2), and simplex(1, k) is
+  interval(k_2 - 1/2, k_1 - 1/2) at x = 2u - 1 with distances halved; see
+  ``_line_volumes``.
 * Ball(2) and simplex(2): deterministic quadrature in geodesic polar
   coordinates (theta, phi) about lift(x), per phi panel; see
   ``_cap_volumes``.  The panels out to r take one tensor pass per radius,
@@ -33,12 +36,13 @@ import numpy as np
 
 from .domains import (
     BALL,
-    INTERVAL,
+    SIMPLEX,
     DomainSpec,
     _face_kappa,
     _margins,
     _require_inside,
     _rows,
+    interval_parameters,
     lift_rows,
     total_mass,
 )
@@ -82,7 +86,7 @@ def volume_surrogate(spec, x, r):
 
 
 def _method(spec):
-    if spec.kind == INTERVAL:
+    if spec.n == 1:
         return "exact1d"
     return "cap_quadrature" if spec.n == 2 else "montecarlo"
 
@@ -127,8 +131,19 @@ def _by_radius(fn, r):
     return np.array([fn(s) for s in radii.tolist()])[which]
 
 
-def _interval_volumes(spec, xs, r):
-    """Exact V(x, r) on the interval for points xs (m,) and their radii
+def _line_volumes(spec, xs, r):
+    """V(x, r) on a one-dimensional domain for points xs (m,) and their
+    radii r (m,), one a row, below the diameter: ``_interval_volumes`` of
+    its ``interval_parameters``, on simplex(1) at x = 2u - 1 and radius 2r
+    times 2^-(a + b + 1)."""
+    a, b = interval_parameters(spec)
+    if spec.kind != SIMPLEX:
+        return _interval_volumes(a, b, xs, r)
+    return 2.0 ** -(a + b + 1) * _interval_volumes(a, b, 2 * xs - 1, 2 * r)
+
+
+def _interval_volumes(a, b, xs, r):
+    """Exact V(x, r) on interval(a, b) for points xs (m,) and their radii
     r (m,), one a row, 0 < r < pi.
 
     V = 2^(a+b+1) times the integral of sin^(2a+1)(t/2) cos^(2b+1)(t/2) over
@@ -143,7 +158,6 @@ def _interval_volumes(spec, xs, r):
     at least one part-length away.  All pieces go through one (pieces x
     nodes) pass, and np.bincount adds each row's pieces in a fixed order.
     """
-    a, b = spec.alpha, spec.beta
     U, W, E, F = _arc_rules(a, b)
     # one math.acos a row, as domains.distance takes it: np.arccos's SIMD
     # loop differs from it in the last bit on some points
@@ -538,13 +552,13 @@ def _monte_carlo(spec, X, r, samples, seed):
 def _volumes(spec, X, r, samples, seed):
     """(V, stderr, sample size) of the checked rows X (m, n) and their radii
     r (m,), one a row: the total mass with stderr 0 where r reaches the
-    diameter, elsewhere one pass of the arc rules (interval, stderr 0), of
-    the cap quadrature (ball(2), simplex(2)) or of Monte Carlo (dimension
+    diameter, elsewhere one pass of the arc rules (dimension 1, stderr 0),
+    of the cap quadrature (ball(2), simplex(2)) or of Monte Carlo (dimension
     3).  The sample size is the Monte Carlo one, 0 when no row drew on it."""
     values, stderrs, used = np.full(len(X), total_mass(spec)), np.zeros(len(X)), 0
     inside = np.flatnonzero(r < _diameter(spec))
-    if spec.kind == INTERVAL:
-        values[inside] = _interval_volumes(spec, X[inside, 0], r[inside])
+    if spec.n == 1:
+        values[inside] = _line_volumes(spec, X[inside, 0], r[inside])
     elif spec.n == 2:
         values[inside], stderrs[inside] = _cap_volumes(spec, X[inside], r[inside])
     elif len(inside):

@@ -10,9 +10,10 @@ second estimate, mpmath's incomplete Beta for the interval volumes, the
 kernel tails from per-level diagonals at fully evaluated points (and the
 level-by-level window maximum they majorize), the mass and semigroup checks
 through kernel rows to every quadrature node, the interval basis from
-hand-written value and coefficient recurrences, the coefficient rows by the
-level recurrence over every column from the Jacobi data alone, the
-one-dimensional family in Python floats one point at a time, a
+hand-written value and coefficient recurrences, the eigenrelation and Gram
+checks in their gather/scatter and identity-matrix forms, the coefficient
+rows by the level recurrence over every column from the Jacobi data alone,
+the one-dimensional family in Python floats one point at a time, a
 member-by-member Gram-Schmidt build of the ball and simplex bases, the
 interval/simplex correspondence through sparse polynomial arithmetic and
 scalar distances, the Green, chart and flux checks through ``MultiPoly``
@@ -50,6 +51,7 @@ from polyheat.polynomials import (
     apply_ball_operator,
     apply_jacobi_operator,
     apply_simplex_operator,
+    monomial_operator,
     poly_partial,
 )
 from polyheat.quadrature import _angular_rule, jacobi_recurrence
@@ -493,6 +495,28 @@ def untrimmed_coefficient_rows(basis):
                 z /= sqb[m]
         inner, inner_deg = rows, [t for t, _ in row]
     return inner
+
+
+def gather_scatter_eigenrelation(basis):
+    """``verify_eigenrelation`` with every lowering term as an index gather
+    of its source columns and an index scatter into its target columns."""
+    K = basis.max_degree
+    D = int(basis.offsets[K + 1])
+    C = basis._coeff[:D, :D]
+    diag, lowering = monomial_operator(basis.spec, basis._monomials[:D])
+    lam = np.repeat(basis.lambdas[: K + 1], np.diff(basis.offsets[: K + 2]))
+    R = (lam[:, None] + diag) * C
+    for src, dst, coef in lowering:
+        R[:, dst] += coef * C[:, src]
+    scale = np.where(lam > 0, lam * np.abs(C).max(axis=1), 1.0)
+    return np.maximum.reduceat(np.abs(R).max(axis=1) / scale, basis.offsets[: K + 1])
+
+
+def identity_gap_gram_residual(basis):
+    """``gram_residual`` as max |G - I| with I a new identity matrix."""
+    V = basis.node_values
+    G = V.T @ (basis.quad.weights[:, None] * V)
+    return float(np.abs(G - np.eye(G.shape[0])).max())
 
 
 def innermost_family(basis, points):

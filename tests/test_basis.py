@@ -23,7 +23,8 @@ from polyheat.polynomials import MultiPoly, monomial_operator, monomial_vandermo
 from polyheat.quadrature import build_quadrature
 from polyheat.validation import operator_symmetry_residual, random_coefficients
 
-from _oracles import (apply_operator, innermost_family, member_gram_schmidt,
+from _oracles import (apply_operator, gather_scatter_eigenrelation,
+                      identity_gap_gram_residual, innermost_family, member_gram_schmidt,
                       reference_interval_basis, untrimmed_coefficient_rows)
 
 
@@ -351,6 +352,21 @@ class TestVectorizedVerification:
             assert res[k] > 1e-8
             assert np.array_equal(np.delete(res, k), np.delete(clean, k))
             basis._coeff[row, col] = saved
+
+
+@pytest.mark.parametrize("spec, K", [(DomainSpec.interval(1.5, -0.5), 200),
+                                     (DomainSpec.ball(2, 0.5), 20),
+                                     (DomainSpec.simplex(2, (0.5, 0.5, 0.5)), 20)],
+                         ids=lambda c: c.label() if isinstance(c, DomainSpec) else str(c))
+def test_slice_updates_keep_the_bits_of_the_gather_scatter_form(spec, K):
+    basis = build_basis(spec, K)
+    assert np.array_equal(verify_eigenrelation(basis), gather_scatter_eigenrelation(basis))
+    assert basis.gram_residual() == identity_gap_gram_residual(basis)
+    # every lowering term of the interval is one column slice
+    _, lowering = monomial_operator(spec, basis._monomials)
+    spans = [type(basis_module._span(idx)) is slice for src, dst, _ in lowering
+             for idx in (src, dst)]
+    assert all(spans) if spec.kind == "interval" else not all(spans)
 
 
 # the (alpha, beta) pairs of the validate-interval benchmark workload

@@ -661,6 +661,25 @@ class TestValidate:
         assert main(["--config", cfgfile, "validate", "all"]) == 0
         assert len(calls) <= 20
 
+    def test_interval_validate_all_builds_two_bases(self, tmp_path, capsys, monkeypatch):
+        # the evaluator's basis and the simplex(1) one of correspondence,
+        # which reads the interval basis through its degree instead of
+        # building it again
+        built = []
+        init = OrthonormalBasis.__init__
+
+        def counted(basis, spec, max_degree, quad):
+            built.append((spec.label(), max_degree))
+            init(basis, spec, max_degree, quad)
+
+        monkeypatch.setattr(OrthonormalBasis, "__init__", counted)
+        cfgfile = write_config(tmp_path, (
+            "[domain]\nkind = interval\nalpha = 1.5\nbeta = -0.5\n"
+            f"[basis]\nmax_degree = 200\n[run]\noutput = {tmp_path}\n"))
+        main(["--config", cfgfile, "validate", "all"])
+        assert built == [("interval(alpha=1.5, beta=-0.5)", 200),
+                         ("simplex(n=1, kappa=(0.0, 2.0))", 30)]
+
     @pytest.mark.parametrize("suite", ["green", "chart", "flux"])
     def test_array_suites_apply_no_multipoly_operator(self, tmp_path, capsys, monkeypatch,
                                                        suite):

@@ -5,7 +5,7 @@ import pytest
 
 from polyheat.basis import OrthonormalBasis, build_basis
 from polyheat.domains import DomainSpec, distance
-from polyheat.errors import DomainError, PrecisionError
+from polyheat.errors import DomainError, ParameterError, PrecisionError
 from polyheat.heat import DEFAULT_EPSILON, HeatKernelEvaluator, TruncationPolicy
 from polyheat.polynomials import MultiPoly
 from polyheat.quadrature import build_quadrature
@@ -99,6 +99,25 @@ class TestHelpers:
             dists, pts = geodesic_ray(spec, anchor, s)
             for d, p in zip(dists, pts):
                 assert distance(spec, anchor, p) == pytest.approx(d, abs=1e-12)
+
+    @pytest.mark.parametrize("spec", [DomainSpec.interval(1.5, -0.5), DomainSpec.ball(2, 0.5),
+                                      DomainSpec.simplex(2, (0.5, 0.5, 0.5))],
+                             ids=lambda s: s.label())
+    def test_scan_rays_equal_the_rays_of_each_anchor(self, spec, monkeypatch):
+        # the last anchor is the center: its direction toward the center has
+        # a norm below 1e-12, and its ray takes the coordinate direction
+        center = np.full(spec.n, 1.0 / (spec.n + 1) if spec.kind == "simplex" else 0.0)
+        anchors = np.vstack([interior_points(spec, 5, margin=0.1), center])
+        s = np.linspace(0.02, 2.5, 40)
+        norms, norm = [], np.linalg.norm
+        monkeypatch.setattr(np.linalg, "norm", lambda x: norms.append(norm(x)) or norms[-1])
+        rays = validation._rays(spec, anchors, s)
+        assert min(norms) < 1e-12
+        monkeypatch.undo()
+        assert len(rays) == len(anchors)
+        for (dists, pts), anchor in zip(rays, anchors):
+            want_dists, want_pts = geodesic_ray(spec, anchor, s)
+            assert np.array_equal(dists, want_dists) and np.array_equal(pts, want_pts)
 
 
 class TestGreen:
@@ -321,6 +340,22 @@ class TestCorrespondence:
         got = {c["name"]: c["residual"] for c in rep.checks}
         for name, want in ref.items():
             assert abs(got[name] - want) <= 1e-13, name
+
+    @pytest.mark.parametrize("alpha, beta", [(-0.9, -0.9), (1.5, -0.5), (0.0, 0.0)])
+    def test_a_larger_basis_gives_the_report_of_its_own_build(self, alpha, beta):
+        basis = build_basis(DomainSpec.interval(alpha, beta), 200)
+        own = jacobi_simplex_correspondence(alpha, beta, 30, seed=1)
+        lent = jacobi_simplex_correspondence(alpha, beta, 30, seed=1, basis=basis)
+        assert vars(lent) == vars(own)
+
+    @pytest.mark.parametrize("spec, K", [(DomainSpec.interval(0.0, 0.5), 40),
+                                         (DomainSpec.interval(0.5, 0.0), 20),
+                                         (DomainSpec.simplex(1, (0.5, 1.0)), 40)])
+    def test_a_basis_of_another_spec_or_lower_degree_is_refused(self, spec, K):
+        with pytest.raises(ParameterError, match=r"cannot serve interval\(alpha=0.5, beta=0\) "
+                                                 r"at max_k 30$") as err:
+            jacobi_simplex_correspondence(0.5, 0.0, 30, basis=build_basis(spec, K))
+        assert "\n" not in str(err.value)
 
     def test_perturbed_simplex_coefficient_fails_match(self, monkeypatch):
         def perturbed(spec, max_degree, **kw):

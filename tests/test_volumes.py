@@ -95,6 +95,60 @@ class TestIntervalExact:
                 assert "\n" not in str(err.value)
 
 
+class TestOneDimensionalTransfer:
+    """ball(1, g) and simplex(1, k) volumes are the interval's.
+
+    Tolerances, fixed before the first run: ball(1, g) equals
+    interval(g - 1/2, g - 1/2) exactly (the same measure and distance);
+    simplex(1, k) is within 1e-11 relative of 2^-(a+b+1) times the
+    incomplete-Beta oracle of interval(a, b) = (k_2 - 1/2, k_1 - 1/2) at
+    x = 2u - 1 and radius 2r; both lie within 5 standard errors of plain
+    Monte Carlo with 200000 samples; every stderr is 0.  Where no sample or
+    every sample falls in the ball, the Monte Carlo stderr reads 0, so it
+    is taken as at least the mass of one sample.
+    """
+
+    RADII = (0.01, 0.1, 0.5, 1.2)
+
+    @staticmethod
+    def monte_carlo(spec, points):
+        samples = 200_000
+        mc, err = monte_carlo_volumes(spec, points, TestOneDimensionalTransfer.RADII,
+                                      samples=samples, seed=2024)
+        return mc, np.maximum(err, total_mass(spec) / samples)
+
+    @pytest.mark.parametrize("gamma", [0.2, 0.5, 2.0])
+    def test_ball1_is_the_interval(self, gamma):
+        spec = DomainSpec.ball(1, gamma)
+        xs = np.array([[-1.0], [-0.6], [0.0], [0.3], [0.999]])
+        interval = VolumeSource(DomainSpec.interval(gamma - 0.5, gamma - 0.5))
+        mc, mc_err = self.monte_carlo(spec, xs)
+        for j, r in enumerate(self.RADII):
+            got, err = VolumeSource(spec).estimates(xs, r)
+            want, _ = interval.estimates(xs, r)
+            assert np.array_equal(got, want) and not err.any()
+            assert np.all(np.abs(got - mc[:, j]) <= 5 * mc_err[:, j]), r
+
+    @pytest.mark.parametrize("kappa", [(0.5, 0.5), (0.3, 1.2), (1.5, 0.2)])
+    def test_simplex1_is_the_interval_at_twice_the_radius(self, kappa):
+        spec = DomainSpec.simplex(1, kappa)
+        a, b = kappa[1] - 0.5, kappa[0] - 0.5
+        us = np.array([[0.0], [0.001], [0.2], [0.5], [0.93], [1.0]])
+        mc, mc_err = self.monte_carlo(spec, us)
+        for j, r in enumerate(self.RADII):
+            got, err = VolumeSource(spec).estimates(us, r)
+            want = np.array([2.0 ** -(a + b + 1) * interval_volume_mp(a, b, 2 * u - 1, 2 * r)
+                             for u in us[:, 0]])
+            assert np.all(np.abs(got - want) <= 1e-11 * want) and not err.any(), r
+            assert np.all(np.abs(got - mc[:, j]) <= 5 * mc_err[:, j]), r
+
+    def test_ball1_reads_the_exact_volume(self):
+        est = ball_volume(DomainSpec.ball(1, 0.5), (0.3,), 0.1)
+        assert (est.stderr, est.method, est.samples) == (0.0, "exact1d", 0)
+        assert est.value == pytest.approx(0.19047002, abs=5e-9)
+        assert est == ball_volume(DomainSpec.interval(0.0, 0.0), (0.3,), 0.1)
+
+
 class TestMonteCarlo:
     def test_flat_limit_ball(self):
         # gamma = 1/2 is Lebesgue measure and rho(0, y) = arcsin|y|, so
