@@ -12,6 +12,7 @@ from math import inf
 
 from .domains import BALL, INTERVAL, SIMPLEX, DomainSpec
 from .errors import ParameterError
+from .volumes import check_samples
 
 SCHEMA_VERSION = 6
 # the most [grids] points: the gauss suite holds points x points arrays, and
@@ -185,4 +186,6 @@ def load_config(path=None, **overrides):
     bad = set(overrides) - {f.name for f in fields(RunConfig)}
     if bad:
         raise ParameterError(f"unknown config overrides: {sorted(bad)}")
-    return replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
+    cfg = replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
+    check_samples(cfg.spec, cfg.mc_samples)
+    return cfg

@@ -35,7 +35,7 @@ from math import lgamma, log, exp, acos, isfinite
 
 import numpy as np
 
-from .errors import BoundarySingularityError, DomainError, ParameterError
+from .errors import BoundarySingularityError, CapacityError, DomainError, ParameterError
 
 INTERVAL = "interval"
 BALL = "ball"
@@ -397,13 +397,24 @@ def log_beta(a, b):
     return lgamma(a) + lgamma(b) - lgamma(a + b)
 
 
+def mass_of_log(log_mass, what):
+    """exp(log_mass), the weighted mass of ``what``, refused where it leaves
+    the range of a double: every rule and density built on it would too."""
+    try:
+        return exp(log_mass)
+    except OverflowError:
+        raise CapacityError(f"the weighted mass of {what} is e^{log_mass:.6g}, beyond the range "
+                            "of a double; lower the weight exponents") from None
+
+
 def total_mass(spec):
     """Total weighted mass: prod Gamma(kappa_i + 1/2) / Gamma(|kappa| + N/2)
     times scale^(n + sum over the faces of (kappa_i - 1/2)), 2^(alpha+beta+1)."""
     lift = spec.lift
     log_c = (spec.n + sum(k - 0.5 for k in _face_kappa(spec))) * log(lift.scale)
     logs = sum(lgamma(k + 0.5) for k in lift.kappa)
-    return exp(log_c + logs - lgamma(sum(lift.kappa) + 0.5 * (spec.n + 1)))
+    return mass_of_log(log_c + logs - lgamma(sum(lift.kappa) + 0.5 * (spec.n + 1)),
+                       spec.label())
 
 
 _CIRCLE = DomainSpec.ball(1, 0.0)   # the interval's chart

@@ -34,8 +34,9 @@ it names.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
 from functools import cached_property
-from math import log, sqrt
+from math import isfinite, log, sqrt, ulp
 
 import numpy as np
 
@@ -129,6 +130,27 @@ class MultiplierSpec:
     @property
     def fourier_band(self):
         return self.order * self.band if self.family == "sinc_power" else None
+
+
+def _sinc_power_tail_factor(band, delta, K, m):
+    """2 (2 / (A delta))^(2m) (K - 1)^(1 - 2m) / (2m - 1), the post-cap bound
+    of sinc_power, refused where it is not a finite double.
+
+    Its two powers leave the double range long before their product does, so
+    they are taken in decimal arithmetic, whose exponent range they do not
+    leave.  The base keeps the double rounding of 2 / (A delta): the 2m-th
+    power amplifies any other rounding of it 2m-fold.
+    """
+    with localcontext(Context(prec=30, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[])):
+        # an A delta that underflows to 0 reads as the least double, whose
+        # 2 / (A delta) is already infinite
+        base = Decimal(2.0 / max(band * delta, ulp(0.0)))
+        factor = float(2 * base ** (2 * m) * Decimal(K - 1) ** (1 - 2 * m) / (2 * m - 1))
+    if not isfinite(factor):
+        raise CapacityError(
+            f"the sinc_power tail factor of order {m}, band {band:g} and delta {delta:g} at the "
+            f"cap {K} is beyond the range of a double; raise the band or delta, or lower the order")
+    return factor
 
 
 class PointSet:
@@ -410,9 +432,7 @@ class HeatKernelEvaluator:
             if K < 2:
                 raise CapacityError(
                     f"the sinc_power tail bound needs a basis cap >= 2, got {K}; raise the cap")
-            m = phi.order
-            env = (2.0 / (phi.band * delta)) ** (2 * m)
-            tail_factor = 2.0 * env * (K - 1.0) ** (1 - 2 * m) / (2 * m - 1)
+            tail_factor = _sinc_power_tail_factor(phi.band, delta, K, phi.order)
         else:
             # heat_exp: the heat kernel's post-cap bound at t = delta^2
             tail_factor = self._heat_tail_factor(delta * delta, lambda: self._pair(X, Y))

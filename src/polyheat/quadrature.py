@@ -1,8 +1,12 @@
 """Quadrature rules exact for polynomials against the weighted measures.
 
 Interval: Gauss-Jacobi.  Ball: tensor product of a radial Gauss-Jacobi rule
-in r^2 with a symmetric angular rule (exactness for odd angular monomials is
-by symmetry).  Simplex: iterated Gauss-Jacobi in the nested coordinates
+in r^2 with a rule on the sphere S^(n-1), one recursion for every n: S^0 is
+the points -1, 1, S^1 the midpoint trapezoid rule, and S^(n-1) above that
+Gauss-Jacobi((n-3)/2, (n-3)/2) in the last coordinate z times the S^(n-2)
+rule scaled by sqrt(1 - z^2), the surface measure being (1 - z^2)^((n-3)/2)
+dz dS^(n-2).  The sphere rules are symmetric, so odd monomials integrate to
+zero exactly.  Simplex: iterated Gauss-Jacobi in the nested coordinates
 x_i = u_i * prod_(j<i) (1 - u_j), whose per-axis weights are again Jacobi
 weights, so polynomial integrands are integrated exactly.
 """
@@ -11,11 +15,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import pi, sqrt
+from math import log, pi, sqrt
 
 import numpy as np
 
-from .domains import BALL, INTERVAL, DomainSpec
+from .domains import BALL, INTERVAL, DomainSpec, log_beta, mass_of_log
 from .errors import CapacityError, DomainError
 
 MAX_NODES = 5_000_000
@@ -47,14 +51,12 @@ def jacobi_recurrence(max_degree, alpha, beta):
     p_(k+1) = ((x - a_k) p_k - sqrt_b_k * p_(k-1)) / sqrt_b_(k+1) with
     p_0 = 1/sqrt(mass).  sqrt_b_k is indexed 0..max_degree with entry 0 unused.
     """
-    from .domains import log_beta
-    from math import exp, log
-
     K = int(max_degree)
     ab = alpha + beta
+    mass = mass_of_log((ab + 1) * log(2.0) + log_beta(alpha + 1, beta + 1),
+                       f"the Jacobi weight (1 - x)^{alpha:g} (1 + x)^{beta:g}")
     a = np.zeros(K + 1)
     b = np.zeros(K + 1)
-    mass = exp((ab + 1) * log(2.0) + log_beta(alpha + 1, beta + 1))
     a[0] = (beta - alpha) / (ab + 2)
     if K >= 1:
         b[1] = 4 * (alpha + 1) * (beta + 1) / ((ab + 2) ** 2 * (ab + 3))
@@ -108,35 +110,29 @@ def gauss_jacobi_01(m, a, b):
     return (1 + t) / 2, w * 0.5 ** (a + b + 1)
 
 
-def _angular_rule(n, degree):
-    """Symmetric rule on the unit sphere S^(n-1), exact for monomials <= degree."""
+def _sphere_size(n, degree):
+    """The number of nodes of ``sphere_rule(n, degree)``."""
+    return 2 if n == 1 else (degree + 1) * (degree // 2 + 1) ** (n - 2)
+
+
+def sphere_rule(n, degree):
+    """Symmetric rule on the unit sphere S^(n-1), exact for monomials of
+    degree <= degree; z-major above S^1, as the ball rule is radius-major."""
+    if _sphere_size(n, degree) > MAX_NODES:
+        raise CapacityError(f"a rule on S^{n - 1} of degree {degree} exceeds the node budget "
+                            f"of {MAX_NODES}; lower the degree")
     if n == 1:
         return np.array([[-1.0], [1.0]]), np.array([1.0, 1.0])
     if n == 2:
         m = degree + 1
         phi = 2 * pi * (np.arange(m) + 0.5) / m
-        pts = np.stack([np.cos(phi), np.sin(phi)], axis=1)
-        return pts, np.full(m, 2 * pi / m)
-    if n == 3:
-        mu = degree // 2 + 1
-        u, wu = gauss_jacobi(mu, 0.0, 0.0)
-        m = degree + 1
-        phi = 2 * pi * (np.arange(m) + 0.5) / m
-        s = np.sqrt(1 - u ** 2)
-        pts = np.empty((mu * m, 3))
-        wts = np.empty(mu * m)
-        idx = 0
-        for i in range(mu):
-            pts[idx : idx + m, 0] = s[i] * np.cos(phi)
-            pts[idx : idx + m, 1] = s[i] * np.sin(phi)
-            pts[idx : idx + m, 2] = u[i]
-            wts[idx : idx + m] = wu[i] * 2 * pi / m
-            idx += m
-        return pts, wts
-    raise CapacityError(
-        f"ball quadrature supports n <= 3 (requested n={n}); "
-        "reduce the dimension or extend the angular rules"
-    )
+        return np.stack([np.cos(phi), np.sin(phi)], axis=1), np.full(m, 2 * pi / m)
+    z, wz = gauss_jacobi(degree // 2 + 1, (n - 3) / 2, (n - 3) / 2)
+    theta, w = sphere_rule(n - 1, degree)
+    nodes = np.empty((z.size, w.size, n))
+    nodes[:, :, :-1] = np.sqrt(1 - z ** 2)[:, None, None] * theta
+    nodes[:, :, -1] = z[:, None]
+    return nodes.reshape(-1, n), (wz[:, None] * w).reshape(-1)
 
 
 def build_quadrature(spec: DomainSpec, exact_degree: int) -> QuadratureRule:
@@ -153,12 +149,12 @@ def build_quadrature(spec: DomainSpec, exact_degree: int) -> QuadratureRule:
     if spec.kind == BALL:
         n, g = spec.n, spec.gamma
         mr = d // 4 + 1
+        if mr * _sphere_size(n, d) > MAX_NODES:
+            raise CapacityError("ball quadrature exceeds the node budget; lower the degree")
         u, wr = gauss_jacobi_01(mr, g - 0.5, n / 2 - 1)
         wr = 0.5 * wr
         r = np.sqrt(u)
-        theta, wa = _angular_rule(n, d)
-        if mr * wa.size > MAX_NODES:
-            raise CapacityError("ball quadrature exceeds the node budget; lower the degree")
+        theta, wa = sphere_rule(n, d)
         nodes = (r[:, None, None] * theta[None, :, :]).reshape(-1, n)
         weights = (wr[:, None] * wa[None, :]).reshape(-1)
         return QuadratureRule(nodes, weights, d)

@@ -36,7 +36,7 @@ from .errors import CapacityError, DomainError, ParameterError, PrecisionError
 from .heat import (DEFAULT_EPSILON, HeatKernelEvaluator, MultiplierSpec, TruncationPolicy,
                    default_t_min)
 from .polynomials import monomial_vandermonde, operator_matrix, partial_matrix
-from .quadrature import _angular_rule, build_quadrature, gauss_jacobi
+from .quadrature import build_quadrature, gauss_jacobi, sphere_rule
 from .volumes import MAX_REL_STDERR, refuse_imprecise, volume_surrogate
 
 BOUNDARY_MARGIN = 0.05
@@ -520,11 +520,7 @@ class FluxReport:
 def _ball_flux(spec, f, h, eps):
     n = spec.n
     R = sqrt(1 - eps)
-    if n == 1:
-        xv = np.array([[R], [-R]])
-        total = float(np.array([1.0, -1.0]) @ (f.gradients(xv)[:, 0] * h.values(xv)))
-        return eps ** (spec.gamma + 0.5) * total
-    theta, wts = _angular_rule(n, max(f.degree + 6, 32))
+    theta, wts = sphere_rule(n, max(f.degree + 6, 32))
     pts = R * theta
     radial = np.einsum("mi,mi->m", theta, f.gradients(pts))
     integral = float(wts @ (radial * h.values(pts)))

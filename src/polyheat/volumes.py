@@ -50,6 +50,10 @@ from .errors import DomainError, ParameterError, PrecisionError
 from .quadrature import gauss_jacobi
 
 DEFAULT_SAMPLES = 1_000_000
+# the most bytes of one lifted Monte Carlo sample, n + 1 doubles a draw: 32
+# times the default sample of ball(3) and simplex(3); drawing it and one
+# query peak at 1.4 times the sample (ball(3)), 1.3 (simplex(3))
+MAX_SAMPLE_BYTES = 1 << 30
 # the largest stderr, as a fraction of V, that the validation scans accept
 MAX_REL_STDERR = 0.05
 # cap quadrature, (low, high) orders: (trapezoid nodes in phi around a
@@ -535,13 +539,23 @@ def _draw_lifted(spec, samples, seed):
     return cloud
 
 
+def check_samples(spec, samples):
+    """Refuse, before any draw, a Monte Carlo sample of fewer than one draw or
+    whose lifted form exceeds ``MAX_SAMPLE_BYTES``."""
+    if samples < 1:
+        raise ParameterError(f"Monte Carlo needs at least 1 sample, got {samples}")
+    size = 8 * (spec.n + 1) * samples
+    if size > MAX_SAMPLE_BYTES:
+        raise ParameterError(f"{samples} Monte Carlo samples on {spec.label()} take {size} bytes "
+                             f"lifted, beyond the budget of {MAX_SAMPLE_BYTES}; lower the samples")
+
+
 def _monte_carlo(spec, X, r, samples, seed):
     """(V, stderr, sample size) of the rows X (m, n) and their radii r (m,):
     mass times the fraction p of the seed's lifted sample with
     lift(x) . y > cos r, one matrix-vector product a row, with stderr
     mass sqrt(p (1 - p) / samples)."""
-    if samples < 1:
-        raise ParameterError(f"Monte Carlo needs at least 1 sample, got {samples}")
+    check_samples(spec, samples)
     cloud = _lifted_cloud(spec, samples, seed)
     p = np.array([np.mean(cloud @ (y / np.linalg.norm(y)) > cos(s))
                   for y, s in zip(lift_rows(spec, X), r.tolist())])

@@ -13,7 +13,9 @@ through kernel rows to every quadrature node, the interval basis from
 hand-written value and coefficient recurrences, the eigenrelation and Gram
 checks in their gather/scatter and identity-matrix forms, the coefficient
 rows by the level recurrence over every column from the Jacobi data alone,
-the one-dimensional family in Python floats one point at a time, a
+the one-dimensional family in Python floats one point at a time, the
+sphere rules of n <= 3 written out by hand and the closed-form sphere
+monomial moments, a
 member-by-member Gram-Schmidt build of the ball and simplex bases, the
 interval/simplex correspondence through sparse polynomial arithmetic and
 scalar distances, the Green, chart and flux checks through ``MultiPoly``
@@ -54,7 +56,7 @@ from polyheat.polynomials import (
     monomial_operator,
     poly_partial,
 )
-from polyheat.quadrature import _angular_rule, jacobi_recurrence
+from polyheat.quadrature import gauss_jacobi, jacobi_recurrence
 from polyheat.heat import MultiplierSpec
 from polyheat.validation import (
     GAUSS_BAND_HI,
@@ -751,6 +753,45 @@ def reference_chart(spec, f, points):
     return num / den if den > 0 else num
 
 
+def hand_written_sphere_rule(n, degree):
+    """The S^(n-1) rules of n <= 3 written out by hand: the points -1, 1;
+    the midpoint trapezoid rule of degree + 1 nodes; Gauss-Legendre in z
+    times that circle, filled one z node at a time."""
+    if n == 1:
+        return np.array([[-1.0], [1.0]]), np.array([1.0, 1.0])
+    if n == 2:
+        m = degree + 1
+        phi = 2 * pi * (np.arange(m) + 0.5) / m
+        pts = np.stack([np.cos(phi), np.sin(phi)], axis=1)
+        return pts, np.full(m, 2 * pi / m)
+    if n != 3:
+        raise ValueError(f"the hand-written sphere rules stop at n = 3, got {n}")
+    mu = degree // 2 + 1
+    u, wu = gauss_jacobi(mu, 0.0, 0.0)
+    m = degree + 1
+    phi = 2 * pi * (np.arange(m) + 0.5) / m
+    s = np.sqrt(1 - u ** 2)
+    pts = np.empty((mu * m, 3))
+    wts = np.empty(mu * m)
+    idx = 0
+    for i in range(mu):
+        pts[idx : idx + m, 0] = s[i] * np.cos(phi)
+        pts[idx : idx + m, 1] = s[i] * np.sin(phi)
+        pts[idx : idx + m, 2] = u[i]
+        wts[idx : idx + m] = wu[i] * 2 * pi / m
+        idx += m
+    return pts, wts
+
+
+def sphere_monomial_moment(exponents):
+    """The integral of prod x_i^(a_i) over S^(n-1): 2 prod Gamma((a_i + 1)/2)
+    / Gamma((|a| + n)/2), and 0 when any a_i is odd."""
+    if any(a % 2 for a in exponents):
+        return 0.0
+    return 2.0 * exp(sum(lgamma((a + 1) / 2) for a in exponents)
+                     - lgamma((sum(exponents) + len(exponents)) / 2))
+
+
 def _reference_ball_flux(spec, f, h, eps):
     n = spec.n
     R = sqrt(1 - eps)
@@ -761,7 +802,7 @@ def _reference_ball_flux(spec, f, h, eps):
             xv = np.array([[s]])
             total += float((s / R) * grads[0].eval_many(xv)[0] * h.values(xv)[0])
         return eps ** (spec.gamma + 0.5) * total
-    theta, wts = _angular_rule(n, max(f.degree() + 6, 32))
+    theta, wts = hand_written_sphere_rule(n, max(f.degree() + 6, 32))
     pts = R * theta
     radial = np.zeros(len(pts))
     for i in range(n):

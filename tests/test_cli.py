@@ -260,6 +260,57 @@ def test_grid_over_budget_is_refused_before_any_allocation(tmp_path, capsys, mon
     assert [p.name for p in tmp_path.iterdir()] == ["run.ini"]
 
 
+INTERVAL_520 = "[domain]\nkind = interval\nalpha = 520\nbeta = 0\n[basis]\nmax_degree = 30\n"
+HUGE_SAMPLE = "100000000000 Monte Carlo samples on ball(n=3, gamma=0.5) take 3200000000000 bytes"
+
+
+# (config, command, exit code, the message): a weighted mass, a sinc_power
+# tail factor or a lifted Monte Carlo sample beyond what a double or the
+# byte budget holds.  Outside validate, and where validate cannot start, the
+# refusal is one stderr line; validate all writes it into the report of the
+# suites that hit it.
+@pytest.mark.parametrize("body, command, code, message", [
+    (INTERVAL_520, ["geom", "volume", "--x", "0.1", "--r", "0.3"], 2,
+     "error: the weighted mass of the Jacobi weight (1 - x)^0 (1 + x)^1041 is e^715.31,"),
+    ("[domain]\nkind = interval\nalpha = 1040\nbeta = 0\n", ["validate", "basis"], 2,
+     "cannot build the evaluator: the weighted mass of the Jacobi weight (1 - x)^1040 "),
+    ("[domain]\nkind = ball\nn = 2\ngamma = 2000\n", ["validate", "basis"], 2,
+     "cannot build the evaluator: the weighted mass of the Jacobi weight (1 - x)^1999.5 "),
+    ("[domain]\nkind = interval\n",
+     ["kernel", "multiplier", "--family", "sinc_power", "--delta", "0.1", "--band", "1e-300"], 2,
+     "error: the sinc_power tail factor of order 4, band 1e-300 and delta 0.1 at the cap 20 "),
+    ("[domain]\nkind = ball\nn = 3\n",
+     ["geom", "volume", "--x", "0,0,0", "--r", "0.5", "--samples", "100000000000"], 2,
+     f"error: {HUGE_SAMPLE}"),
+    ("[domain]\nkind = ball\nn = 3\n[mc]\nsamples = 100000000000\n", ["validate", "doubling"], 2,
+     f"invalid config: {HUGE_SAMPLE}"),
+    (INTERVAL_520, ["validate", "all"], 1,
+     "the weighted mass of the Jacobi weight (1 - x)^0 (1 + x)^1041 is e^715.31,"),
+], ids=["mass-volume", "mass-interval-basis", "mass-ball-basis", "sinc-tail",
+        "samples-flag", "samples-config", "mass-validate-all"])
+def test_refusal_past_a_double_or_the_sample_budget_is_one_line(tmp_path, capsys, body, command,
+                                                               code, message):
+    cfgfile = write_config(tmp_path, body)
+    out_dir = tmp_path / "out"
+    extra = ["--out", str(out_dir)] if command[0] == "validate" else []
+    assert main(["--config", cfgfile] + command + extra) == code
+    out, err = capsys.readouterr()
+    assert "Traceback" not in out + err
+    report = out_dir / f"validate_{command[-1]}.json"
+    if code == 2:
+        assert out == "" and len(err.splitlines()) == 1 and err.startswith(message)
+        assert not report.exists()
+    else:
+        # the volume suites hit the arc rule's Gauss-Jacobi(0, 2 alpha + 1)
+        assert err == ""
+        suites = json.loads(report.read_text())["suites"]
+        hit = {name for name, entry in suites.items() if "error" in entry["results"]}
+        assert hit == {"gauss", "doubling", "localize"}
+        for name in hit:
+            assert suites[name]["pass"] is False
+            assert suites[name]["results"]["error"].startswith(message)
+
+
 @pytest.mark.parametrize("command, err", [
     (["basis", "build"], "error: [basis] max_degree = -2 is below 0\n"),
     (["validate", "ops"], "invalid config: [basis] max_degree = -2 is below 0\n")])

@@ -1,5 +1,7 @@
 import tracemalloc
-from math import log, pi, sqrt
+from itertools import product
+from math import exp, log, pi, sqrt
+from sys import float_info
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from polyheat.heat import (
     HeatKernelEvaluator,
     MultiplierSpec,
     TruncationPolicy,
+    _sinc_power_tail_factor,
     default_t_min,
 )
 from polyheat.validation import localization_check
@@ -229,6 +232,43 @@ class TestMultipliers:
         sharp = HeatKernelEvaluator(cheb_ev.basis, TruncationPolicy(1e-13, 1e-3, 200))
         _, sharp_tail = sharp.multiplier_kernel(phi, 0.05, [0.3], [0.31])
         assert sharp_tail <= 1e-12
+
+    def test_sinc_tail_factor_matches_the_double_formula(self):
+        # 2 (2 / (A delta))^(2m) (K - 1)^(1 - 2m) / (2m - 1) in doubles,
+        # wherever it neither overflows nor passes through a subnormal
+        checked = 0
+        for band, delta, K, m in product((2.0, 0.3, 1.7), (0.1, 0.013, 0.5), (2, 10, 21, 200),
+                                         (1, 2, 4, 9, 17, 40, 80, 150)):
+            try:
+                env = (2.0 / (band * delta)) ** (2 * m)
+            except OverflowError:
+                continue
+            cap = (K - 1.0) ** (1 - 2 * m)
+            want = 2.0 * env * cap / (2 * m - 1)
+            if min(cap, want) < float_info.min:
+                continue
+            assert _sinc_power_tail_factor(band, delta, K, m) == pytest.approx(want, rel=1e-14)
+            checked += 1
+        assert checked >= 200
+
+    @pytest.mark.parametrize("K", [10, 200])
+    def test_sinc_tail_of_an_order_past_the_double_powers(self, K):
+        # (2 / (A delta))^(2m) = 10^800 overflows a double; the factor,
+        # (10 / (K - 1))^800 2 (K - 1) / 799, is 9.1e34 at K = 10 and below
+        # the least double at K = 200
+        ev = HeatKernelEvaluator(build_basis(DomainSpec.interval(-0.5, -0.5), K))
+        phi = MultiplierSpec("sinc_power", order=400)
+        v, tail = ev.multiplier_kernel(phi, 0.1, [0.2], [0.3])
+        assert np.isfinite(v) and np.isfinite(tail)
+        want = exp(800 * log(10 / (K - 1))) * 2 * (K - 1) / 799
+        assert _sinc_power_tail_factor(2.0, 0.1, K, 400) == pytest.approx(want, rel=1e-12)
+
+    def test_sinc_tail_factor_beyond_a_double_refused(self):
+        with pytest.raises(CapacityError, match="beyond the range of a double"):
+            _sinc_power_tail_factor(1e-300, 0.1, 20, 4)
+        # A delta below the least double
+        with pytest.raises(CapacityError, match="beyond the range of a double"):
+            _sinc_power_tail_factor(1e-300, 1e-30, 20, 4)
 
     def test_sinc_tail_refused_below_cap_two(self):
         ev = HeatKernelEvaluator(build_basis(DomainSpec.interval(-0.5, -0.5), 1),

@@ -13,12 +13,16 @@ from polyheat.quadrature import (
     gauss_jacobi,
     gauss_jacobi_01,
     jacobi_recurrence,
+    sphere_rule,
 )
+from polyheat.validation import PolyField, boundary_flux_decay
 
 from _oracles import (
     ball_monomial_moment,
+    hand_written_sphere_rule,
     interval_monomial_moment,
     simplex_monomial_moment,
+    sphere_monomial_moment,
 )
 
 CASES = [
@@ -27,6 +31,8 @@ CASES = [
     (DomainSpec.ball(1, 0.8), 14),
     (DomainSpec.ball(2, 0.25), 12),
     (DomainSpec.ball(3, -0.2), 10),
+    (DomainSpec.ball(4, 0.5), 8),
+    (DomainSpec.ball(5, -0.2), 6),
     (DomainSpec.simplex(1, (0.5, 0.5)), 14),
     (DomainSpec.simplex(2, (-0.3, 0.8, 1.7)), 12),
     (DomainSpec.simplex(3, (0.5, 0.2, 1.0, -0.1)), 8),
@@ -61,9 +67,48 @@ def test_all_monomial_moments(spec, deg):
 
 def test_capacity_error():
     with pytest.raises(CapacityError):
-        build_quadrature(DomainSpec.ball(4, 0.5), 6)
-    with pytest.raises(CapacityError):
         build_quadrature(DomainSpec.simplex(4, (0.5,) * 5), 200)
+
+
+@pytest.mark.parametrize("call", [
+    # 11 radii times 43 * 22^6 sphere nodes, about 5e9
+    lambda: build_quadrature(DomainSpec.ball(8, 0.5), 42),
+    # the sphere of the flux probe, 33 * 17^6 nodes at its least degree 32
+    lambda: boundary_flux_decay(DomainSpec.ball(8, 0.5), [1.0], PolyField([1.0], 8),
+                                [0.2, 0.1, 0.05, 0.02]),
+], ids=["build_quadrature", "boundary_flux_decay"])
+def test_ball_8_is_refused_before_any_allocation(call):
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match="exceeds the node budget"):
+            call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_sphere_rule_matches_the_hand_written_rules(n):
+    for degree in range(8, 63):
+        nodes, weights = sphere_rule(n, degree)
+        ref_nodes, ref_weights = hand_written_sphere_rule(n, degree)
+        assert np.array_equal(nodes, ref_nodes)
+        if n < 3:
+            assert np.array_equal(weights, ref_weights)
+        else:
+            # w_z (2 pi / m) against the hand-written (w_z 2 pi) / m: two
+            # roundings each, so at most 2 ulp apart
+            assert np.all(np.abs(weights - ref_weights) <= 2 * np.spacing(ref_weights))
+
+
+@pytest.mark.parametrize("n, degree", [(1, 9), (2, 12), (3, 11), (4, 10), (5, 8), (6, 7)])
+def test_sphere_rule_integrates_every_monomial(n, degree):
+    nodes, weights = sphere_rule(n, degree)
+    assert np.all(weights > 0)
+    for e in graded_monomials(n, degree):
+        got = float(weights @ np.prod(nodes ** np.asarray(e), axis=1))
+        assert got == pytest.approx(sphere_monomial_moment(e), rel=1e-13, abs=1e-13), e
 
 
 def test_rule_over_the_node_budget_is_refused_before_any_allocation():
@@ -77,6 +122,23 @@ def test_rule_over_the_node_budget_is_refused_before_any_allocation():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 16
+
+
+@pytest.mark.parametrize("call", [
+    lambda: jacobi_recurrence(4, 0.0, 1041.0),
+    lambda: gauss_jacobi(8, 1999.5, 0.0),
+    lambda: total_mass(DomainSpec.interval(1040, 0)),
+    lambda: total_mass(DomainSpec.interval(0, 1100)),
+], ids=["recurrence", "gauss_jacobi", "interval_alpha", "interval_beta"])
+def test_mass_beyond_a_double_is_refused(call):
+    with pytest.raises(CapacityError, match="beyond the range of a double; lower the weight"):
+        call()
+
+
+def test_mass_within_a_double_is_kept():
+    # 2^501 / 501, the mass of interval(500, 0)
+    assert total_mass(DomainSpec.interval(500, 0)) == pytest.approx(2.0 ** 501 / 501, rel=1e-12)
+    assert jacobi_recurrence(2, 500.0, 0.0)[2] == pytest.approx(2.0 ** 501 / 501, rel=1e-12)
 
 
 def test_gauss_jacobi_01_beta_moments():

@@ -190,6 +190,28 @@ class TestFlux:
             assert abs(face["slope"] - face["expected"]) <= 0.1, name
         assert rep.expected_slope == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("gamma", [0.5, 0.8, 2.0])
+    @pytest.mark.parametrize("probe", ["flux-suite", "random"])
+    def test_ball_1_report_keeps_the_bits_of_the_two_point_sum(self, gamma, probe):
+        # the S^0 rule with unit weights adds the same two terms as the sum
+        # eps^(gamma + 1/2) (f'(R) h(R) - f'(-R) h(-R)), R = sqrt(1 - eps),
+        # and the slope and r2 of the report are functions of those terms
+        spec = DomainSpec.ball(1, gamma)
+        if probe == "flux-suite":
+            f, h = PolyField([0.0, 0.0, 1.0], 1), PolyField([1.0], 1)
+        else:
+            rng = np.random.default_rng(20)
+            f = PolyField(random_coefficients(1, 6, rng), 1)
+            h = PolyField(random_coefficients(1, 3, rng), 1)
+        eps = [0.2, 0.1, 0.05, 0.02, 0.01]
+        rep = boundary_flux_decay(spec, f.coef, h, eps)
+        want = []
+        for e in eps:
+            x = np.array([[np.sqrt(1 - e)], [-np.sqrt(1 - e)]])
+            total = float(np.array([1.0, -1.0]) @ (f.gradients(x)[:, 0] * h.values(x)))
+            want.append(e ** (gamma + 0.5) * total)
+        assert rep.faces["sphere"]["J"] == want
+
     def test_bad_epsilons(self):
         spec = DomainSpec.ball(2, 0.25)
         with pytest.raises(DomainError):

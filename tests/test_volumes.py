@@ -9,6 +9,7 @@ import pytest
 
 from polyheat import volumes
 from polyheat.cli import main
+from polyheat.config import load_config
 from polyheat.domains import DomainSpec, chart_lift, distance_many, lift_rows, total_mass
 from polyheat.errors import DomainError, ParameterError, PrecisionError
 from polyheat.validation import interior_points
@@ -177,6 +178,32 @@ class TestMonteCarlo:
         # one sample is a sample: V is 0 or the total mass
         est = ball_volume(BALL3, (0, 0, 0), 0.3, samples=1, seed=2)
         assert est.samples == 1 and est.value in (0.0, total_mass(BALL3)) and est.stderr == 0.0
+
+    def test_sample_beyond_the_byte_budget_is_refused_before_any_draw(self, tmp_path):
+        # 10^11 samples of ball(3) take 3.2 TB lifted; the refusals come
+        # from the config and from the volume query before anything is drawn
+        cfgfile = tmp_path / "run.ini"
+        cfgfile.write_text("[domain]\nkind = ball\nn = 3\n[mc]\nsamples = 100000000000\n")
+        x = np.array([[0.1, 0.1, 0.1]])
+        tracemalloc.start()
+        try:
+            for call in (lambda: load_config(str(cfgfile)),
+                         lambda: load_config(None, spec=SIMPLEX3, mc_samples=10 ** 11),
+                         lambda: ball_volume(BALL3, x[0], 0.3, samples=10 ** 11),
+                         lambda: VolumeSource(SIMPLEX3, samples=10 ** 11).estimates(x, 0.3)):
+                with pytest.raises(ParameterError, match="beyond the budget of 1073741824"):
+                    call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16
+
+    def test_sample_budget_edge(self):
+        # n + 1 doubles a draw: the largest sample of ball(3) within the budget passes
+        most = volumes.MAX_SAMPLE_BYTES // 32
+        volumes.check_samples(BALL3, most)
+        with pytest.raises(ParameterError, match=f"{most + 1} Monte Carlo samples on "):
+            volumes.check_samples(BALL3, most + 1)
 
     @pytest.mark.parametrize("gamma", [-0.4, 0.5, 1.5])
     def test_lifted_ball_sample_law(self, gamma):
