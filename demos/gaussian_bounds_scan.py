@@ -21,7 +21,7 @@ from polyheat import (
 spec = DomainSpec.ball(2, 0.5)
 print(f"building degree-40 basis for {spec.label()} ...")
 ev = HeatKernelEvaluator(build_basis(spec, 40))
-# 2-D volumes come from a deterministic cap quadrature (no samples)
+# volumes are deterministic slices of the lifted sphere (no samples)
 vol = VolumeSource(spec)
 pts = interior_points(spec, 12)
 

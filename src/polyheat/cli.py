@@ -145,7 +145,7 @@ def cmd_basis_verify(args):
 
 
 def cmd_geom(args):
-    cfg = load_config(args.config, mc_samples=getattr(args, "samples", None))
+    cfg = load_config(args.config)
     spec = cfg.spec
     x = _parse_point(args.x)
     if args.geom_op == "dist":
@@ -158,7 +158,7 @@ def cmd_geom(args):
         rows = [f"\"{x.tolist()}\",\"g={g.tolist()}\",{_fmt(det)},0",
                 f"\"{x.tolist()}\",\"ginv={gi.tolist()}\",0,0"]
     else:
-        est = ball_volume(spec, x, args.r, samples=cfg.mc_samples, seed=cfg.seed)
+        est = ball_volume(spec, x, args.r)
         rows = [f"\"{x.tolist()}\",{_fmt(args.r)},{_fmt(est.value)},{_fmt(est.stderr)}"]
     # the header follows the query, so a refused query leaves stdout empty
     _emit_csv("x,y,value,stderr", rows, None)
@@ -422,7 +422,7 @@ def cmd_validate(args):
     except (ParameterError, CapacityError) as e:
         print(f"cannot build the evaluator: {e}", file=sys.stderr)
         return 2
-    vol = VolumeSource(cfg.spec, samples=cfg.mc_samples, seed=cfg.seed)
+    vol = VolumeSource(cfg.spec)
     rng = np.random.default_rng(cfg.seed)
     overall = True
     report = {"schema_version": SCHEMA_VERSION, "config": cfg.to_json_obj(),
@@ -477,7 +477,6 @@ def _parser():
             pg.add_argument("--y", required=True)
         if name == "volume":
             pg.add_argument("--r", type=float, required=True)
-            pg.add_argument("--samples", type=int, default=None)
 
     p = sub.add_parser("kernel", help="kernel evaluation (CSV)")
     psub = p.add_subparsers(dest="kernel_op", required=True)

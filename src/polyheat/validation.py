@@ -912,8 +912,7 @@ def operator_symmetry_residual(spec, quad, f, h):
     a = float(w @ (lf * hv))
     b = float(w @ (fv * lh))
     gap = abs(a - b) / max(abs(a), abs(b), 1.0)
-    dirichlet = -float(w @ (fv * lf))
-    return gap, dirichlet
+    return gap, -float(w @ (fv * lf))
 
 
 def kernel_selfadjointness_residual(ev, t, f, h):

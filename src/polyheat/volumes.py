@@ -12,25 +12,21 @@ the ball, 2^n prod y_i^(2 kappa_i) on the simplex.
   ball(1, g) is interval(g - 1/2, g - 1/2), and simplex(1, k) is
   interval(k_2 - 1/2, k_1 - 1/2) at x = 2u - 1 with distances halved; see
   ``_line_volumes``.
-* Ball(2) and simplex(2): deterministic quadrature in geodesic polar
-  coordinates (theta, phi) about lift(x), per phi panel; see
-  ``_cap_volumes``.  The panels out to r take one tensor pass per radius,
-  the panels out to a face one flat pass over their phi nodes.  The
-  reported stderr is the difference between two rule orders.
-* Dimension 3: Monte Carlo.  One exact sample of the normalized weighted
-  measure (Beta radial profile on the ball, Dirichlet on the simplex) is
-  drawn per (spec, samples, seed) from a counter-based Philox generator
-  keyed by the seed, stored lifted to the sphere, and every query is one
-  mat-vec on it.  All queries of a seed share that sample, so their
-  errors are correlated; each estimate is unbiased with its own standard
-  error, and V(x, 2r) >= V(x, r) holds exactly.
+* Simplex(2): quadrature in geodesic polar coordinates (theta, phi) about
+  lift(x), per phi panel; see ``_cap_volumes``.
+* Ball(n >= 2) and simplex(n >= 3): slices of the lifted sphere along
+  y_(n+1) = cos phi, one phi-integral a query with closed-form breaks; a
+  ball slice is a cap of S^(n-1), a simplex(n) slice a cap of
+  simplex(n - 1); see ``_slice_volumes``.
+
+Outside dimension 1 the stderr is the difference of two rule orders.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import acos, cos, pi, sin, tan
+from math import acos, exp, lgamma, log, pi, sin, tan
 
 import numpy as np
 
@@ -46,14 +42,9 @@ from .domains import (
     lift_rows,
     total_mass,
 )
-from .errors import DomainError, ParameterError, PrecisionError
-from .quadrature import gauss_jacobi
+from .errors import CapacityError, DomainError, PrecisionError
+from .quadrature import MAX_NODES, gauss_jacobi
 
-DEFAULT_SAMPLES = 1_000_000
-# the most bytes of one lifted Monte Carlo sample, n + 1 doubles a draw: 32
-# times the default sample of ball(3) and simplex(3); drawing it and one
-# query peak at 1.4 times the sample (ball(3)), 1.3 (simplex(3))
-MAX_SAMPLE_BYTES = 1 << 30
 # the largest stderr, as a fraction of V, that the validation scans accept
 MAX_REL_STDERR = 0.05
 # cap quadrature, (low, high) orders: (trapezoid nodes in phi around a
@@ -67,14 +58,22 @@ CAP_CHUNK = 1 << 15
 # lies at least its own length away (Bernstein ellipse 3 + sqrt 8), so the
 # rule errs by about (3 + sqrt 8)^(-2 ARC_NODES) = 4e-19
 ARC_NODES = 12
+# slice quadrature, (low, high) Gauss nodes in phi on a panel
+SLICE_ORDERS = (16, 24)
+# grading levels toward a singular point just outside a slice panel: cuts
+# (4^j - 1) delta from the end reach across a panel 1.8e16 delta long
+GRADE_LEVELS = 27
+# the most innermost rows of one slice pass: a ball query holds about 10 kB
+# at its peak; a simplex(3) query, nominally 600 simplex(2) caps, goes alone
+VOLUME_PASS = 128
 
 
 @dataclass(frozen=True)
 class VolumeEstimate:
     value: float
     stderr: float
-    method: str  # "exact1d" | "cap_quadrature" | "montecarlo"
-    samples: int
+    method: str  # "exact1d" | "cap_quadrature" | "slice_quadrature"
+    samples: int  # always 0: no volume is sampled
 
 
 def volume_surrogate(spec, x, r):
@@ -92,7 +91,7 @@ def volume_surrogate(spec, x, r):
 def _method(spec):
     if spec.n == 1:
         return "exact1d"
-    return "cap_quadrature" if spec.n == 2 else "montecarlo"
+    return "cap_quadrature" if (spec.kind, spec.n) == (SIMPLEX, 2) else "slice_quadrature"
 
 
 def _diameter(spec):
@@ -190,7 +189,7 @@ def _interval_volumes(a, b, xs, r):
 
 
 # ---------------------------------------------------------------------------
-# cap quadrature on ball(2) and simplex(2)
+# cap quadrature on simplex(2); it also takes ball(2), as a cross-check
 
 
 def _tangent_frames(Y):
@@ -316,11 +315,10 @@ def _reach_sums(spec, Y, E1, E2, r, query, phi, w, n_theta):
     weights are row p of phi and w (or their only row, shared by every
     panel) and whose query is query[p].
 
-    Theta takes Gauss-Legendre on [0, r], on nodes shared by the panels of
-    one radius.  Each radius takes one broadcast pass over (theta node,
-    panel, phi node), in chunks of at most CAP_CHUNK integrand values, of
-    the face coordinates y_i = cos(theta) Y_i + sin(theta) u_i(phi).  Theta
-    is summed in the order of a contiguous row and phi in that of
+    Theta takes Gauss-Legendre on [0, r].  One broadcast pass over (theta
+    node, panel, phi node), in chunks of at most CAP_CHUNK integrand values,
+    gives the face coordinates y_i = cos(theta) Y_i + sin(theta) u_i(phi).
+    Theta is summed in the order of a contiguous row and phi in that of
     np.add.reduceat over one panel, so a panel's sum does not depend on the
     others or on the chunks.
     """
@@ -333,40 +331,39 @@ def _reach_sums(spec, Y, E1, E2, r, query, phi, w, n_theta):
     cos_phi, sin_phi = np.cos(phi), np.sin(phi)
     sums = np.empty(len(query))
     step = max(1, CAP_CHUNK // (n_theta * k * len(faces)))
-    radii, which = np.unique(r[query], return_inverse=True)
-    for j, rad in enumerate(radii.tolist()):
-        c, s = np.cos(rad * t)[:, None, None], np.sin(rad * t)[:, None, None]
+    for lo in range(0, len(query), step):
+        p = np.arange(lo, min(lo + step, len(query)))
+        q = query[p]
+        rad = r[q]
+        theta = t[:, None, None] * rad[:, None]
+        c, s = np.cos(theta), np.sin(theta)
         sw = s * wt[:, None, None]
-        rows = np.flatnonzero(which == j)
-        for lo in range(0, len(rows), step):
-            p = rows[lo:lo + step]
-            q = query[p]
-            # the rows of phi and w that serve these panels
-            at = p if len(phi) > 1 else slice(None)
-            f, log_f = sw, None
-            for i, e in enumerate(expo):
-                if e == 0.0:
-                    continue
-                # each product is a new array, so the passes run in place
-                y = (E1f[q, i, None] * cos_phi[at] + E2f[q, i, None] * sin_phi[at]) * s
-                y += Yf[q, i, None] * c
-                # exponent 1 (kappa = 1/2) multiplies
-                if e == 1.0:
-                    y *= f
-                    f = y
-                else:
-                    y = np.log(y, out=y)
-                    y *= e
-                    log_f = y if log_f is None else np.add(log_f, y, out=log_f)
-            if log_f is not None:
-                log_f = np.exp(log_f, out=log_f)
-                log_f *= f
-                f = log_f
-            if f is sw:
-                # every exponent 0: the density multiplies nothing
-                f = np.broadcast_to(sw, (n_theta, len(p), k))
-            wg = w[at] * (_row_sum(f) * (rad / 2))
-            sums[p] = wg[:, 0] + wg[:, 1:].sum(axis=1)
+        # the rows of phi and w that serve these panels
+        at = p if len(phi) > 1 else slice(None)
+        f, log_f = sw, None
+        for i, e in enumerate(expo):
+            if e == 0.0:
+                continue
+            # each product is a new array, so the passes run in place
+            y = (E1f[q, i, None] * cos_phi[at] + E2f[q, i, None] * sin_phi[at]) * s
+            y += Yf[q, i, None] * c
+            # exponent 1 (kappa = 1/2) multiplies
+            if e == 1.0:
+                y *= f
+                f = y
+            else:
+                y = np.log(y, out=y)
+                y *= e
+                log_f = y if log_f is None else np.add(log_f, y, out=log_f)
+        if log_f is not None:
+            log_f = np.exp(log_f, out=log_f)
+            log_f *= f
+            f = log_f
+        if f is sw:
+            # every exponent 0: the density multiplies nothing
+            f = np.broadcast_to(sw, (n_theta, len(p), k))
+        wg = w[at] * (_row_sum(f) * (rad / 2)[:, None])
+        sums[p] = wg[:, 0] + wg[:, 1:].sum(axis=1)
     return sums
 
 
@@ -464,8 +461,8 @@ def _cap_sums(spec, Y, E1, E2, r, panels, order):
 
 
 def _cap_volumes(spec, X, r):
-    """(V, stderr) for the rows X (m, 2) of ball(2) or simplex(2) points and
-    their radii r (m,), one a row.
+    """(V, stderr) for the rows X (m, 2) of simplex(2) (or ball(2)) points
+    and their radii r (m,), one a row.
 
     In geodesic polar coordinates (theta, phi) about y = Y[q], the geodesic
     cos(theta) y + sin(theta) u(phi) meets face i (y_i = 0) at theta_i(phi),
@@ -489,107 +486,205 @@ def _cap_volumes(spec, X, r):
 
 
 # ---------------------------------------------------------------------------
-# Monte Carlo in dimension 3
+# slices of the lifted sphere: ball(n >= 2) and simplex(n >= 3)
 
 
-# (key, lifted sample) of the last Monte Carlo query: one sample is kept
-_cloud = (None, None)
+@lru_cache(maxsize=32)
+def _slice_rules(alpha, beta, k):
+    """Read-only (W, G, D, E) of the four piece kinds 2 * (lo is 0) + (hi is
+    pi/2), one row each on k Gauss nodes s in (0, 1).
 
-
-def _lifted_cloud(spec, samples, seed):
-    """The lifted sample for this key, drawn only when the key changes.
-
-    The old sample is released before the new one is drawn, so that two are
-    never held at once (``functools.lru_cache`` would hold both while it
-    draws).
+    A piece [lo, hi] is lo + (hi - lo) g(s), G = g, D = g', E = 1 - g.  Any
+    other end takes a quadratic substitution (g = s^2 at lo, 1 - (1 - s)^2
+    at hi), which makes the square-root end of a slice smooth; 0 takes
+    s^beta and pi/2 takes (1 - s)^alpha into the Gauss-Jacobi weight, and W
+    is divided by that factor: every piece sums W D cos^alpha sin^beta.
     """
-    global _cloud
-    key = (spec, samples, seed)
-    entry = _cloud
-    if entry[0] == key:
-        return entry[1]
-    del entry
-    _cloud = (None, None)
-    cloud = _draw_lifted(spec, samples, seed)
-    _cloud = (key, cloud)
-    return cloud
+    rows = []
+    for lo_zero, hi_end in np.ndindex(2, 2):
+        x, w = gauss_jacobi(k, alpha * hi_end, beta * lo_zero)
+        s, t = (1 + x) / 2, (1 - x) / 2
+        g, d, e = {(0, 0): (s * s * (3 - 2 * s), 6 * s * t, t * t * (1 + 2 * s)),
+                   (0, 1): (s * s, 2 * s, t * (1 + s)),
+                   (1, 0): (s * (2 - s), 2 * t, t * t),
+                   (1, 1): (s, np.ones(k), t)}[lo_zero, hi_end]
+        a, b = alpha * hi_end, beta * lo_zero
+        rows.append((w * 0.5 ** (a + b + 1) / (t ** a * s ** b), g, d, e))
+    tables = tuple(np.array(column) for column in zip(*rows))
+    for table in tables:
+        table.flags.writeable = False
+    return tables
 
 
-def _draw_lifted(spec, samples, seed):
-    """The seed's sample of the normalized measure, lifted to the chart sphere
-    and read-only: ball rows (sqrt(v) dir, sqrt(1 - v)), uniform directions
-    and then v ~ Beta(n/2, gamma+1/2), built coordinate-major in place;
-    simplex rows the square roots of a Dirichlet draw, all n+1 coordinates."""
-    rng = np.random.Generator(np.random.Philox(key=seed & 0xFFFFFFFFFFFFFFFF))
+def _slice_panels(spec, X, r):
+    """The phi-pieces of every query (query, lo, hi, kind), by query and
+    then lo, and the lifted rows' last coordinate a and the norm b of the rest.
+
+    The slice cap about u = y'/|y'| changes form where its radius has cosine
+    C: on the ball it is empty, partial or the whole sphere (C = 1, -1); on
+    the simplex it starts (C = 1), and touches the face where the
+    coordinates of a non-empty proper subset S vanish, or takes in a vertex
+    (S all but one), at radius asin |u_S|, C = |u_(rest)|.  Then
+    cos r = a cos phi + b C sin phi = R cos(phi - psi) at
+    phi = psi +- acos(cos r / R) (phi_x +- r, -phi_x +- r where C = +-1).
+    The breaks in (0, pi/2) cut [0, pi/2] into panels.  A panel whose
+    nearest singular point beyond an end (a break outside, 0 or pi/2) lies
+    delta < L/4 away, L its length, is cut at (4^j - 1) delta from that end
+    while the cut lies 4^(j-1) delta short of the other: each piece then
+    lies a quarter of its length or more from the singular points outside it.
+    """
+    m = len(X)
+    Y = lift_rows(spec, X)
+    Y /= np.linalg.norm(Y, axis=1, keepdims=True)
+    a, b = Y[:, -1], np.linalg.norm(Y[:, :-1], axis=1)
     if spec.kind == BALL:
-        # the last row holds the directions' squared norms until it is filled
-        lifted = np.empty((spec.n + 1, samples))
-        dirs, last = lifted[:-1], lifted[-1]
-        rng.standard_normal(out=dirs)
-        v = rng.beta(spec.n / 2.0, spec.gamma + 0.5, size=samples)
-        np.einsum("ij,ij->j", dirs, dirs, out=last)
-        np.sqrt(np.divide(v, last, out=last), out=last)
-        dirs *= last
-        np.sqrt(np.subtract(1.0, v, out=v), out=last)
-        cloud = lifted.T
+        C = np.tile([1.0, -1.0], (m, 1))
     else:
-        cloud = rng.dirichlet(np.asarray(spec.kappa) + 0.5, size=samples)
-        np.sqrt(cloud, out=cloud)
-    cloud.flags.writeable = False
-    return cloud
+        subsets = (np.arange(1, 2 ** spec.n - 1)[:, None] >> np.arange(spec.n)) & 1
+        u2 = Y[:, :-1] ** 2 / np.fmax(b * b, np.finfo(float).tiny)[:, None]
+        # |u_S|^2 column by column, so that a row's bits do not depend on the others
+        C = np.hstack([np.ones((m, 1)), np.sqrt(sum(u2[:, [i]] * subsets[:, i]
+                                                    for i in range(spec.n)))])
+    R, psi = np.hypot(a[:, None], b[:, None] * C), np.arctan2(b[:, None] * C, a[:, None])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        omega = np.where(np.abs(C) == 1.0, r[:, None], np.arccos(np.cos(r)[:, None] / R))
+    # every singular point sorted, a repeat moved to the end as inf
+    points = np.sort(np.hstack([np.full((m, 1), -np.inf), np.zeros((m, 1)), psi - omega,
+                                psi + omega, np.full((m, 1), pi / 2)]), axis=1)
+    points[:, 1:][points[:, 1:] == points[:, :-1]] = np.nan
+    points = np.sort(np.where(np.isnan(points), np.inf, points), axis=1)
+    points = np.hstack([points, np.full((m, 1), np.inf)])
+    query, col = np.nonzero((points[:, 1:-2] >= 0) & (points[:, 2:-1] <= pi / 2))
+    lo, hi = points[query, col + 1], points[query, col + 2]
+    below, above = (lo - points[query, col])[:, None], (points[query, col + 3] - hi)[:, None]
+    steps = 4.0 ** np.arange(1, GRADE_LEVELS + 1) - 1
+    reach, length = 1.25 * steps + 0.25, (hi - lo)[:, None]
+    cuts = np.hstack([np.where(reach * below < length, lo[:, None] + steps * below, hi[:, None]),
+                      np.where(reach * above < length, hi[:, None] - steps * above, hi[:, None])])
+    ends = np.sort(np.hstack([lo[:, None], cuts, hi[:, None]]), axis=1)
+    panel, piece = np.nonzero(ends[:, 1:] > ends[:, :-1])
+    start, stop = ends[panel, piece], ends[panel, piece + 1]
+    return query[panel], start, stop, 2 * (start == 0.0) + (stop == pi / 2), a, b
 
 
-def check_samples(spec, samples):
-    """Refuse, before any draw, a Monte Carlo sample of fewer than one draw or
-    whose lifted form exceeds ``MAX_SAMPLE_BYTES``."""
-    if samples < 1:
-        raise ParameterError(f"Monte Carlo needs at least 1 sample, got {samples}")
-    size = 8 * (spec.n + 1) * samples
-    if size > MAX_SAMPLE_BYTES:
-        raise ParameterError(f"{samples} Monte Carlo samples on {spec.label()} take {size} bytes "
-                             f"lifted, beyond the budget of {MAX_SAMPLE_BYTES}; lower the samples")
+def _cap_areas(n, p, q):
+    """The area of the cap <w, u> > c of S^(n-1), from p = 1 - c, q = 1 + c:
+    2 acos c = 4 atan2(sqrt p, sqrt q) on S^1 and 2 pi p on S^2.
+
+    Above that it is |S^(n-2)| times the integral of (1 - t^2)^(m/2) over
+    [c, 1], m = n - 3, which t = c + p (1 + x)/2 makes (p/2)^(m/2 + 1)
+    times that of (1 - x)^(m/2) (q + p (1 + x)/2)^(m/2) over [-1, 1]:
+    Gauss-Jacobi, whose integrand is analytic out to x = -3 when p <= q.  A
+    cap with c < 0 is the sphere less the cap of -c, which swaps p and q."""
+    if n < 4:
+        return 4 * np.arctan2(np.sqrt(p), np.sqrt(q)) if n == 2 else 2 * pi * p
+    area = [2 * exp((k + 1) / 2 * log(pi) - lgamma((k + 1) / 2)) for k in (n - 2, n - 1)]
+    x, w = gauss_jacobi(ARC_NODES, (n - 3) / 2, 0.0)
+    lo, hi = np.fmin(p, q), np.fmax(p, q)
+    inner = ((hi[..., None] + lo[..., None] * ((1 + x) / 2)) ** ((n - 3) / 2) * w).sum(axis=-1)
+    part = area[0] * (lo / 2) ** ((n - 1) / 2) * inner
+    return np.where(p <= q, part, area[1] - part)
 
 
-def _monte_carlo(spec, X, r, samples, seed):
-    """(V, stderr, sample size) of the rows X (m, n) and their radii r (m,):
-    mass times the fraction p of the seed's lifted sample with
-    lift(x) . y > cos r, one matrix-vector product a row, with stderr
-    mass sqrt(p (1 - p) / samples)."""
-    check_samples(spec, samples)
-    cloud = _lifted_cloud(spec, samples, seed)
-    p = np.array([np.mean(cloud @ (y / np.linalg.norm(y)) > cos(s))
-                  for y, s in zip(lift_rows(spec, X), r.tolist())])
-    mass = total_mass(spec)
-    return mass * p, mass * np.sqrt(p * (1 - p) / samples), samples
+def _slice_volumes(spec, X, r):
+    """(V, stderr) for the rows X (m, n) of ball(n >= 2) or simplex(n >= 3)
+    points and their radii r (m,), one a row.
+
+    With y = (sin phi w, cos phi), w on S^(n-1), the cap about
+    lift(x) = (b u, a) cuts slice phi in the cap <w, u> > c(phi) =
+    (cos r - a cos phi) / (b sin phi), so V is the integral over [0, pi/2]
+    of cos^alpha sin^beta phi G(phi), alpha = 2 kappa_(n+1),
+    beta = n - 1 + 2 (kappa_1 + ... + kappa_n), G the slice cap's area (ball)
+    or step times its volume on simplex(n - 1, kappa_1..kappa_n) at u^2
+    (simplex).  1 -+ c are products of sines, exact near c = +-1.  Every
+    piece (``_slice_panels``) takes both SLICE_ORDERS; the stderr is
+    |V_high - V_low| and 16 ulp of V, plus on the simplex the slices' stderr
+    integrated along phi.  A query is summed in an order of its own rows only.
+    """
+    kappa = spec.lift.kappa
+    alpha, beta = 2 * kappa[-1], spec.n - 1 + 2 * sum(kappa[:-1])
+    query, lo, hi, kind, a, b = _slice_panels(spec, X, r)
+    W, G, D, E = (np.hstack(t)[kind] for t in zip(*(_slice_rules(alpha, beta, k)
+                                                    for k in SLICE_ORDERS)))
+    L = (hi - lo)[:, None]
+    phi = lo[:, None] + L * G
+    # cos^alpha sin^beta, cos phi = sin(pi/2 - phi) exact near pi/2
+    f = np.log(np.sin((pi / 2 - hi)[:, None] + L * E)) * alpha
+    f += np.log(np.sin(phi)) * beta
+    f = np.exp(f, out=f) * W * D * L
+    del W, G, D, E
+    # 1 - c and 1 + c: cos(phi - phi_x) - cos r and cos r - cos(phi + phi_x)
+    # over b sin phi, half their sum
+    ax, rq = np.arctan2(b, a)[query, None], r[query, None]
+    minus = 2 * np.sin((rq + phi - ax) / 2) * np.sin((rq - phi + ax) / 2)
+    plus = 2 * np.sin((phi + ax + rq) / 2) * np.sin((phi + ax - rq) / 2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p = np.where(plus <= 0, 2.0, np.where(minus <= 0, 0.0, 2 * minus / (minus + plus)))
+        q = np.where(plus <= 0, 0.0, np.where(minus <= 0, 2.0, 2 * plus / (minus + plus)))
+    del phi, minus, plus
+    if spec.kind == BALL:
+        g, g_err = _cap_areas(spec.n, p, q), 0.0
+    else:
+        # step times (V, stderr) on simplex(n - 1) at u^2 and radius
+        # 2 atan2(sqrt p, sqrt q) = acos c, one ``_volumes`` call over the
+        # nodes whose slice is not empty; at the vertex e_(n+1) (b = 0)
+        # every slice is empty or whole, and the centre stands in for u
+        s = X.sum(axis=1, keepdims=True)
+        U = np.where(b[:, None] > 0, X[:, :-1] / np.where(s > 0, s, 1.0), 1.0 / spec.n)
+        live = np.nonzero(p > 0)
+        g, g_err = np.zeros(p.shape), np.zeros(p.shape)
+        g[live], g_err[live] = _volumes(DomainSpec.simplex(spec.n - 1, kappa[:-1]),
+                                        U[query[live[0]]],
+                                        2 * np.arctan2(np.sqrt(p[live]), np.sqrt(q[live])))
+        g, g_err = spec.lift.step * g, spec.lift.step * g_err[:, SLICE_ORDERS[0]:]
+    k = SLICE_ORDERS[0]
+    # each piece's sum at both orders; np.bincount adds a query's pieces in turn
+    sums = np.add.reduceat(f * g, [0, k], axis=1)
+    low, high = (np.bincount(query, sums[:, i], minlength=len(X)) for i in (0, 1))
+    inner = np.bincount(query, (f[:, k:] * g_err).sum(axis=1), minlength=len(X))
+    # exp of a log-density up to 16 in size rounds to 16 ulp; no cap holds
+    # more than the mass, which a whole cap reads to rounding
+    stderr = np.abs(high - low) + inner + 16 * np.finfo(float).eps * high
+    return np.fmin(high, total_mass(spec)), stderr
 
 
-def _volumes(spec, X, r, samples, seed):
-    """(V, stderr, sample size) of the checked rows X (m, n) and their radii
-    r (m,), one a row: the total mass with stderr 0 where r reaches the
-    diameter, elsewhere one pass of the arc rules (dimension 1, stderr 0),
-    of the cap quadrature (ball(2), simplex(2)) or of Monte Carlo (dimension
-    3).  The sample size is the Monte Carlo one, 0 when no row drew on it."""
-    values, stderrs, used = np.full(len(X), total_mass(spec)), np.zeros(len(X)), 0
+def _volumes(spec, X, r):
+    """(V, stderr) of the checked rows X (m, n) and their radii r (m,), one
+    a row: the total mass with stderr 0 where r reaches the diameter,
+    elsewhere the arc rules (dimension 1, stderr 0), the cap quadrature in
+    one pass (simplex(2)) or the slices (ball(n >= 2), simplex(n >= 3)) in
+    passes of at most VOLUME_PASS innermost rows, or of one query."""
+    values, stderrs = np.full(len(X), total_mass(spec)), np.zeros(len(X))
     inside = np.flatnonzero(r < _diameter(spec))
     if spec.n == 1:
         values[inside] = _line_volumes(spec, X[inside, 0], r[inside])
-    elif spec.n == 2:
+    elif _method(spec) == "cap_quadrature":
         values[inside], stderrs[inside] = _cap_volumes(spec, X[inside], r[inside])
     elif len(inside):
-        values[inside], stderrs[inside], used = _monte_carlo(spec, X[inside], r[inside],
-                                                             samples, seed)
-    return values, stderrs, used
+        # the simplex(2) rows of one query, nominally: simplex(j) has 2^j - 1
+        # break cosines, so 2^(j+1) - 1 panels of sum(SLICE_ORDERS) nodes
+        # (grading cuts a few further); refused before any array
+        inner = 1
+        for j in range(3, spec.n + 1 if spec.kind == SIMPLEX else 0):
+            inner *= (2 ** (j + 1) - 1) * sum(SLICE_ORDERS)
+            if inner > MAX_NODES:
+                raise CapacityError(f"a volume query on {spec.label()} may take more than "
+                                    f"{MAX_NODES} simplex(2) caps; lower the dimension")
+        step = max(1, VOLUME_PASS // inner)
+        for lo in range(0, len(inside), step):
+            rows = inside[lo:lo + step]
+            values[rows], stderrs[rows] = _slice_volumes(spec, X[rows], r[rows])
+    return values, stderrs
 
 
-def ball_volume(spec, x, r, samples=DEFAULT_SAMPLES, seed=0):
+def ball_volume(spec, x, r):
     """Weighted volume of the metric ball of radius r around x, one row of
-    ``_volumes``.  ``samples`` and ``seed`` serve dimension 3 only: the
-    seed's sample of that size."""
+    ``_volumes``."""
     X = _require_inside(spec, x)[None, :]
     if np.ndim(r):
         raise DomainError(f"radius has shape {np.shape(r)}, expected one radius")
-    values, stderrs, used = _volumes(spec, X, _radii(r, 1), samples, seed)
-    return VolumeEstimate(float(values[0]), float(stderrs[0]), _method(spec), used)
+    values, stderrs = _volumes(spec, X, _radii(r, 1))
+    return VolumeEstimate(float(values[0]), float(stderrs[0]), _method(spec), 0)
 
 
 def refuse_imprecise(spec, points, radii, values, stderrs, gate):
@@ -604,8 +699,7 @@ def refuse_imprecise(spec, points, radii, values, stderrs, gate):
     if len(bad):
         i = bad[0]
         x = ", ".join(f"{c:.6g}" for c in np.ravel(np.asarray(points, float)[i]).tolist())
-        hint = ("raise the sample budget" if _method(spec) == "montecarlo"
-                else "the cap quadrature is unresolved")
+        hint = f"the {_method(spec).replace('_', ' ')} is unresolved"
         what = (f"volume stderr {stderrs[i]:.3g} exceeds {gate:.0%} of V={values[i]:.3g}"
                 if values[i] > 0 else f"volume V={values[i]:.3g} is not positive")
         raise PrecisionError(f"{what} at x=({x}), r={radii[i]:.6g}; {hint}")
@@ -625,18 +719,16 @@ def _radii(r, m):
 class VolumeSource:
     """Volume front-end used by the validation scans.
 
-    Monte Carlo queries use the sample of ``seed``, so results do not depend
-    on evaluation order.  The source refuses no estimate for its stderr: the
+    Every volume is a deterministic quadrature, so results do not depend on
+    evaluation order.  The source refuses no estimate for its stderr: the
     scans gate what they read with ``refuse_imprecise``.
     """
 
-    def __init__(self, spec: DomainSpec, samples=DEFAULT_SAMPLES, seed=0):
+    def __init__(self, spec: DomainSpec):
         self.spec = spec
-        self.samples = samples
-        self.seed = seed
 
     def __call__(self, x, r) -> VolumeEstimate:
-        return ball_volume(self.spec, x, r, samples=self.samples, seed=self.seed)
+        return ball_volume(self.spec, x, r)
 
     def estimates(self, points, r):
         """(V(x, r), stderr) arrays for the rows of an (m, n) array of points,
@@ -646,4 +738,4 @@ class VolumeSource:
         pass, so each row answers as a one-point query would.
         """
         X, _ = _rows(self.spec, points)
-        return _volumes(self.spec, X, _radii(r, len(X)), self.samples, self.seed)[:2]
+        return _volumes(self.spec, X, _radii(r, len(X)))

@@ -49,7 +49,7 @@ def get_basis(spec, degree):
 def get_vol(spec, samples=1_000_000, seed=2024):
     key = (spec, samples, seed)
     if key not in _VOLS:
-        _VOLS[key] = VolumeSource(spec, samples=samples, seed=seed)
+        _VOLS[key] = VolumeSource(spec)
     return _VOLS[key]
 
 

@@ -164,26 +164,11 @@ class TestGeom:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert out == ""
 
-    def test_volume_without_samples_is_one_line_error(self, tmp_path, capsys):
-        # Monte Carlo volumes are those of dimension 3
-        for kind in ("ball\nn = 3\ngamma = 0.5", "simplex\nn = 3"):
-            cfgfile = write_config(tmp_path,
-                                   f"[domain]\nkind = {kind}\n[mc]\nsamples = 20000\n")
-            # --samples 0 is a sample count too, not a fall back to [mc] samples
-            for samples in ("0", "-3"):
-                assert main(["--config", cfgfile, "geom", "volume", "--x", "0.1,0.1,0.1",
-                             "--r", "0.3", "--samples", samples]) == 2
-                out, err = capsys.readouterr()
-                assert err == f"error: Monte Carlo needs at least 1 sample, got {samples}\n"
-                assert out == ""
-
     def test_volume_deterministic(self, tmp_path, capsys):
         cfgfile = write_config(tmp_path, "[domain]\nkind = ball\nn = 2\ngamma = 0.5\n[run]\nseed = 3\n")
-        main(["--config", cfgfile, "geom", "volume", "--x", "0.1,0.1", "--r", "0.4",
-              "--samples", "50000"])
+        main(["--config", cfgfile, "geom", "volume", "--x", "0.1,0.1", "--r", "0.4"])
         first = capsys.readouterr().out
-        main(["--config", cfgfile, "geom", "volume", "--x", "0.1,0.1", "--r", "0.4",
-              "--samples", "50000"])
+        main(["--config", cfgfile, "geom", "volume", "--x", "0.1,0.1", "--r", "0.4"])
         assert capsys.readouterr().out == first
 
 
@@ -261,12 +246,11 @@ def test_grid_over_budget_is_refused_before_any_allocation(tmp_path, capsys, mon
 
 
 INTERVAL_520 = "[domain]\nkind = interval\nalpha = 520\nbeta = 0\n[basis]\nmax_degree = 30\n"
-HUGE_SAMPLE = "100000000000 Monte Carlo samples on ball(n=3, gamma=0.5) take 3200000000000 bytes"
 
 
 # (config, command, exit code, the message): a weighted mass, a sinc_power
-# tail factor or a lifted Monte Carlo sample beyond what a double or the
-# byte budget holds.  Outside validate, and where validate cannot start, the
+# tail factor or the slices of a volume beyond what a double or the node
+# budget holds.  Outside validate, and where validate cannot start, the
 # refusal is one stderr line; validate all writes it into the report of the
 # suites that hit it.
 @pytest.mark.parametrize("body, command, code, message", [
@@ -279,15 +263,13 @@ HUGE_SAMPLE = "100000000000 Monte Carlo samples on ball(n=3, gamma=0.5) take 320
     ("[domain]\nkind = interval\n",
      ["kernel", "multiplier", "--family", "sinc_power", "--delta", "0.1", "--band", "1e-300"], 2,
      "error: the sinc_power tail factor of order 4, band 1e-300 and delta 0.1 at the cap 20 "),
-    ("[domain]\nkind = ball\nn = 3\n",
-     ["geom", "volume", "--x", "0,0,0", "--r", "0.5", "--samples", "100000000000"], 2,
-     f"error: {HUGE_SAMPLE}"),
-    ("[domain]\nkind = ball\nn = 3\n[mc]\nsamples = 100000000000\n", ["validate", "doubling"], 2,
-     f"invalid config: {HUGE_SAMPLE}"),
+    ("[domain]\nkind = simplex\nn = 5\n",
+     ["geom", "volume", "--x", "0.1,0.1,0.1,0.1,0.1", "--r", "0.5"], 2,
+     "error: a volume query on simplex(n=5, kappa=(0.5, 0.5, 0.5, 0.5, 0.5, 0.5)) may take "),
     (INTERVAL_520, ["validate", "all"], 1,
      "the weighted mass of the Jacobi weight (1 - x)^0 (1 + x)^1041 is e^715.31,"),
 ], ids=["mass-volume", "mass-interval-basis", "mass-ball-basis", "sinc-tail",
-        "samples-flag", "samples-config", "mass-validate-all"])
+        "slice-budget", "mass-validate-all"])
 def test_refusal_past_a_double_or_the_sample_budget_is_one_line(tmp_path, capsys, body, command,
                                                                code, message):
     cfgfile = write_config(tmp_path, body)
@@ -564,8 +546,8 @@ class TestValidate:
         assert (tmp_path / "validate_basis.json").read_bytes() == first
 
     def test_validate_all_does_not_depend_on_earlier_runs(self, tmp_path, capsys):
-        # the Monte Carlo sample, monomial frame and Gauss-Jacobi caches of a
-        # simplex run in between leave the ball report unchanged
+        # the monomial frame and Gauss-Jacobi caches of a simplex run in
+        # between leave the ball report unchanged
         common = ("[basis]\nmax_degree = 12\n[grids]\ndeltas = 0.2\n[mc]\nsamples = 20000\n"
                   f"[run]\noutput = {tmp_path}\n")
         ball, simplex = tmp_path / "ball.ini", tmp_path / "simplex.ini"
@@ -576,18 +558,23 @@ class TestValidate:
         first, last = ((tmp_path / i / "validate_all.json").read_bytes() for i in "02")
         assert first == last
 
-    @pytest.mark.parametrize("suite", ["gauss", "localize"])
-    def test_imprecise_monte_carlo_volumes_are_refused(self, tmp_path, capsys, suite):
-        # 100 samples leave ball(3) volumes with 20-100 % stderr; the suites
-        # take volumes within the doubling gate of 5 % only
+    @pytest.mark.parametrize("suite", ["gauss", "doubling"])
+    def test_imprecise_cap_volumes_are_refused(self, tmp_path, capsys, suite):
+        # density exponents of -0.9 leave caps next to a face of
+        # simplex(2, (-0.45)^3) with stderrs over 5 % of V; the suites take
+        # volumes within the doubling gate only, and say so in one line
         cfgfile = write_config(tmp_path, (
-            "[domain]\nkind = ball\nn = 3\ngamma = 0.5\n[basis]\nmax_degree = 10\n"
-            "[grids]\npoints = 10\ntimes = 0.2, 1.0\ndeltas = 0.2\n[mc]\nsamples = 100\n"
+            "[domain]\nkind = simplex\nn = 2\nkappa = -0.45, -0.45, -0.45\n"
+            "[basis]\nmax_degree = 10\n[grids]\npoints = 10\ntimes = 0.2, 1.0\ndeltas = 0.2\n"
             f"[run]\noutput = {tmp_path}\n"))
         assert main(["--config", cfgfile, "validate", suite]) == 1
+        out, err = capsys.readouterr()
+        assert out.startswith(f"{suite:<16} FAIL\n") and err == ""
         entry = json.loads((tmp_path / f"validate_{suite}.json").read_text())["suites"][suite]
-        assert entry["pass"] is False
-        assert "exceeds 5% of V" in entry["results"]["error"]
+        error = entry["results"]["error"]
+        assert entry["pass"] is False and "\n" not in error
+        assert error.startswith("volume stderr ") and "exceeds 5% of V=" in error
+        assert error.endswith("; the cap quadrature is unresolved")
 
     @pytest.mark.parametrize("a, K, deltas, suite, need", [
         (0, 10, "1e-12", "localize", 2 * 10 ** 12),
@@ -664,22 +651,6 @@ class TestValidate:
         report = json.loads((tmp_path / "validate_doubling.json").read_text(),
                             parse_constant=refuse)
         assert report["suites"]["doubling"] == {"pass": False, "results": {"error": why}}
-
-    def test_zero_monte_carlo_volume_fails_doubling_in_one_line(self, tmp_path, capsys):
-        # 20000 samples miss a ball of radius 0.001 (V about 4e-9), which
-        # reads V = 0 with stderr 0; the doubling ratio would divide by it
-        cfgfile = write_config(tmp_path, (
-            "[domain]\nkind = ball\nn = 3\ngamma = 0.5\n[basis]\nmax_degree = 6\n"
-            "[grids]\npoints = 1\nradii = 0.001\n[mc]\nsamples = 20000\n"
-            f"[run]\noutput = {tmp_path}\n"))
-        assert main(["--config", cfgfile, "validate", "doubling"]) == 1
-        out, err = capsys.readouterr()
-        assert out.startswith("doubling         FAIL\n") and err == ""
-        entry = json.loads((tmp_path / "validate_doubling.json").read_text())["suites"]["doubling"]
-        error = entry["results"]["error"]
-        assert entry["pass"] is False and "\n" not in error
-        assert error.startswith("volume V=0 is not positive at x=(")
-        assert error.endswith(", r=0.001; raise the sample budget")
 
     def test_suite_domain_error_fails_that_suite_only(self, tmp_path, capsys):
         # one grid point leaves the Gaussian scan without an admissible pair
@@ -803,13 +774,13 @@ spec = DomainSpec.simplex(2, (0.5, 0.5, 0.5))
 # f = x1 over the graded monomials 1, x2, x1; h = 1
 boundary_flux_decay(spec, [0.0, 0.0, 1.0], PolyField([1.0], 2), [0.2, 0.1, 0.05, 0.02])
 kernel = scipy_modules()
-ball_volume(DomainSpec.ball(2, 0.5), np.array([0.1, 0.1]), 0.3, samples=1000, seed=1)
+ball_volume(DomainSpec.ball(2, 0.5), np.array([0.1, 0.1]), 0.3)
 ball_volume(spec, np.array([0.1, 0.1]), 0.3)
 volume2d = scipy_modules()
 ball_volume(DomainSpec.interval(0.5, -0.5), np.array([0.1]), 0.3)
 volume = scipy_modules()
-ball_volume(DomainSpec.ball(3, 0.5), np.array([0.1, 0.1, 0.1]), 0.3, samples=1000, seed=1)
-ball_volume(DomainSpec.simplex(3, (0.5,) * 4), np.array([0.1, 0.1, 0.1]), 0.3, samples=1000)
+ball_volume(DomainSpec.ball(3, 0.5), np.array([0.1, 0.1, 0.1]), 0.3)
+ball_volume(DomainSpec.simplex(3, (0.5,) * 4), np.array([0.1, 0.1, 0.1]), 0.3)
 print(json.dumps({"kernel": kernel, "volume2d": volume2d, "volume": volume,
                   "volume3d": scipy_modules()}))
 """
@@ -821,7 +792,7 @@ def test_kernel_path_imports_no_scipy():
     assert run.returncode == 0, run.stderr
     loaded = json.loads(run.stdout)
     # neither the cap quadrature of 2-D volumes, the Gauss-Jacobi arc
-    # integrals of interval volumes nor the 3-D Monte Carlo sampler needs scipy
+    # integrals of interval volumes nor the slices of 3-D volumes needs scipy
     assert loaded == {"kernel": [], "volume2d": [], "volume": [], "volume3d": []}
 
 
@@ -906,7 +877,7 @@ def test_validate_interval_loads_no_scipy(tmp_path):
 
 def test_validate_3d_loads_no_scipy(tmp_path):
     # a fresh interpreter, as `polyheat validate all` runs; the doubling
-    # scan takes Monte Carlo volumes on both domains
+    # scan takes slice volumes on both domains
     common = ("[basis]\nmax_degree = 8\n[grids]\npoints = 6\ndeltas = 0.3\n"
               "[mc]\nsamples = 20000\n")
     cfgs = [tmp_path / "ball.ini", tmp_path / "simplex.ini"]
@@ -918,5 +889,5 @@ def test_validate_3d_loads_no_scipy(tmp_path):
     assert result["scipy"] == [] and set(result["codes"]) <= {0, 1}
     for name in ("ball", "simplex"):
         report = json.loads((tmp_path / name / "validate_all.json").read_text())
-        doubling = report["suites"]["doubling"]
-        assert doubling["pass"] or "raise the sample budget" in doubling["results"]["error"]
+        # the scan runs on every volume it asks for; its verdict is its own
+        assert "error" not in report["suites"]["doubling"]["results"]

@@ -180,8 +180,8 @@ class TestRows:
         b2 = DomainSpec.ball(2, 0.5)
         for call in (lambda: distance(b2, x, (0.0, 0.0)), lambda: chart_lift(b2, x),
                      lambda: distance_many(b2, x, [[0.0, 0.0]]),
-                     lambda: ball_volume(b2, x, 0.3, samples=1_000),
-                     lambda: VolumeSource(b2, samples=1_000)(x, 0.3)):
+                     lambda: ball_volume(b2, x, 0.3),
+                     lambda: VolumeSource(b2)(x, 0.3)):
             with pytest.raises(DomainError) as err:
                 call()
             assert "\n" not in str(err.value)
